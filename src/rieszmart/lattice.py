@@ -54,6 +54,8 @@ class SampleSpace:
         return LatticeElement(self, np.zeros(self.n))
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, SampleSpace)
             and self.n == other.n

@@ -33,6 +33,7 @@ from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
     ProcessSequence,
+    _op_groups,
     classify,
     require_difference_sequence,
 )
@@ -275,18 +276,6 @@ def submartingale_convergence_experiment(
     )
 
 
-def _group_ops(ops):
-    groups: dict = {}
-    order = []
-    for i, op in enumerate(ops):
-        key = op.partition.blocks
-        if key not in groups:
-            groups[key] = (op, [])
-            order.append(key)
-        groups[key][1].append(i)
-    return [(groups[k][0], np.asarray(groups[k][1], dtype=np.intp)) for k in order]
-
-
 def slln_p_le_2(
     diffs: ProcessSequence,
     rates: WeightSequence,
@@ -322,7 +311,7 @@ def slln_p_le_2(
     }
     scale = float(np.max(absx_p)) if absx_p.size else 1.0
     if count > 1:
-        for op, idx in _group_ops(diffs.filtration.ops[: count - 1]):
+        for op, idx in _op_groups(diffs.filtration.ops[: count - 1]):
             nxt = absx_p[idx + 1]
             here = absx_p[idx]
             dom = 2.0 * absy_p[idx + 1]

@@ -127,14 +127,18 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     is_sub = True
     is_super = True
     for op, idx in _op_groups(process.filtration.ops[: count - 1]):
-        transformed = mat if op.is_identity else op.apply_rows(mat)
-        # suffix envelopes of T_i-transformed values over j = i+1 .. N-1
+        # Only stages after the operator's first use are ever compared.
+        later = mat[idx[0] + 1 :]
+        transformed = later if op.is_identity else op.apply_rows(later)
+        # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
+        # row r standing for stage idx[0] + 1 + r
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
         suff_max = np.maximum.accumulate(transformed[::-1], axis=0)[::-1]
         here = mat[idx]
-        if is_sub and np.any(suff_min[idx + 1] < here - slack):
+        after = idx - idx[0]
+        if is_sub and np.any(suff_min[after] < here - slack):
             is_sub = False
-        if is_super and np.any(suff_max[idx + 1] > here + slack):
+        if is_super and np.any(suff_max[after] > here + slack):
             is_super = False
         if not (is_sub or is_super):
             return NONE
@@ -235,11 +239,18 @@ def make_space(cfg: GeneratorConfig) -> SampleSpace:
 
 def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     """Single block first, then split the largest block per stage;
-    once singletons are reached the finest partition repeats."""
-    parts = [Partition.single_block(space)]
-    while len(parts) < steps:
-        parts.append(parts[-1].split_largest())
-    return Filtration([ConditionalExpectationOp(p) for p in parts[:steps]])
+    once singletons are reached the finest operator repeats."""
+    return _split_largest_chain(Partition.single_block(space), steps)
+
+
+def _split_largest_chain(first: Partition, steps: int) -> Filtration:
+    """first, then split the largest block per stage: one operator per
+    distinct partition, the singleton operator repeated by reference."""
+    ops = [ConditionalExpectationOp(first)]
+    while len(ops) < steps and not ops[-1].is_identity:
+        ops.append(ConditionalExpectationOp(ops[-1].partition.split_largest()))
+    ops += [ops[-1]] * (steps - len(ops))
+    return Filtration(ops[:steps])
 
 
 def _block_constant_draw(stream: SplitMix64, part: Partition, amplitude: float) -> np.ndarray:
@@ -248,7 +259,14 @@ def _block_constant_draw(stream: SplitMix64, part: Partition, amplitude: float) 
 
 
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:
-    """Martingale difference sequence with increments bounded by 2*amplitude."""
+    """Martingale difference sequence with increments bounded by 2*amplitude.
+
+    Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
+    rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
+    uniform weights, otherwise up to about 1.1e-16 * amplitude.  Stages
+    past the first singleton stage add draws but no signal, so horizons
+    beyond dim stages carry none.
+    """
     space = filtration.space if filtration is not None else make_space(cfg)
     if filtration is None:
         filtration = default_filtration(space, cfg.steps)

@@ -37,7 +37,12 @@ from .inequalities import (
     telescoping_bound,
 )
 from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance
-from .processes import GeneratorConfig, generate_mds, generate_submartingale
+from .processes import (
+    GeneratorConfig,
+    _split_largest_chain,
+    generate_mds,
+    generate_submartingale,
+)
 from .reports import VerificationReport
 from .rng import SplitMix64, derive_seed
 
@@ -146,10 +151,7 @@ def _refining_filtration(stream: SplitMix64, space: SampleSpace, steps: int) -> 
         first = Partition.single_block(space)
     else:
         first = _random_partition(stream, space)
-    parts = [first]
-    while len(parts) < steps:
-        parts.append(parts[-1].split_largest())
-    return Filtration([ConditionalExpectationOp(p) for p in parts])
+    return _split_largest_chain(first, steps)
 
 
 def _block_constant_nonneg(

@@ -11,18 +11,21 @@ from rieszmart import (
     BadExponent,
     CompatibleTriple,
     ConditionalExpectationOp,
+    Filtration,
     Incompatible,
     NotRefining,
     Partition,
     SampleSpace,
     SpaceMismatch,
     band_projection,
+    default_filtration,
     lp_norm,
     make_filtration,
     multiply,
     verify_axioms,
 )
 from rieszmart.rng import SplitMix64
+from rieszmart.suites import _refining_filtration
 
 
 def block_average_oracle(space, blocks, values):
@@ -34,6 +37,25 @@ def block_average_oracle(space, blocks, values):
         for i in block:
             out[i] = total / weight
     return np.array(out)
+
+
+def tower_on_basis_holds(coarse, fine):
+    """T_F T_C = T_C and T_C T_F = T_C on the canonical basis, in floating
+    point at rtol 1e-12, atol 1e-14: the dense check Filtration and
+    CompatibleTriple once ran at build time, kept as the reference oracle
+    for their exact refines() test."""
+    basis = np.eye(coarse.space.n)
+    ce = coarse.apply_rows(basis)
+    cf = coarse.apply_rows(fine.apply_rows(basis))
+    return bool(
+        np.allclose(fine.apply_rows(ce), ce, rtol=1e-12, atol=1e-14)
+        and np.allclose(cf, ce, rtol=1e-12, atol=1e-14)
+    )
+
+
+def blocks_of(labels):
+    """Partition blocks from one block label per atom."""
+    return [np.flatnonzero(labels == lab).tolist() for lab in np.unique(labels)]
 
 
 # --- partitions ---------------------------------------------------------------
@@ -286,6 +308,13 @@ def test_make_filtration_rejects_crossing():
     space = SampleSpace.uniform(4)
     with pytest.raises(NotRefining):
         make_filtration(space, [[[0, 1], [2, 3]], [[0, 2], [1, 3]]])
+    # A crossing stage after a stage repeated by reference is still caught.
+    halves = ConditionalExpectationOp(Partition(space, [[0, 1], [2, 3]]))
+    crossing = ConditionalExpectationOp(Partition(space, [[0, 2], [1, 3]]))
+    with pytest.raises(NotRefining):
+        Filtration([halves, halves, crossing])
+    # The oracle sees the crossing pair too, so it is no vacuous reference.
+    assert not tower_on_basis_holds(halves, crossing)
 
 
 def test_filtration_allows_repeated_stage():
@@ -335,3 +364,59 @@ def test_compatible_triple():
     other = ConditionalExpectationOp(Partition.single_block(SampleSpace.uniform(3)))
     with pytest.raises(Incompatible):
         CompatibleTriple(other, filt)
+
+    halves = filt[0]
+    shared = Filtration([halves, halves, filt[1]])
+    CompatibleTriple(halves, shared)  # the base may be the first stage itself
+    with pytest.raises(Incompatible):
+        CompatibleTriple(crossing_base, shared)
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+def test_refines_implies_tower_identities_on_basis(n, seed):
+    # Random refining chains with weights spanning 1e-12 .. 1: wherever the
+    # exact refines() test passes, the dense basis identities hold too.
+    rng = np.random.default_rng(seed)
+    space = SampleSpace(10.0 ** rng.uniform(-12.0, 0.0, n))
+    labels = rng.integers(0, 1 + rng.integers(0, 3), n)
+    base = ConditionalExpectationOp(Partition(space, blocks_of(labels)))
+    ops = []
+    for _ in range(5):
+        labels = labels * 4 + rng.integers(0, 1 + rng.integers(0, 3), n)
+        op = ConditionalExpectationOp(Partition(space, blocks_of(labels)))
+        ops.append(op)
+        if rng.random() < 0.3:
+            ops.append(op)  # a stage repeated by reference
+    filt = Filtration(ops)
+    CompatibleTriple(base, filt)
+    pairs = [(base, ops[0])] + list(zip(ops, ops[1:]))
+    for coarse, fine in pairs:
+        if fine is coarse:
+            continue
+        assert fine.partition.refines(coarse.partition)
+        assert tower_on_basis_holds(coarse, fine)
+
+
+def test_split_largest_chains_share_the_singleton_operator():
+    space = SampleSpace([0.1, 0.2, 0.3, 0.25, 0.15])
+    filt = default_filtration(space, 9)
+    # Same stages as one fresh operator per split-largest partition.
+    parts = [Partition.single_block(space)]
+    while len(parts) < 9:
+        parts.append(parts[-1].split_largest())
+    assert len(filt) == 9
+    assert filt.to_json_dict() == [p.to_json_dict() for p in parts]
+    assert [filt[i].partition for i in range(9)] == parts
+    assert len({id(op) for op in filt.ops[:5]}) == 5
+    assert all(op is filt[4] for op in filt.ops[4:])
+    assert filt[4].is_identity and not filt[3].is_identity
+    assert len(default_filtration(space, 3)) == 3
+
+    for seed in range(20):
+        chain = _refining_filtration(SplitMix64(seed), space, 12)
+        assert len(chain) == 12
+        first = next(i for i, op in enumerate(chain) if op.is_identity)
+        assert all(op is chain[first] for op in chain.ops[first:])
+        assert len({id(op) for op in chain.ops[: first + 1]}) == first + 1
+        for coarse, fine in zip(chain.ops[:first], chain.ops[1 : first + 1]):
+            assert fine.partition == coarse.partition.split_largest()

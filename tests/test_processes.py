@@ -23,12 +23,49 @@ from rieszmart import (
     require_difference_sequence,
     square_function,
 )
-from rieszmart.processes import MARTINGALE, NONE, SUBMARTINGALE, SUPERMARTINGALE
+from rieszmart.lattice import DEFAULT_TOL
+from rieszmart.processes import (
+    MARTINGALE,
+    NONE,
+    SUBMARTINGALE,
+    SUPERMARTINGALE,
+    _op_groups,
+)
+from rieszmart.rng import SplitMix64
+from rieszmart.suites import _refining_filtration
 
 
 def constant_process(space, steps, value):
     filt = default_filtration(space, steps)
     return ProcessSequence(filt, np.full((steps, space.n), float(value)))
+
+
+def classify_full_matrix(process, tol=DEFAULT_TOL):
+    """Reference classify: every distinct operator transforms all stages,
+    including those before its first use that are never compared."""
+    if not is_adapted(process, tol):
+        raise NotAdapted("process value not fixed by its stage operator")
+    mat = process.values
+    count = mat.shape[0]
+    if count < 2:
+        return MARTINGALE
+    slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
+    is_sub = True
+    is_super = True
+    for op, idx in _op_groups(process.filtration.ops[: count - 1]):
+        transformed = mat if op.is_identity else op.apply_rows(mat)
+        suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
+        suff_max = np.maximum.accumulate(transformed[::-1], axis=0)[::-1]
+        here = mat[idx]
+        if is_sub and np.any(suff_min[idx + 1] < here - slack):
+            is_sub = False
+        if is_super and np.any(suff_max[idx + 1] > here + slack):
+            is_super = False
+        if not (is_sub or is_super):
+            return NONE
+    if is_sub and is_super:
+        return MARTINGALE
+    return SUBMARTINGALE if is_sub else SUPERMARTINGALE
 
 
 # --- container basics -----------------------------------------------------------
@@ -108,6 +145,33 @@ def test_classify_rejects_non_adapted():
     assert not is_adapted(proc)
     with pytest.raises(NotAdapted):
         classify(proc)
+
+
+def test_classify_matches_full_matrix_reference():
+    # Filtrations longer than dim repeat the singleton operator by reference.
+    seen = set()
+    for seed in range(24):
+        dim = 2 + seed % 7
+        steps = dim + 1 + seed % 5
+        mode = ("uniform", "random")[seed % 2]
+        cfg = GeneratorConfig(seed=seed, dim=dim, steps=steps, weight_mode=mode)
+        filt = None
+        if seed % 3 == 0:
+            space = generate_mds(cfg).space
+            filt = _refining_filtration(SplitMix64(seed), space, steps)
+        sums = partial_sums(generate_mds(cfg, filt))
+        drift = generate_submartingale(cfg, mode="drift", filtration=filt)
+        stream = SplitMix64(1000 + seed)
+        noise = np.array(
+            [stream.uniforms(op.partition.num_blocks, -1.0, 1.0)[op.partition.block_id]
+             for op in sums.filtration]
+        )
+        for values in (sums.values, drift.values, -drift.values, noise):
+            proc = ProcessSequence(sums.filtration, values)
+            label = classify(proc)
+            assert label == classify_full_matrix(proc), f"seed {seed}"
+            seen.add(label)
+    assert seen == {MARTINGALE, SUBMARTINGALE, SUPERMARTINGALE, NONE}
 
 
 def test_classify_uses_all_pairs_not_just_consecutive():
