@@ -194,9 +194,9 @@ def multiply(f: LatticeElement, g: LatticeElement) -> LatticeElement:
 def power(f: LatticeElement, p: float) -> LatticeElement:
     """Componentwise p-th power.
 
-    For non-integer p the coordinates must be nonnegative (NegativeBase
-    otherwise); small integer exponents use repeated multiplication, which
-    keeps e.g. squares exact for the identity checks downstream.
+    Only non-integer p needs nonnegative coordinates (NegativeBase otherwise);
+    integer p <= 16 uses repeated multiplication, which keeps e.g. squares
+    exact for the identity checks downstream.
     """
     p = float(p)
     if p <= 0.0:
@@ -209,7 +209,7 @@ def power(f: LatticeElement, p: float) -> LatticeElement:
         for _ in range(int(p)):
             out = out * base
         return LatticeElement(f.space, out)
-    if np.any(f.coords < 0.0):
+    if p != int(p) and np.any(f.coords < 0.0):
         worst = int(np.argmin(f.coords))
         raise NegativeBase(
             f"fractional power {p} of a negative coordinate at atom {worst}"

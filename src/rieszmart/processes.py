@@ -6,7 +6,7 @@ consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).
 
-Generators draw all randomness from per-step SplitMix64 substreams keyed by
+Generators draw every stage at once from the per-step SplitMix64 substreams
 (seed, "mds-step", i), so a fixed GeneratorConfig reproduces the same process
 bit for bit.  Step i draws a block-constant Z_i for the stage-i partition in
 [-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
@@ -26,7 +26,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, substream_floats
 
 MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
@@ -83,17 +83,24 @@ class ProcessSequence:
         return "\n".join(lines) + "\n"
 
 
+def _stage_index(ops) -> tuple[list[ConditionalExpectationOp], np.ndarray]:
+    """Distinct operators (equal partitions, first seen first) and each stage's index among them."""
+    first: dict = {}
+    index = []
+    prev = None
+    for op in ops:
+        if op is not prev:
+            prev = op
+            g = first.setdefault(op.partition.blocks, (len(first), op))[0]
+        index.append(g)
+    return [op for _, op in first.values()], np.asarray(index, dtype=np.intp)
+
+
 def _op_groups(ops) -> list[tuple[ConditionalExpectationOp, np.ndarray]]:
     """Indices grouped by distinct operator, preserving first-seen order."""
-    groups: dict = {}
-    order = []
-    for i, op in enumerate(ops):
-        key = op.partition.blocks
-        if key not in groups:
-            groups[key] = (op, [])
-            order.append(key)
-        groups[key][1].append(i)
-    return [(groups[k][0], np.asarray(groups[k][1], dtype=np.intp)) for k in order]
+    distinct, index = _stage_index(ops)
+    ends = np.cumsum(np.bincount(index, minlength=len(distinct)))
+    return list(zip(distinct, np.split(np.argsort(index, kind="stable"), ends[:-1])))
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -253,13 +260,11 @@ def _split_largest_chain(first: Partition, steps: int) -> Filtration:
     return Filtration(ops[:steps])
 
 
-def _block_constant_draw(stream: SplitMix64, part: Partition, amplitude: float) -> np.ndarray:
-    vals = stream.uniforms(part.num_blocks, -amplitude, amplitude)
-    return vals[part.block_id]
-
-
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:
     """Martingale difference sequence with increments bounded by 2*amplitude.
+
+    All stages are drawn at once; one bincount over per-stage block ids adds
+    each block's terms in the order a per-row apply_array does.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
@@ -272,21 +277,37 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
         filtration = default_filtration(space, cfg.steps)
     elif len(filtration) != cfg.steps:
         raise ValueError("filtration length does not match steps")
-    rows = np.empty((cfg.steps, space.n))
+    distinct, stage = _stage_index(filtration.ops)
+    group_blocks = np.array([op.partition.num_blocks for op in distinct])
+    counts = group_blocks[stage]
+    starts = np.cumsum(counts) - counts  # first stacked block of each stage
+    # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
+    vals = -cfg.amplitude + 2 * cfg.amplitude * substream_floats(counts, cfg.seed, "mds-step")
+    block_weight = np.concatenate([op.block_weight for op in distinct])[
+        np.repeat(np.cumsum(group_blocks)[stage] - counts - starts, counts) + np.arange(vals.size)
+    ]
+    # idx[i, a]: stacked block of atom a at stage i; row i is binned by idx[i - 1].
+    idx = np.stack([op.partition.block_id for op in distinct])[stage]
+    idx += starts[:, None]
+    rows = vals[idx]
+    del vals
+    bins = idx[:-1].ravel()
+    scratch = rows[1:] * space.weights
+    means = np.bincount(bins, weights=scratch.ravel(), minlength=block_weight.size) / block_weight
+    # mode="clip" writes straight into out (every index is in range).
+    np.take(means, idx[:-1], out=scratch, mode="clip")
+    rows[1:] -= scratch
+    np.multiply(rows[1:], space.weights, out=scratch)
+    means = np.bincount(bins, weights=scratch.ravel(), minlength=block_weight.size) / block_weight
+    residuals = np.maximum.reduceat(np.abs(means), starts[:-1])
     check_slack = 1e-12 * max(1.0, cfg.amplitude)
-    for i, op in enumerate(filtration.ops):
-        stream = SplitMix64(derive_seed(cfg.seed, "mds-step", i))
-        z = _block_constant_draw(stream, op.partition, cfg.amplitude)
-        if i == 0:
-            rows[i] = z
-        else:
-            prev = filtration.ops[i - 1]
-            rows[i] = z - prev.apply_array(z)
-            residual = np.max(np.abs(prev.apply_array(rows[i])))
-            if residual > check_slack:
-                raise AssertionError(
-                    f"difference residual {residual} exceeds {check_slack} at step {i}"
-                )
+    over = np.flatnonzero(residuals > check_slack)
+    if over.size:
+        i = over[0]
+        raise AssertionError(
+            f"difference residual {residuals[i]} exceeds {check_slack} at step {i + 1}"
+        )
+    del idx, bins, scratch, means, block_weight  # before ProcessSequence copies rows
     return ProcessSequence(filtration, rows)
 
 

@@ -253,21 +253,15 @@ def dump_json(obj: dict) -> str:
 
 
 def write_json_atomic(path: str, obj: dict) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(dump_json(obj))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, dump_json(obj))
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    _write_atomic(path, text)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

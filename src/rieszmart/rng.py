@@ -5,6 +5,8 @@ masked Python integers, so identical seeds give bit-identical streams on every
 platform.  Uniform doubles use the top 53 bits of each output word divided by
 2**53.  Substreams (per trial, per step, per suite) are derived by hashing the
 parent seed together with string/integer labels, never by sharing state.
+mix64_array and substream_floats do the same over numpy uint64 arrays, which
+wrap mod 2**64; the scalar SplitMix64 class is the reference they match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,29 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 of every word of a uint64 array, as a new array."""
+    z = np.array(z, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def substream_floats(counts: np.ndarray, seed: int, *labels: int | str) -> np.ndarray:
+    """substream(seed, *labels, i).floats(counts[i]) for every i, concatenated.
+    Label i is one mix64 of the hashed prefix; word k of a stream seeded s is
+    mix64(s + k * golden) mod 2**64, and k = j - before for word j of the whole."""
+    golden = np.uint64(_GOLDEN)
+    prefix = np.uint64(derive_seed(seed, *labels))
+    seeds = mix64_array(np.arange(len(counts), dtype=np.uint64) ^ prefix)
+    words = np.arange(1, int(np.sum(counts)) + 1, dtype=np.uint64) * golden
+    words += np.repeat(seeds - (np.cumsum(counts) - counts).astype(np.uint64) * golden, counts)
+    return (mix64_array(words) >> np.uint64(11)) * 2.0**-53
 
 
 def derive_seed(seed: int, *labels: int | str) -> int:

@@ -140,6 +140,16 @@ def test_power_integer_exponent_allows_negatives():
     assert np.array_equal(power(f, 3).coords, [-8.0, 27.0])
 
 
+def test_power_large_integer_exponent_allows_negatives():
+    # Past the repeated-multiplication cutoff (p <= 16) integer exponents
+    # go to np.power, and must still accept negative coordinates.
+    f = SampleSpace.uniform(3).element([-2.0, 3.0, -1.0])
+    assert np.array_equal(power(f, 17).coords, [-(2.0**17), 3.0**17, -1.0])
+    assert np.array_equal(power(f, 18.0).coords, [2.0**18, 3.0**18, 1.0])
+    with pytest.raises(NegativeBase):
+        power(f, 17.5)
+
+
 def test_power_errors():
     space = SampleSpace.uniform(2)
     with pytest.raises(NegativeBase):

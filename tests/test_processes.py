@@ -30,8 +30,9 @@ from rieszmart.processes import (
     SUBMARTINGALE,
     SUPERMARTINGALE,
     _op_groups,
+    make_space,
 )
-from rieszmart.rng import SplitMix64
+from rieszmart.rng import SplitMix64, derive_seed
 from rieszmart.suites import _refining_filtration
 
 
@@ -254,6 +255,113 @@ def test_generate_mds_with_explicit_filtration():
     assert diffs.filtration is filt
     with pytest.raises(ValueError):
         generate_mds(GeneratorConfig(seed=2, dim=4, steps=3), filtration=filt)
+
+
+def generate_mds_per_stage(cfg, filtration):
+    """Reference generate_mds rows: one SplitMix64 substream and two
+    apply_array calls per stage, the loop the stacked draw replaced."""
+    rows = np.empty((cfg.steps, filtration.space.n))
+    check_slack = 1e-12 * max(1.0, cfg.amplitude)
+    for i, op in enumerate(filtration.ops):
+        stream = SplitMix64(derive_seed(cfg.seed, "mds-step", i))
+        vals = stream.uniforms(op.partition.num_blocks, -cfg.amplitude, cfg.amplitude)
+        z = vals[op.partition.block_id]
+        if i == 0:
+            rows[i] = z
+        else:
+            prev = filtration.ops[i - 1]
+            rows[i] = z - prev.apply_array(z)
+            residual = np.max(np.abs(prev.apply_array(rows[i])))
+            if residual > check_slack:
+                raise AssertionError(
+                    f"difference residual {residual} exceeds {check_slack} at step {i}"
+                )
+    return rows
+
+
+def op_groups_by_dict(ops):
+    """Reference _op_groups: hash every stage's blocks into a dict."""
+    groups = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.partition.blocks, (op, []))[1].append(i)
+    return list(groups.values())
+
+
+def equal_partitions_as_distinct_objects(space):
+    """A filtration whose repeated stages are equal partitions built anew."""
+    n = space.n
+    half = [b for b in (list(range((n + 1) // 2)), list(range((n + 1) // 2, n))) if b]
+    stages = [[list(range(n))]] * 2 + [half] * 3 + [[[a] for a in range(n)]] * 2
+    return make_filtration(space, stages)
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "random"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 13, 16])
+@pytest.mark.parametrize("amplitude", [1.0, 1e3])
+def test_generate_mds_matches_per_stage_loop_bit_for_bit(weight_mode, dim, amplitude):
+    for seed in range(4):
+        # steps = 1, fewer than dim, equal to dim, and far past dim.
+        for steps in sorted({1, max(1, dim // 2), dim, 5 * dim + 3}):
+            cfg = GeneratorConfig(seed, dim, steps, amplitude, weight_mode)
+            filt = default_filtration(make_space(cfg), steps)
+            got = generate_mds(cfg, filt).values
+            assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes()
+            assert got.tobytes() == generate_mds(cfg).values.tobytes()
+        space = make_space(GeneratorConfig(seed, dim, 1, amplitude, weight_mode))
+        for filt in (
+            _refining_filtration(SplitMix64(100 + seed), space, 2 * dim + 1),
+            equal_partitions_as_distinct_objects(space),
+        ):
+            cfg = GeneratorConfig(seed, dim, len(filt), amplitude, weight_mode)
+            got = generate_mds(cfg, filt).values
+            assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes()
+
+
+def test_generate_mds_random_first_stages_match_per_stage_loop():
+    hit_random_first = False
+    for seed in range(40):
+        stream = SplitMix64(derive_seed(seed, "first-stage"))
+        space = SampleSpace(stream.uniforms(3 + seed % 14, 0.05, 1.0))
+        filt = _refining_filtration(stream, space, 1 + stream.below(40))
+        hit_random_first |= filt[0].partition.num_blocks > 1
+        cfg = GeneratorConfig(seed, space.n, len(filt), 1.0 + seed % 3)
+        got = generate_mds(cfg, filt).values
+        assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), seed
+    assert hit_random_first
+
+
+@pytest.mark.parametrize("tampered", [2, -1])
+def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
+    # A block weight that disagrees with the atom weights breaks
+    # T_{i-1} Y_i = 0 at every stage conditioned on that operator.
+    cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
+    filt = default_filtration(make_space(cfg), cfg.steps)
+    op = filt[tampered]
+    op.block_weight = op.block_weight * 1.01
+    with pytest.raises(AssertionError) as oracle:
+        generate_mds_per_stage(cfg, filt)
+    with pytest.raises(AssertionError) as stacked:
+        generate_mds(cfg, filt)
+    assert str(stacked.value) == str(oracle.value)
+    first = filt.ops.index(op) + 1
+    assert str(stacked.value).endswith(f"at step {first}")
+
+
+def test_op_groups_match_dict_grouping():
+    space = SampleSpace(np.linspace(0.1, 1.0, 9))
+    filtrations = [
+        default_filtration(space, 30),
+        equal_partitions_as_distinct_objects(space),
+        _refining_filtration(SplitMix64(5), space, 20),
+    ]
+    for filt in filtrations:
+        for ops in (filt.ops, filt.ops[:-1], filt.ops[3:]):
+            got = _op_groups(ops)
+            expected = op_groups_by_dict(ops)
+            assert [op for op, _ in got] == [op for op, _ in expected]
+            assert all(a is b for (a, _), (b, _) in zip(got, expected))
+            assert [idx.tolist() for _, idx in got] == [idx for _, idx in expected]
+            assert all(idx.dtype == np.intp for _, idx in got)
 
 
 # --- square function ---------------------------------------------------------------
