@@ -2,9 +2,10 @@
 
 In the coordinate model the band generated by g >= 0 is spanned by the atoms
 where g is strictly positive, so the band projection just zeroes every other
-coordinate.  apply_sup_formula_oracle recomputes the same projection from the
-order-theoretic formula sup_n (f ^ (n g)) and reports where the iteration
-stabilized; the two routes are compared exactly, never through a tolerance.
+coordinate; a BandProjection is that boolean mask.  apply_sup_formula_oracle
+recomputes the same projection from the order-theoretic formula
+sup_n (f ^ (n g)) and reports where the iteration stabilized; the two routes
+are compared exactly, never through a tolerance.
 """
 
 from __future__ import annotations
@@ -19,20 +20,22 @@ from .reports import VerificationReport
 
 
 class BandProjection:
-    """Projection onto the atoms listed in support."""
+    """Projection onto the atoms where mask is True."""
 
-    __slots__ = ("space", "support", "mask")
+    __slots__ = ("space", "mask")
 
     def __init__(self, space: SampleSpace, support) -> None:
-        atoms = sorted(set(int(a) for a in support))
-        if atoms and (atoms[0] < 0 or atoms[-1] >= space.n):
+        atoms = np.fromiter(support, dtype=np.intp)
+        if atoms.size and (atoms.min() < 0 or atoms.max() >= space.n):
             raise ValueError("support atom out of range")
         self.space = space
-        self.support = tuple(atoms)
-        mask = np.zeros(space.n, dtype=bool)
-        mask[list(atoms)] = True
-        self.mask = mask
+        self.mask = np.zeros(space.n, dtype=bool)
+        self.mask[atoms] = True
         self.mask.flags.writeable = False
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @classmethod
     def identity(cls, space: SampleSpace) -> "BandProjection":
@@ -57,26 +60,26 @@ class BandProjection:
         """Product of commuting band projections: intersection of supports."""
         if self.space != other.space:
             raise SpaceMismatch("projections on different spaces")
-        return BandProjection(self.space, set(self.support) & set(other.support))
+        return BandProjection(self.space, np.flatnonzero(self.mask & other.mask))
 
     def complement(self) -> "BandProjection":
-        return BandProjection(
-            self.space, set(range(self.space.n)) - set(self.support)
-        )
+        return BandProjection(self.space, np.flatnonzero(~self.mask))
 
     def leq(self, other: "BandProjection") -> bool:
         """Order on projections: containment of supports."""
-        return set(self.support) <= set(other.support)
+        if self.space != other.space:
+            raise SpaceMismatch("projections on different spaces")
+        return not np.any(self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BandProjection)
             and self.space == other.space
-            and self.support == other.support
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self):
-        return hash((self.space, self.support))
+        return hash((self.space, self.mask.tobytes()))
 
     def __repr__(self) -> str:
         return f"BandProjection(support={list(self.support)})"
@@ -109,9 +112,13 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
     """Evaluate the band projection of f via sup_n (f ^ (n g)).
 
     Both f and g must be nonnegative.  The sequence n -> f ^ (n g) is
-    nondecreasing and constant from some n on; iteration stops at the first n
+    nondecreasing and constant from some n on; stabilized_at is the first n
     with f ^ (n g) = f ^ ((n+1) g) exactly, which is guaranteed to happen by
     N* = ceil(max_i f_i / min over the support of g) + 1.
+
+    Below 2^52, fl(n g_i) strictly increases with n, so the equality holds
+    iff g_i = 0 or f_i <= fl(n g_i) at every atom: once true it stays true,
+    and doubling then bisection find the n a step-by-step scan would.
     """
     if np.any(g.coords < 0.0):
         raise NegativeGenerator("sup formula needs g >= 0")
@@ -124,30 +131,31 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
         bound = 1
     else:
         bound = int(np.ceil(f.coords.max() / positive.min())) + 1
-    current = np.minimum(f.coords, g.coords)
-    n = 1
-    while True:
-        nxt = np.minimum(f.coords, (n + 1) * g.coords)
-        if np.array_equal(nxt, current):
-            return SupFormulaResult(
-                value=LatticeElement(f.space, current), stabilized_at=n, bound=bound
-            )
-        if n > bound:  # unreachable if the bound argument is right
-            raise AssertionError("sup formula failed to stabilize within its bound")
-        current = nxt
-        n += 1
+
+    def stable(n: int) -> bool:
+        fc, gc = f.coords, g.coords
+        return np.array_equal(np.minimum(fc, n * gc), np.minimum(fc, (n + 1) * gc))
+
+    if not stable(bound + 1):  # unreachable if the bound argument is right
+        raise AssertionError("sup formula failed to stabilize within its bound")
+    lo, n = 0, 1  # lo is 0 or a stage known to be unstable
+    while not stable(n):
+        lo, n = n, min(2 * n, bound + 1)
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if stable(mid) else (mid, n)
+    value = LatticeElement(f.space, np.minimum(f.coords, n * g.coords))
+    return SupFormulaResult(value=value, stabilized_at=n, bound=bound)
 
 
 def check_sup_identity(generators) -> VerificationReport:
     """Join of projections vs projection of the join: exact support equality."""
     generators = list(generators)
     report = VerificationReport(suite="bands-join", trials=1)
-    union: set[int] = set()
-    for g in generators:
-        union |= set(band_projection(g).support)
+    union = np.any([band_projection(g).mask for g in generators], axis=0)
     joined = band_projection(sup_many(generators))
-    ok = union == set(joined.support)
-    witness = f"union={sorted(union)} vs join-support={list(joined.support)}"
+    ok = np.array_equal(union, joined.mask)
+    witness = f"union={np.flatnonzero(union).tolist()} vs join-support={list(joined.support)}"
     report.record(ok, 0.0 if ok else -1.0, witness)
     report.details["support_size"] = len(joined.support)
     return report
@@ -161,15 +169,15 @@ def check_inf_inequality(generators) -> VerificationReport:
     """
     generators = list(generators)
     report = VerificationReport(suite="bands-meet", trials=1)
-    inter: set[int] | None = None
-    for g in generators:
-        s = set(band_projection(g).support)
-        inter = s if inter is None else (inter & s)
-    met = set(band_projection(inf_many(generators)).support)
-    ok = met <= (inter or set())
-    witness = f"meet-support={sorted(met)} not within intersection={sorted(inter or set())}"
+    inter = np.all([band_projection(g).mask for g in generators], axis=0)
+    met = band_projection(inf_many(generators)).mask
+    ok = not np.any(met & ~inter)
+    witness = (
+        f"meet-support={np.flatnonzero(met).tolist()}"
+        f" not within intersection={np.flatnonzero(inter).tolist()}"
+    )
     report.record(ok, 0.0 if ok else -1.0, witness)
-    report.details["strict"] = bool(met != inter)
+    report.details["strict"] = bool(np.any(met != inter))
     return report
 
 
@@ -185,12 +193,12 @@ def check_exclusion_inequality(elements) -> VerificationReport:
     report = VerificationReport(suite="bands-exclusion", trials=1)
     pos_join = band_projection(sup_many([g.pos_part() for g in elements]))
     neg_meet = band_projection(inf_many([g.neg_part() for g in elements]))
-    overlap = set(pos_join.support) & set(neg_meet.support)
+    overlap = np.flatnonzero(pos_join.mask & neg_meet.mask).tolist()
     ok_sets = not overlap
     report.record(
         ok_sets,
         0.0 if ok_sets else -float(len(overlap)),
-        f"overlapping atoms: {sorted(overlap)}",
+        f"overlapping atoms: {overlap}",
     )
     # The same fact as an operator inequality against the complement.
     ok_op = pos_join.leq(neg_meet.complement())

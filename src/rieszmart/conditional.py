@@ -134,13 +134,15 @@ class ConditionalExpectationOp:
         return LatticeElement(self.space, vals[self.partition.block_id])
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """Raw-array version of apply, for hot loops."""
-        sums = np.bincount(
-            self.partition.block_id,
-            weights=self.space.weights * values,
-            minlength=self.partition.num_blocks,
-        )
-        return (sums / self.block_weight)[self.partition.block_id]
+        """apply on raw coordinates, one row or each row of a (k, n) stack:
+        one bincount over block ids offset per row, so rows get apply's bits."""
+        part, rows = self.partition, np.atleast_2d(values)
+        size = len(rows) * part.num_blocks
+        bins = part.block_id + np.arange(0, size, part.num_blocks)[:, None]
+        weighted = (rows * self.space.weights).ravel()
+        sums = np.bincount(bins.ravel(), weights=weighted, minlength=size)
+        means = sums.reshape(len(rows), part.num_blocks) / self.block_weight
+        return means[:, part.block_id].reshape(np.shape(values))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply to each row of a (k, n) array at once."""

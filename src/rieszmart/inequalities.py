@@ -14,7 +14,8 @@ Covered here:
   * Burkholder ratios between T|X_n|^p and T(S_n^(p/2)), with the exact
     identity at p = 2 coming from orthogonality of increments;
   * the telescoped band-projection bound and the Hajek-Renyi-Chow maximal
-    inequality, including Doob's special case a = 1.
+    inequality, including Doob's special case a = 1, each checked in array
+    passes over the (N, n) stack of stages, with projections as masks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 
 import numpy as np
 
-from .bands import BandProjection, band_projection
 from .conditional import CompatibleTriple, ConditionalExpectationOp, lp_norm
 from .errors import (
     BadExponent,
@@ -189,6 +189,39 @@ def burkholder_ratio(
     return report
 
 
+def _require_finite(*stacks: np.ndarray) -> None:
+    # Rows are elements of the space: an overflow raises as LatticeElement does.
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        raise ValueError("coordinates must be finite")
+
+
+def _same_masks(prod: np.ndarray, join: np.ndarray):
+    """Per stage n: (ok, margin, witness(n)) of product mask == join mask."""
+    same = (prod == join).all(axis=1)
+    return same, np.where(same, 0.0, -1.0), lambda n: (
+        f"n={n} product-support {np.flatnonzero(prod[n - 1]).tolist()}"
+        f" vs join-support {np.flatnonzero(join[n - 1]).tolist()}"
+    )
+
+
+def _rows_leq(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance, label: str):
+    """Per stage n: (ok, margin, witness(n)) of leq_with_tolerance on row n."""
+    gap = rhs - lhs
+    loose = gap + tol.slack(lhs, rhs)
+    atom = loose.argmin(axis=1)
+    ok, margin = (loose >= 0.0).all(axis=1), gap.min(axis=1)
+    return ok, margin, lambda n: f"n={n} {label} atom={atom[n - 1]}"
+
+
+def _record_stages(report: VerificationReport, first, second) -> None:
+    """Record first, then second, at each stage n = 1..N in turn."""
+    report.record_many(
+        np.array((first[0], second[0])).T.ravel(),
+        np.array((first[1], second[1])).T.ravel(),
+        lambda i: (first, second)[i % 2][2](i // 2 + 1),
+    )
+
+
 def telescoping_bound(
     x_elements, g: LatticeElement, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
@@ -198,7 +231,8 @@ def telescoping_bound(
     product, every n must satisfy
         (I - Q_n) g <= X_1 + sum_{i<n} Q_i (X_{i+1} - X_i) - Q_n X_n,
     and Q_n must agree exactly with the projection generated by
-    (g - max_{j<=n} X_j)+.
+    (g - max_{j<=n} X_j)+.  Q_n is the running logical and of the P_i
+    masks, independent of the join form, and the sum is a cumsum.
     """
     xs = list(x_elements)
     if not xs:
@@ -206,44 +240,52 @@ def telescoping_bound(
     for x in xs:
         if x.space != g.space:
             raise SpaceMismatch("sequence and threshold on different spaces")
+    seq = np.array([x.coords for x in xs])
+    below, steps = g.coords - seq, seq[1:] - seq[:-1]
+    prod = np.logical_and.accumulate(np.maximum(below, 0.0) > 0.0, axis=0)
+    join = np.maximum(g.coords - np.maximum.accumulate(seq, axis=0), 0.0) > 0.0
+    rhs_sum = np.cumsum(np.concatenate((seq[:1], np.where(prod[:-1], steps, 0.0))), axis=0)
+    rhs = rhs_sum - np.where(prod, seq, 0.0)
+    _require_finite(below, steps, rhs)
     report = VerificationReport(suite="telescoping", trials=1, tol=tol)
-    running_max = xs[0]
-    product = band_projection((g - xs[0]).pos_part())
-    rhs_sum = xs[0]  # X_1 + sum_{i<n} Q_i (X_{i+1} - X_i), built incrementally
-    for n, x_n in enumerate(xs, start=1):
-        if n > 1:
-            running_max = running_max.sup(x_n)
-            product = product.compose(band_projection((g - x_n).pos_part()))
-        join_form = band_projection((g - running_max).pos_part())
-        same = product == join_form
-        report.record(
-            same,
-            0.0 if same else -1.0,
-            f"n={n} product-support {list(product.support)} vs join-support {list(join_form.support)}",
-        )
-        check = leq_with_tolerance(product.co_apply(g), rhs_sum - product.apply(x_n), tol)
-        report.record(check.ok, check.margin, f"n={n} bound atom={check.atom}")
-        if n < len(xs):
-            rhs_sum = rhs_sum + product.apply(xs[n] - x_n)
+    lhs = np.where(prod, 0.0, g.coords)
+    _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
     return report
 
 
-def _validate_rates(a_values, length: int) -> np.ndarray:
+def _hrc_pass(process: ProcessSequence, a_values, g: LatticeElement, tol, suite: str):
+    """hrc_maximal's report, plus T_1, Y+, join masks and right side for Doob."""
+    label = classify(process, tol)
+    if label not in (MARTINGALE, SUBMARTINGALE):
+        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
     a = np.asarray(a_values, dtype=np.float64)
-    if a.shape != (length,):
-        raise BadWeights(f"need {length} rate values, got shape {a.shape}")
+    if a.shape != (len(process),):
+        raise BadWeights(f"need {len(process)} rate values, got shape {a.shape}")
     if np.any(a <= 0.0):
         raise BadWeights("rates must be strictly positive")
     if np.any(np.diff(a) < 0.0):
         raise BadWeights("rates must be nondecreasing")
-    return a
-
-
-def _validate_threshold(g: LatticeElement, op: ConditionalExpectationOp) -> None:
+    t1 = process.filtration[0]
+    if g.space != process.space:
+        raise SpaceMismatch("threshold on a different space")
     if np.any(g.coords < 0.0):
         raise GNotInRange("threshold must be nonnegative")
-    if not op.fixes_exactly(g):
+    if not t1.fixes_exactly(g):
         raise GNotInRange("threshold must be exactly block-constant for the base operator")
+    scaled = process.values / a[:, None]
+    pos = np.maximum(process.values, 0.0)
+    excess = np.maximum(g.coords - scaled, 0.0)
+    prod = np.logical_and.accumulate(excess > 0.0, axis=0)
+    join = g.coords > np.maximum.accumulate(scaled, axis=0)
+    steps = (pos[1:] - pos[:-1]) / a[1:, None]
+    # One block sum for T_1 of the steps and of the rows (I - U_n) g.
+    conditioned = t1.apply_array(np.concatenate((steps, np.where(prod, 0.0, g.coords))))
+    rhs = np.cumsum(np.concatenate((pos[:1] / a[0], conditioned[: len(steps)])), axis=0)
+    _require_finite(excess, rhs)
+    report = VerificationReport(suite=suite, trials=1, tol=tol)
+    lhs = conditioned[len(steps) :]
+    _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
+    return report, t1, pos, join, rhs
 
 
 def hrc_maximal(
@@ -257,45 +299,11 @@ def hrc_maximal(
     U_n projects onto the band of (g - max_{i<=n} Y_i/a_i)+; for every n,
         T_1 (I - U_n) g <= Y_1+/a_1 + sum_{i<n} T_1[(Y_{i+1}+ - Y_i+)/a_{i+1}].
     The threshold g must lie in the positive part of the range of T_1, with
-    exact block-constancy (near misses are rejected, not rounded).
+    exact block-constancy (near misses are rejected, not rounded).  The left
+    side takes U_n as the running product of the (g - Y_i/a_i)+ masks, which
+    must equal the join-form mask exactly.
     """
-    label = classify(process, tol)
-    if label not in (MARTINGALE, SUBMARTINGALE):
-        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
-    count = len(process)
-    a = _validate_rates(a_values, count)
-    t1 = process.filtration[0]
-    if g.space != process.space:
-        raise SpaceMismatch("threshold on a different space")
-    _validate_threshold(g, t1)
-    report = VerificationReport(suite="hrc", trials=1, tol=tol)
-    space = process.space
-    scaled = process.values / a[:, None]
-    pos = np.maximum(process.values, 0.0)
-    rhs = LatticeElement(space, pos[0] / a[0])
-    running_max = scaled[0]
-    product = band_projection(LatticeElement(space, np.maximum(g.coords - scaled[0], 0.0)))
-    for n in range(1, count + 1):
-        if n > 1:
-            running_max = np.maximum(running_max, scaled[n - 1])
-            product = product.compose(
-                band_projection(
-                    LatticeElement(space, np.maximum(g.coords - scaled[n - 1], 0.0))
-                )
-            )
-            rhs = rhs + t1.apply(
-                LatticeElement(space, (pos[n - 1] - pos[n - 2]) / a[n - 1])
-            )
-        join_form = BandProjection(space, np.flatnonzero(g.coords > running_max))
-        same = product == join_form
-        report.record(
-            same,
-            0.0 if same else -1.0,
-            f"n={n} product-support {list(product.support)} vs join-support {list(join_form.support)}",
-        )
-        check = leq_with_tolerance(t1.apply(product.co_apply(g)), rhs, tol)
-        report.record(check.ok, check.margin, f"n={n} bound atom={check.atom}")
-    return report
+    return _hrc_pass(process, a_values, g, tol, "hrc")[0]
 
 
 def doob_maximal(
@@ -305,30 +313,15 @@ def doob_maximal(
 
     With a = 1 the sum on the right collapses to T_1 Y_n+; both forms are
     computed and must agree within tolerance, and the bound is checked
-    against the telescoped form as well.
+    against the telescoped form as well.  The HRC records at a = 1 come
+    first; its masks and sum are reused, since Y/1 is Y exactly.
     """
-    report = hrc_maximal(process, np.ones(len(process)), g, tol)
-    report.suite = "doob"
-    t1 = process.filtration[0]
-    pos = np.maximum(process.values, 0.0)
-    running_max = np.maximum.accumulate(process.values, axis=0)
-    rhs_sum = LatticeElement(process.space, pos[0])
-    for n in range(1, len(process) + 1):
-        if n > 1:
-            rhs_sum = rhs_sum + t1.apply(
-                LatticeElement(process.space, pos[n - 1] - pos[n - 2])
-            )
-        telescoped = t1.apply(LatticeElement(process.space, pos[n - 1]))
-        gap = np.abs(rhs_sum.coords - telescoped.coords)
-        slack = tol.slack(rhs_sum.coords, telescoped.coords)
-        report.record(
-            bool(np.all(gap <= slack)),
-            -float(gap.max()),
-            f"n={n} telescoped-right-side agreement",
-        )
-        u_n = BandProjection(
-            process.space, np.flatnonzero(g.coords > running_max[n - 1])
-        )
-        check = leq_with_tolerance(t1.apply(u_n.co_apply(g)), telescoped, tol)
-        report.record(check.ok, check.margin, f"n={n} telescoped bound atom={check.atom}")
+    report, t1, pos, join, rhs = _hrc_pass(process, np.ones(len(process)), g, tol, "doob")
+    conditioned = t1.apply_array(np.concatenate((pos, np.where(join, 0.0, g.coords))))
+    telescoped, lhs = conditioned[: len(pos)], conditioned[len(pos) :]
+    _require_finite(telescoped)
+    gap = np.abs(rhs - telescoped)
+    agree = (gap <= tol.slack(rhs, telescoped)).all(axis=1)
+    agreement = (agree, -gap.max(axis=1), lambda n: f"n={n} telescoped-right-side agreement")
+    _record_stages(report, agreement, _rows_leq(lhs, telescoped, tol, "telescoped bound"))
     return report

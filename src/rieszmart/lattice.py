@@ -71,10 +71,6 @@ class SampleSpace:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "weights": [float(w) for w in self.weights]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SampleSpace":
-        return cls(np.asarray(d["weights"], dtype=np.float64))
-
 
 def _same_space(a: "LatticeElement", b: "LatticeElement") -> None:
     if a.space != b.space:

@@ -12,6 +12,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .lattice import DEFAULT_TOL, Tolerance
 
 # Keep reports bounded even when a broken inequality fails at every step.
@@ -63,6 +65,16 @@ class VerificationReport:
             self.failure_count += 1
             if len(self.failures) < MAX_RECORDED_FAILURES:
                 self.failures.append(Failure(trial, seed, margin, witness))
+
+    def record_many(self, ok: np.ndarray, margin: np.ndarray, witness_at) -> None:
+        """record(ok[i], margin[i], witness_at(i)) for each i in turn; only
+        the failures that are kept call witness_at."""
+        if len(margin):
+            self.min_margin = min(self.min_margin, float(margin[np.argmin(margin)]))
+        misses = np.flatnonzero(~ok)
+        self.failure_count += misses.size
+        for i in misses[: MAX_RECORDED_FAILURES - len(self.failures)].tolist():
+            self.failures.append(Failure(0, None, float(margin[i]), witness_at(i)))
 
     def absorb(self, other: "VerificationReport", trial: int, seed: int | None) -> None:
         """Fold a single-instance report into this aggregate, reindexed by trial."""

@@ -1,5 +1,7 @@
 """Band projections: support masking, the sup-formula oracle, set identities."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,6 +72,13 @@ def test_identity_zero_complement_compose_leq():
     assert not p.leq(q)
     assert p.compose(p) == p
     assert p.compose(p.complement()) == zero
+    # Any iterable of atoms, in any order and with repeats, names one projection.
+    assert BandProjection(space, {2, 0}) == p == BandProjection(space, (2, 0, 2))
+    assert hash(BandProjection(space, np.array([2, 0]))) == hash(p)
+    assert p != BandProjection(SampleSpace.uniform(5), [0, 2])
+    assert all(type(a) is int for a in p.support)
+    with pytest.raises(SpaceMismatch):
+        p.leq(BandProjection.identity(SampleSpace.uniform(5)))
     f = space.element([1.0, 2.0, 3.0, 4.0])
     assert ident.apply(f).equals(f)
     assert zero.apply(f).max_abs() == 0.0
@@ -162,6 +171,48 @@ def test_sup_formula_agrees_with_masking_on_random_draws():
         masked = band_projection(g).apply(f)
         assert result.value.equals(masked), f"trial {trial}"
         assert result.stabilized_at <= result.bound, f"trial {trial}"
+
+
+def test_sup_formula_long_scan_is_bounded():
+    # The first stable n is 10^7; stepping there one n at a time takes ~1 min.
+    space = SampleSpace.uniform(2)
+    start = time.perf_counter()
+    result = apply_sup_formula_oracle(space.element([1e-2, 0.0]), space.element([1e5, 0.0]))
+    assert time.perf_counter() - start < 1.0
+    assert result.stabilized_at == 10**7
+    assert result.bound == 10**7 + 1
+    assert result.value.equals(space.element([1e5, 0.0]))
+
+
+def linear_sup_scan(g, f):
+    """The step-by-step scan the search replaced: (value, stabilized_at)."""
+    current = np.minimum(f.coords, g.coords)
+    n = 1
+    while True:
+        nxt = np.minimum(f.coords, (n + 1) * g.coords)
+        if np.array_equal(nxt, current):
+            return current, n
+        current = nxt
+        n += 1
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_sup_formula_search_matches_linear_scan(seed):
+    # f, g >= 0 with exact zeros, g log-uniform over four decades, and half
+    # of the f_i exact multiples fl(k g_i), where stability lands on the
+    # boundary; max f / min positive g <= 2 * 10^4.
+    stream = SplitMix64(seed)
+    n = 1 + stream.below(6)
+    g = np.where(stream.floats(n) < 0.3, 0.0, 10.0 ** stream.uniforms(n, -3.0, 1.0))
+    f = stream.uniforms(n, 0.0, 19.0)
+    edge = (g > 0.0) & (stream.floats(n) < 0.5)
+    f[edge] = np.floor(f[edge] / g[edge]) * g[edge]
+    space = SampleSpace.uniform(n)
+    result = apply_sup_formula_oracle(space.element(g), space.element(f))
+    value, stabilized_at = linear_sup_scan(space.element(g), space.element(f))
+    assert result.stabilized_at == stabilized_at
+    assert np.array_equal(result.value.coords, value)
+    assert result.stabilized_at <= result.bound <= 2 * 10**4 + 1
 
 
 # --- set identities --------------------------------------------------------------

@@ -150,10 +150,14 @@ def test_apply_array_and_rows_match_apply():
     stream = SplitMix64(9)
     rows = np.array([stream.uniforms(4, -2.0, 2.0) for _ in range(3)])
     via_rows = op.apply_rows(rows)
+    stacked = op.apply_array(rows)
     for i in range(3):
         single = op.apply(space.element(rows[i])).coords
-        assert np.allclose(op.apply_array(rows[i]), single, rtol=0, atol=1e-15)
+        # The stacked block sum adds each row's terms in apply's order.
+        assert np.array_equal(op.apply_array(rows[i]), single)
+        assert np.array_equal(stacked[i], single)
         assert np.allclose(via_rows[i], single, rtol=1e-12, atol=1e-14)
+    assert op.apply_array(rows[:0]).shape == (0, 4)
 
 
 def test_matrix_is_stochastic_and_idempotent():

@@ -1,23 +1,31 @@
 """Hand-computed and randomized cases for the inequality checkers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rieszmart import (
+    DEFAULT_TOL,
     BadExponent,
     BadWeights,
+    BandProjection,
     ConditionalExpectationOp,
     ExponentMismatch,
     GeneratorConfig,
     GNotInRange,
     Incompatible,
+    LatticeElement,
     NotSubmartingale,
     Partition,
     ProcessSequence,
     SampleSpace,
     SpaceMismatch,
+    Tolerance,
+    band_projection,
     burkholder_ratio,
     clarkson,
     default_filtration,
@@ -26,11 +34,21 @@ from rieszmart import (
     generate_submartingale,
     holder_sums,
     hrc_maximal,
+    inequalities,
     jensen_power,
+    leq_with_tolerance,
     partial_sums,
     telescoping_bound,
 )
+from rieszmart.processes import MARTINGALE, SUBMARTINGALE, classify
+from rieszmart.reports import (
+    MAX_RECORDED_FAILURES,
+    Failure,
+    VerificationReport,
+    dump_json,
+)
 from rieszmart.rng import SplitMix64
+from rieszmart.suites import _refining_filtration
 
 
 def single_block_op(n):
@@ -386,3 +404,307 @@ def test_doob_martingale_positive_part_bound():
         pos = ProcessSequence(sums.filtration, np.maximum(sums.values, 0.0))
         g = pos.space.element(np.full(4, 0.3))
         assert doob_maximal(pos, g).passed
+
+
+# --- array passes against the per-stage loops --------------------------------------
+#
+# Reference: the per-stage loops that telescoping_bound, hrc_maximal and
+# doob_maximal ran before they became array passes, copied verbatim apart
+# from the sequential record fold, which is copied here as well.
+
+
+def fold_record(report, ok, margin, witness, trial=0, seed=None):
+    if margin < report.min_margin:
+        report.min_margin = margin
+    if not ok:
+        report.failure_count += 1
+        if len(report.failures) < MAX_RECORDED_FAILURES:
+            report.failures.append(Failure(trial, seed, margin, witness))
+
+
+def loop_telescoping(x_elements, g, tol=DEFAULT_TOL):
+    xs = list(x_elements)
+    if not xs:
+        raise ValueError("need at least one element")
+    for x in xs:
+        if x.space != g.space:
+            raise SpaceMismatch("sequence and threshold on different spaces")
+    report = VerificationReport(suite="telescoping", trials=1, tol=tol)
+    running_max = xs[0]
+    product = band_projection((g - xs[0]).pos_part())
+    rhs_sum = xs[0]  # X_1 + sum_{i<n} Q_i (X_{i+1} - X_i), built incrementally
+    for n, x_n in enumerate(xs, start=1):
+        if n > 1:
+            running_max = running_max.sup(x_n)
+            product = product.compose(band_projection((g - x_n).pos_part()))
+        join_form = band_projection((g - running_max).pos_part())
+        same = product == join_form
+        fold_record(
+            report,
+            same,
+            0.0 if same else -1.0,
+            f"n={n} product-support {list(product.support)} vs join-support {list(join_form.support)}",
+        )
+        check = leq_with_tolerance(product.co_apply(g), rhs_sum - product.apply(x_n), tol)
+        fold_record(report, check.ok, check.margin, f"n={n} bound atom={check.atom}")
+        if n < len(xs):
+            rhs_sum = rhs_sum + product.apply(xs[n] - x_n)
+    return report
+
+
+def _validate_rates(a_values, length: int) -> np.ndarray:
+    a = np.asarray(a_values, dtype=np.float64)
+    if a.shape != (length,):
+        raise BadWeights(f"need {length} rate values, got shape {a.shape}")
+    if np.any(a <= 0.0):
+        raise BadWeights("rates must be strictly positive")
+    if np.any(np.diff(a) < 0.0):
+        raise BadWeights("rates must be nondecreasing")
+    return a
+
+
+def _validate_threshold(g, op) -> None:
+    if np.any(g.coords < 0.0):
+        raise GNotInRange("threshold must be nonnegative")
+    if not op.fixes_exactly(g):
+        raise GNotInRange("threshold must be exactly block-constant for the base operator")
+
+
+def loop_hrc(process, a_values, g, tol=DEFAULT_TOL):
+    label = classify(process, tol)
+    if label not in (MARTINGALE, SUBMARTINGALE):
+        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
+    count = len(process)
+    a = _validate_rates(a_values, count)
+    t1 = process.filtration[0]
+    if g.space != process.space:
+        raise SpaceMismatch("threshold on a different space")
+    _validate_threshold(g, t1)
+    report = VerificationReport(suite="hrc", trials=1, tol=tol)
+    space = process.space
+    scaled = process.values / a[:, None]
+    pos = np.maximum(process.values, 0.0)
+    rhs = LatticeElement(space, pos[0] / a[0])
+    running_max = scaled[0]
+    product = band_projection(LatticeElement(space, np.maximum(g.coords - scaled[0], 0.0)))
+    for n in range(1, count + 1):
+        if n > 1:
+            running_max = np.maximum(running_max, scaled[n - 1])
+            product = product.compose(
+                band_projection(
+                    LatticeElement(space, np.maximum(g.coords - scaled[n - 1], 0.0))
+                )
+            )
+            rhs = rhs + t1.apply(
+                LatticeElement(space, (pos[n - 1] - pos[n - 2]) / a[n - 1])
+            )
+        join_form = BandProjection(space, np.flatnonzero(g.coords > running_max))
+        same = product == join_form
+        fold_record(
+            report,
+            same,
+            0.0 if same else -1.0,
+            f"n={n} product-support {list(product.support)} vs join-support {list(join_form.support)}",
+        )
+        check = leq_with_tolerance(t1.apply(product.co_apply(g)), rhs, tol)
+        fold_record(report, check.ok, check.margin, f"n={n} bound atom={check.atom}")
+    return report
+
+
+def loop_doob(process, g, tol=DEFAULT_TOL):
+    report = loop_hrc(process, np.ones(len(process)), g, tol)
+    report.suite = "doob"
+    t1 = process.filtration[0]
+    pos = np.maximum(process.values, 0.0)
+    running_max = np.maximum.accumulate(process.values, axis=0)
+    rhs_sum = LatticeElement(process.space, pos[0])
+    for n in range(1, len(process) + 1):
+        if n > 1:
+            rhs_sum = rhs_sum + t1.apply(
+                LatticeElement(process.space, pos[n - 1] - pos[n - 2])
+            )
+        telescoped = t1.apply(LatticeElement(process.space, pos[n - 1]))
+        gap = np.abs(rhs_sum.coords - telescoped.coords)
+        slack = tol.slack(rhs_sum.coords, telescoped.coords)
+        fold_record(
+            report,
+            bool(np.all(gap <= slack)),
+            -float(gap.max()),
+            f"n={n} telescoped-right-side agreement",
+        )
+        u_n = BandProjection(
+            process.space, np.flatnonzero(g.coords > running_max[n - 1])
+        )
+        check = leq_with_tolerance(t1.apply(u_n.co_apply(g)), telescoped, tol)
+        fold_record(report, check.ok, check.margin, f"n={n} telescoped bound atom={check.atom}")
+    return report
+
+
+def same_report(new, old):
+    # dump_json also tells 0.0 from -0.0 and 1 from 1.0.
+    assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
+
+
+def generated_case(seed):
+    """A submartingale with its rates and threshold, drawn as run_hrc draws
+    them: dims 1-16, steps 1-40, both modes, half of them on a random
+    refining filtration, rates i^0, i^(1/2) and i^1 in turn."""
+    stream = SplitMix64(seed)
+    steps = 1 + stream.below(40)
+    gen = GeneratorConfig(
+        seed=seed,
+        dim=1 + stream.below(16),
+        steps=steps,
+        weight_mode="uniform" if stream.next_float() < 0.5 else "random",
+    )
+    filt = None
+    if stream.next_float() < 0.5:
+        n = 1 + stream.below(16)
+        space = SampleSpace.uniform(n) if seed % 4 < 2 else SampleSpace(stream.uniforms(n, 0.05, 1.0))
+        filt = _refining_filtration(stream, space, steps)
+    proc = generate_submartingale(gen, ("positive-part", "drift")[seed % 2], filt)
+    rates = np.arange(1, steps + 1, dtype=np.float64) ** (0.0, 0.5, 1.0)[seed % 3]
+    part = proc.filtration[0].partition
+    vals = stream.uniforms(part.num_blocks, 0.0, 1.0 + np.sqrt(steps))
+    vals[stream.floats(part.num_blocks) < 0.25] = 0.0
+    return proc, rates, proc.space.element(vals[part.block_id])
+
+
+NEGATIVE_SLACK = Tolerance(abs=-0.5, rel=0.0)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, NEGATIVE_SLACK], ids=["default", "negative-slack"])
+def test_array_passes_match_the_stage_loops_on_submartingales(tol, monkeypatch):
+    # classify keeps the default slack, so a negative one fails comparisons only.
+    strict = classify
+
+    def lenient(process, _tol):
+        return strict(process, DEFAULT_TOL)
+
+    monkeypatch.setattr(inequalities, "classify", lenient)
+    monkeypatch.setattr(sys.modules[__name__], "classify", lenient)
+    capped = 0
+    for seed in range(120):
+        proc, rates, g = generated_case(seed)
+        rows = [proc[i] for i in range(len(proc))]
+        for new, old in (
+            (hrc_maximal(proc, rates, g, tol), loop_hrc(proc, rates, g, tol)),
+            (doob_maximal(proc, g, tol), loop_doob(proc, g, tol)),
+            (telescoping_bound(rows, g, tol), loop_telescoping(rows, g, tol)),
+        ):
+            same_report(new, old)
+            capped += new.failure_count > MAX_RECORDED_FAILURES
+    if tol is NEGATIVE_SLACK:
+        # Witness text, order and the cap of 50 are all compared.
+        assert capped >= 20
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, NEGATIVE_SLACK], ids=["default", "negative-slack"])
+def test_telescoping_array_pass_matches_the_loop_on_arbitrary_sequences(tol):
+    stream = SplitMix64(2024)
+    for trial in range(300):
+        n = 1 + stream.below(16)
+        space = SampleSpace.uniform(n)
+        count = 1 + stream.below(40)
+        g = space.element(np.where(stream.floats(n) < 0.3, 0.0, stream.uniforms(n, 0.0, 2.0)))
+        xs = []
+        for _ in range(count):
+            x = stream.uniforms(n, -3.0, 3.0)
+            # Exact ties with g and exact zeros put atoms on the band edge.
+            x[stream.floats(n) < 0.2] = 0.0
+            tie = stream.floats(n) < 0.2
+            x[tie] = g.coords[tie]
+            xs.append(space.element(x))
+        same_report(telescoping_bound(xs, g, tol), loop_telescoping(xs, g, tol))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_array_passes_raise_where_the_loops_overflow():
+    space = SampleSpace.uniform(2)
+    xs = [space.element([-1e308, 0.0]), space.element([1e308, 0.0])]
+    for check in (telescoping_bound, loop_telescoping):
+        with pytest.raises(ValueError, match="finite"):
+            check(xs, space.zero())
+    proc = dim1_process(1.0, 1e10)
+    for check in (hrc_maximal, loop_hrc):
+        with pytest.raises(ValueError, match="finite"):
+            check(proc, [1e-300, 1e-300], proc.space.unit())
+
+
+class _ProductRouteFault:
+    """numpy as seen by the checkers, except that the running product of
+    the stage masks drops or adds atom 0 at the last stage."""
+
+    class logical_and:
+        @staticmethod
+        def accumulate(masks, axis):
+            out = np.logical_and.accumulate(masks, axis=axis)
+            out[-1, 0] = ~out[-1, 0]
+            return out
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_product_form_record_watches_the_product_route(monkeypatch):
+    proc = ProcessSequence(
+        default_filtration(SampleSpace.uniform(3), 3),
+        np.array([[1.0, 1.0, 1.0], [1.5, 1.5, 1.0], [3.0, 1.0, 1.0]]),
+    )
+    g = proc.space.element([2.0, 2.0, 2.0])
+    rows = [proc[i] for i in range(len(proc))]
+    for report in (hrc_maximal(proc, np.ones(3), g), doob_maximal(proc, g), telescoping_bound(rows, g)):
+        assert report.passed
+    monkeypatch.setattr(inequalities, "np", _ProductRouteFault())
+    # Join support at n = 3 is [1, 2]; the faulted product adds atom 0.
+    witness = "n=3 product-support [0, 1, 2] vs join-support [1, 2]"
+    for report in (hrc_maximal(proc, np.ones(3), g), doob_maximal(proc, g), telescoping_bound(rows, g)):
+        form = [f for f in report.failures if "product-support" in f.witness]
+        assert [(f.margin, f.witness) for f in form] == [(-1.0, witness)]
+
+
+OUTCOMES = st.lists(
+    st.tuples(st.booleans(), st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 3.0])),
+    max_size=130,
+)
+
+
+@given(
+    OUTCOMES,
+    st.sampled_from([math.inf, 0.0, -0.0, -1.0]),
+    st.integers(min_value=0, max_value=MAX_RECORDED_FAILURES),
+)
+def test_record_many_matches_a_loop_of_record(outcomes, start, earlier):
+    folded = VerificationReport(suite="x", min_margin=start)
+    batched = VerificationReport(suite="x", min_margin=start)
+    for report in (folded, batched):
+        for k in range(earlier):
+            report.record(False, 5.0, f"earlier {k}")
+    for i, (ok, margin) in enumerate(outcomes):
+        folded.record(ok, margin, f"w{i}")
+    asked = []
+    batched.record_many(
+        np.array([ok for ok, _ in outcomes], dtype=bool),
+        np.array([m for _, m in outcomes], dtype=np.float64),
+        lambda i: asked.append(i) or f"w{i}",
+    )
+    same_report(batched, folded)
+    assert math.copysign(1.0, batched.min_margin) == math.copysign(1.0, folded.min_margin)
+    assert type(batched.failure_count) is int
+    misses = [i for i, (ok, _) in enumerate(outcomes) if not ok]
+    assert asked == misses[: MAX_RECORDED_FAILURES - earlier]
+
+
+def test_record_many_caps_witnesses_ties_and_empty_input():
+    # Among equal minima the first one recorded wins, as in the fold.
+    for margins in ([0.0, -0.0, 1.0], [-0.0, 2.0, 0.0]):
+        report = VerificationReport(suite="x")
+        report.record_many(np.ones(3, dtype=bool), np.array(margins), str)
+        assert math.copysign(1.0, report.min_margin) == math.copysign(1.0, margins[0])
+    report = VerificationReport(suite="x")
+    report.record_many(np.zeros(0, dtype=bool), np.zeros(0), lambda i: 1 / 0)
+    assert report.min_margin == math.inf and report.failure_count == 0
+    report.record_many(np.zeros(120, dtype=bool), -np.arange(120.0), lambda i: f"w{i}")
+    assert report.failure_count == 120
+    assert [f.witness for f in report.failures] == [f"w{i}" for i in range(50)]
+    assert report.min_margin == -119.0
