@@ -45,6 +45,7 @@ from .suites import (
     SUITE_DIM_DEFAULT,
     SUITES,
     RunConfig,
+    _require_finite_options,
     run_all,
     run_suite,
 )
@@ -187,14 +188,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _resolve(args.epsilon, config, "epsilon", DEFAULT_STOCHASTIC_EPSILON)
     )
     constant = _resolve(args.constant, config, "constant", None)
+    constant = None if constant is None else float(constant)
     outdir = str(_resolve(args.output_dir, config, "output_dir", "."))
     if horizon < 1 or dim < 1:
         raise RieszmartError("n and dim must be >= 1")
+    _require_finite_options(p=p, epsilon=epsilon, amplitude=amplitude, constant=constant)
 
     start = time.perf_counter()
     if experiment == "submartingale":
         if constant is not None:
-            proc = _constant_process(float(constant), dim, horizon)
+            proc = _constant_process(constant, dim, horizon)
         else:
             proc = generate_submartingale(
                 GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)
@@ -209,6 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         elif experiment == "slln-p-gt-2":
             gamma = float(_resolve(args.gamma, config, "gamma", 1.5))
             k = float(_resolve(args.k, config, "k", 2.0))
+            _require_finite_options(gamma=gamma, k=k)
             report = slln_p_gt_2(diffs, rates, p, gamma, k, epsilon)
         else:
             report = slln_an_equals_n(diffs, p, epsilon)
@@ -252,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output", default=None, help="report file (stdout when omitted)")
     v.add_argument("--format", choices=["json", "csv"], default=None)
     v.add_argument("--config", default=None, help="JSON config file")
-    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="run a limit-theorem experiment")
     s.add_argument("experiment", choices=EXPERIMENTS)
@@ -269,18 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--output-dir", default=None)
     s.add_argument("--config", default=None, help="JSON config file")
-    s.set_defaults(func=cmd_simulate)
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Handlers are looked up per call, not stored in the cached parser, so
+    # a rebound cmd_verify or cmd_simulate is the one that runs.
+    command = cmd_verify if args.command == "verify" else cmd_simulate
     try:
-        return args.func(args)
+        return command(args)
     except RieszmartError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -217,6 +217,20 @@ def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> Lattic
     return LatticeElement(f.space, np.power(moment.coords, 1.0 / p))
 
 
+def _stage_index(ops: list) -> tuple[np.ndarray, list, np.ndarray]:
+    """Run starts (stages whose operator object differs from the previous
+    stage's), the distinct operators (equal partitions, first seen first)
+    and each stage's index among them, with one dict lookup per run."""
+    ids = np.fromiter(map(id, ops), dtype=np.intp, count=len(ops))
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    first: dict = {}
+    runs = [
+        first.setdefault(ops[k].partition.blocks, (len(first), ops[k]))[0] for k in starts.tolist()
+    ]
+    stage = np.repeat(np.asarray(runs, dtype=np.intp), np.diff(starts, append=len(ops)))
+    return starts, [op for _, op in first.values()], stage
+
+
 class Filtration:
     """A refining sequence of averaging operators on one space.
 
@@ -225,23 +239,34 @@ class Filtration:
     and gives T_i T_j = T_j T_i = T_i for i < j: if F refines C, T_C e_j is
     constant on F-blocks, so T_F T_C = T_C, and T_C T_F = T_C by
     self-adjointness in L2(mu).  Transitivity extends this to all pairs.
+
+    The stage structure is indexed once: distinct holds the first-seen
+    operator of each distinct partition, and stage[i] is the index in
+    distinct of stage i's partition.  Space and refinement are checked once
+    per change of operator object.  repeat_last appends that many repeats
+    of the last operator, so a long chain costs O(distinct) Python.
     """
 
-    __slots__ = ("space", "ops")
+    __slots__ = ("space", "ops", "distinct", "stage")
 
-    def __init__(self, ops):
+    def __init__(self, ops, repeat_last: int = 0):
         ops = list(ops)
         if not ops:
             raise ValueError("filtration needs at least one stage")
+        starts, distinct, stage = _stage_index(ops)
+        starts = starts.tolist()
         space = ops[0].space
-        for k, op in enumerate(ops):
-            if op.space != space:
+        for k in starts:
+            if ops[k].space != space:
                 raise SpaceMismatch(f"stage {k} lives on a different space")
-        for k, (coarse, fine) in enumerate(zip(ops, ops[1:])):
-            if fine is not coarse and not fine.partition.refines(coarse.partition):
-                raise NotRefining(f"stage {k + 1} does not refine stage {k}")
+        for k in starts[1:]:
+            if not ops[k].partition.refines(ops[k - 1].partition):
+                raise NotRefining(f"stage {k} does not refine stage {k - 1}")
         self.space = space
-        self.ops = ops
+        self.ops = ops + [ops[-1]] * repeat_last
+        self.distinct = distinct
+        self.stage = np.concatenate((stage, np.full(repeat_last, stage[-1])))
+        self.stage.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -261,7 +261,7 @@ def _hrc_pass(process: ProcessSequence, a_values, g: LatticeElement, tol, suite:
     a = np.asarray(a_values, dtype=np.float64)
     if a.shape != (len(process),):
         raise BadWeights(f"need {len(process)} rate values, got shape {a.shape}")
-    if np.any(a <= 0.0):
+    if not np.all(np.isfinite(a) & (a > 0.0)):
         raise BadWeights("rates must be strictly positive")
     if np.any(np.diff(a) < 0.0):
         raise BadWeights("rates must be nondecreasing")

@@ -4,7 +4,8 @@ A ProcessSequence pairs one value per stage of a filtration.  Classification
 compares apply(T_i, f_j) against f_i over every ordered pair i < j, not just
 consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
-filtrations (a few distinct coarse stages, then singletons repeated).
+filtrations (a few distinct coarse stages, then singletons repeated).  The
+groups come from the filtration's stored stage index.
 
 Generators draw every stage at once from the per-step SplitMix64 substreams
 (seed, "mds-step", i), so a fixed GeneratorConfig reproduces the same process
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalExpectationOp, Filtration, Partition
+from .conditional import ConditionalExpectationOp, Filtration, Partition, _stage_index
 from .errors import (
     NotAdapted,
     NotDifferenceSequence,
@@ -83,31 +84,30 @@ class ProcessSequence:
         return "\n".join(lines) + "\n"
 
 
-def _stage_index(ops) -> tuple[list[ConditionalExpectationOp], np.ndarray]:
-    """Distinct operators (equal partitions, first seen first) and each stage's index among them."""
-    first: dict = {}
-    index = []
-    prev = None
-    for op in ops:
-        if op is not prev:
-            prev = op
-            g = first.setdefault(op.partition.blocks, (len(first), op))[0]
-        index.append(g)
-    return [op for _, op in first.values()], np.asarray(index, dtype=np.intp)
+def _index_groups(distinct: list, stage: np.ndarray) -> list:
+    """Stages grouped by distinct operator, first seen first.  Indices are
+    numbered in first-seen order, so a prefix of a stage index holds groups
+    0..max and zip leaves out the operators it never reaches."""
+    ends = np.cumsum(np.bincount(stage))
+    return list(zip(distinct, np.split(np.argsort(stage, kind="stable"), ends)[:-1]))
 
 
 def _op_groups(ops) -> list[tuple[ConditionalExpectationOp, np.ndarray]]:
     """Indices grouped by distinct operator, preserving first-seen order."""
-    distinct, index = _stage_index(ops)
-    ends = np.cumsum(np.bincount(index, minlength=len(distinct)))
-    return list(zip(distinct, np.split(np.argsort(index, kind="stable"), ends[:-1])))
+    _, distinct, stage = _stage_index(list(ops))
+    return _index_groups(distinct, stage)
+
+
+def _stage_groups(filtration: Filtration, stop: int | None = None):
+    """_op_groups(filtration.ops[:stop]), read from the stored stage index."""
+    return _index_groups(filtration.distinct, filtration.stage[:stop])
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
     mat = process.values
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat))) if mat.size else tol.abs
-    for op, idx in _op_groups(process.filtration.ops):
+    for op, idx in _stage_groups(process.filtration):
         if op.is_identity:
             continue
         rows = mat[idx]
@@ -133,7 +133,7 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
     is_sub = True
     is_super = True
-    for op, idx in _op_groups(process.filtration.ops[: count - 1]):
+    for op, idx in _stage_groups(process.filtration, count - 1):
         # Only stages after the operator's first use are ever compared.
         later = mat[idx[0] + 1 :]
         transformed = later if op.is_identity else op.apply_rows(later)
@@ -162,8 +162,7 @@ def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TO
     if mat.shape[0] < 2:
         return True
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
-    conditioners = process.filtration.ops[:-1]
-    for op, idx in _op_groups(conditioners):
+    for op, idx in _stage_groups(process.filtration, -1):
         rows = mat[idx + 1]
         means = rows if op.is_identity else op.apply_rows(rows)
         if np.max(np.abs(means)) > slack:
@@ -221,8 +220,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.dim < 1 or self.steps < 1:
             raise ValueError("dim and steps must be >= 1")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+        if not (np.isfinite(self.amplitude) and self.amplitude > 0.0):
+            raise ValueError("amplitude must be finite and positive")
         if self.weight_mode not in ("uniform", "random"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
@@ -256,15 +255,16 @@ def _split_largest_chain(first: Partition, steps: int) -> Filtration:
     ops = [ConditionalExpectationOp(first)]
     while len(ops) < steps and not ops[-1].is_identity:
         ops.append(ConditionalExpectationOp(ops[-1].partition.split_largest()))
-    ops += [ops[-1]] * (steps - len(ops))
-    return Filtration(ops[:steps])
+    return Filtration(ops[:steps], repeat_last=max(steps - len(ops), 0))
 
 
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:
     """Martingale difference sequence with increments bounded by 2*amplitude.
 
     All stages are drawn at once; one bincount over per-stage block ids adds
-    each block's terms in the order a per-row apply_array does.
+    each block's terms in the order a per-row apply_array does.  The block
+    ids of stage i are those of filtration.distinct[filtration.stage[i]],
+    so the stages are laid out without a pass over filtration.ops.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
@@ -277,7 +277,7 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
         filtration = default_filtration(space, cfg.steps)
     elif len(filtration) != cfg.steps:
         raise ValueError("filtration length does not match steps")
-    distinct, stage = _stage_index(filtration.ops)
+    distinct, stage = filtration.distinct, filtration.stage
     group_blocks = np.array([op.partition.num_blocks for op in distinct])
     counts = group_blocks[stage]
     starts = np.cumsum(counts) - counts  # first stacked block of each stage

@@ -49,6 +49,13 @@ from .rng import SplitMix64, derive_seed
 STANDARD_SEED = 42
 
 
+def _require_finite_options(**values) -> None:
+    """Reject NaN and infinite numeric options (None means unset)."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(float(value)):
+            raise RieszmartError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective configuration of one verify run."""
@@ -72,6 +79,9 @@ class RunConfig:
             raise RieszmartError(f"dim_max must be >= 1, got {self.dim_max}")
         if self.steps_max < 1:
             raise RieszmartError(f"steps_max must be >= 1, got {self.steps_max}")
+        _require_finite_options(
+            tol_abs=self.tol.abs, tol_rel=self.tol.rel, p_min=self.p_min, p_max=self.p_max
+        )
         if self.format not in ("json", "csv"):
             raise RieszmartError(f"format must be json or csv, got {self.format!r}")
         if self.suite not in SUITES and self.suite != "all":

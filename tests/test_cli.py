@@ -291,3 +291,74 @@ def test_simulate_config_file(tmp_path, capsys):
     verdict = json.loads((tmp_path / "slln_n_verdict.json").read_text())
     assert verdict["config"]["seed"] == 9
     assert verdict["config"]["n"] == 32
+
+
+# --- non-finite options and the cached parser ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "jensen", "--trials", "5", "--tol-rel", "inf"],
+        ["verify", "--suite", "jensen", "--trials", "5", "--tol-abs", "nan"],
+        ["verify", "--suite", "holder", "--trials", "5", "--p-min", "nan"],
+        ["verify", "--suite", "holder", "--trials", "5", "--p-max", "inf"],
+        ["simulate", "submartingale", "--p", "nan"],
+        ["simulate", "slln-n", "--epsilon", "nan"],
+        ["simulate", "slln-n", "--p", "inf"],
+        ["simulate", "slln-p-gt-2", "--gamma", "nan"],
+        ["simulate", "slln-p-gt-2", "--k", "nan"],
+        ["simulate", "slln-p-le-2", "--amplitude", "nan"],
+        ["simulate", "slln-p-le-2", "--amplitude", "inf"],
+        ["simulate", "submartingale", "--constant=-inf"],
+        ["simulate", "slln-p-le-2", "--a", "power:nan"],
+        ["simulate", "slln-p-le-2", "--a", "power:inf"],
+        ["simulate", "slln-p-le-2", "--a", "power:400"],
+    ],
+)
+def test_non_finite_options_are_usage_errors(argv, tmp_path, capsys):
+    if argv[0] == "verify":
+        argv = argv + ["--output", str(tmp_path / "report.json")]
+    else:
+        argv = argv + ["--n", "32", "--dim", "3", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err or "exponent >= 0" in err or "strictly positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_tolerances_stay_legal(capsys):
+    code, report = run_json(
+        capsys, ["verify", "--suite", "jensen", "--trials", "3", "--tol-abs", "-0.5"]
+    )
+    assert code in (0, 1)
+    assert report["config"]["tol"]["abs"] == -0.5
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    from rieszmart import cli
+
+    def calls():
+        out = []
+        out.append((main(["verify", "--suite", "nonsense"]), None))
+        out.append(
+            (main(["verify", "--suite", "jensen", "--trials", "4", "--seed", "2"]),
+             strip_elapsed(json.loads(capsys.readouterr().out)))
+        )
+        sim = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        code = main(["simulate", "slln-n", "--n", "40", "--dim", "3", "--output-dir", str(sim)])
+        verdict = strip_elapsed(json.loads((sim / "slln_n_verdict.json").read_text()))
+        out.append((code, verdict, capsys.readouterr().out))
+        return out
+
+    cached = calls()
+    parser = cli._PARSER
+    assert parser is not None
+    assert calls() == cached
+    assert cli._PARSER is parser
+    fresh = []
+    for _ in range(3):
+        cli._PARSER = None
+        fresh.append(calls())
+    assert all(run == cached for run in fresh)
+    assert [c[0] for c in cached] == [2, 0, 0]

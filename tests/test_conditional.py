@@ -355,6 +355,51 @@ def test_filtration_needs_a_stage_and_one_space():
         Filtration([a, b])
 
 
+
+def filtration_error_by_loop(ops):
+    """Reference Filtration checks: every stage's space, then every
+    consecutive pair, one stage at a time."""
+    for k, op in enumerate(ops):
+        if op.space != ops[0].space:
+            return SpaceMismatch, f"stage {k} lives on a different space"
+    for k, (coarse, fine) in enumerate(zip(ops, ops[1:])):
+        if fine is not coarse and not fine.partition.refines(coarse.partition):
+            return NotRefining, f"stage {k + 1} does not refine stage {k}"
+    return None
+
+
+def test_filtration_errors_name_the_stage_the_per_stage_loop_names():
+    from rieszmart.conditional import Filtration
+
+    space = SampleSpace.uniform(4)
+    top = ConditionalExpectationOp(Partition.single_block(space))
+    halves = ConditionalExpectationOp(Partition(space, [[0, 1], [2, 3]]))
+    halves2 = ConditionalExpectationOp(Partition(space, [[0, 1], [2, 3]]))
+    crossing = ConditionalExpectationOp(Partition(space, [[0, 2], [1, 3]]))
+    fine = ConditionalExpectationOp(Partition.singletons(space))
+    other = ConditionalExpectationOp(Partition.single_block(SampleSpace.uniform(3)))
+    cases = [
+        [top, top, top, halves, crossing],
+        [top, halves, halves, halves2, halves, crossing, crossing],
+        [halves, halves, fine, fine, halves],
+        [top, halves, crossing, crossing, other],
+        [top, top, other, other, crossing],
+        [fine, fine, fine, top],
+        [top, halves, halves2, fine, fine],
+    ]
+    raised = 0
+    for ops in cases:
+        expected = filtration_error_by_loop(ops)
+        if expected is None:
+            assert len(Filtration(ops)) == len(ops)
+            continue
+        with pytest.raises(expected[0]) as err:
+            Filtration(ops)
+        assert str(err.value) == expected[1]
+        raised += 1
+    assert raised == 6
+
+
 def test_compatible_triple():
     space = SampleSpace.uniform(4)
     base = ConditionalExpectationOp(Partition.single_block(space))

@@ -345,6 +345,28 @@ def test_hrc_rate_validation():
         hrc_maximal(proc, [1.0], g)  # wrong length
 
 
+
+@pytest.mark.parametrize(
+    "rates",
+    [[math.nan] * 3, [1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.inf] * 3, [-math.inf, 1.0, 2.0]],
+)
+def test_hrc_rejects_non_finite_rates(rates):
+    proc = generate_submartingale(GeneratorConfig(seed=2, dim=4, steps=3))
+    g = proc.space.unit()
+    with pytest.raises(BadWeights, match="rates must be strictly positive"):
+        hrc_maximal(proc, rates, g)
+
+
+def test_doob_unit_rates_pass_the_finite_rate_check():
+    # doob_maximal runs the HRC pass at a = 1, which the finite check accepts.
+    proc = generate_submartingale(GeneratorConfig(seed=2, dim=4, steps=3))
+    g = proc.space.unit()
+    report = doob_maximal(proc, g)
+    assert report.failure_count == 0
+    assert report.to_json_dict() == doob_maximal(proc, g).to_json_dict()
+    assert hrc_maximal(proc, [1.0, 2.0, 3.0], g).failure_count == 0
+
+
 def test_hrc_rejects_non_submartingale():
     proc = dim1_process(1.0, 0.0, 2.0)
     with pytest.raises(NotSubmartingale):

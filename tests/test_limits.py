@@ -7,6 +7,7 @@ rather than a copied constant.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ from rieszmart import (
     slln_p_le_2,
     submartingale_convergence_experiment,
 )
+from rieszmart.lattice import DEFAULT_TOL
+from rieszmart.limits import DEFAULT_STOCHASTIC_EPSILON, _slacked_min
+from rieszmart.processes import make_space, require_difference_sequence
+from rieszmart.reports import CheckSummary, ExperimentReport, dump_json
+from rieszmart.rng import SplitMix64
+from rieszmart.suites import _refining_filtration
 
 DIM1 = SampleSpace.uniform(1)
 
@@ -84,6 +91,30 @@ def test_weight_sequence_explicit():
         WeightSequence.from_values([1.0, 0.0]).values(2)
     with pytest.raises(BadWeights):
         WeightSequence.from_values([2.0, 1.0]).values(2)
+
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weight_sequence_rejects_non_finite_rates(bad):
+    with pytest.raises(BadWeights, match="exponent >= 0"):
+        WeightSequence.power(bad)
+    with pytest.raises(BadWeights):
+        WeightSequence.parse(f"power:{bad}")
+    for values in ([1.0, bad], [bad, 2.0, 3.0], [1.0, bad, 3.0]):
+        with pytest.raises(BadWeights, match="rates must be strictly positive"):
+            WeightSequence.from_values(values).values(len(values))
+    # Rates past the requested length are not read.
+    assert WeightSequence.from_values([1.0, 2.0, bad]).values(2).tolist() == [1.0, 2.0]
+
+
+
+def test_power_rates_that_overflow_are_rejected():
+    rates = WeightSequence.power(400.0)
+    assert np.all(np.isfinite(rates.values(5)))
+    with pytest.raises(BadWeights, match="rates must be strictly positive"):
+        rates.values(50)
+    with pytest.raises(BadWeights):
+        cesaro_weighted_mean([DIM1.element([1.0])] * 50, rates)
 
 
 def test_weight_sequence_divergence_screen():
@@ -408,3 +439,109 @@ def test_slln_n_reports_rate_label():
     report = slln_an_equals_n(diffs, p=3.0)
     assert report.config["rates"] == "power:1"
     assert report.config["p"] == 3.0
+
+
+def slln_an_equals_n_all_alive(
+    diffs, p, epsilon=DEFAULT_STOCHASTIC_EPSILON, tol=DEFAULT_TOL
+):
+    """Reference slln_an_equals_n: the body that computed |Y|^p and |Y|^2
+    twice each and kept every (N, n) intermediate alive to the end."""
+    p = float(p)
+    if p <= 2.0:
+        raise BadExponent(f"this strong law needs p > 2, got {p}")
+    require_difference_sequence(diffs, tol)
+    count = len(diffs)
+    steps = np.arange(1, count + 1, dtype=np.float64)
+    t1 = diffs.filtration[0]
+
+    def condition(mat: np.ndarray) -> np.ndarray:
+        return mat if t1.is_identity else t1.apply_rows(mat)
+
+    absy = np.abs(diffs.values)
+    hyp_terms = condition(absy**p / (steps ** (1.0 + p / 2.0))[:, None])
+    series = series_report(hyp_terms)
+    sums = np.cumsum(diffs.values, axis=0)
+    decay = decay_report(sums / steps[:, None], epsilon)
+
+    sq_running = np.cumsum(absy**2, axis=0)
+    exchange_lhs = condition(sq_running ** (p / 2.0))
+    moment_running = np.cumsum(condition(absy**2), axis=0)
+    exchange_rhs = moment_running ** (p / 2.0)
+    pth_running = np.cumsum(condition(absy**p), axis=0)
+    bound_rhs = (steps ** (p / 2.0 - 1.0))[:, None] * pth_running
+
+    checks = {
+        "square-sum-exchange": CheckSummary(),
+        "moment-power-step": CheckSummary(),
+        "square-sum-power-bound": CheckSummary(),
+    }
+    for name, lhs, rhs in (
+        ("square-sum-exchange", exchange_lhs, exchange_rhs),
+        ("moment-power-step", exchange_rhs, bound_rhs),
+        ("square-sum-power-bound", exchange_lhs, bound_rhs),
+    ):
+        gaps = rhs - lhs
+        slack = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
+        _slacked_min(checks[name], gaps, slack, name)
+    return ExperimentReport(
+        experiment="slln-n",
+        config={"p": p, "rates": "power:1", "epsilon": epsilon},
+        decay=decay,
+        hypothesis=series,
+        checks=checks,
+        verdict=bool(series.converged and decay.verdict),
+    )
+
+
+def report_bytes(report):
+    return dump_json(report.to_json_dict())
+
+
+@pytest.mark.parametrize("weight_mode", ["uniform", "random"])
+def test_slln_n_matches_the_all_alive_body_byte_for_byte(weight_mode):
+    for dim in range(1, 17):
+        for steps in sorted({1, 2, 7, dim, 3 * dim + 1, 400}):
+            p = (2.5, 3.0, 4.0)[(dim + steps) % 3]
+            cfg = GeneratorConfig(seed=dim, dim=dim, steps=steps, weight_mode=weight_mode)
+            diffs = generate_mds(cfg)
+            assert report_bytes(slln_an_equals_n(diffs, p)) == report_bytes(
+                slln_an_equals_n_all_alive(diffs, p)
+            )
+            # A random first stage, so T_1 is neither trivial nor the identity.
+            filt = _refining_filtration(SplitMix64(dim + steps), make_space(cfg), steps)
+            diffs = generate_mds(cfg, filt)
+            assert report_bytes(slln_an_equals_n(diffs, p, 1e-3)) == report_bytes(
+                slln_an_equals_n_all_alive(diffs, p, 1e-3)
+            )
+    for dim in (1, 3, 8, 16):
+        diffs = generate_mds(GeneratorConfig(seed=5, dim=dim, steps=20_000, weight_mode=weight_mode))
+        for p in (2.5, 3.0, 4.0):
+            assert report_bytes(slln_an_equals_n(diffs, p)) == report_bytes(
+                slln_an_equals_n_all_alive(diffs, p)
+            )
+
+
+def test_slln_n_counterexample_matches_the_all_alive_body():
+    space = SampleSpace.uniform(4)
+    singles = [[0], [1], [2], [3]]
+    filt = make_filtration(space, [[[0, 1, 2, 3]]] + [singles] * 15)
+    values = np.zeros((16, 4))
+    values[1] = [1.0, -1.0, 0.0, 0.0]
+    diffs = ProcessSequence(filt, values)
+    for p in (2.5, 3.0, 4.0):
+        assert report_bytes(slln_an_equals_n(diffs, p)) == report_bytes(
+            slln_an_equals_n_all_alive(diffs, p)
+        )
+
+
+def test_slln_n_peak_memory_is_at_most_six_tenths_of_the_all_alive_body():
+    diffs = generate_mds(GeneratorConfig(seed=3, dim=8, steps=20_000))
+    peaks = []
+    for body in (slln_an_equals_n, slln_an_equals_n_all_alive):
+        tracemalloc.start()
+        try:
+            body(diffs, 3.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.6 * peaks[1], peaks

@@ -30,8 +30,10 @@ from rieszmart.processes import (
     SUBMARTINGALE,
     SUPERMARTINGALE,
     _op_groups,
+    _stage_groups,
     make_space,
 )
+from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
 from rieszmart.rng import SplitMix64, derive_seed
 from rieszmart.suites import _refining_filtration
 
@@ -364,6 +366,88 @@ def test_op_groups_match_dict_grouping():
             assert all(idx.dtype == np.intp for _, idx in got)
 
 
+
+def stage_index_by_rescan(ops):
+    """Reference stage index: the per-stage rescan of ops that the stored
+    Filtration.distinct/stage replaced."""
+    first: dict = {}
+    index = []
+    prev = None
+    for op in ops:
+        if op is not prev:
+            prev = op
+            g = first.setdefault(op.partition.blocks, (len(first), op))[0]
+        index.append(g)
+    return [op for _, op in first.values()], np.asarray(index, dtype=np.intp)
+
+
+def interleaved_equal_operators(space):
+    """Equal partitions as distinct objects, with one object repeated after
+    another object in between: runs a | a2 | a | fine, two groups."""
+    a = ConditionalExpectationOp(Partition.single_block(space))
+    a2 = ConditionalExpectationOp(Partition.single_block(space))
+    fine = ConditionalExpectationOp(Partition.singletons(space))
+    return Filtration([a, a, a2, a, a, fine, fine])
+
+
+def stored_index_filtrations():
+    for weights in (np.ones(1), np.ones(4), np.linspace(0.1, 1.0, 9), np.linspace(1.0, 2.0, 13)):
+        space = SampleSpace(weights)
+        dim = space.n
+        for steps in sorted({1, max(1, dim - 2), dim, dim + 1, 3 * dim + 2}):
+            filt = default_filtration(space, steps)
+            assert len(filt) == steps
+            yield filt
+        for seed in range(6):
+            yield _refining_filtration(SplitMix64(40 + seed), space, 1 + 2 * seed + dim)
+        yield equal_partitions_as_distinct_objects(space)
+        yield interleaved_equal_operators(space)
+    space = SampleSpace.uniform(4)
+    halves = Partition(space, [[0, 1], [2, 3]])
+    yield make_filtration(space, [[[0, 1, 2, 3]], halves, halves, [[0], [1], [2, 3]]])
+    yield make_filtration(space, [halves, [[0, 1], [2, 3]], [[0], [1], [2], [3]], [[0], [1], [2], [3]]])
+
+
+def test_stored_stage_index_matches_per_stage_rescan():
+    for filt in stored_index_filtrations():
+        distinct, stage = stage_index_by_rescan(filt.ops)
+        assert len(filt.distinct) == len(distinct)
+        assert all(a is b for a, b in zip(filt.distinct, distinct))
+        assert filt.stage.dtype == np.intp and not filt.stage.flags.writeable
+        assert filt.stage.tolist() == stage.tolist()
+        # The prefixes the consumers read: [:count - 1], [:-1] and the whole.
+        for stop in (None, len(filt) - 1, -1):
+            got = _stage_groups(filt, stop)
+            expected = op_groups_by_dict(filt.ops[:stop])
+            assert [op for op, _ in got] == [op for op, _ in expected]
+            assert all(a is b for (a, _), (b, _) in zip(got, expected))
+            assert [idx.tolist() for _, idx in got] == [idx for _, idx in expected]
+            assert all(idx.dtype == np.intp for _, idx in got)
+
+
+def test_interleaved_equal_operators_form_one_group():
+    filt = interleaved_equal_operators(SampleSpace.uniform(3))
+    assert filt.stage.tolist() == [0, 0, 0, 0, 0, 1, 1]
+    assert filt.distinct == [filt[0], filt[5]]
+    assert filt.distinct[0] is filt[0]
+
+
+def test_repeat_last_matches_the_expanded_list():
+    space = SampleSpace(np.linspace(0.2, 1.0, 6))
+    ops = default_filtration(space, 6).ops
+    for k in (0, 1, 5, 1000):
+        short = Filtration(ops, repeat_last=k)
+        full = Filtration(ops + [ops[-1]] * k)
+        assert len(short) == len(full) == len(ops) + k
+        assert all(a is b for a, b in zip(short.ops, full.ops))
+        assert all(a is b for a, b in zip(short.distinct, full.distinct))
+        assert short.stage.tolist() == full.stage.tolist()
+        assert short.to_json_dict() == full.to_json_dict()
+    # A short chain, repeated or not, stops at the requested step count.
+    assert len(default_filtration(SampleSpace.uniform(2), 100_000)) == 100_000
+    assert default_filtration(SampleSpace.uniform(2), 100_000).stage[-3:].tolist() == [1, 1, 1]
+
+
 # --- square function ---------------------------------------------------------------
 
 
@@ -443,6 +527,9 @@ def test_generator_config_validation():
         GeneratorConfig(seed=1, dim=3, steps=3, amplitude=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, dim=3, steps=3, weight_mode="heavy")
+    for amplitude in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            GeneratorConfig(seed=1, dim=3, steps=3, amplitude=amplitude)
 
 
 def test_default_filtration_saturates_to_singletons():
