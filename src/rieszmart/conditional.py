@@ -125,17 +125,11 @@ class ConditionalExpectationOp:
     def apply(self, f: LatticeElement) -> LatticeElement:
         if f.space != self.space:
             raise SpaceMismatch("element on a different space than the operator")
-        sums = np.bincount(
-            self.partition.block_id,
-            weights=self.space.weights * f.coords,
-            minlength=self.partition.num_blocks,
-        )
-        vals = sums / self.block_weight
-        return LatticeElement(self.space, vals[self.partition.block_id])
+        return LatticeElement(self.space, self.apply_array(f.coords))
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """apply on raw coordinates, one row or each row of a (k, n) stack:
-        one bincount over block ids offset per row, so rows get apply's bits."""
+        """Block averages of raw coordinates, one row or each row of a (k, n)
+        stack: one bincount over block ids offset per row."""
         part, rows = self.partition, np.atleast_2d(values)
         size = len(rows) * part.num_blocks
         bins = part.block_id + np.arange(0, size, part.num_blocks)[:, None]
@@ -145,7 +139,10 @@ class ConditionalExpectationOp:
         return means[:, part.block_id].reshape(np.shape(values))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to each row of a (k, n) array at once."""
+        """Apply to each row of a (k, n) array at once; the identity returns
+        rows itself."""
+        if self.is_identity:
+            return rows
         return rows @ self.matrix().T
 
     def matrix(self) -> np.ndarray:
@@ -204,10 +201,9 @@ def _eq_check(
 
 def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> LatticeElement:
     """Operator-valued p-norm: (T|f|^p)^(1/p); blockwise max of |f| at p = inf."""
-    if p != math.inf:
-        p = float(p)
-        if p < 1.0:
-            raise BadExponent(f"norm exponent must satisfy p >= 1, got {p}")
+    p = float(p)
+    if not p >= 1.0:
+        raise BadExponent(f"norm exponent must satisfy p >= 1, got {p}")
     absf = f.abs()
     if p == math.inf:
         return op.block_max(absf)

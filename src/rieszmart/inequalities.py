@@ -37,9 +37,11 @@ from .lattice import (
     DEFAULT_TOL,
     LatticeElement,
     Tolerance,
+    compare,
     leq_with_tolerance,
     multiply,
     power,
+    require_finite,
     sup_many,
 )
 from .processes import (
@@ -58,7 +60,7 @@ _CONJUGATE_TOL = 1e-12
 
 def _check_conjugate(p: float, q: float) -> None:
     for name, val in (("p", p), ("q", q)):
-        if val != math.inf and val < 1.0:
+        if not val >= 1.0:
             raise BadExponent(f"{name} must be >= 1, got {val}")
     inv = (0.0 if p == math.inf else 1.0 / p) + (0.0 if q == math.inf else 1.0 / q)
     if abs(inv - 1.0) > _CONJUGATE_TOL:
@@ -128,8 +130,8 @@ def jensen_power(
 ) -> VerificationReport:
     """Convexity bound |Tf|^p <= T|f|^p for p >= 1."""
     p = float(p)
-    if p < 1.0:
-        raise BadExponent(f"Jensen power bound needs p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise BadExponent(f"Jensen power bound needs finite p >= 1, got {p}")
     report = VerificationReport(suite="jensen", trials=1, tol=tol)
     lhs = power(op.apply(f).abs(), p)
     rhs = op.apply(power(f.abs(), p))
@@ -153,7 +155,7 @@ def burkholder_ratio(
     equivalence constants can be frozen into golden reports.
     """
     p = float(p)
-    if p <= 1.0 or p == math.inf:
+    if not 1.0 < p < math.inf:
         raise BadExponent(f"ratio defined for 1 < p < inf, got {p}")
     require_difference_sequence(diffs, tol)
     CompatibleTriple(base, diffs.filtration)  # raises Incompatible
@@ -163,15 +165,9 @@ def burkholder_ratio(
     a_side = base.apply_rows(np.abs(sums.values) ** p)
     b_side = base.apply_rows(square.values ** (p / 2.0))
     if p == 2.0:
-        gap = np.abs(a_side - b_side)
-        slack = tol.slack(a_side, b_side)
-        worst = int(np.argmax(gap - slack))
-        n_idx, atom = np.unravel_index(worst, gap.shape)
-        report.record(
-            bool(np.all(gap <= slack)),
-            -float(gap.max()),
-            f"p=2 identity n={n_idx + 1} atom={atom}",
-        )
+        ok, margin, worst = _rows_agree(a_side.ravel(), b_side.ravel(), tol)
+        n_idx, atom = np.unravel_index(worst, a_side.shape)
+        report.record(bool(ok), float(margin), f"p=2 identity n={n_idx + 1} atom={atom}")
     positive = a_side > 0.0
     if np.any(positive):
         ratios = b_side[positive] / a_side[positive]
@@ -189,12 +185,6 @@ def burkholder_ratio(
     return report
 
 
-def _require_finite(*stacks: np.ndarray) -> None:
-    # Rows are elements of the space: an overflow raises as LatticeElement does.
-    if not all(np.isfinite(stack).all() for stack in stacks):
-        raise ValueError("coordinates must be finite")
-
-
 def _same_masks(prod: np.ndarray, join: np.ndarray):
     """Per stage n: (ok, margin, witness(n)) of product mask == join mask."""
     same = (prod == join).all(axis=1)
@@ -206,11 +196,16 @@ def _same_masks(prod: np.ndarray, join: np.ndarray):
 
 def _rows_leq(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance, label: str):
     """Per stage n: (ok, margin, witness(n)) of leq_with_tolerance on row n."""
-    gap = rhs - lhs
-    loose = gap + tol.slack(lhs, rhs)
-    atom = loose.argmin(axis=1)
-    ok, margin = (loose >= 0.0).all(axis=1), gap.min(axis=1)
-    return ok, margin, lambda n: f"n={n} {label} atom={atom[n - 1]}"
+    misses, margin, atom = compare(lhs, rhs, tol.slack(lhs, rhs))
+    return misses == 0, margin, lambda n: f"n={n} {label} atom={atom[n - 1]}"
+
+
+def _rows_agree(a: np.ndarray, b: np.ndarray, tol: Tolerance):
+    """Per row: (ok, -max|a - b|, first argmax of |a - b| - slack) of the
+    two-sided comparison a = b within the slack.  The right side is -0.0 so
+    that the margin of an exact agreement is -0.0, as -max|a - b| gives."""
+    misses, margin, worst = compare(np.abs(a - b), -0.0, tol.slack(a, b))
+    return misses == 0, margin, worst
 
 
 def _record_stages(report: VerificationReport, first, second) -> None:
@@ -246,7 +241,7 @@ def telescoping_bound(
     join = np.maximum(g.coords - np.maximum.accumulate(seq, axis=0), 0.0) > 0.0
     rhs_sum = np.cumsum(np.concatenate((seq[:1], np.where(prod[:-1], steps, 0.0))), axis=0)
     rhs = rhs_sum - np.where(prod, seq, 0.0)
-    _require_finite(below, steps, rhs)
+    require_finite(below, steps, rhs)
     report = VerificationReport(suite="telescoping", trials=1, tol=tol)
     lhs = np.where(prod, 0.0, g.coords)
     _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
@@ -281,7 +276,7 @@ def _hrc_pass(process: ProcessSequence, a_values, g: LatticeElement, tol, suite:
     # One block sum for T_1 of the steps and of the rows (I - U_n) g.
     conditioned = t1.apply_array(np.concatenate((steps, np.where(prod, 0.0, g.coords))))
     rhs = np.cumsum(np.concatenate((pos[:1] / a[0], conditioned[: len(steps)])), axis=0)
-    _require_finite(excess, rhs)
+    require_finite(excess, rhs)
     report = VerificationReport(suite=suite, trials=1, tol=tol)
     lhs = conditioned[len(steps) :]
     _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
@@ -319,9 +314,8 @@ def doob_maximal(
     report, t1, pos, join, rhs = _hrc_pass(process, np.ones(len(process)), g, tol, "doob")
     conditioned = t1.apply_array(np.concatenate((pos, np.where(join, 0.0, g.coords))))
     telescoped, lhs = conditioned[: len(pos)], conditioned[len(pos) :]
-    _require_finite(telescoped)
-    gap = np.abs(rhs - telescoped)
-    agree = (gap <= tol.slack(rhs, telescoped)).all(axis=1)
-    agreement = (agree, -gap.max(axis=1), lambda n: f"n={n} telescoped-right-side agreement")
+    require_finite(telescoped)
+    agree, margin, _ = _rows_agree(rhs, telescoped, tol)
+    agreement = (agree, margin, lambda n: f"n={n} telescoped-right-side agreement")
     _record_stages(report, agreement, _rows_leq(lhs, telescoped, tol, "telescoped bound"))
     return report

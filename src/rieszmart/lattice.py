@@ -10,11 +10,12 @@ operation below is total on the coordinate level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeBase, NonpositiveExponent, SpaceMismatch
+from .errors import BadExponent, NegativeBase, NonpositiveExponent, SpaceMismatch
 
 _WEIGHT_TOL = 1e-12
 
@@ -72,6 +73,13 @@ class SampleSpace:
         return {"n": self.n, "weights": [float(w) for w in self.weights]}
 
 
+def require_finite(*stacks) -> None:
+    """Raise ValueError, as for an element's coordinates, unless every entry
+    of every stack is finite."""
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        raise ValueError("coordinates must be finite")
+
+
 def _same_space(a: "LatticeElement", b: "LatticeElement") -> None:
     if a.space != b.space:
         raise SpaceMismatch(
@@ -88,8 +96,7 @@ class LatticeElement:
         v = np.array(values, dtype=np.float64)
         if v.shape != (space.n,):
             raise ValueError(f"expected {space.n} coordinates, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coordinates must be finite")
+        require_finite(v)
         self.space = space
         self.coords = v
         self.coords.flags.writeable = False
@@ -192,11 +199,13 @@ def power(f: LatticeElement, p: float) -> LatticeElement:
 
     Only non-integer p needs nonnegative coordinates (NegativeBase otherwise);
     integer p <= 16 uses repeated multiplication, which keeps e.g. squares
-    exact for the identity checks downstream.
+    exact for the identity checks downstream.  p must be finite (BadExponent).
     """
     p = float(p)
     if p <= 0.0:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
+    if not p < math.inf:
+        raise BadExponent(f"exponent must be finite, got {p}")
     if p == 1.0:
         return f
     if p == int(p) and p <= 16:
@@ -247,13 +256,22 @@ class MarginCheck:
         return {"ok": self.ok, "margin": self.margin, "atom": self.atom}
 
 
+def compare(lhs, rhs, slack):
+    """lhs <= rhs + slack along the last axis.
+
+    Per row: the number of components that miss (a NaN misses), the margin
+    min(rhs - lhs), and the first argmin of rhs - lhs + slack.
+    """
+    gap = rhs - lhs
+    loose = gap + slack
+    misses = np.shape(loose)[-1] - np.count_nonzero(loose >= 0.0, axis=-1)
+    return misses, gap.min(axis=-1), loose.argmin(axis=-1)
+
+
 def leq_with_tolerance(
     lhs: LatticeElement, rhs: LatticeElement, tol: Tolerance = DEFAULT_TOL
 ) -> MarginCheck:
     """Check lhs <= rhs componentwise up to tolerance; report the worst atom."""
     _same_space(lhs, rhs)
-    gap = rhs.coords - lhs.coords
-    slack = tol.slack(lhs.coords, rhs.coords)
-    atom = int(np.argmin(gap + slack))
-    ok = bool(np.all(gap + slack >= 0.0))
-    return MarginCheck(ok=ok, margin=float(np.min(gap)), atom=atom)
+    misses, margin, atom = compare(lhs.coords, rhs.coords, tol.slack(lhs.coords, rhs.coords))
+    return MarginCheck(ok=bool(misses == 0), margin=float(margin), atom=int(atom))

@@ -15,6 +15,7 @@ Order convergence is replaced by two desk-scale surrogates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     NotSummable,
     ParameterViolation,
 )
-from .lattice import DEFAULT_TOL, Tolerance
+from .lattice import DEFAULT_TOL, Tolerance, compare, require_finite
 from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
@@ -211,19 +212,14 @@ def kronecker_transform(
     return decay_report(z, epsilon)
 
 
-def _slacked_min(
-    summary: CheckSummary, gaps: np.ndarray, slack: np.ndarray, witness: str
-) -> None:
-    """Record a componentwise lhs <= rhs check given gap = rhs - lhs."""
-    worst = float(gaps.min())
-    bad = gaps + slack < 0.0
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmin(gaps + slack)), gaps.shape)
-        summary.record(False, worst, f"{witness} at {tuple(int(i) for i in idx)}")
-        # count every failing component
-        summary.failures += int(bad.sum()) - 1
-    else:
-        summary.record(True, worst, witness)
+def _check(summary: CheckSummary, lhs, rhs, slack, witness: str) -> None:
+    """Record lhs <= rhs + slack over whole stacks as one comparison that
+    counts every missing component; a miss names the first worst one."""
+    require_finite(lhs, rhs)
+    shape = np.broadcast(lhs, rhs).shape
+    misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
+    where = tuple(int(i) for i in np.unravel_index(at, shape))
+    summary.record_many([misses], [margin], lambda _: f"{witness} at {where}")
 
 
 def submartingale_convergence_experiment(
@@ -241,8 +237,8 @@ def submartingale_convergence_experiment(
     order-null decay of X_n / a_n.
     """
     p = float(p)
-    if p < 1.0:
-        raise BadExponent(f"need p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise BadExponent(f"need finite p >= 1, got {p}")
     label = classify(process, tol)
     if label not in (MARTINGALE, SUBMARTINGALE):
         raise NotSubmartingale(f"experiment needs a (sub)martingale, got {label}")
@@ -254,14 +250,12 @@ def submartingale_convergence_experiment(
     t1 = process.filtration[0]
     powers = process.values**p
     if count > 1:
-        scaled = (powers[1:] - powers[:-1]) / (a[1:] ** p)[:, None]
-        terms = scaled if t1.is_identity else t1.apply_rows(scaled)
+        terms = t1.apply_rows((powers[1:] - powers[:-1]) / (a[1:] ** p)[:, None])
     else:
         terms = np.zeros((0, process.space.n))
     checks = {"term-nonneg": CheckSummary()}
     if terms.size:
-        slack = tol.abs + tol.rel * np.abs(terms)
-        _slacked_min(checks["term-nonneg"], terms, slack, "series term sign")
+        _check(checks["term-nonneg"], 0.0, terms, tol.slack(0.0, terms), "series term sign")
     else:
         checks["term-nonneg"].record(True, 0.0, "no terms")
     series = series_report(terms) if terms.size else series_report(np.zeros((1, process.space.n)))
@@ -299,9 +293,7 @@ def slln_p_le_2(
     a = rates.values(count)
     t1 = diffs.filtration[0]
     absy_p = np.abs(diffs.values) ** p
-    hyp_terms = absy_p / (a**p)[:, None]
-    hyp_terms = hyp_terms if t1.is_identity else t1.apply_rows(hyp_terms)
-    series = series_report(hyp_terms)
+    series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
     sums = np.cumsum(diffs.values, axis=0)
     decay = decay_report(sums / a[:, None], epsilon)
     absx_p = np.abs(sums) ** p
@@ -311,16 +303,12 @@ def slln_p_le_2(
     }
     scale = float(np.max(absx_p)) if absx_p.size else 1.0
     if count > 1:
+        slack = tol.abs + tol.rel * scale
         for op, idx in _stage_groups(diffs.filtration, count - 1):
-            nxt = absx_p[idx + 1]
-            here = absx_p[idx]
-            dom = 2.0 * absy_p[idx + 1]
-            if not op.is_identity:
-                nxt, here, dom = (op.apply_rows(m) for m in (nxt, here, dom))
-            diff = nxt - here
-            slack = tol.abs + tol.rel * scale
-            _slacked_min(checks["power-diff-nonneg"], diff, np.full_like(diff, slack), "lower bound")
-            _slacked_min(checks["power-diff-dominated"], dom - diff, np.full_like(diff, slack), "upper bound")
+            nxt, here = op.apply_rows(absx_p[idx + 1]), op.apply_rows(absx_p[idx])
+            dom = op.apply_rows(2.0 * absy_p[idx + 1])
+            _check(checks["power-diff-nonneg"], here, nxt, slack, "lower bound")
+            _check(checks["power-diff-dominated"], nxt - here, dom, slack, "upper bound")
     else:
         for summary in checks.values():
             summary.record(True, 0.0, "single stage")
@@ -353,11 +341,11 @@ def slln_p_gt_2(
     verified here over all checkpoint pairs m < n.
     """
     p = float(p)
-    if p <= 2.0:
-        raise BadExponent(f"bootstrap applies to p > 2, got {p}")
+    if not 2.0 < p < math.inf:
+        raise BadExponent(f"bootstrap applies to finite p > 2, got {p}")
     gamma = float(gamma)
     k = float(k)
-    if gamma <= 0.0 or k <= 0.0:
+    if not (gamma > 0.0 and k > 0.0):
         raise ParameterViolation("gamma and k must be positive")
     if p < gamma + (p / 2.0 - 1.0) * k:
         raise ParameterViolation(
@@ -375,36 +363,29 @@ def slln_p_gt_2(
         )
     delta = (p - gamma) / (p / 2.0 - 1.0)
     t1 = diffs.filtration[0]
-
-    def condition(mat: np.ndarray) -> np.ndarray:
-        return mat if t1.is_identity else t1.apply_rows(mat)
-
-    hyp_terms = condition(np.abs(diffs.values) ** p / (a**gamma)[:, None])
+    hyp_terms = t1.apply_rows(np.abs(diffs.values) ** p / (a**gamma)[:, None])
     series = series_report(hyp_terms)
     sums = np.cumsum(diffs.values, axis=0)
     decay = decay_report(sums / a[:, None], epsilon)
 
-    second_moments = condition(diffs.values**2 / (a**2)[:, None])
-    pre_sq = np.cumsum(second_moments, axis=0)
-    pre_hyp = np.cumsum(hyp_terms, axis=0)
-    pre_delta = np.cumsum(1.0 / a**delta)
+    # Prefix sums from a zero row, so segment m..n is prefix[n] - prefix[m - 1].
+    pre_sq, pre_hyp, pre_delta = (
+        np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
+        for terms in (t1.apply_rows(diffs.values**2 / (a**2)[:, None]), hyp_terms, 1.0 / a**delta)
+    )
+    points = np.array(checkpoint_schedule(count))
+    m, n = (points[i] for i in np.triu_indices(len(points), 1))
+    lhs = pre_sq[n] - pre_sq[m - 1]
+    # One scalar power per pair for the delta factor: numpy's array power
+    # may round it differently.
+    delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[n] - pre_delta[m - 1]]
+    rhs = (pre_hyp[n] - pre_hyp[m - 1]) ** (2.0 / p) * np.array(delta_factor)[:, None]
+    require_finite(lhs, rhs)
+    misses, margin, at = compare(lhs, rhs, tol.slack(lhs, rhs))
     checks = {"holder-reduction": CheckSummary()}
-    points = checkpoint_schedule(count)
-    for mi in range(len(points)):
-        for ni in range(mi + 1, len(points)):
-            m, n = points[mi], points[ni]
-
-            def segment(prefix, lo=m, hi=n):
-                seg = prefix[hi - 1].copy()
-                if lo >= 2:
-                    seg = seg - prefix[lo - 2]
-                return seg
-
-            lhs = segment(pre_sq)
-            rhs = segment(pre_hyp) ** (2.0 / p) * segment(pre_delta) ** (1.0 - 2.0 / p)
-            gaps = rhs - lhs
-            slack = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-            _slacked_min(checks["holder-reduction"], gaps, slack, f"segment m={m} n={n}")
+    checks["holder-reduction"].record_many(
+        misses, margin, lambda i: f"segment m={m[i]} n={n[i]} at ({at[i]},)"
+    )
     return ExperimentReport(
         experiment="slln-p-gt-2",
         config={
@@ -451,27 +432,24 @@ def slln_an_equals_n(
     The other two hold unconditionally and must never fail.
     """
     p = float(p)
-    if p <= 2.0:
-        raise BadExponent(f"this strong law needs p > 2, got {p}")
+    if not 2.0 < p < math.inf:
+        raise BadExponent(f"this strong law needs finite p > 2, got {p}")
     require_difference_sequence(diffs, tol)
     count = len(diffs)
     steps = np.arange(1, count + 1, dtype=np.float64)
     t1 = diffs.filtration[0]
 
-    def condition(mat: np.ndarray) -> np.ndarray:
-        return mat if t1.is_identity else t1.apply_rows(mat)
-
     # Each (N, n) intermediate is computed once and dropped after its last
     # use, for peak memory: at long horizons that halves the peak.
     absy = np.abs(diffs.values)
     absy_p = absy**p
-    series = series_report(condition(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
+    series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
     decay = decay_report(np.cumsum(diffs.values, axis=0) / steps[:, None], epsilon)
-    bound_rhs = (steps ** (p / 2.0 - 1.0))[:, None] * np.cumsum(condition(absy_p), axis=0)
+    bound_rhs = (steps ** (p / 2.0 - 1.0))[:, None] * np.cumsum(t1.apply_rows(absy_p), axis=0)
     del absy_p
     absy_sq = absy**2
-    exchange_lhs = condition(np.cumsum(absy_sq, axis=0) ** (p / 2.0))
-    exchange_rhs = np.cumsum(condition(absy_sq), axis=0) ** (p / 2.0)
+    exchange_lhs = t1.apply_rows(np.cumsum(absy_sq, axis=0) ** (p / 2.0))
+    exchange_rhs = np.cumsum(t1.apply_rows(absy_sq), axis=0) ** (p / 2.0)
     del absy, absy_sq
 
     checks = {
@@ -484,10 +462,7 @@ def slln_an_equals_n(
         ("moment-power-step", exchange_rhs, bound_rhs),
         ("square-sum-power-bound", exchange_lhs, bound_rhs),
     ):
-        gaps = rhs - lhs
-        slack = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-        _slacked_min(checks[name], gaps, slack, name)
-        del gaps, slack
+        _check(checks[name], lhs, rhs, tol.slack(lhs, rhs), name)
     return ExperimentReport(
         experiment="slln-n",
         config={"p": p, "rates": "power:1", "epsilon": epsilon},

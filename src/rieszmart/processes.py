@@ -136,7 +136,7 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     for op, idx in _stage_groups(process.filtration, count - 1):
         # Only stages after the operator's first use are ever compared.
         later = mat[idx[0] + 1 :]
-        transformed = later if op.is_identity else op.apply_rows(later)
+        transformed = op.apply_rows(later)
         # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
         # row r standing for stage idx[0] + 1 + r
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
@@ -164,7 +164,7 @@ def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TO
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
     for op, idx in _stage_groups(process.filtration, -1):
         rows = mat[idx + 1]
-        means = rows if op.is_identity else op.apply_rows(rows)
+        means = op.apply_rows(rows)
         if np.max(np.abs(means)) > slack:
             return False
     return True

@@ -193,6 +193,17 @@ class CheckSummary:
                 self.first_witness = witness
             self.failures += 1
 
+    def record_many(self, misses, margin, witness_at) -> None:
+        """Record rows i in turn, row i with margin[i] and misses[i] failing
+        components; witness_at(i) is called for a first failing row only."""
+        misses = np.asarray(misses)
+        if len(margin):
+            self.min_margin = min(self.min_margin, float(margin[np.argmin(margin)]))
+        failing = np.flatnonzero(misses)
+        if failing.size and self.failures == 0:
+            self.first_witness = witness_at(int(failing[0]))
+        self.failures += int(misses.sum())
+
     def to_json_dict(self) -> dict:
         return {
             "failures": self.failures,

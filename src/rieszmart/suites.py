@@ -291,11 +291,11 @@ def run_telescoping(cfg: RunConfig) -> VerificationReport:
     return report
 
 
-def run_hrc(cfg: RunConfig) -> VerificationReport:
-    report = _fresh(cfg, "hrc")
+def _maximal_trials(cfg: RunConfig, suite: str):
+    """Trials t of the hrc and doob suites: (t, submartingale, threshold)."""
     for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "hrc", t))
-        gen = _generator_for(cfg, "hrc", t, stream)
+        stream = SplitMix64(derive_seed(cfg.seed, suite, t))
+        gen = _generator_for(cfg, suite, t, stream)
         filt = None
         if stream.next_float() < 0.5:
             # Nontrivial first stage: threshold lives on a coarse partition.
@@ -303,28 +303,22 @@ def run_hrc(cfg: RunConfig) -> VerificationReport:
             filt = _refining_filtration(stream, base, gen.steps)
         mode = "positive-part" if t % 2 == 0 else "drift"
         proc = generate_submartingale(gen, mode, filt)
-        a = _rates_for(t, len(proc))
         g = _block_constant_nonneg(
             stream, proc.filtration[0], 1.0 + float(np.sqrt(len(proc)))
         )
-        report.absorb(hrc_maximal(proc, a, g, cfg.tol), t, cfg.seed)
+        yield t, proc, g
+
+
+def run_hrc(cfg: RunConfig) -> VerificationReport:
+    report = _fresh(cfg, "hrc")
+    for t, proc, g in _maximal_trials(cfg, "hrc"):
+        report.absorb(hrc_maximal(proc, _rates_for(t, len(proc)), g, cfg.tol), t, cfg.seed)
     return report
 
 
 def run_doob(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "doob")
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "doob", t))
-        gen = _generator_for(cfg, "doob", t, stream)
-        filt = None
-        if stream.next_float() < 0.5:
-            base = _random_space(stream, cfg.dim_max)
-            filt = _refining_filtration(stream, base, gen.steps)
-        mode = "positive-part" if t % 2 == 0 else "drift"
-        proc = generate_submartingale(gen, mode, filt)
-        g = _block_constant_nonneg(
-            stream, proc.filtration[0], 1.0 + float(np.sqrt(len(proc)))
-        )
+    for t, proc, g in _maximal_trials(cfg, "doob"):
         report.absorb(doob_maximal(proc, g, cfg.tol), t, cfg.seed)
     return report
 

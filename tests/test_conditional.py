@@ -160,6 +160,15 @@ def test_apply_array_and_rows_match_apply():
     assert op.apply_array(rows[:0]).shape == (0, 4)
 
 
+def test_apply_rows_returns_the_rows_for_the_identity():
+    space = SampleSpace([0.2, 0.1, 0.4, 0.3])
+    op = ConditionalExpectationOp(Partition.singletons(space))
+    rows = np.array([[1.5, -2.0, 0.0, 3.25], [0.0, 1e-300, -7.0, 2.0]])
+    assert op.apply_rows(rows) is rows
+    # The dense product it skips gives the same values.
+    assert np.array_equal(rows @ op.matrix().T, rows)
+
+
 def test_matrix_is_stochastic_and_idempotent():
     space = SampleSpace([0.1, 0.2, 0.3, 0.4])
     op = ConditionalExpectationOp(Partition(space, [[0, 1, 2], [3]]))
@@ -238,6 +247,15 @@ def test_lp_norm_rejects_p_below_one():
     op = ConditionalExpectationOp(Partition.single_block(space))
     with pytest.raises(BadExponent):
         lp_norm(op, space.unit(), 0.5)
+
+
+def test_lp_norm_rejects_a_nan_exponent_and_keeps_inf():
+    space = SampleSpace.uniform(2)
+    op = ConditionalExpectationOp(Partition.single_block(space))
+    f = space.element([1.0, -3.0])
+    with pytest.raises(BadExponent):
+        lp_norm(op, f, math.nan)
+    assert lp_norm(op, f, math.inf).coords.tolist() == [3.0, 3.0]
 
 
 @given(st.integers(min_value=1, max_value=6), st.floats(min_value=1.0, max_value=4.0))

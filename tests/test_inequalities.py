@@ -115,6 +115,11 @@ def test_holder_exponent_validation():
         holder_sums([e], [e], 2.0, 3.0, op)
     with pytest.raises(BadExponent):
         holder_sums([e], [e], 0.5, -1.0, op)
+    for p, q in ((math.nan, 2.0), (2.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(BadExponent):
+            holder_sums([e], [e], p, q, op)
+    # q = inf is Holder's blockwise-max factor.
+    assert holder_sums([e], [e], 1.0, math.inf, op).passed
     with pytest.raises(ValueError):
         holder_sums([], [], 2.0, 2.0, op)
     with pytest.raises(ValueError):
@@ -201,6 +206,13 @@ def test_jensen_rejects_p_below_one():
         jensen_power(op.space.unit(), 0.9, op)
 
 
+def test_jensen_rejects_non_finite_exponents():
+    op = single_block_op(2)
+    for p in (math.nan, math.inf):
+        with pytest.raises(BadExponent):
+            jensen_power(op.space.unit(), p, op)
+
+
 # --- Burkholder -------------------------------------------------------------------
 
 
@@ -248,6 +260,8 @@ def test_burkholder_validation():
         burkholder_ratio(diffs, base, 1.0)
     with pytest.raises(BadExponent):
         burkholder_ratio(diffs, base, math.inf)
+    with pytest.raises(BadExponent):
+        burkholder_ratio(diffs, base, math.nan)
     crossing = ConditionalExpectationOp(
         Partition(diffs.space, [[0, 2], [1, 3]])
     )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rieszmart import (
     DEFAULT_TOL,
+    BadExponent,
     LatticeElement,
     NegativeBase,
     NonpositiveExponent,
@@ -158,6 +159,13 @@ def test_power_errors():
         power(space.unit(), 0.0)
     with pytest.raises(NonpositiveExponent):
         power(space.unit(), -2.0)
+
+
+def test_power_rejects_non_finite_exponents():
+    # int(p) used to fail on these with ValueError and OverflowError.
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(BadExponent):
+            power(SampleSpace.uniform(2).unit(), p)
 
 
 def test_leq_with_tolerance_cases():

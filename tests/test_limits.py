@@ -39,7 +39,7 @@ from rieszmart import (
     submartingale_convergence_experiment,
 )
 from rieszmart.lattice import DEFAULT_TOL
-from rieszmart.limits import DEFAULT_STOCHASTIC_EPSILON, _slacked_min
+from rieszmart.limits import DEFAULT_STOCHASTIC_EPSILON
 from rieszmart.processes import make_space, require_difference_sequence
 from rieszmart.reports import CheckSummary, ExperimentReport, dump_json
 from rieszmart.rng import SplitMix64
@@ -304,6 +304,9 @@ def test_submartingale_experiment_validation():
     rates = WeightSequence.power(1.0)
     with pytest.raises(BadExponent):
         submartingale_convergence_experiment(proc, rates, p=0.5)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(BadExponent):
+            submartingale_convergence_experiment(proc, rates, p=p)
     with pytest.raises(BadWeights):
         submartingale_convergence_experiment(proc, WeightSequence.power(0.0), p=2.0)
     with pytest.raises(NegativeProcess):
@@ -369,6 +372,17 @@ def test_slln_p_gt_2_constraint_arithmetic():
         slln_p_gt_2(diffs, rates, p=2.0, gamma=1.0, k=1.0)
 
 
+def test_slln_p_gt_2_rejects_non_finite_exponents():
+    # At p = inf a long horizon used to give a positive verdict.
+    diffs = generate_mds(GeneratorConfig(seed=2, dim=2, steps=4096))
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(BadExponent):
+            slln_p_gt_2(diffs, WeightSequence.power(1.0), p=p, gamma=1.0, k=2.0)
+    for gamma, k in ((float("nan"), 2.0), (1.0, float("nan"))):
+        with pytest.raises(ParameterViolation):
+            slln_p_gt_2(diffs, WeightSequence.power(1.0), p=4.0, gamma=gamma, k=k)
+
+
 def test_slln_p_gt_2_positive_verdict_and_delta():
     diffs = generate_mds(GeneratorConfig(seed=5, dim=4, steps=2048))
     report = slln_p_gt_2(
@@ -432,6 +446,9 @@ def test_slln_n_exponent_bound():
     diffs = generate_mds(GeneratorConfig(seed=7, dim=2, steps=8))
     with pytest.raises(BadExponent):
         slln_an_equals_n(diffs, p=2.0)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(BadExponent):
+            slln_an_equals_n(diffs, p=p)
 
 
 def test_slln_n_reports_rate_label():
@@ -439,6 +456,19 @@ def test_slln_n_reports_rate_label():
     report = slln_an_equals_n(diffs, p=3.0)
     assert report.config["rates"] == "power:1"
     assert report.config["p"] == 3.0
+
+
+def old_slacked_min(summary, gaps, slack, witness):
+    """The comparison body the experiments used before lattice.compare:
+    a NaN component counts as passing."""
+    worst = float(gaps.min())
+    bad = gaps + slack < 0.0
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmin(gaps + slack)), gaps.shape)
+        summary.record(False, worst, f"{witness} at {tuple(int(i) for i in idx)}")
+        summary.failures += int(bad.sum()) - 1
+    else:
+        summary.record(True, worst, witness)
 
 
 def slln_an_equals_n_all_alive(
@@ -482,7 +512,7 @@ def slln_an_equals_n_all_alive(
     ):
         gaps = rhs - lhs
         slack = tol.abs + tol.rel * np.maximum(np.abs(lhs), np.abs(rhs))
-        _slacked_min(checks[name], gaps, slack, name)
+        old_slacked_min(checks[name], gaps, slack, name)
     return ExperimentReport(
         experiment="slln-n",
         config={"p": p, "rates": "power:1", "epsilon": epsilon},
