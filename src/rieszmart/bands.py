@@ -88,17 +88,16 @@ class BandProjection:
         return list(self.support)
 
 
-def band_projection(g: LatticeElement, threshold: float = 0.0) -> BandProjection:
+def band_projection(g: LatticeElement) -> BandProjection:
     """Projection onto the band generated by g >= 0.
 
-    The support is read off exactly as {i : g_i > threshold}; the default
-    threshold 0 means any strictly positive coordinate counts, with no
-    epsilon blurring.
+    The support is read off exactly as {i : g_i > 0}: any strictly positive
+    coordinate counts, with no epsilon blurring.
     """
     if np.any(g.coords < 0.0):
         worst = int(np.argmin(g.coords))
         raise NegativeGenerator(f"generator has negative coordinate at atom {worst}")
-    return BandProjection(g.space, np.flatnonzero(g.coords > threshold))
+    return BandProjection(g.space, np.flatnonzero(g.coords > 0.0))
 
 
 @dataclass(frozen=True)

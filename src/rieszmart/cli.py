@@ -53,47 +53,74 @@ from .suites import (
 EXPERIMENTS = ("submartingale", "slln-p-le-2", "slln-p-gt-2", "slln-n")
 
 _EXPERIMENT_P_DEFAULT = {
-    "submartingale": 2.0,
-    "slln-p-le-2": 2.0,
-    "slln-p-gt-2": 3.0,
-    "slln-n": 3.0,
+    "submartingale": 2.0, "slln-p-le-2": 2.0, "slln-p-gt-2": 3.0, "slln-n": 3.0
+}
+
+# name: (conversion, default, argparse extras).  The conversion applies to flag
+# and config-file values alike; argparse converts flags with extras["type"]
+# if given, else with the conversion.  None keeps the value as given.  Float
+# options must be finite.  Verify's defaults are those of RunConfig/Tolerance.
+VERIFY_OPTIONS = {
+    "suite": (None, RunConfig.suite, {"choices": sorted(SUITES) + ["all"]}),
+    "trials": (int, RunConfig.trials, {}),
+    "seed": (int, RunConfig.seed, {}),
+    "dim_max": (int, None, {}),  # SUITE_DIM_DEFAULT, else RunConfig.dim_max
+    "steps_max": (int, RunConfig.steps_max, {}),
+    "p_min": (None, RunConfig.p_min, {"type": float}),  # a config-file 2 echoes as 2
+    "p_max": (None, RunConfig.p_max, {"type": float}),
+    "tol_abs": (float, Tolerance.abs, {}),
+    "tol_rel": (float, Tolerance.rel, {}),
+    "horizon": (int, RunConfig.horizon, {}),
+    "output": (None, RunConfig.output, {"help": "report file (stdout when omitted)"}),
+    "format": (None, RunConfig.format, {"choices": ["json", "csv"]}),
+}
+
+SIMULATE_OPTIONS = {
+    "p": (float, None, {}),  # _EXPERIMENT_P_DEFAULT
+    "gamma": (float, 1.5, {}),
+    "k": (float, 2.0, {}),
+    "n": (int, 10_000, {"help": "horizon (number of stages)"}),
+    "dim": (int, 4, {}),
+    "amplitude": (float, 1.0, {}),
+    "a": (str, "power:1", {"help": "rate sequence, e.g. power:1 for a_i = i"}),
+    "constant": (float, None, {"help": "use the constant process c*e instead of a generated one"}),
+    "epsilon": (float, DEFAULT_STOCHASTIC_EPSILON, {}),
+    "seed": (int, STANDARD_SEED, {}),
+    "output_dir": (str, ".", {}),
 }
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RieszmartError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise RieszmartError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def _resolve(flag, config: dict, key: str, default):
-    """flags > config file > default."""
-    if flag is not None:
-        return flag
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
-
-
-def _resolve_seed(flag, config: dict) -> int:
-    if flag is not None:
-        return int(flag)
-    if config.get("seed") is not None:
-        return int(config["seed"])
-    env = os.environ.get("RIESZ_MART_SEED")
-    if env is not None:
+def _options(args: argparse.Namespace, table: dict) -> dict:
+    """Each option of the table from its flag, else the config file, else
+    (for the seed) RIESZ_MART_SEED, else its default."""
+    config = {}
+    if args.config is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise RieszmartError(f"RIESZ_MART_SEED must be an integer, got {env!r}") from exc
-    return STANDARD_SEED
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise RieszmartError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise RieszmartError(f"config file {args.config} must hold a JSON object")
+    options = {}
+    for name, (convert, default, extras) in table.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name)
+        env = os.environ.get("RIESZ_MART_SEED") if name == "seed" else None
+        if value is None and env is not None:
+            try:
+                value = int(env)
+            except ValueError as exc:
+                raise RieszmartError(f"RIESZ_MART_SEED must be an integer, got {env!r}") from exc
+        if value is None:
+            value = default
+        elif convert is not None:
+            value = convert(value)
+        if extras.get("type", convert) is float:
+            _require_finite_options(**{name: value})
+        options[name] = value
+    return options
 
 
 def _failures_csv(report_dict: dict) -> str:
@@ -127,27 +154,11 @@ def _emit_report(report_dict: dict, output: str | None, fmt: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    suite = _resolve(args.suite, config, "suite", "all")
-    tol = Tolerance(
-        abs=float(_resolve(args.tol_abs, config, "tol_abs", 1e-12)),
-        rel=float(_resolve(args.tol_rel, config, "tol_rel", 1e-9)),
-    )
-    cfg = RunConfig(
-        suite=suite,
-        trials=int(_resolve(args.trials, config, "trials", 1000)),
-        seed=_resolve_seed(args.seed, config),
-        dim_max=int(
-            _resolve(args.dim_max, config, "dim_max", SUITE_DIM_DEFAULT.get(suite, 16))
-        ),
-        steps_max=int(_resolve(args.steps_max, config, "steps_max", 20)),
-        p_min=_resolve(args.p_min, config, "p_min", None),
-        p_max=_resolve(args.p_max, config, "p_max", None),
-        tol=tol,
-        horizon=int(_resolve(args.horizon, config, "horizon", 10_000)),
-        output=_resolve(args.output, config, "output", None),
-        format=_resolve(args.format, config, "format", "json"),
-    )
+    options = _options(args, VERIFY_OPTIONS)
+    if options["dim_max"] is None:
+        options["dim_max"] = SUITE_DIM_DEFAULT.get(options["suite"], RunConfig.dim_max)
+    tol = Tolerance(abs=options.pop("tol_abs"), rel=options.pop("tol_rel"))
+    cfg = RunConfig(tol=tol, **options)
     cfg.validate()
     if cfg.suite == "all":
         start = time.perf_counter()
@@ -176,53 +187,33 @@ def _constant_process(constant: float, dim: int, steps: int) -> ProcessSequence:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    opt = _options(args, SIMULATE_OPTIONS)
     experiment = args.experiment
-    seed = _resolve_seed(args.seed, config)
-    horizon = int(_resolve(args.n, config, "n", 10_000))
-    dim = int(_resolve(args.dim, config, "dim", 4))
-    amplitude = float(_resolve(args.amplitude, config, "amplitude", 1.0))
-    rates = WeightSequence.parse(str(_resolve(args.a, config, "a", "power:1")))
-    p = float(_resolve(args.p, config, "p", _EXPERIMENT_P_DEFAULT[experiment]))
-    epsilon = float(
-        _resolve(args.epsilon, config, "epsilon", DEFAULT_STOCHASTIC_EPSILON)
-    )
-    constant = _resolve(args.constant, config, "constant", None)
-    constant = None if constant is None else float(constant)
-    outdir = str(_resolve(args.output_dir, config, "output_dir", "."))
+    seed, horizon, dim, amplitude = opt["seed"], opt["n"], opt["dim"], opt["amplitude"]
+    rates = WeightSequence.parse(opt["a"])
+    p = _EXPERIMENT_P_DEFAULT[experiment] if opt["p"] is None else opt["p"]
+    epsilon = opt["epsilon"]
     if horizon < 1 or dim < 1:
         raise RieszmartError("n and dim must be >= 1")
-    _require_finite_options(p=p, epsilon=epsilon, amplitude=amplitude, constant=constant)
 
     start = time.perf_counter()
-    if experiment == "submartingale":
-        if constant is not None:
-            proc = _constant_process(constant, dim, horizon)
-        else:
-            proc = generate_submartingale(
-                GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)
-            )
-        report = submartingale_convergence_experiment(proc, rates, p, epsilon)
+    if experiment == "submartingale" and opt["constant"] is not None:
+        sequence = _constant_process(opt["constant"], dim, horizon)
     else:
-        diffs = generate_mds(
-            GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)
-        )
-        if experiment == "slln-p-le-2":
-            report = slln_p_le_2(diffs, rates, p, epsilon)
-        elif experiment == "slln-p-gt-2":
-            gamma = float(_resolve(args.gamma, config, "gamma", 1.5))
-            k = float(_resolve(args.k, config, "k", 2.0))
-            _require_finite_options(gamma=gamma, k=k)
-            report = slln_p_gt_2(diffs, rates, p, gamma, k, epsilon)
-        else:
-            report = slln_an_equals_n(diffs, p, epsilon)
+        gen = GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)
+        sequence = (generate_submartingale if experiment == "submartingale" else generate_mds)(gen)
+    if experiment == "submartingale":
+        report = submartingale_convergence_experiment(sequence, rates, p, epsilon)
+    elif experiment == "slln-p-le-2":
+        report = slln_p_le_2(sequence, rates, p, epsilon)
+    elif experiment == "slln-p-gt-2":
+        report = slln_p_gt_2(sequence, rates, p, opt["gamma"], opt["k"], epsilon)
+    else:
+        report = slln_an_equals_n(sequence, p, epsilon)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report.config["seed"] = seed
-    report.config["dim"] = dim
-    report.config["n"] = horizon
-    report.config["amplitude"] = amplitude
+    report.config.update(seed=seed, dim=dim, n=horizon, amplitude=amplitude)
 
-    stem = os.path.join(outdir, experiment.replace("-", "_"))
+    stem = os.path.join(opt["output_dir"], experiment.replace("-", "_"))
     write_text_atomic(stem + "_trajectory.csv", report.decay.to_csv())
     if report.hypothesis is not None:
         write_text_atomic(stem + "_hypothesis.csv", report.hypothesis.to_csv())
@@ -241,37 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify vector-lattice inequalities and run limit-theorem experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", help="run a randomized verification suite")
-    v.add_argument("--suite", choices=sorted(SUITES) + ["all"], default=None)
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--dim-max", type=int, default=None)
-    v.add_argument("--steps-max", type=int, default=None)
-    v.add_argument("--p-min", type=float, default=None)
-    v.add_argument("--p-max", type=float, default=None)
-    v.add_argument("--tol-abs", type=float, default=None)
-    v.add_argument("--tol-rel", type=float, default=None)
-    v.add_argument("--horizon", type=int, default=None)
-    v.add_argument("--output", default=None, help="report file (stdout when omitted)")
-    v.add_argument("--format", choices=["json", "csv"], default=None)
-    v.add_argument("--config", default=None, help="JSON config file")
-
-    s = sub.add_parser("simulate", help="run a limit-theorem experiment")
-    s.add_argument("experiment", choices=EXPERIMENTS)
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--gamma", type=float, default=None)
-    s.add_argument("--k", type=float, default=None)
-    s.add_argument("--n", type=int, default=None, help="horizon (number of stages)")
-    s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--amplitude", type=float, default=None)
-    s.add_argument("--a", default=None, help="rate sequence, e.g. power:1 for a_i = i")
-    s.add_argument("--constant", type=float, default=None,
-                   help="use the constant process c*e instead of a generated one")
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--output-dir", default=None)
-    s.add_argument("--config", default=None, help="JSON config file")
+    verify = sub.add_parser("verify", help="run a randomized verification suite")
+    simulate = sub.add_parser("simulate", help="run a limit-theorem experiment")
+    simulate.add_argument("experiment", choices=EXPERIMENTS)
+    for command, table in ((verify, VERIFY_OPTIONS), (simulate, SIMULATE_OPTIONS)):
+        for name, (convert, _, extras) in table.items():
+            command.add_argument("--" + name.replace("_", "-"), **{"type": convert, **extras})
+        command.add_argument("--config", help="JSON config file")
     return parser
 
 
@@ -291,10 +258,7 @@ def main(argv=None) -> int:
     command = cmd_verify if args.command == "verify" else cmd_simulate
     try:
         return command(args)
-    except RieszmartError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (RieszmartError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,6 +21,8 @@ from .lattice import (
     MarginCheck,
     SampleSpace,
     Tolerance,
+    _same_space,
+    compare,
     leq_with_tolerance,
     multiply,
 )
@@ -192,11 +194,15 @@ class ConditionalExpectationOp:
 def _eq_check(
     a: LatticeElement, b: LatticeElement, tol: Tolerance = DEFAULT_TOL
 ) -> MarginCheck:
-    """Two-sided comparison; margin is -max|a-b| (0 when exactly equal)."""
-    forward = leq_with_tolerance(a, b, tol)
-    backward = leq_with_tolerance(b, a, tol)
-    worse = forward if forward.margin <= backward.margin else backward
-    return MarginCheck(ok=forward.ok and backward.ok, margin=worse.margin, atom=worse.atom)
+    """Two-sided comparison; margin is -max|a-b| (0 when exactly equal).
+
+    Rows a <= b and b <= a in one compare; the lower margin is reported, and
+    the a <= b row on a tie."""
+    _same_space(a, b)
+    lhs, rhs = np.stack([a.coords, b.coords]), np.stack([b.coords, a.coords])
+    misses, margin, atom = compare(lhs, rhs, tol.slack(lhs, rhs))
+    worse = int(margin[1] < margin[0])
+    return MarginCheck(ok=not misses.any(), margin=float(margin[worse]), atom=int(atom[worse]))
 
 
 def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> LatticeElement:

@@ -164,6 +164,7 @@ def burkholder_ratio(
     square = square_function(sums)
     a_side = base.apply_rows(np.abs(sums.values) ** p)
     b_side = base.apply_rows(square.values ** (p / 2.0))
+    require_finite(a_side, b_side)
     if p == 2.0:
         ok, margin, worst = _rows_agree(a_side.ravel(), b_side.ravel(), tol)
         n_idx, atom = np.unravel_index(worst, a_side.shape)

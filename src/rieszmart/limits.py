@@ -137,7 +137,7 @@ def decay_report(
     )
 
 
-def series_report(terms: np.ndarray, epsilon_rel: float = SERIES_TAIL_REL) -> SeriesReport:
+def series_report(terms: np.ndarray) -> SeriesReport:
     """Cauchy-tail summary for the partial sums of an (N, dim) term matrix."""
     count = terms.shape[0]
     partial = np.cumsum(terms, axis=0)
@@ -146,7 +146,7 @@ def series_report(terms: np.ndarray, epsilon_rel: float = SERIES_TAIL_REL) -> Se
     gaps = np.abs(partial[-1][None, :] - partial[half - 1 :]).max(axis=1)
     tail_gap = float(gaps.max()) if gaps.size else 0.0
     scale = max(1.0, float(np.max(np.abs(partial[-1]))))
-    epsilon = epsilon_rel * scale
+    epsilon = SERIES_TAIL_REL * scale
     return SeriesReport(
         length=count,
         checkpoints=points,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalExpectationOp, Filtration, Partition, _stage_index
+from .conditional import ConditionalExpectationOp, Filtration, Partition
 from .errors import (
     NotAdapted,
     NotDifferenceSequence,
@@ -84,23 +84,13 @@ class ProcessSequence:
         return "\n".join(lines) + "\n"
 
 
-def _index_groups(distinct: list, stage: np.ndarray) -> list:
-    """Stages grouped by distinct operator, first seen first.  Indices are
-    numbered in first-seen order, so a prefix of a stage index holds groups
-    0..max and zip leaves out the operators it never reaches."""
+def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
+    """Stages [:stop] grouped by distinct operator, first seen first.  The
+    stage index numbers operators in first-seen order, so a prefix holds
+    groups 0..max and zip leaves out the operators it never reaches."""
+    stage = filtration.stage[:stop]
     ends = np.cumsum(np.bincount(stage))
-    return list(zip(distinct, np.split(np.argsort(stage, kind="stable"), ends)[:-1]))
-
-
-def _op_groups(ops) -> list[tuple[ConditionalExpectationOp, np.ndarray]]:
-    """Indices grouped by distinct operator, preserving first-seen order."""
-    _, distinct, stage = _stage_index(list(ops))
-    return _index_groups(distinct, stage)
-
-
-def _stage_groups(filtration: Filtration, stop: int | None = None):
-    """_op_groups(filtration.ops[:stop]), read from the stored stage index."""
-    return _index_groups(filtration.distinct, filtration.stage[:stop])
+    return list(zip(filtration.distinct, np.split(np.argsort(stage, kind="stable"), ends)[:-1]))
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:

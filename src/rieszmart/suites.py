@@ -9,7 +9,7 @@ trials run or in what order.  Reports echo the effective configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,17 +94,10 @@ class RunConfig:
                 hi if self.p_max is None else self.p_max)
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "dim_max": self.dim_max,
-            "steps_max": self.steps_max,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "tol": self.tol.to_json_dict(),
-            "horizon": self.horizon,
-        }
+        """Every field but where and how the report is written."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        del echo["output"], echo["format"]
+        return echo | {"tol": self.tol.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------

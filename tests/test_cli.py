@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from rieszmart import cli
 from rieszmart.cli import main
 from rieszmart.reports import strip_elapsed
 
@@ -362,3 +366,132 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         fresh.append(calls())
     assert all(run == cached for run in fresh)
     assert [c[0] for c in cached] == [2, 0, 0]
+
+
+# --- the option tables -------------------------------------------------------------
+
+TABLES = {"verify": cli.VERIFY_OPTIONS, "simulate": cli.SIMULATE_OPTIONS}
+COMMANDS = {"verify": ["verify"], "simulate": ["simulate", "slln-n"]}
+
+
+def float_options(command):
+    return [
+        name
+        for name, (convert, _, extras) in TABLES[command].items()
+        if extras.get("type", convert) is float
+    ]
+
+
+def two_values(convert, extras):
+    """A flag value and a different config-file value, with the values they
+    resolve to."""
+    if "choices" in extras:
+        first, second = extras["choices"][:2]
+        return first, second, first, second
+    kind = extras.get("type", convert)
+    if kind is int:
+        return "3", 5, 3, 5
+    if kind is float:
+        return "0.25", 0.5, 0.25, 0.5
+    return "from-flag", "from-config", "from-flag", "from-config"
+
+
+@pytest.mark.parametrize(
+    "command, name", [(command, name) for command in TABLES for name in TABLES[command]]
+)
+def test_flag_beats_config_file_beats_default(command, name, tmp_path, monkeypatch):
+    monkeypatch.delenv("RIESZ_MART_SEED", raising=False)
+    convert, default, extras = TABLES[command][name]
+    flag_text, config_value, from_flag, from_config = two_values(convert, extras)
+    flag = ["--" + name.replace("_", "-"), flag_text]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({name: config_value}))
+    with_config = ["--config", str(config)]
+    parser = cli.build_parser()
+
+    def resolved(argv):
+        args = parser.parse_args(COMMANDS[command] + argv)
+        return cli._options(args, TABLES[command])[name]
+
+    assert resolved(flag + with_config) == from_flag
+    assert resolved(with_config) == from_config
+    assert resolved([]) == default
+    if name == "seed":
+        monkeypatch.setenv("RIESZ_MART_SEED", "11")
+        assert resolved([]) == 11
+        assert resolved(with_config) == from_config
+        assert resolved(flag) == from_flag
+
+
+def test_float_options_are_the_parent_list():
+    assert float_options("verify") == ["p_min", "p_max", "tol_abs", "tol_rel"]
+    assert float_options("simulate") == ["p", "gamma", "k", "amplitude", "constant", "epsilon"]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command in TABLES for name in float_options(command)],
+)
+def test_every_float_option_must_be_finite(command, name, form, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "verify":
+        argv = ["verify", "--suite", "jensen", "--trials", "2", "--output", str(out / "r.json")]
+    else:
+        argv = ["simulate", "slln-n", "--n", "16", "--dim", "2", "--output-dir", str(out)]
+    if form == "flag":
+        argv += ["--" + name.replace("_", "-"), "nan"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({name: float("nan")}))  # the JSON token NaN
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_config_file_integers_for_float_options_echo_as_given(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p_min": 2, "p_max": 3, "tol_abs": 0}))
+    code, report = run_json(
+        capsys, ["verify", "--suite", "jensen", "--trials", "3", "--config", str(config)]
+    )
+    assert code in (0, 1)
+    assert json.dumps(report["config"]["p_min"]) == "2"
+    assert json.dumps(report["config"]["p_max"]) == "3"
+    assert json.dumps(report["config"]["tol"]["abs"]) == "0.0"
+
+
+def test_constant_process_ignores_the_generator_amplitude(tmp_path):
+    argv = ["simulate", "submartingale", "--constant", "1", "--amplitude", "-1", "--n", "16"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert main(["simulate", "slln-n", "--amplitude", "-1", "--n", "16",
+                 "--output-dir", str(tmp_path / "mds")]) == 2
+
+
+def help_flags(capsys, command):
+    assert main([command, "-h"]) == 0
+    return sorted(set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out)))
+
+
+def test_help_lists_the_same_flags(capsys):
+    assert help_flags(capsys, "verify") == [
+        "--config", "--dim-max", "--format", "--help", "--horizon", "--output", "--p-max",
+        "--p-min", "--seed", "--steps-max", "--suite", "--tol-abs", "--tol-rel", "--trials", "-h",
+    ]
+    assert help_flags(capsys, "simulate") == [
+        "--a", "--amplitude", "--config", "--constant", "--dim", "--epsilon", "--gamma",
+        "--help", "--k", "--n", "--output-dir", "--p", "--seed", "-h",
+    ]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("rieszmart ")]
+    assert len(lines) == 7
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command in ("verify", "simulate")

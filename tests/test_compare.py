@@ -22,6 +22,7 @@ from rieszmart import (
     GeneratorConfig,
     Partition,
     SampleSpace,
+    SpaceMismatch,
     Tolerance,
     WeightSequence,
     burkholder_ratio,
@@ -227,6 +228,37 @@ def test_leq_with_tolerance_matches_the_old_body():
         assert type(new.margin) is float and type(new.atom) is int
 
 
+def old_eq_check(a, b, tol):
+    """conditional._eq_check as two leq_with_tolerance calls."""
+    forward = inequalities.leq_with_tolerance(a, b, tol)
+    backward = inequalities.leq_with_tolerance(b, a, tol)
+    worse = forward if forward.margin <= backward.margin else backward
+    return MarginCheck(ok=forward.ok and backward.ok, margin=worse.margin, atom=worse.atom)
+
+
+def test_eq_check_matches_the_old_two_call_body():
+    stream = SplitMix64(29)
+    space = SampleSpace(stream.uniforms(6, 0.05, 1.0))
+    for trial in range(4000):
+        a = space.element(stream.uniforms(6, -2.0, 2.0))
+        kind = trial % 4
+        if kind == 0:  # exact agreement
+            b = a
+        elif kind == 1:  # agreement up to rounding
+            b = space.element(a.coords + stream.uniforms(6, -1e-13, 1e-13))
+        else:  # ties on some atoms, or none
+            tie = stream.floats(6) < (0.5 if kind == 2 else 0.0)
+            b = space.element(np.where(tie, a.coords, stream.uniforms(6, -2.0, 2.0)))
+        tol = (DEFAULT_TOL, NEGATIVE_SLACK, Tolerance(abs=-0.5, rel=0.0))[trial % 3]
+        new = conditional._eq_check(a, b, tol)
+        same_bytes(new, old_eq_check(a, b, tol))
+        assert type(new.ok) is bool and type(new.margin) is float and type(new.atom) is int
+        if kind == 0:
+            assert math.copysign(1.0, new.margin) == 1.0
+    with pytest.raises(SpaceMismatch):
+        conditional._eq_check(a, SampleSpace.uniform(6).element(a.coords))
+
+
 @pytest.mark.parametrize(
     "suite", ["holder", "clarkson", "jensen", "ce-axioms", "telescoping", "hrc"]
 )
@@ -378,6 +410,15 @@ OVERFLOWING = {
 def test_experiments_whose_compared_stacks_overflow_raise(name, amplitude):
     with pytest.raises(ValueError, match="coordinates must be finite"):
         OVERFLOWING[name](GeneratorConfig(seed=1, dim=4, steps=64, amplitude=amplitude))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_burkholder_ratio_whose_sides_overflow_raises(p):
+    # Before, both sides overflowed to inf and the ratios read NaN.
+    diffs = generate_mds(GeneratorConfig(seed=1, dim=4, steps=16, amplitude=1e110))
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        burkholder_ratio(diffs, diffs.filtration[0], p)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -29,7 +29,6 @@ from rieszmart.processes import (
     NONE,
     SUBMARTINGALE,
     SUPERMARTINGALE,
-    _op_groups,
     _stage_groups,
     make_space,
 )
@@ -55,7 +54,8 @@ def classify_full_matrix(process, tol=DEFAULT_TOL):
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
     is_sub = True
     is_super = True
-    for op, idx in _op_groups(process.filtration.ops[: count - 1]):
+    for op, idx in op_groups_by_dict(process.filtration.ops[: count - 1]):
+        idx = np.asarray(idx)
         transformed = mat if op.is_identity else op.apply_rows(mat)
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
         suff_max = np.maximum.accumulate(transformed[::-1], axis=0)[::-1]
@@ -282,7 +282,7 @@ def generate_mds_per_stage(cfg, filtration):
 
 
 def op_groups_by_dict(ops):
-    """Reference _op_groups: hash every stage's blocks into a dict."""
+    """Reference stage grouping: hash every stage's blocks into a dict."""
     groups = {}
     for i, op in enumerate(ops):
         groups.setdefault(op.partition.blocks, (op, []))[1].append(i)
@@ -347,24 +347,6 @@ def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
     assert str(stacked.value) == str(oracle.value)
     first = filt.ops.index(op) + 1
     assert str(stacked.value).endswith(f"at step {first}")
-
-
-def test_op_groups_match_dict_grouping():
-    space = SampleSpace(np.linspace(0.1, 1.0, 9))
-    filtrations = [
-        default_filtration(space, 30),
-        equal_partitions_as_distinct_objects(space),
-        _refining_filtration(SplitMix64(5), space, 20),
-    ]
-    for filt in filtrations:
-        for ops in (filt.ops, filt.ops[:-1], filt.ops[3:]):
-            got = _op_groups(ops)
-            expected = op_groups_by_dict(ops)
-            assert [op for op, _ in got] == [op for op, _ in expected]
-            assert all(a is b for (a, _), (b, _) in zip(got, expected))
-            assert [idx.tolist() for _, idx in got] == [idx for _, idx in expected]
-            assert all(idx.dtype == np.intp for _, idx in got)
-
 
 
 def stage_index_by_rescan(ops):
