@@ -58,8 +58,10 @@ _EXPERIMENT_P_DEFAULT = {
 
 # name: (conversion, default, argparse extras).  The conversion applies to flag
 # and config-file values alike; argparse converts flags with extras["type"]
-# if given, else with the conversion.  None keeps the value as given.  Float
-# options must be finite.  Verify's defaults are those of RunConfig/Tolerance.
+# if given, else with the conversion.  None keeps the value as given, which
+# must then have its flag's JSON type: a number for a float flag, else a
+# string.  Float options must be finite: RunConfig.validate checks verify's,
+# cmd_simulate simulate's.  Verify's defaults are those of RunConfig/Tolerance.
 VERIFY_OPTIONS = {
     "suite": (None, RunConfig.suite, {"choices": sorted(SUITES) + ["all"]}),
     "trials": (int, RunConfig.trials, {}),
@@ -117,8 +119,11 @@ def _options(args: argparse.Namespace, table: dict) -> dict:
             value = default
         elif convert is not None:
             value = convert(value)
-        if extras.get("type", convert) is float:
-            _require_finite_options(**{name: value})
+        elif extras.get("type") is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise RieszmartError(f"{name} must be a number, got {value!r}")
+        elif not isinstance(value, str):
+            raise RieszmartError(f"{name} must be a string, got {value!r}")
         options[name] = value
     return options
 
@@ -188,6 +193,9 @@ def _constant_process(constant: float, dim: int, steps: int) -> ProcessSequence:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     opt = _options(args, SIMULATE_OPTIONS)
+    _require_finite_options(
+        **{name: opt[name] for name, (kind, _, _) in SIMULATE_OPTIONS.items() if kind is float}
+    )
     experiment = args.experiment
     seed, horizon, dim, amplitude = opt["seed"], opt["n"], opt["dim"], opt["amplitude"]
     rates = WeightSequence.parse(opt["a"])

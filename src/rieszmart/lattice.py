@@ -256,6 +256,18 @@ class MarginCheck:
         return {"ok": self.ok, "margin": self.margin, "atom": self.atom}
 
 
+# Long (N, n) stacks are processed in row blocks of about this many elements,
+# so element-wise temporaries stay O(block) at any horizon.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering range(rows), each of about BLOCK_ELEMENTS
+    elements when a row holds width of them."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def compare(lhs, rhs, slack):
     """lhs <= rhs + slack along the last axis.
 

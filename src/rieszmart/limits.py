@@ -29,7 +29,7 @@ from .errors import (
     NotSummable,
     ParameterViolation,
 )
-from .lattice import DEFAULT_TOL, Tolerance, compare, require_finite
+from .lattice import DEFAULT_TOL, Tolerance, compare, require_finite, row_blocks
 from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
@@ -117,10 +117,13 @@ class WeightSequence:
 def decay_report(
     values: np.ndarray, epsilon: float, verdict_index: int | None = None
 ) -> DecaySequenceReport:
-    """Suffix-sup summary of an (N, dim) trajectory."""
+    """Suffix-sup summary of an (N, dim) trajectory; the row maxima are
+    taken one row block at a time."""
     count = values.shape[0]
     points = checkpoint_schedule(count)
-    max_abs = np.max(np.abs(values), axis=1)
+    max_abs = np.concatenate(
+        [np.max(np.abs(values[rows]), axis=1) for rows in row_blocks(*values.shape)]
+    )
     suffix = np.maximum.accumulate(max_abs[::-1])[::-1]
     if verdict_index is None:
         verdict_index = len(points) - 1
@@ -137,21 +140,58 @@ def decay_report(
     )
 
 
+def _cumsum_blocks(terms: np.ndarray, start: np.ndarray | None = None):
+    """(rows, partial sums) of cumsum(terms, axis=0) one row block at a time,
+    added to start if given.  Each block's first row adds the last partial
+    sum before it, so the adds are those of one cumsum."""
+    carry = start
+    for rows in row_blocks(*terms.shape):
+        block = np.array(terms[rows])
+        if carry is not None:
+            block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        carry = block[-1]
+        yield rows, block
+
+
+def _prefix_rows(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows index of the prefix sums of terms from a zero row (row j sums
+    terms[:j]), with the adds of one cumsum over the zero-topped stack."""
+    out = np.zeros((len(index), terms.shape[1]))
+    for rows, partial in _cumsum_blocks(terms, start=np.zeros(terms.shape[1])):
+        hit = (index > rows.start) & (index <= rows.stop)
+        out[hit] = partial[index[hit] - 1 - rows.start]
+    return out
+
+
 def series_report(terms: np.ndarray) -> SeriesReport:
-    """Cauchy-tail summary for the partial sums of an (N, dim) term matrix."""
+    """Cauchy-tail summary for the partial sums of an (N, dim) term matrix.
+
+    The partial sums are formed one row block at a time.  The tail gap
+    max |s_N - s_m| over m >= N/2 comes from the columnwise min and max of
+    those s_m: rounded subtraction is monotone, so the extremes give it
+    exactly."""
     count = terms.shape[0]
-    partial = np.cumsum(terms, axis=0)
     points = checkpoint_schedule(count)
     half = (count + 1) // 2
-    gaps = np.abs(partial[-1][None, :] - partial[half - 1 :]).max(axis=1)
-    tail_gap = float(gaps.max()) if gaps.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(partial[-1]))))
+    at = {}
+    low, high = np.full(terms.shape[1], np.inf), np.full(terms.shape[1], -np.inf)
+    for rows, partial in _cumsum_blocks(terms):
+        for c in points:
+            if rows.start < c <= rows.stop:
+                at[c] = partial[c - 1 - rows.start].copy()
+        tail = partial[max(half - 1 - rows.start, 0) :]
+        low = np.minimum(low, tail.min(axis=0, initial=np.inf))
+        high = np.maximum(high, tail.max(axis=0, initial=-np.inf))
+    last = at[count]
+    tail_gap = float(np.max(np.abs(last - np.stack([low, high]))))
+    scale = max(1.0, float(np.max(np.abs(last))))
     epsilon = SERIES_TAIL_REL * scale
     return SeriesReport(
         length=count,
         checkpoints=points,
-        values=[[float(v) for v in partial[c - 1]] for c in points],
-        max_abs=[float(np.max(np.abs(partial[c - 1]))) for c in points],
+        values=[[float(v) for v in at[c]] for c in points],
+        max_abs=[float(np.max(np.abs(at[c]))) for c in points],
         tail_gap=tail_gap,
         epsilon=epsilon,
         scale=scale,
@@ -212,14 +252,43 @@ def kronecker_transform(
     return decay_report(z, epsilon)
 
 
+class _Fold:
+    """One check lhs <= rhs + slack fed a stack in consecutive row blocks.
+    The misses add up, the margin is the least, and the witness is the first
+    worst component: what one compare over the ravelled stack gives."""
+
+    def __init__(self):
+        self.misses, self.margin, self.rows = 0, math.inf, 0
+        self.worst = self.where = None
+
+    def add(self, lhs, rhs, slack) -> None:
+        require_finite(lhs, rhs)
+        shape = np.broadcast(lhs, rhs).shape
+        misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
+        pos = np.unravel_index(at, shape)
+        low, high, room = (np.broadcast_to(x, shape)[pos] for x in (lhs, rhs, slack))
+        worst = high - low + room  # the compared value at the argmin
+        self.misses += int(misses)
+        self.margin = np.minimum(self.margin, margin)
+        # argmin semantics: the first NaN, else the first least value.
+        if self.worst is None or worst < self.worst or np.isnan(worst) > np.isnan(self.worst):
+            self.worst, self.where = worst, (self.rows + int(pos[0]), int(pos[1]))
+        self.rows += shape[0]
+
+    def record(self, summary: CheckSummary, witness: str) -> None:
+        summary.record_many([self.misses], [self.margin], lambda _: f"{witness} at {self.where}")
+
+
 def _check(summary: CheckSummary, lhs, rhs, slack, witness: str) -> None:
     """Record lhs <= rhs + slack over whole stacks as one comparison that
-    counts every missing component; a miss names the first worst one."""
-    require_finite(lhs, rhs)
-    shape = np.broadcast(lhs, rhs).shape
-    misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
-    where = tuple(int(i) for i in np.unravel_index(at, shape))
-    summary.record_many([misses], [margin], lambda _: f"{witness} at {where}")
+    counts every missing component; a miss names the first worst one.  The
+    stacks are compared one row block at a time, with slack(lhs, rhs) formed
+    per block; a scalar side is broadcast."""
+    fold = _Fold()
+    for rows in row_blocks(*np.broadcast(lhs, rhs).shape):
+        low, high = (x if np.ndim(x) == 0 else x[rows] for x in (lhs, rhs))
+        fold.add(low, high, slack(low, high))
+    fold.record(summary, witness)
 
 
 def submartingale_convergence_experiment(
@@ -248,17 +317,19 @@ def submartingale_convergence_experiment(
     rates.require_divergent()
     a = rates.values(count)
     t1 = process.filtration[0]
-    powers = process.values**p
-    if count > 1:
-        terms = t1.apply_rows((powers[1:] - powers[:-1]) / (a[1:] ** p)[:, None])
-    else:
-        terms = np.zeros((0, process.space.n))
     checks = {"term-nonneg": CheckSummary()}
-    if terms.size:
-        _check(checks["term-nonneg"], 0.0, terms, tol.slack(0.0, terms), "series term sign")
+    if count > 1:
+        powers = process.values**p
+        terms = powers[1:] - powers[:-1]
+        del powers
+        terms /= (a[1:] ** p)[:, None]
+        terms = t1.apply_rows(terms)
+        _check(checks["term-nonneg"], 0.0, terms, tol.slack, "series term sign")
+        series = series_report(terms)
+        del terms
     else:
         checks["term-nonneg"].record(True, 0.0, "no terms")
-    series = series_report(terms) if terms.size else series_report(np.zeros((1, process.space.n)))
+        series = series_report(np.zeros((1, process.space.n)))
     decay = decay_report(process.values / a[:, None], epsilon)
     return ExperimentReport(
         experiment="submartingale",
@@ -292,11 +363,14 @@ def slln_p_le_2(
     rates.require_divergent()
     a = rates.values(count)
     t1 = diffs.filtration[0]
-    absy_p = np.abs(diffs.values) ** p
+    # Each (N, n) stack is built once, in place where the ufunc allows.
+    absy_p = np.abs(diffs.values)
+    absy_p **= p
     series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
-    sums = np.cumsum(diffs.values, axis=0)
-    decay = decay_report(sums / a[:, None], epsilon)
-    absx_p = np.abs(sums) ** p
+    absx_p = np.cumsum(diffs.values, axis=0)
+    decay = decay_report(absx_p / a[:, None], epsilon)
+    np.abs(absx_p, out=absx_p)
+    absx_p **= p
     checks = {
         "power-diff-nonneg": CheckSummary(),
         "power-diff-dominated": CheckSummary(),
@@ -305,10 +379,20 @@ def slln_p_le_2(
     if count > 1:
         slack = tol.abs + tol.rel * scale
         for op, idx in _stage_groups(diffs.filtration, count - 1):
-            nxt, here = op.apply_rows(absx_p[idx + 1]), op.apply_rows(absx_p[idx])
-            dom = op.apply_rows(2.0 * absy_p[idx + 1])
-            _check(checks["power-diff-nonneg"], here, nxt, slack, "lower bound")
-            _check(checks["power-diff-dominated"], nxt - here, dom, slack, "upper bound")
+            lower, upper = _Fold(), _Fold()
+            # The identity group, most stages of a long horizon, is gathered
+            # one row block at a time; a dense product keeps whole operands.
+            if op.is_identity:
+                parts = [idx[rows] for rows in row_blocks(len(idx), absx_p.shape[1])]
+            else:
+                parts = [idx]
+            for rows in parts:
+                nxt, here = op.apply_rows(absx_p[rows + 1]), op.apply_rows(absx_p[rows])
+                dom = op.apply_rows(2.0 * absy_p[rows + 1])
+                lower.add(here, nxt, slack)
+                upper.add(nxt - here, dom, slack)
+            lower.record(checks["power-diff-nonneg"], "lower bound")
+            upper.record(checks["power-diff-dominated"], "upper bound")
     else:
         for summary in checks.values():
             summary.record(True, 0.0, "single stage")
@@ -363,23 +447,33 @@ def slln_p_gt_2(
         )
     delta = (p - gamma) / (p / 2.0 - 1.0)
     t1 = diffs.filtration[0]
-    hyp_terms = t1.apply_rows(np.abs(diffs.values) ** p / (a**gamma)[:, None])
-    series = series_report(hyp_terms)
-    sums = np.cumsum(diffs.values, axis=0)
-    decay = decay_report(sums / a[:, None], epsilon)
-
-    # Prefix sums from a zero row, so segment m..n is prefix[n] - prefix[m - 1].
-    pre_sq, pre_hyp, pre_delta = (
-        np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
-        for terms in (t1.apply_rows(diffs.values**2 / (a**2)[:, None]), hyp_terms, 1.0 / a**delta)
-    )
     points = np.array(checkpoint_schedule(count))
     m, n = (points[i] for i in np.triu_indices(len(points), 1))
-    lhs = pre_sq[n] - pre_sq[m - 1]
+    # Prefix sums from a zero row, so segment m..n is prefix[n] - prefix[m - 1];
+    # only the rows at n (first) and m - 1 (second) are kept.
+    ends = np.concatenate((n, m - 1))
+    hyp_terms = np.abs(diffs.values)
+    hyp_terms **= p
+    hyp_terms /= (a**gamma)[:, None]
+    hyp_terms = t1.apply_rows(hyp_terms)
+    series = series_report(hyp_terms)
+    pre_hyp = _prefix_rows(hyp_terms, ends)
+    del hyp_terms
+    sums = np.cumsum(diffs.values, axis=0)
+    sums /= a[:, None]
+    decay = decay_report(sums, epsilon)
+    del sums
+    sq_terms = diffs.values**2
+    sq_terms /= (a**2)[:, None]
+    pre_sq = _prefix_rows(t1.apply_rows(sq_terms), ends)
+    del sq_terms
+    pre_delta = _prefix_rows((1.0 / a**delta)[:, None], ends)[:, 0]
+    pairs = len(m)
+    lhs = pre_sq[:pairs] - pre_sq[pairs:]
     # One scalar power per pair for the delta factor: numpy's array power
     # may round it differently.
-    delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[n] - pre_delta[m - 1]]
-    rhs = (pre_hyp[n] - pre_hyp[m - 1]) ** (2.0 / p) * np.array(delta_factor)[:, None]
+    delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[:pairs] - pre_delta[pairs:]]
+    rhs = (pre_hyp[:pairs] - pre_hyp[pairs:]) ** (2.0 / p) * np.array(delta_factor)[:, None]
     require_finite(lhs, rhs)
     misses, margin, at = compare(lhs, rhs, tol.slack(lhs, rhs))
     checks = {"holder-reduction": CheckSummary()}
@@ -439,18 +533,30 @@ def slln_an_equals_n(
     steps = np.arange(1, count + 1, dtype=np.float64)
     t1 = diffs.filtration[0]
 
-    # Each (N, n) intermediate is computed once and dropped after its last
-    # use, for peak memory: at long horizons that halves the peak.
-    absy = np.abs(diffs.values)
-    absy_p = absy**p
+    # Each (N, n) stack is built once, in place where the ufunc allows, and
+    # dropped after its last use; T_1's dense products keep whole operands.
+    sums = np.cumsum(diffs.values, axis=0)
+    sums /= steps[:, None]
+    decay = decay_report(sums, epsilon)
+    del sums
+    absy_p = np.abs(diffs.values)
+    absy_p **= p
     series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
-    decay = decay_report(np.cumsum(diffs.values, axis=0) / steps[:, None], epsilon)
-    bound_rhs = (steps ** (p / 2.0 - 1.0))[:, None] * np.cumsum(t1.apply_rows(absy_p), axis=0)
+    bound_rhs = t1.apply_rows(absy_p)
     del absy_p
-    absy_sq = absy**2
-    exchange_lhs = t1.apply_rows(np.cumsum(absy_sq, axis=0) ** (p / 2.0))
-    exchange_rhs = np.cumsum(t1.apply_rows(absy_sq), axis=0) ** (p / 2.0)
-    del absy, absy_sq
+    np.cumsum(bound_rhs, axis=0, out=bound_rhs)
+    bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
+    del steps
+    absy_sq = np.abs(diffs.values)
+    absy_sq **= 2
+    running = np.cumsum(absy_sq, axis=0)
+    running **= p / 2.0
+    exchange_lhs = t1.apply_rows(running)
+    del running
+    exchange_rhs = t1.apply_rows(absy_sq)
+    del absy_sq
+    np.cumsum(exchange_rhs, axis=0, out=exchange_rhs)
+    exchange_rhs **= p / 2.0
 
     checks = {
         "square-sum-exchange": CheckSummary(),
@@ -462,7 +568,7 @@ def slln_an_equals_n(
         ("moment-power-step", exchange_rhs, bound_rhs),
         ("square-sum-power-bound", exchange_lhs, bound_rhs),
     ):
-        _check(checks[name], lhs, rhs, tol.slack(lhs, rhs), name)
+        _check(checks[name], lhs, rhs, tol.slack, name)
     return ExperimentReport(
         experiment="slln-n",
         config={"p": p, "rates": "power:1", "epsilon": epsilon},

@@ -7,10 +7,11 @@ operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).  The
 groups come from the filtration's stored stage index.
 
-Generators draw every stage at once from the per-step SplitMix64 substreams
-(seed, "mds-step", i), so a fixed GeneratorConfig reproduces the same process
-bit for bit.  Step i draws a block-constant Z_i for the stage-i partition in
-[-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
+Generators draw the stages in row blocks from the per-step SplitMix64
+substreams (seed, "mds-step", i), so a fixed GeneratorConfig reproduces the
+same process bit for bit.  Step i draws a block-constant Z_i for the stage-i
+partition in [-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with
+Y_1 = Z_1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NotSubmartingale,
     SpaceMismatch,
 )
-from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance
+from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, row_blocks
 from .rng import SplitMix64, derive_seed, substream_floats
 
 MARTINGALE = "martingale"
@@ -251,10 +252,14 @@ def _split_largest_chain(first: Partition, steps: int) -> Filtration:
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:
     """Martingale difference sequence with increments bounded by 2*amplitude.
 
-    All stages are drawn at once; one bincount over per-stage block ids adds
-    each block's terms in the order a per-row apply_array does.  The block
-    ids of stage i are those of filtration.distinct[filtration.stage[i]],
-    so the stages are laid out without a pass over filtration.ops.
+    Stages are generated in consecutive row blocks of lattice.BLOCK_ELEMENTS
+    values, written into one (N, n) output, so temporaries stay O(block)
+    at any horizon.  Stage i draws its own substream (seed, "mds-step", i),
+    and one bincount over per-stage block ids conditions a block's rows,
+    row i binned by the blocks of stage i - 1 (read again for a block's
+    first row).  Every bin holds the terms of one row, added in the order a
+    per-row apply_array adds them, so the blocks change no bit.  The block
+    ids of stage i are those of filtration.distinct[filtration.stage[i]].
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
@@ -262,43 +267,55 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     past the first singleton stage add draws but no signal, so horizons
     beyond dim stages carry none.
     """
-    space = filtration.space if filtration is not None else make_space(cfg)
     if filtration is None:
-        filtration = default_filtration(space, cfg.steps)
+        filtration = default_filtration(make_space(cfg), cfg.steps)
     elif len(filtration) != cfg.steps:
         raise ValueError("filtration length does not match steps")
-    distinct, stage = filtration.distinct, filtration.stage
+    # The blocks' temporaries are freed before ProcessSequence copies the rows.
+    return ProcessSequence(filtration, _mds_rows(cfg, filtration))
+
+
+def _mds_rows(cfg: GeneratorConfig, filtration: Filtration) -> np.ndarray:
+    """The (N, n) values of generate_mds, one row block at a time."""
+    space, distinct, stage = filtration.space, filtration.distinct, filtration.stage
     group_blocks = np.array([op.partition.num_blocks for op in distinct])
-    counts = group_blocks[stage]
-    starts = np.cumsum(counts) - counts  # first stacked block of each stage
-    # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
-    vals = -cfg.amplitude + 2 * cfg.amplitude * substream_floats(counts, cfg.seed, "mds-step")
-    block_weight = np.concatenate([op.block_weight for op in distinct])[
-        np.repeat(np.cumsum(group_blocks)[stage] - counts - starts, counts) + np.arange(vals.size)
-    ]
-    # idx[i, a]: stacked block of atom a at stage i; row i is binned by idx[i - 1].
-    idx = np.stack([op.partition.block_id for op in distinct])[stage]
-    idx += starts[:, None]
-    rows = vals[idx]
-    del vals
-    bins = idx[:-1].ravel()
-    scratch = rows[1:] * space.weights
-    means = np.bincount(bins, weights=scratch.ravel(), minlength=block_weight.size) / block_weight
-    # mode="clip" writes straight into out (every index is in range).
-    np.take(means, idx[:-1], out=scratch, mode="clip")
-    rows[1:] -= scratch
-    np.multiply(rows[1:], space.weights, out=scratch)
-    means = np.bincount(bins, weights=scratch.ravel(), minlength=block_weight.size) / block_weight
-    residuals = np.maximum.reduceat(np.abs(means), starts[:-1])
+    group_first = np.cumsum(group_blocks) - group_blocks
+    block_weight = np.concatenate([op.block_weight for op in distinct])
+    block_id = np.stack([op.partition.block_id for op in distinct])
     check_slack = 1e-12 * max(1.0, cfg.amplitude)
-    over = np.flatnonzero(residuals > check_slack)
-    if over.size:
-        i = over[0]
-        raise AssertionError(
-            f"difference residual {residuals[i]} exceeds {check_slack} at step {i + 1}"
-        )
-    del idx, bins, scratch, means, block_weight  # before ProcessSequence copies rows
-    return ProcessSequence(filtration, rows)
+    out = np.empty((len(stage), space.n))
+    for rows in row_blocks(len(stage), space.n):
+        counts = group_blocks[stage[rows]]
+        starts = np.cumsum(counts) - counts  # first drawn value of each stage
+        # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
+        vals = substream_floats(counts, cfg.seed, "mds-step", first=rows.start)
+        vals = -cfg.amplitude + 2 * cfg.amplitude * vals
+        # mode="clip" writes straight into out (every index is in range).
+        np.take(vals, block_id[stage[rows]] + starts[:, None], out=out[rows], mode="clip")
+        lo = max(rows.start, 1)
+        if lo == rows.stop:
+            continue
+        prev = stage[lo - 1 : rows.stop - 1]
+        counts = group_blocks[prev]
+        starts = np.cumsum(counts) - counts
+        bins = block_id[prev] + starts[:, None]
+        shift = np.repeat(group_first[prev] - starts, counts)  # bin to block_weight index
+        weight = block_weight[shift + np.arange(shift.size)]
+        cond = out[lo : rows.stop]
+        scratch = cond * space.weights
+        means = np.bincount(bins.ravel(), weights=scratch.ravel(), minlength=weight.size) / weight
+        np.take(means, bins, out=scratch, mode="clip")
+        cond -= scratch
+        np.multiply(cond, space.weights, out=scratch)
+        means = np.bincount(bins.ravel(), weights=scratch.ravel(), minlength=weight.size) / weight
+        residuals = np.maximum.reduceat(np.abs(means), starts)
+        over = np.flatnonzero(residuals > check_slack)
+        if over.size:
+            i = over[0]
+            raise AssertionError(
+                f"difference residual {residuals[i]} exceeds {check_slack} at step {lo + i}"
+            )
+    return out
 
 
 def generate_submartingale(

@@ -36,13 +36,16 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def substream_floats(counts: np.ndarray, seed: int, *labels: int | str) -> np.ndarray:
-    """substream(seed, *labels, i).floats(counts[i]) for every i, concatenated.
-    Label i is one mix64 of the hashed prefix; word k of a stream seeded s is
-    mix64(s + k * golden) mod 2**64, and k = j - before for word j of the whole."""
+def substream_floats(
+    counts: np.ndarray, seed: int, *labels: int | str, first: int = 0
+) -> np.ndarray:
+    """substream(seed, *labels, first + i).floats(counts[i]) for every i,
+    concatenated.  Label first + i is one mix64 of the hashed prefix; word k
+    of a stream seeded s is mix64(s + k * golden) mod 2**64, and
+    k = j - before for word j of the whole."""
     golden = np.uint64(_GOLDEN)
     prefix = np.uint64(derive_seed(seed, *labels))
-    seeds = mix64_array(np.arange(len(counts), dtype=np.uint64) ^ prefix)
+    seeds = mix64_array(np.arange(first, first + len(counts), dtype=np.uint64) ^ prefix)
     words = np.arange(1, int(np.sum(counts)) + 1, dtype=np.uint64) * golden
     words += np.repeat(seeds - (np.cumsum(counts) - counts).astype(np.uint64) * golden, counts)
     return (mix64_array(words) >> np.uint64(11)) * 2.0**-53

@@ -1,0 +1,428 @@
+"""Long stacks in row blocks, against the whole-array bodies they replaced.
+
+generate_mds, the experiments' componentwise checks, series_report,
+decay_report and the four limit experiments process (N, n) stacks one row
+block of lattice.BLOCK_ELEMENTS elements at a time.  The copies below are
+the whole-array bodies before that change.  On a grid fixed in advance, at
+the module block size and at block sizes small enough to put block edges
+everywhere, every report must come out with the same bytes and every
+overflow with the same error.  The memory tests bound the traced peak of
+the long-horizon paths at N = 10^5 stages as multiples of the values array.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rieszmart import (
+    DEFAULT_TOL,
+    GeneratorConfig,
+    Tolerance,
+    WeightSequence,
+    checkpoint_schedule,
+    classify,
+    decay_report,
+    generate_mds,
+    generate_submartingale,
+    lattice,
+    limits,
+    require_difference_sequence,
+    series_report,
+)
+from rieszmart.lattice import compare, require_finite
+from rieszmart.limits import SERIES_TAIL_REL
+from rieszmart.processes import _stage_groups, make_space
+from rieszmart.reports import (
+    CheckSummary,
+    DecaySequenceReport,
+    ExperimentReport,
+    SeriesReport,
+    dump_json,
+)
+from rieszmart.rng import SplitMix64
+from rieszmart.suites import _refining_filtration
+
+BLOCK_SIZES = [lattice.BLOCK_ELEMENTS, 1, 7, 64]
+TOLS = [DEFAULT_TOL, Tolerance(abs=-1e-3)]
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=lambda b: f"block{b}")
+def block_elements(request, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", request.param)
+    return request.param
+
+
+@pytest.fixture
+def lenient_gates(monkeypatch):
+    """Hypothesis gates keep the default slack, so a negative one fails
+    comparisons only (the copies below call them at the default)."""
+    monkeypatch.setattr(limits, "classify", lambda proc, tol=None: classify(proc))
+    gate = require_difference_sequence
+    monkeypatch.setattr(limits, "require_difference_sequence", lambda proc, tol=None: gate(proc))
+
+
+def outcome(run):
+    """Report bytes, or the type and text of the exception raised."""
+    try:
+        return dump_json(run().to_json_dict())
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# --- the whole-array bodies -------------------------------------------------
+
+
+def old_decay_report(values, epsilon, verdict_index=None):
+    count = values.shape[0]
+    points = checkpoint_schedule(count)
+    max_abs = np.max(np.abs(values), axis=1)
+    suffix = np.maximum.accumulate(max_abs[::-1])[::-1]
+    if verdict_index is None:
+        verdict_index = len(points) - 1
+    tail = [float(suffix[c - 1]) for c in points]
+    return DecaySequenceReport(
+        horizon=count,
+        checkpoints=points,
+        values=[[float(v) for v in values[c - 1]] for c in points],
+        max_abs=[float(max_abs[c - 1]) for c in points],
+        tail_sup=tail,
+        epsilon=epsilon,
+        verdict_index=verdict_index,
+        verdict=bool(tail[verdict_index] <= epsilon),
+    )
+
+
+def old_series_report(terms):
+    count = terms.shape[0]
+    partial = np.cumsum(terms, axis=0)
+    points = checkpoint_schedule(count)
+    half = (count + 1) // 2
+    gaps = np.abs(partial[-1][None, :] - partial[half - 1 :]).max(axis=1)
+    tail_gap = float(gaps.max()) if gaps.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(partial[-1]))))
+    epsilon = SERIES_TAIL_REL * scale
+    return SeriesReport(
+        length=count,
+        checkpoints=points,
+        values=[[float(v) for v in partial[c - 1]] for c in points],
+        max_abs=[float(np.max(np.abs(partial[c - 1]))) for c in points],
+        tail_gap=tail_gap,
+        epsilon=epsilon,
+        scale=scale,
+        converged=bool(tail_gap <= epsilon),
+        term_min=float(terms.min()) if terms.size else 0.0,
+    )
+
+
+def old_check(summary, lhs, rhs, slack, witness):
+    require_finite(lhs, rhs)
+    shape = np.broadcast(lhs, rhs).shape
+    misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
+    where = tuple(int(i) for i in np.unravel_index(at, shape))
+    summary.record_many([misses], [margin], lambda _: f"{witness} at {where}")
+
+
+def old_submartingale(process, rates, p, epsilon=0.1, tol=DEFAULT_TOL):
+    classify(process)
+    count = len(process)
+    a = rates.values(count)
+    t1 = process.filtration[0]
+    powers = process.values**p
+    if count > 1:
+        terms = t1.apply_rows((powers[1:] - powers[:-1]) / (a[1:] ** p)[:, None])
+    else:
+        terms = np.zeros((0, process.space.n))
+    checks = {"term-nonneg": CheckSummary()}
+    if terms.size:
+        old_check(checks["term-nonneg"], 0.0, terms, tol.slack(0.0, terms), "series term sign")
+    else:
+        checks["term-nonneg"].record(True, 0.0, "no terms")
+    series = old_series_report(terms if terms.size else np.zeros((1, process.space.n)))
+    decay = old_decay_report(process.values / a[:, None], epsilon)
+    return ExperimentReport(
+        experiment="submartingale",
+        config={"p": p, "rates": rates.label(), "epsilon": epsilon},
+        decay=decay,
+        hypothesis=series,
+        checks=checks,
+        verdict=bool(series.converged and decay.verdict),
+    )
+
+
+def old_slln_p_le_2(diffs, rates, p, epsilon=0.1, tol=DEFAULT_TOL):
+    require_difference_sequence(diffs)
+    count = len(diffs)
+    a = rates.values(count)
+    t1 = diffs.filtration[0]
+    absy_p = np.abs(diffs.values) ** p
+    series = old_series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
+    sums = np.cumsum(diffs.values, axis=0)
+    decay = old_decay_report(sums / a[:, None], epsilon)
+    absx_p = np.abs(sums) ** p
+    checks = {"power-diff-nonneg": CheckSummary(), "power-diff-dominated": CheckSummary()}
+    scale = float(np.max(absx_p)) if absx_p.size else 1.0
+    if count > 1:
+        slack = tol.abs + tol.rel * scale
+        for op, idx in _stage_groups(diffs.filtration, count - 1):
+            nxt, here = op.apply_rows(absx_p[idx + 1]), op.apply_rows(absx_p[idx])
+            dom = op.apply_rows(2.0 * absy_p[idx + 1])
+            old_check(checks["power-diff-nonneg"], here, nxt, slack, "lower bound")
+            old_check(checks["power-diff-dominated"], nxt - here, dom, slack, "upper bound")
+    else:
+        for summary in checks.values():
+            summary.record(True, 0.0, "single stage")
+    return ExperimentReport(
+        experiment="slln-p-le-2",
+        config={"p": p, "rates": rates.label(), "epsilon": epsilon},
+        decay=decay,
+        hypothesis=series,
+        checks=checks,
+        verdict=bool(series.converged and decay.verdict),
+    )
+
+
+def old_slln_p_gt_2(diffs, rates, p, gamma, k, epsilon=0.1, tol=DEFAULT_TOL):
+    require_difference_sequence(diffs)
+    count = len(diffs)
+    a = rates.values(count)
+    gate = old_series_report((1.0 / a**k)[:, None])
+    if not gate.converged:
+        raise ValueError("gate")
+    delta = (p - gamma) / (p / 2.0 - 1.0)
+    t1 = diffs.filtration[0]
+    hyp_terms = t1.apply_rows(np.abs(diffs.values) ** p / (a**gamma)[:, None])
+    series = old_series_report(hyp_terms)
+    sums = np.cumsum(diffs.values, axis=0)
+    decay = old_decay_report(sums / a[:, None], epsilon)
+    pre_sq, pre_hyp, pre_delta = (
+        np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)
+        for terms in (t1.apply_rows(diffs.values**2 / (a**2)[:, None]), hyp_terms, 1.0 / a**delta)
+    )
+    points = np.array(checkpoint_schedule(count))
+    m, n = (points[i] for i in np.triu_indices(len(points), 1))
+    lhs = pre_sq[n] - pre_sq[m - 1]
+    delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[n] - pre_delta[m - 1]]
+    rhs = (pre_hyp[n] - pre_hyp[m - 1]) ** (2.0 / p) * np.array(delta_factor)[:, None]
+    require_finite(lhs, rhs)
+    misses, margin, at = compare(lhs, rhs, tol.slack(lhs, rhs))
+    checks = {"holder-reduction": CheckSummary()}
+    checks["holder-reduction"].record_many(
+        misses, margin, lambda i: f"segment m={m[i]} n={n[i]} at ({at[i]},)"
+    )
+    return ExperimentReport(
+        experiment="slln-p-gt-2",
+        config={"p": p, "gamma": gamma, "k": k, "delta": delta, "rates": rates.label(),
+                "epsilon": epsilon},
+        decay=decay,
+        hypothesis=series,
+        checks=checks,
+        verdict=bool(series.converged and decay.verdict),
+    )
+
+
+def old_slln_an_equals_n(diffs, p, epsilon=0.1, tol=DEFAULT_TOL):
+    require_difference_sequence(diffs)
+    count = len(diffs)
+    steps = np.arange(1, count + 1, dtype=np.float64)
+    t1 = diffs.filtration[0]
+    absy = np.abs(diffs.values)
+    absy_p = absy**p
+    series = old_series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
+    decay = old_decay_report(np.cumsum(diffs.values, axis=0) / steps[:, None], epsilon)
+    bound_rhs = (steps ** (p / 2.0 - 1.0))[:, None] * np.cumsum(t1.apply_rows(absy_p), axis=0)
+    absy_sq = absy**2
+    exchange_lhs = t1.apply_rows(np.cumsum(absy_sq, axis=0) ** (p / 2.0))
+    exchange_rhs = np.cumsum(t1.apply_rows(absy_sq), axis=0) ** (p / 2.0)
+    checks = {
+        "square-sum-exchange": CheckSummary(),
+        "moment-power-step": CheckSummary(),
+        "square-sum-power-bound": CheckSummary(),
+    }
+    for name, lhs, rhs in (
+        ("square-sum-exchange", exchange_lhs, exchange_rhs),
+        ("moment-power-step", exchange_rhs, bound_rhs),
+        ("square-sum-power-bound", exchange_lhs, bound_rhs),
+    ):
+        old_check(checks[name], lhs, rhs, tol.slack(lhs, rhs), name)
+    return ExperimentReport(
+        experiment="slln-n",
+        config={"p": p, "rates": "power:1", "epsilon": epsilon},
+        decay=decay,
+        hypothesis=series,
+        checks=checks,
+        verdict=bool(series.converged and decay.verdict),
+    )
+
+
+# --- the grid ----------------------------------------------------------------
+
+
+def cases():
+    """Fixed before any comparison: dims 1/2/3/5/8, 1 to 300 stages, both
+    weight modes, the default filtration (T_1 trivial, the identity at dim 1)
+    and a random refining one."""
+    for seed in range(20):
+        steps = (1, 2, 7, 40, 300)[seed % 5]
+        cfg = GeneratorConfig(
+            seed=seed,
+            dim=(1, 2, 3, 5, 8)[seed // 4 % 5],
+            steps=steps,
+            weight_mode=("uniform", "random")[seed % 2],
+        )
+        filt = None if seed % 3 else _refining_filtration(SplitMix64(seed), make_space(cfg), steps)
+        yield cfg, filt
+
+
+def experiment_pairs(cfg, filt, tol):
+    """(blocked, whole-array) runs of the four experiments on one case."""
+    power1, power3 = WeightSequence.power(1.0), WeightSequence.power(3.0)
+    proc = generate_submartingale(cfg, "positive-part", filt)
+    diffs = generate_mds(cfg, filt)
+    yield (lambda: limits.submartingale_convergence_experiment(proc, power1, 2.0, tol=tol),
+           lambda: old_submartingale(proc, power1, 2.0, tol=tol))
+    for p in (1.5, 2.0):
+        yield (lambda: limits.slln_p_le_2(diffs, power1, p, tol=tol),
+               lambda: old_slln_p_le_2(diffs, power1, p, tol=tol))
+    for p, gamma, k in ((4.0, 1.5, 2.0), (3.0, 0.5, 1.0)):
+        if limits.series_report((1.0 / power3.values(len(diffs)) ** k)[:, None]).converged:
+            yield (lambda: limits.slln_p_gt_2(diffs, power3, p, gamma, k, tol=tol),
+                   lambda: old_slln_p_gt_2(diffs, power3, p, gamma, k, tol=tol))
+    for p in (2.5, 3.0, 4.0):
+        yield (lambda: limits.slln_an_equals_n(diffs, p, tol=tol),
+               lambda: old_slln_an_equals_n(diffs, p, tol=tol))
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=["default", "negative-slack"])
+def test_experiments_match_the_whole_array_bodies(tol, block_elements, lenient_gates):
+    failures = compared = 0
+    for cfg, filt in cases():
+        for blocked, whole in experiment_pairs(cfg, filt, tol):
+            new = outcome(blocked)
+            assert new == outcome(whole)
+            failures += '"failure_count": 0' not in new
+            compared += 1
+    assert compared > 100
+    assert failures > 0  # the exchange step misses at the default slack too
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e100, 1e150, 1e200])
+def test_overflowing_experiments_raise_as_the_whole_array_bodies(amplitude, block_elements):
+    errors = 0
+    for seed in range(4):
+        cfg = GeneratorConfig(seed=seed, dim=(1, 3, 4, 8)[seed], steps=64, amplitude=amplitude)
+        for blocked, whole in experiment_pairs(cfg, None, DEFAULT_TOL):
+            new = outcome(blocked)
+            assert new == outcome(whole)
+            errors += new == "ValueError: coordinates must be finite"
+    assert errors > 0
+
+
+def awkward_stack(rng, rows, width):
+    """Normal draws with signed zeros and runs of tied rows."""
+    x = rng.standard_normal((rows, width))
+    x[rng.random((rows, width)) < 0.1] = -0.0
+    x[rng.random((rows, width)) < 0.1] = 0.0
+    x[rows // 3 :: 5] = x[rows // 3]
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_series_and_decay_reports_match_the_whole_array_bodies(block_elements):
+    rng = np.random.default_rng(10)
+    for rows in (1, 2, 3, 17, 100, 513):
+        for width in (1, 3, 8):
+            x = awkward_stack(rng, rows, width)
+            for terms in (x, np.abs(x), x / np.arange(1, rows + 1)[:, None] ** 2):
+                assert dump_json(series_report(terms).to_json_dict()) == dump_json(
+                    old_series_report(terms).to_json_dict()
+                )
+                for at in (None, 0):
+                    assert dump_json(decay_report(terms, 0.1, at).to_json_dict()) == dump_json(
+                        old_decay_report(terms, 0.1, at).to_json_dict()
+                    )
+            # Non-finite partial sums: the tail gap is NaN or inf as before.
+            for row, col, bad in (
+                (rows // 2, 0, math.inf), (rows - 1, 0, -math.inf), (0, width - 1, math.nan)
+            ):
+                x[row, col] = bad
+                assert dump_json(series_report(x).to_json_dict()) == dump_json(
+                    old_series_report(x).to_json_dict()
+                )
+
+
+def test_checks_match_the_whole_array_body_on_ties(block_elements):
+    rng = np.random.default_rng(11)
+    tols = (DEFAULT_TOL, Tolerance(abs=-0.5), Tolerance(abs=-2.0))
+    for rows in (1, 2, 5, 64, 129):
+        for width in (1, 3, 8):
+            # Few distinct values, so the worst loose value ties across blocks.
+            lhs = rng.integers(0, 3, (rows, width)).astype(float)
+            rhs = rng.integers(0, 3, (rows, width)).astype(float)
+            for tol in tols:
+                for left in (lhs, 0.0):
+                    new, old = CheckSummary(), CheckSummary()
+                    limits._check(new, left, rhs, tol.slack, "w")
+                    old_check(old, left, rhs, tol.slack(left, rhs), "w")
+                    assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
+                    scalar_slack = tol.abs + tol.rel * 2.0
+                    new, old = CheckSummary(), CheckSummary()
+                    limits._check(new, left, rhs, lambda *_: scalar_slack, "w")
+                    old_check(old, left, rhs, scalar_slack, "w")
+                    assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
+    # A NaN slack is a miss, and the first NaN is the worst component.
+    new, old = CheckSummary(), CheckSummary()
+    slack = np.zeros((40, 2))
+    slack[17, 1] = slack[30, 0] = math.nan
+    fold = limits._Fold()
+    for rows in lattice.row_blocks(40, 2):
+        fold.add(np.zeros((40, 2))[rows], np.ones((40, 2))[rows], slack[rows])
+    fold.record(new, "w")
+    old_check(old, np.zeros((40, 2)), np.ones((40, 2)), slack, "w")
+    assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
+    assert new.first_witness == "w at (17, 1)"
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    for block in (1, 5, 64, 1 << 16):
+        monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block)
+        for rows in (0, 1, 7, 100):
+            for width in (1, 3, 8, 200):
+                blocks = lattice.row_blocks(rows, width)
+                assert [i for s in blocks for i in range(rows)[s]] == list(range(rows))
+                assert all(s.stop - s.start == max(1, block // width) for s in blocks[:-1])
+
+
+# --- memory ------------------------------------------------------------------
+
+LONG = GeneratorConfig(seed=3, dim=8, steps=100_000)
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_diffs():
+    return generate_mds(LONG)
+
+
+def test_generate_mds_peak_memory_is_at_most_three_values_arrays(long_diffs):
+    assert traced_peak(lambda: generate_mds(LONG)) <= 3.0 * long_diffs.values.nbytes
+
+
+def test_slln_n_peak_memory_is_at_most_four_and_a_half_values_arrays(long_diffs):
+    peak = traced_peak(lambda: limits.slln_an_equals_n(long_diffs, 3.0))
+    assert peak <= 4.5 * long_diffs.values.nbytes
+
+
+def test_slln_p_le_2_peak_memory_is_at_most_six_values_arrays(long_diffs):
+    peak = traced_peak(lambda: limits.slln_p_le_2(long_diffs, WeightSequence.power(1.0), 2.0))
+    assert peak <= 6.0 * long_diffs.values.nbytes

@@ -495,3 +495,43 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.command in ("verify", "simulate")
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ({"p_min": "2"}, "p_min"),
+        ({"output": 5}, "output"),
+        ({"suite": ["jensen"]}, "suite"),
+        ({"p_max": True}, "p_max"),
+        ({"p_min": [2]}, "p_min"),
+        ({"format": 1}, "format"),
+    ],
+)
+def test_config_values_of_the_wrong_json_type_are_usage_errors(config, name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["verify", "--trials", "2", "--config", str(path)]
+    if "suite" not in config:
+        argv += ["--suite", "jensen"]
+    if "output" not in config:
+        argv += ["--output", str(out / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["tol_abs", "tol_rel", "p_min", "p_max"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_run_config_validate_owns_the_finite_rule_of_verify(name, bad):
+    parser = cli.build_parser()
+    args = parser.parse_args(["verify", f"--{name.replace('_', '-')}={bad}"])
+    options = cli._options(args, cli.VERIFY_OPTIONS)  # the resolver leaves it to validate
+    assert options[name] != options[name] or abs(options[name]) == float("inf")
+    tol = {"abs": options.pop("tol_abs"), "rel": options.pop("tol_rel")}
+    options["dim_max"] = 4
+    with pytest.raises(cli.RieszmartError, match=f"{name} must be finite"):
+        cli.RunConfig(tol=cli.Tolerance(**tol), **options).validate()

@@ -23,6 +23,7 @@ from rieszmart import (
     require_difference_sequence,
     square_function,
 )
+from rieszmart import lattice
 from rieszmart.lattice import DEFAULT_TOL
 from rieszmart.processes import (
     MARTINGALE,
@@ -347,6 +348,56 @@ def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
     assert str(stacked.value) == str(oracle.value)
     first = filt.ops.index(op) + 1
     assert str(stacked.value).endswith(f"at step {first}")
+
+
+BLOCK_DIMS = (1, 3, 8)
+
+
+def stages_around_blocks(dim):
+    """Horizons of 1, B - 1, B, B + 1 and 3B + 5 stages, B stages a block."""
+    rows = max(1, lattice.BLOCK_ELEMENTS // dim)
+    return sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 5})
+
+
+@pytest.mark.parametrize("block_elements", [1, 24, 48])
+@pytest.mark.parametrize("dim", BLOCK_DIMS)
+def test_blocked_generate_mds_matches_the_per_stage_loop(block_elements, dim, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    for weight_mode in ("uniform", "random"):
+        for amplitude in (1e-3, 1.0, 1e6):
+            for steps in stages_around_blocks(dim):
+                cfg = GeneratorConfig(dim + steps, dim, steps, amplitude, weight_mode)
+                filt = default_filtration(make_space(cfg), steps)
+                assert np.array_equal(generate_mds(cfg).values, generate_mds_per_stage(cfg, filt))
+                filt = _refining_filtration(SplitMix64(steps), make_space(cfg), steps)
+                assert np.array_equal(
+                    generate_mds(cfg, filt).values, generate_mds_per_stage(cfg, filt)
+                )
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_generate_mds_at_the_module_block_size_matches_the_per_stage_loop(dim):
+    rows = lattice.BLOCK_ELEMENTS // dim
+    for weight_mode in ("uniform", "random"):
+        cfg = GeneratorConfig(7, dim, 3 * rows + 5 if dim == 8 else rows + 1, 1.0, weight_mode)
+        filt = default_filtration(make_space(cfg), cfg.steps)
+        assert np.array_equal(generate_mds(cfg).values, generate_mds_per_stage(cfg, filt))
+
+
+@pytest.mark.parametrize("block_elements", [8, 16, 80])
+@pytest.mark.parametrize("tampered", [2, 5, -1])
+def test_blocked_residual_guard_names_the_oracle_step(block_elements, tampered, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    cfg = GeneratorConfig(seed=4, dim=8, steps=30, weight_mode="random")
+    filt = default_filtration(make_space(cfg), cfg.steps)
+    op = filt[tampered]
+    op.block_weight = op.block_weight * 1.01
+    with pytest.raises(AssertionError) as oracle:
+        generate_mds_per_stage(cfg, filt)
+    with pytest.raises(AssertionError) as blocked:
+        generate_mds(cfg, filt)
+    assert str(blocked.value) == str(oracle.value)
+    assert str(blocked.value).endswith(f"at step {filt.ops.index(op) + 1}")
 
 
 def stage_index_by_rescan(ops):

@@ -115,3 +115,26 @@ def test_derive_seed_integer_label_is_one_mix_of_the_prefix(seed, count, label):
     expected = [derive_seed(seed, label, i) for i in range(count)]
     assert [mix64(prefix ^ i) for i in range(count)] == expected
     assert mix64_array(labels).tolist() == expected
+
+
+@given(
+    U64,
+    st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+)
+@example(0, [1], [1])
+@example(2**64 - 1, [3, 1, 8, 8, 8], [2, 2, 1])
+def test_substream_floats_blocks_with_first_offsets_concatenate_to_one_call(seed, counts, cuts):
+    counts = np.array(counts)
+    bounds = np.unique(np.clip(np.cumsum(cuts), 0, len(counts)))
+    pieces = [
+        substream_floats(counts[lo:hi], seed, "mds-step", first=int(lo))
+        for lo, hi in zip(np.concatenate(([0], bounds)), np.concatenate((bounds, [len(counts)])))
+    ]
+    whole = substream_floats(counts, seed, "mds-step")
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+    # first= numbers the substreams: stream first + i draws counts[i] floats.
+    last = len(counts) - 1
+    tail = substream_floats(counts[last:], seed, "mds-step", first=last)
+    assert tail.tobytes() == substream(seed, "mds-step", last).floats(int(counts[last])).tobytes()
