@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeArgument, NegativeGenerator, SpaceMismatch
-from .lattice import LatticeElement, SampleSpace, inf_many, sup_many
+from .lattice import LatticeElement, SampleSpace, atom_array, inf_many, sup_many
 from .reports import VerificationReport
 
 
@@ -25,7 +25,7 @@ class BandProjection:
     __slots__ = ("space", "mask")
 
     def __init__(self, space: SampleSpace, support) -> None:
-        atoms = np.fromiter(support, dtype=np.intp)
+        atoms = atom_array(support)
         if atoms.size and (atoms.min() < 0 or atoms.max() >= space.n):
             raise ValueError("support atom out of range")
         self.space = space
@@ -117,7 +117,9 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
 
     Below 2^52, fl(n g_i) strictly increases with n, so the equality holds
     iff g_i = 0 or f_i <= fl(n g_i) at every atom: once true it stays true,
-    and doubling then bisection find the n a step-by-step scan would.
+    and doubling then bisection find the n a step-by-step scan would.  Above
+    it fl(n g_i) = fl((n + 1) g_i) can hold while f_i is still above, so a
+    max f / min positive g over 2^52 raises ValueError.
     """
     if np.any(g.coords < 0.0):
         raise NegativeGenerator("sup formula needs g >= 0")
@@ -129,11 +131,17 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
     if positive.size == 0:
         bound = 1
     else:
-        bound = int(np.ceil(f.coords.max() / positive.min())) + 1
+        top, low = float(f.coords.max()), float(positive.min())
+        if top > 2.0**52 * low:
+            raise ValueError(f"sup formula needs max f / min positive g <= 2^52, got {top} / {low}")
+        bound = int(np.ceil(top / low)) + 1
+
+    def stage(n: int) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an infinite n g_i is above f_i, as n g_i is
+            return np.minimum(f.coords, n * g.coords)
 
     def stable(n: int) -> bool:
-        fc, gc = f.coords, g.coords
-        return np.array_equal(np.minimum(fc, n * gc), np.minimum(fc, (n + 1) * gc))
+        return np.array_equal(stage(n), stage(n + 1))
 
     if not stable(bound + 1):  # unreachable if the bound argument is right
         raise AssertionError("sup formula failed to stabilize within its bound")
@@ -143,7 +151,7 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
     while n - lo > 1:
         mid = (lo + n) // 2
         lo, n = (lo, mid) if stable(mid) else (mid, n)
-    value = LatticeElement(f.space, np.minimum(f.coords, n * g.coords))
+    value = LatticeElement(f.space, stage(n))
     return SupFormulaResult(value=value, stabilized_at=n, bound=bound)
 
 

@@ -22,6 +22,7 @@ from .lattice import (
     SampleSpace,
     Tolerance,
     _same_space,
+    atom_array,
     compare,
     leq_with_tolerance,
     multiply,
@@ -31,75 +32,100 @@ from .rng import SplitMix64, derive_seed
 
 
 class Partition:
-    """Disjoint cover of the atoms by nonempty blocks, canonically ordered."""
+    """Disjoint cover of the atoms by nonempty blocks, stored as one block
+    label per atom: block_id[i] is the block of atom i, and blocks are
+    numbered 0, 1, ... in the order of their lowest atom."""
 
-    __slots__ = ("space", "blocks", "block_id", "num_blocks", "_order", "_starts")
+    __slots__ = ("space", "block_id", "num_blocks")
 
-    def __init__(self, space: SampleSpace, blocks):
-        canonical = []
-        for block in blocks:
-            atoms = sorted(int(a) for a in block)
-            if not atoms:
+    def __init__(self, space: SampleSpace, blocks=None, *, block_id=None):
+        """Give either blocks, iterables of integer atoms in any order, or
+        block_id, one integer label per atom numbered by lowest atom: 0
+        first, and no label more than one above all labels before it."""
+        if (blocks is None) == (block_id is None):
+            raise TypeError("give exactly one of blocks and block_id")
+        if block_id is None:
+            blocks = [list(block) for block in blocks]
+            flat = [a for block in blocks for a in block]
+            atoms = atom_array(flat)
+            if not all(blocks):
                 raise ValueError("empty block")
-            canonical.append(tuple(atoms))
-        canonical.sort(key=lambda b: b[0])
-        flat = [a for block in canonical for a in block]
-        if sorted(flat) != list(range(space.n)):
-            raise ValueError("blocks must partition the atoms exactly once")
+            if sorted(flat) != list(range(space.n)):
+                raise ValueError("blocks must partition the atoms exactly once")
+            order = sorted(range(len(blocks)), key=lambda k: min(blocks[k]))
+            ids = np.empty(space.n, dtype=np.intp)
+            ids[atoms] = np.repeat(np.argsort(order), [len(block) for block in blocks])
+            num_blocks = len(blocks)
+        else:
+            ids = atom_array(block_id).copy()
+            if ids.shape != (space.n,) or ids[0] != 0 or ids.min() < 0:
+                raise ValueError(f"block_id must hold {space.n} nonnegative labels, the first 0")
+            top = np.maximum.accumulate(ids)
+            if (top[1:] - top[:-1] > 1).any():
+                raise ValueError("block_id must number the blocks by their lowest atom")
+            num_blocks = int(top[-1]) + 1
+        ids.flags.writeable = False
         self.space = space
-        self.blocks = tuple(canonical)
-        self.num_blocks = len(canonical)
-        bid = np.empty(space.n, dtype=np.intp)
-        for k, block in enumerate(canonical):
-            bid[list(block)] = k
-        self.block_id = bid
-        self.block_id.flags.writeable = False
-        # Atom indices grouped by block, for reduceat-style block maxima.
-        self._order = np.array(flat, dtype=np.intp)
-        self._starts = np.cumsum([0] + [len(b) for b in canonical[:-1]])
+        self.block_id = ids
+        self.num_blocks = num_blocks
 
     @classmethod
     def single_block(cls, space: SampleSpace) -> "Partition":
-        return cls(space, [range(space.n)])
+        return cls(space, block_id=np.zeros(space.n, dtype=np.intp))
 
     @classmethod
     def singletons(cls, space: SampleSpace) -> "Partition":
-        return cls(space, [[i] for i in range(space.n)])
+        return cls(space, block_id=np.arange(space.n))
 
     @property
     def is_singletons(self) -> bool:
         return self.num_blocks == self.space.n
 
+    @property
+    def blocks(self) -> tuple:
+        """The blocks as ascending atom tuples, ordered by lowest atom."""
+        atoms = np.argsort(self.block_id, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.block_id)).tolist()
+        return tuple(tuple(atoms[lo:hi]) for lo, hi in zip([0] + ends, ends))
+
+    def is_constant_on_blocks(self, values: np.ndarray) -> bool:
+        """True when values, one per atom, are equal within every block: each
+        block keeps the value of some atom of it, and every atom is compared."""
+        kept = np.empty(self.num_blocks, dtype=values.dtype)
+        kept[self.block_id] = values
+        return bool((kept[self.block_id] == values).all())
+
     def refines(self, coarser: "Partition") -> bool:
         """True when every block of self sits inside one block of coarser."""
         if self.space != coarser.space:
             raise SpaceMismatch("partitions on different spaces")
-        firsts = np.array([b[0] for b in self.blocks], dtype=np.intp)
-        rep = firsts[self.block_id]
-        return bool(np.all(coarser.block_id == coarser.block_id[rep]))
+        return self.is_constant_on_blocks(coarser.block_id)
 
     def split_largest(self) -> "Partition":
-        """Split the largest block in half (ties: block with the lowest atom)."""
-        sizes = [len(b) for b in self.blocks]
-        largest = max(sizes)
-        if largest == 1:
+        """Split the largest block in half (ties: block with the lowest atom).
+        The upper half takes the label after those of the blocks starting
+        below it, and every later label moves up by one."""
+        bid = self.block_id
+        sizes = np.bincount(bid)
+        largest = sizes.argmax()  # first maximum: the lowest first atom
+        if sizes[largest] == 1:
             return self
-        idx = sizes.index(largest)  # blocks are ordered by first atom
-        target = self.blocks[idx]
-        cut = (len(target) + 1) // 2
-        new_blocks = list(self.blocks[:idx]) + [target[:cut], target[cut:]]
-        new_blocks += list(self.blocks[idx + 1 :])
-        return Partition(self.space, new_blocks)
+        members = np.flatnonzero(bid == largest)
+        upper = members[(members.size + 1) // 2 :]
+        label = bid[: upper[0]].max() + 1
+        child = bid + (bid >= label)
+        child[upper] = label
+        return Partition(self.space, block_id=child)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)
             and self.space == other.space
-            and self.blocks == other.blocks
+            and np.array_equal(self.block_id, other.block_id)
         )
 
     def __hash__(self):
-        return hash((self.space, self.blocks))
+        return hash(self.block_id.tobytes())  # __eq__ compares the spaces
 
     def __repr__(self) -> str:
         return f"Partition({[list(b) for b in self.blocks]})"
@@ -168,14 +194,14 @@ class ConditionalExpectationOp:
 
     def fixes_exactly(self, f: LatticeElement) -> bool:
         """Exact block-constancy: every block carries a single float value."""
-        bid = self.partition.block_id
-        firsts = np.array([b[0] for b in self.partition.blocks], dtype=np.intp)
-        return bool(np.all(f.coords == f.coords[firsts][bid]))
+        return self.partition.is_constant_on_blocks(f.coords)
 
     def block_max(self, f: LatticeElement) -> LatticeElement:
-        """Blockwise maximum, broadcast back to a block-constant element."""
+        """Blockwise maximum, broadcast back to a block-constant element (on
+        a tie of -0.0 and 0.0, NumPy's loop order picks the sign)."""
         part = self.partition
-        maxima = np.maximum.reduceat(f.coords[part._order], part._starts)
+        maxima = np.full(part.num_blocks, -np.inf)
+        np.maximum.at(maxima, part.block_id, f.coords)
         return LatticeElement(self.space, maxima[part.block_id])
 
     def __eq__(self, other) -> bool:
@@ -227,7 +253,7 @@ def _stage_index(ops: list) -> tuple[np.ndarray, list, np.ndarray]:
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     first: dict = {}
     runs = [
-        first.setdefault(ops[k].partition.blocks, (len(first), ops[k]))[0] for k in starts.tolist()
+        first.setdefault(ops[k].partition, (len(first), ops[k]))[0] for k in starts.tolist()
     ]
     stage = np.repeat(np.asarray(runs, dtype=np.intp), np.diff(starts, append=len(ops)))
     return starts, [op for _, op in first.values()], stage
@@ -280,7 +306,9 @@ class Filtration:
         return iter(self.ops)
 
     def to_json_dict(self) -> list:
-        return [op.partition.to_json_dict() for op in self.ops]
+        """Each stage's blocks; stages with one partition share one list."""
+        forms = [op.partition.to_json_dict() for op in self.distinct]
+        return [forms[k] for k in self.stage.tolist()]
 
 
 def make_filtration(space: SampleSpace, partitions) -> Filtration:

@@ -73,6 +73,15 @@ class SampleSpace:
         return {"n": self.n, "weights": [float(w) for w in self.weights]}
 
 
+def atom_array(atoms) -> np.ndarray:
+    """Atom labels as an intp array.  Labels must be integers: a float or
+    string label raises ValueError instead of being truncated to an atom."""
+    labels = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms))
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"atom labels must be integers, got {labels.dtype} labels")
+    return labels.astype(np.intp, copy=False)
+
+
 def require_finite(*stacks) -> None:
     """Raise ValueError, as for an element's coordinates, unless every entry
     of every stack is finite."""

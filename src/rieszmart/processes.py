@@ -94,10 +94,16 @@ def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
     return list(zip(filtration.distinct, np.split(np.argsort(stage, kind="stable"), ends)[:-1]))
 
 
+def _max_abs(mat: np.ndarray) -> float:
+    """max |mat| taken over row blocks, so no whole-size temporary is made;
+    0.0 when there are no rows."""
+    return max((float(np.max(np.abs(mat[rows]))) for rows in row_blocks(*mat.shape)), default=0.0)
+
+
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
     mat = process.values
-    slack = tol.abs + tol.rel * float(np.max(np.abs(mat))) if mat.size else tol.abs
+    slack = tol.abs + tol.rel * _max_abs(mat)
     for op, idx in _stage_groups(process.filtration):
         if op.is_identity:
             continue
@@ -121,7 +127,7 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     count = mat.shape[0]
     if count < 2:
         return MARTINGALE
-    slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
+    slack = tol.abs + tol.rel * _max_abs(mat)
     is_sub = True
     is_super = True
     for op, idx in _stage_groups(process.filtration, count - 1):
@@ -152,11 +158,12 @@ def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TO
     mat = process.values
     if mat.shape[0] < 2:
         return True
-    slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
+    slack = tol.abs + tol.rel * _max_abs(mat)
     for op, idx in _stage_groups(process.filtration, -1):
-        rows = mat[idx + 1]
-        means = op.apply_rows(rows)
-        if np.max(np.abs(means)) > slack:
+        # Only singletons refine singletons, so the identity group's stages
+        # are a suffix and their next rows one contiguous view, not a copy.
+        means = mat[idx[0] + 1 :] if op.is_identity else op.apply_rows(mat[idx + 1])
+        if _max_abs(means) > slack:
             return False
     return True
 

@@ -184,6 +184,37 @@ def test_sup_formula_long_scan_is_bounded():
     assert result.value.equals(space.element([1e5, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # fl(n * 1e-17) = fl((n + 1) * 1e-17) from n = 2^53 on, so a search
+        # past 2^52 stopped early and returned 0.0844 at atom 0 (mask: 1).
+        ([1.0, 1.0], [1e-17, 1.0]),
+        # max f / min g overflows: a RuntimeWarning, then OverflowError.
+        ([1e200, 1.0], [1e-200, 1.0]),
+        # Just above 2^52.
+        ([2.0**52 + 2.0, 1.0], [1.0, 1.0]),
+    ],
+)
+def test_sup_formula_rejects_a_ratio_above_2_to_the_52(f, g):
+    space = SampleSpace.uniform(2)
+    with pytest.raises(ValueError, match="2\\^52"):
+        apply_sup_formula_oracle(space.element(g), space.element(f))
+
+
+def test_sup_formula_at_2_to_the_52_and_with_huge_generators():
+    space = SampleSpace.uniform(2)
+    f = space.element([2.0**52, 1.0])
+    result = apply_sup_formula_oracle(space.unit(), f)
+    assert result.value.equals(f)
+    assert result.stabilized_at == 2**52
+    # n g overflows to inf at the second atom, which is above f there, as n g is.
+    g = space.element([1e-10, 1e300])
+    result = apply_sup_formula_oracle(g, space.unit())
+    assert result.value.equals(band_projection(g).apply(space.unit()))
+    assert result.stabilized_at == 10**10
+
+
 def linear_sup_scan(g, f):
     """The step-by-step scan the search replaced: (value, stabilized_at)."""
     current = np.minimum(f.coords, g.coords)

@@ -26,14 +26,16 @@ from rieszmart import (
     decay_report,
     generate_mds,
     generate_submartingale,
+    is_difference_sequence,
     lattice,
     limits,
+    partial_sums,
     require_difference_sequence,
     series_report,
 )
 from rieszmart.lattice import compare, require_finite
 from rieszmart.limits import SERIES_TAIL_REL
-from rieszmart.processes import _stage_groups, make_space
+from rieszmart.processes import ProcessSequence, _stage_groups, make_space
 from rieszmart.reports import (
     CheckSummary,
     DecaySequenceReport,
@@ -395,6 +397,65 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
                 assert all(s.stop - s.start == max(1, block // width) for s in blocks[:-1])
 
 
+# --- the difference-sequence check --------------------------------------------
+
+
+def old_is_adapted(process, tol=DEFAULT_TOL):
+    mat = process.values
+    slack = tol.abs + tol.rel * float(np.max(np.abs(mat))) if mat.size else tol.abs
+    for op, idx in _stage_groups(process.filtration):
+        if op.is_identity:
+            continue
+        rows = mat[idx]
+        if np.max(np.abs(op.apply_rows(rows) - rows)) > slack:
+            return False
+    return True
+
+
+def old_is_difference_sequence(process, tol=DEFAULT_TOL):
+    """The check before the identity group was read as one blocked view."""
+    if not old_is_adapted(process, tol):
+        return False
+    mat = process.values
+    if mat.shape[0] < 2:
+        return True
+    slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
+    for op, idx in _stage_groups(process.filtration, -1):
+        rows = mat[idx + 1]
+        means = op.apply_rows(rows)
+        if np.max(np.abs(means)) > slack:
+            return False
+    return True
+
+
+def difference_candidates():
+    """Each case's differences, their partial sums, and copies with one value
+    moved by 0.5 or 2 slacks: in the last stage (a singleton stage once the
+    horizon passes dim) and in the second."""
+    for cfg, filt in cases():
+        diffs = generate_mds(cfg, filt)
+        yield diffs
+        yield partial_sums(diffs)
+        values = diffs.values
+        slack = DEFAULT_TOL.abs + DEFAULT_TOL.rel * float(np.max(np.abs(values)))
+        for row in {len(values) - 1, min(1, len(values) - 1)}:
+            for scale in (0.5, 2.0):
+                moved = values.copy()
+                moved[row, -1] += scale * slack
+                yield ProcessSequence(diffs.filtration, moved)
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=["default", "negative-slack"])
+def test_difference_check_matches_the_copying_body(tol, block_elements):
+    verdicts = [
+        (is_difference_sequence(proc, tol), old_is_difference_sequence(proc, tol))
+        for proc in difference_candidates()
+    ]
+    assert all(new == old for new, old in verdicts)
+    # The grid reaches both verdicts.
+    assert {old for _, old in verdicts} == {True, False}
+
+
 # --- memory ------------------------------------------------------------------
 
 LONG = GeneratorConfig(seed=3, dim=8, steps=100_000)
@@ -426,3 +487,10 @@ def test_slln_n_peak_memory_is_at_most_four_and_a_half_values_arrays(long_diffs)
 def test_slln_p_le_2_peak_memory_is_at_most_six_values_arrays(long_diffs):
     peak = traced_peak(lambda: limits.slln_p_le_2(long_diffs, WeightSequence.power(1.0), 2.0))
     assert peak <= 6.0 * long_diffs.values.nbytes
+
+
+def test_difference_check_peak_memory_is_at_most_a_quarter_values_array(long_diffs):
+    # The identity group was copied with a fancy index and then made absolute
+    # as a whole: 2.1 values arrays.
+    peak = traced_peak(lambda: require_difference_sequence(long_diffs))
+    assert peak <= 0.25 * long_diffs.values.nbytes
