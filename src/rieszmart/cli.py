@@ -209,6 +209,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sequence = _constant_process(opt["constant"], dim, horizon)
     else:
         gen = GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)
+        if horizon > dim:
+            sys.stderr.write(
+                f"note: --n {horizon} exceeds --dim {dim}: stages past {dim} condition on "
+                "the singleton partition and add only rounding residue\n"
+            )
         sequence = (generate_submartingale if experiment == "submartingale" else generate_mds)(gen)
     if experiment == "submartingale":
         report = submartingale_convergence_experiment(sequence, rates, p, epsilon)

@@ -270,11 +270,36 @@ class MarginCheck:
 BLOCK_ELEMENTS = 1 << 16
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Consecutive slices covering range(rows), each of about BLOCK_ELEMENTS
-    elements when a row holds width of them."""
+def row_blocks(rows: int, width: int, start: int = 0) -> list[slice]:
+    """Consecutive slices covering range(start, rows), each of about
+    BLOCK_ELEMENTS elements when a row holds width of them."""
     step = max(1, BLOCK_ELEMENTS // max(1, width))
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    return [slice(lo, min(lo + step, rows)) for lo in range(start, rows, step)]
+
+
+def halving_fold(ufunc, block: np.ndarray, axis: int) -> np.ndarray:
+    """ufunc.reduce of a 2-d block along axis 0 or 1, for ufunc np.maximum or
+    np.minimum, by folding the upper half of the slices onto the lower until
+    one is left.  Exact, and on a narrow axis several times faster than a
+    reduce, which loops over the narrow axis innermost; a -0.0/+0.0 tie may
+    keep the other sign.  The axis must not be empty."""
+    x = np.moveaxis(block, axis, 0)
+    if axis:
+        x = np.ascontiguousarray(x)  # so each call runs along whole columns
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("fold along an empty axis")
+    if n == 1:
+        return np.array(x[0])
+    h = n // 2
+    acc = ufunc(x[:h], x[n - h :])
+    if n % 2:
+        ufunc(acc[0], x[h], out=acc[0])  # the middle slice
+    while h > 1:
+        k = h // 2
+        ufunc(acc[:k], acc[h - k : h], out=acc[:k])
+        h -= k
+    return acc[0].copy()  # not a view that keeps the halves alive
 
 
 def compare(lhs, rhs, slack):

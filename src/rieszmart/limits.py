@@ -29,7 +29,7 @@ from .errors import (
     NotSummable,
     ParameterViolation,
 )
-from .lattice import DEFAULT_TOL, Tolerance, compare, require_finite, row_blocks
+from .lattice import DEFAULT_TOL, Tolerance, compare, halving_fold, require_finite, row_blocks
 from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
@@ -118,11 +118,11 @@ def decay_report(
     values: np.ndarray, epsilon: float, verdict_index: int | None = None
 ) -> DecaySequenceReport:
     """Suffix-sup summary of an (N, dim) trajectory; the row maxima are
-    taken one row block at a time."""
+    taken one row block at a time, by halving folds."""
     count = values.shape[0]
     points = checkpoint_schedule(count)
     max_abs = np.concatenate(
-        [np.max(np.abs(values[rows]), axis=1) for rows in row_blocks(*values.shape)]
+        [halving_fold(np.maximum, np.abs(values[rows]), 1) for rows in row_blocks(*values.shape)]
     )
     suffix = np.maximum.accumulate(max_abs[::-1])[::-1]
     if verdict_index is None:
@@ -170,7 +170,7 @@ def series_report(terms: np.ndarray) -> SeriesReport:
     The partial sums are formed one row block at a time.  The tail gap
     max |s_N - s_m| over m >= N/2 comes from the columnwise min and max of
     those s_m: rounded subtraction is monotone, so the extremes give it
-    exactly."""
+    exactly, and a zero extreme of either sign gives the same gap."""
     count = terms.shape[0]
     points = checkpoint_schedule(count)
     half = (count + 1) // 2
@@ -181,8 +181,9 @@ def series_report(terms: np.ndarray) -> SeriesReport:
             if rows.start < c <= rows.stop:
                 at[c] = partial[c - 1 - rows.start].copy()
         tail = partial[max(half - 1 - rows.start, 0) :]
-        low = np.minimum(low, tail.min(axis=0, initial=np.inf))
-        high = np.maximum(high, tail.max(axis=0, initial=-np.inf))
+        if len(tail):
+            low = np.minimum(low, halving_fold(np.minimum, tail, 0))
+            high = np.maximum(high, halving_fold(np.maximum, tail, 0))
     last = at[count]
     tail_gap = float(np.max(np.abs(last - np.stack([low, high]))))
     scale = max(1.0, float(np.max(np.abs(last))))

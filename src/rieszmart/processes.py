@@ -16,6 +16,7 @@ Y_1 = Z_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     NotSubmartingale,
     SpaceMismatch,
 )
-from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, row_blocks
-from .rng import SplitMix64, derive_seed, substream_floats
+from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, halving_fold, row_blocks
+from .rng import SplitMix64, derive_seed, substream_floats, substream_grid
 
 MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
@@ -51,6 +52,17 @@ class ProcessSequence:
                     raise SpaceMismatch("process value on a different space")
                 rows.append(f.coords)
             mat = np.array(rows, dtype=np.float64)
+        self._take(filtration, mat)
+
+    @classmethod
+    def _owning(cls, filtration: Filtration, mat: np.ndarray) -> "ProcessSequence":
+        """A sequence that keeps mat itself, a fresh float64 array no one
+        else holds, validated as the constructor does but not copied."""
+        process = cls.__new__(cls)
+        process._take(filtration, mat)
+        return process
+
+    def _take(self, filtration: Filtration, mat: np.ndarray) -> None:
         if mat.ndim != 2 or mat.shape != (len(filtration), filtration.space.n):
             raise ValueError(
                 f"expected {len(filtration)} x {filtration.space.n} values, got {mat.shape}"
@@ -177,7 +189,7 @@ def require_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAU
 
 def partial_sums(diffs: ProcessSequence) -> ProcessSequence:
     """X_n = Y_1 + ... + Y_n on the same filtration."""
-    return ProcessSequence(diffs.filtration, np.cumsum(diffs.values, axis=0))
+    return ProcessSequence._owning(diffs.filtration, np.cumsum(diffs.values, axis=0))
 
 
 def increments(process: ProcessSequence) -> np.ndarray:
@@ -190,7 +202,7 @@ def increments(process: ProcessSequence) -> np.ndarray:
 
 def square_function(process: ProcessSequence) -> ProcessSequence:
     """Running sum of squared increments of the process (start value included)."""
-    return ProcessSequence(
+    return ProcessSequence._owning(
         process.filtration, np.cumsum(increments(process) ** 2, axis=0)
     )
 
@@ -202,7 +214,7 @@ def positive_part_process(
     label = classify(process, tol)
     if label not in (MARTINGALE, SUBMARTINGALE):
         raise NotSubmartingale(f"positive part requires a (sub)martingale, got {label}")
-    return ProcessSequence(process.filtration, np.maximum(process.values, 0.0))
+    return ProcessSequence._owning(process.filtration, np.maximum(process.values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -218,8 +230,12 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.dim < 1 or self.steps < 1:
             raise ValueError("dim and steps must be >= 1")
-        if not (np.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise ValueError("amplitude must be finite and positive")
+        # Increments are bounded by 2 * amplitude, so that must be finite too.
+        if not (math.isfinite(2.0 * float(self.amplitude)) and self.amplitude > 0.0):
+            raise ValueError(
+                f"amplitude must be finite and positive, and so must 2 * amplitude, "
+                f"got {self.amplitude!r}"
+            )
         if self.weight_mode not in ("uniform", "random"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
@@ -272,7 +288,12 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
     uniform weights, otherwise up to about 1.1e-16 * amplitude.  Stages
     past the first singleton stage add draws but no signal, so horizons
-    beyond dim stages carry none.
+    beyond dim stages carry none.  Only singletons refine singletons, so
+    these rows form a suffix.  When the horizon spans more than one row
+    block, the blocks restart where it begins, and its blocks skip the
+    bins: their draws are one (rows, n) word grid and Y = Z - (w Z)/b, the
+    same bits at a fraction of the cost.  A horizon of one block stays on
+    the bincount path, so short horizons pay nothing extra.
     """
     if filtration is None:
         filtration = default_filtration(make_space(cfg), cfg.steps)
@@ -291,7 +312,27 @@ def _mds_rows(cfg: GeneratorConfig, filtration: Filtration) -> np.ndarray:
     block_id = np.stack([op.partition.block_id for op in distinct])
     check_slack = 1e-12 * max(1.0, cfg.amplitude)
     out = np.empty((len(stage), space.n))
-    for rows in row_blocks(len(stage), space.n):
+    # Only singletons refine singletons, so the rows whose stage and previous
+    # stage both condition on the identity form a suffix: rows cut and on.
+    # A refining chain never returns to a partition, so stage is sorted.  A
+    # horizon of one block stays whole; a longer one restarts its blocks at
+    # the cut, so every block lies on one side of it.
+    blocks, cut = row_blocks(len(stage), space.n), len(stage)
+    if len(blocks) > 1 and distinct[-1].is_identity:
+        cut = min(int(stage.searchsorted(len(distinct) - 1)) + 1, cut)
+        suffix = row_blocks(len(stage), space.n, start=cut)
+        blocks = row_blocks(cut, space.n) + suffix
+        # derive_seed(s, "mds-step", i) == derive_seed(derive_seed(s, "mds-step"), i)
+        prefix = derive_seed(cfg.seed, "mds-step")
+        # w and b tiled over a block, so no ufunc loops along the narrow axis,
+        # and one work array for every block, so no block faults in fresh pages.
+        reps = suffix[0].stop - cut if suffix else 0
+        tiles = (np.tile(space.weights, reps), np.tile(distinct[-1].block_weight, reps))
+        work = np.empty(reps * space.n, dtype=np.uint64)
+    for rows in blocks:
+        if rows.start >= cut:
+            _singleton_rows(cfg, prefix, tiles, work, out[rows], rows.start, check_slack)
+            continue
         counts = group_blocks[stage[rows]]
         starts = np.cumsum(counts) - counts  # first drawn value of each stage
         # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
@@ -315,14 +356,42 @@ def _mds_rows(cfg: GeneratorConfig, filtration: Filtration) -> np.ndarray:
         cond -= scratch
         np.multiply(cond, space.weights, out=scratch)
         means = np.bincount(bins.ravel(), weights=scratch.ravel(), minlength=weight.size) / weight
-        residuals = np.maximum.reduceat(np.abs(means), starts)
-        over = np.flatnonzero(residuals > check_slack)
-        if over.size:
-            i = over[0]
-            raise AssertionError(
-                f"difference residual {residuals[i]} exceeds {check_slack} at step {lo + i}"
-            )
+        _raise_residual(np.maximum.reduceat(np.abs(means), starts), lo, check_slack)
     return out
+
+
+def _singleton_rows(cfg, prefix, tiles, work, block, first, check_slack) -> None:
+    """Steps first, first + 1, ... past the cut, written into block: Z drawn
+    as one word grid, then Y = Z - (w Z)/b with b the identity's block
+    weights, w and b tiled over a whole block.  That is the bincount path
+    bit for bit: its 0.0 + w Z differs only where w Z is -0.0, and
+    z - 0.0 == z - -0.0.  work holds the grid, then the products."""
+    substream_grid(block, prefix, first=first, work=work)
+    block *= 2 * cfg.amplitude
+    block += -cfg.amplitude
+    flat = block.reshape(-1)  # a view: out's row blocks are contiguous
+    weights, block_weight = (tile[: flat.size] for tile in tiles)
+    scratch = work[: flat.size].view(np.float64)
+    np.multiply(flat, weights, out=scratch)
+    scratch /= block_weight
+    flat -= scratch
+    np.multiply(flat, weights, out=scratch)
+    scratch /= block_weight
+    np.abs(scratch, out=scratch)
+    if not np.max(scratch) <= check_slack:  # a NaN max is searched as well
+        residuals = halving_fold(np.maximum, scratch.reshape(block.shape), 1)
+        _raise_residual(residuals, first, check_slack)
+
+
+def _raise_residual(residuals, first, check_slack) -> None:
+    """AssertionError naming the first step whose residual max |T_{i-1} Y_i|
+    exceeds check_slack; residuals[k] is that of step first + k."""
+    over = np.flatnonzero(residuals > check_slack)
+    if over.size:
+        i = over[0]
+        raise AssertionError(
+            f"difference residual {residuals[i]} exceeds {check_slack} at step {first + i}"
+        )
 
 
 def generate_submartingale(
@@ -338,11 +407,11 @@ def generate_submartingale(
     """
     sums = partial_sums(generate_mds(cfg, filtration))
     if mode == "positive-part":
-        return ProcessSequence(sums.filtration, np.maximum(sums.values, 0.0))
+        return ProcessSequence._owning(sums.filtration, np.maximum(sums.values, 0.0))
     if mode == "drift":
         stream = SplitMix64(derive_seed(cfg.seed, "drift"))
         steps_drift = stream.uniforms(cfg.steps, 0.0, cfg.amplitude / 2.0)
-        return ProcessSequence(
+        return ProcessSequence._owning(
             sums.filtration, sums.values + np.cumsum(steps_drift)[:, None]
         )
     raise ValueError(f"unknown submartingale mode {mode!r}")

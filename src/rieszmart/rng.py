@@ -27,7 +27,11 @@ def mix64(z: int) -> int:
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """mix64 of every word of a uint64 array, as a new array."""
-    z = np.array(z, dtype=np.uint64)
+    return _mix64_in_place(np.array(z, dtype=np.uint64))
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 of every word of a uint64 array that the caller owns, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -45,10 +49,32 @@ def substream_floats(
     k = j - before for word j of the whole."""
     golden = np.uint64(_GOLDEN)
     prefix = np.uint64(derive_seed(seed, *labels))
-    seeds = mix64_array(np.arange(first, first + len(counts), dtype=np.uint64) ^ prefix)
+    seeds = _mix64_in_place(np.arange(first, first + len(counts), dtype=np.uint64) ^ prefix)
     words = np.arange(1, int(np.sum(counts)) + 1, dtype=np.uint64) * golden
     words += np.repeat(seeds - (np.cumsum(counts) - counts).astype(np.uint64) * golden, counts)
-    return (mix64_array(words) >> np.uint64(11)) * 2.0**-53
+    return (_mix64_in_place(words) >> np.uint64(11)) * 2.0**-53
+
+
+def substream_grid(
+    out: np.ndarray, seed: int, *labels: int | str, first: int = 0, work: np.ndarray | None = None
+) -> None:
+    """Row i of the (rows, width) float64 array out becomes
+    substream(seed, *labels, first + i).floats(width): word k of the stream
+    seeded s is mix64(s + (k + 1) * golden), so the words form one grid.
+    work, a uint64 array of at least out.size words, holds the grid; a
+    caller drawing many grids passes one, as a fresh one costs page faults."""
+    rows, width = out.shape
+    prefix = np.uint64(derive_seed(seed, *labels))
+    seeds = _mix64_in_place(np.arange(first, first + rows, dtype=np.uint64) ^ prefix)
+    if work is None:
+        work = np.empty(out.size, dtype=np.uint64)
+    # Laid out (width, rows), so every ufunc runs along the long axis.
+    words = work[: out.size].reshape(width, rows)
+    np.multiply(np.arange(1, width + 1, dtype=np.uint64)[:, None], np.uint64(_GOLDEN), out=words)
+    words += seeds
+    _mix64_in_place(words)
+    words >>= np.uint64(11)
+    np.multiply(words.T, 2.0**-53, out=out)
 
 
 def derive_seed(seed: int, *labels: int | str) -> int:

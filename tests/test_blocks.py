@@ -355,6 +355,28 @@ def test_series_and_decay_reports_match_the_whole_array_bodies(block_elements):
                 )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_folded_extremes_match_the_whole_array_bodies(block_elements):
+    """decay_report's row maxima and series_report's tail extremes come from
+    halving folds: wider stacks, and non-finite values in the trajectory."""
+    rng = np.random.default_rng(13)
+    for rows in (1, 2, 9, 130):
+        for width in (2, 5, 13, 40):
+            x = awkward_stack(rng, rows, width)
+            assert dump_json(series_report(x).to_json_dict()) == dump_json(
+                old_series_report(x).to_json_dict()
+            )
+            for bad in (math.inf, -math.inf, math.nan):
+                y = x.copy()
+                y[rng.integers(rows), rng.integers(width)] = bad
+                assert dump_json(decay_report(y, 0.1).to_json_dict()) == dump_json(
+                    old_decay_report(y, 0.1).to_json_dict()
+                )
+                assert dump_json(series_report(y).to_json_dict()) == dump_json(
+                    old_series_report(y).to_json_dict()
+                )
+
+
 def test_checks_match_the_whole_array_body_on_ties(block_elements):
     rng = np.random.default_rng(11)
     tols = (DEFAULT_TOL, Tolerance(abs=-0.5), Tolerance(abs=-2.0))
@@ -395,6 +417,10 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
                 blocks = lattice.row_blocks(rows, width)
                 assert [i for s in blocks for i in range(rows)[s]] == list(range(rows))
                 assert all(s.stop - s.start == max(1, block // width) for s in blocks[:-1])
+                for start in (0, 1, rows // 2, rows):
+                    tail = lattice.row_blocks(rows, width, start=start)
+                    assert [i for s in tail for i in range(rows)[s]] == list(range(start, rows))
+                    assert all(s.stop - s.start == max(1, block // width) for s in tail[:-1])
 
 
 # --- the difference-sequence check --------------------------------------------
@@ -487,6 +513,12 @@ def test_slln_n_peak_memory_is_at_most_four_and_a_half_values_arrays(long_diffs)
 def test_slln_p_le_2_peak_memory_is_at_most_six_values_arrays(long_diffs):
     peak = traced_peak(lambda: limits.slln_p_le_2(long_diffs, WeightSequence.power(1.0), 2.0))
     assert peak <= 6.0 * long_diffs.values.nbytes
+
+
+def test_generate_submartingale_peak_memory_is_at_most_three_values_arrays(long_diffs):
+    # Partial sums and the positive part are owned, not copied: 3.4 before.
+    peak = traced_peak(lambda: generate_submartingale(LONG))
+    assert peak <= 3.0 * long_diffs.values.nbytes
 
 
 def test_difference_check_peak_memory_is_at_most_a_quarter_values_array(long_diffs):

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,35 @@ def test_simulate_negative_verdict_exits_one(tmp_path, capsys):
     assert code == 1
     assert "verdict negative" in capsys.readouterr().out
     assert (tmp_path / "slln_n_verdict.json").exists()
+
+
+def test_simulate_notes_stages_past_dim_on_stderr(tmp_path, capsys):
+    note = (
+        "note: --n 12 exceeds --dim 4: stages past 4 condition on the singleton "
+        "partition and add only rounding residue\n"
+    )
+    for experiment in ("slln-n", "slln-p-le-2", "slln-p-gt-2", "submartingale"):
+        argv = ["simulate", experiment, "--dim", "4", "--output-dir", str(tmp_path)]
+        main(argv + ["--n", "12"])
+        err = capsys.readouterr().err  # slln-p-gt-2's rate gate fails at 12 stages
+        assert err.startswith(note) and err.count("note:") == 1
+        main(argv + ["--n", "4"])
+        assert "note:" not in capsys.readouterr().err
+    # The constant process is not generated, so it gets no note.
+    main(["simulate", "submartingale", "--constant", "1", "--dim", "4", "--n", "12",
+          "--output-dir", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_amplitude_whose_double_overflows_is_a_usage_error(tmp_path, capsys):
+    argv = ["simulate", "slln-n", "--dim", "3", "--n", "20", "--amplitude", "1e308",
+            "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: amplitude must be finite") and "1e+308" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_bad_sizes(tmp_path):

@@ -26,6 +26,7 @@ from rieszmart import (
     power,
     sup_many,
 )
+from rieszmart import lattice
 from rieszmart.rng import SplitMix64
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -307,3 +308,53 @@ def test_coords_are_immutable():
     f = SampleSpace.uniform(2).element([1.0, 2.0])
     with pytest.raises(ValueError):
         f.coords[0] = 5.0
+
+
+# --- halving folds ------------------------------------------------------------
+
+
+def awkward_block(rng, rows, width):
+    """Normal draws with signed zeros, infinities and NaNs sprinkled in."""
+    x = rng.standard_normal((rows, width))
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.inf, 0.02), (-np.inf, 0.02), (np.nan, 0.01)):
+        x[rng.random((rows, width)) < share] = value
+    return x
+
+
+def test_halving_fold_matches_the_reduce_on_both_axes():
+    """Equal values and NaN positions; only a tie of -0.0 and +0.0 may keep
+    the other sign.  No output reads that sign: decay_report folds |x|,
+    which holds no -0.0, and series_report uses its extremes only in
+    |s_N - extreme|, the same for either zero."""
+    rng = np.random.default_rng(12)
+    sign_ties = 0
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 3), (7, 8), (8, 7), (300, 40), (40, 300), (257, 13)]
+    blocks = [awkward_block(rng, rows, min(width, 40)) for rows, width in shapes]
+    blocks += [awkward_block(rng, *rng.integers(1, [300, 40])) for _ in range(20)]
+    # Zero extremes: signed zeros over values of one sign only.
+    blocks += [rng.choice([-0.0, 0.0, s * 1.5], size=(33, 6)) for s in (-1.0, 1.0)]
+    for x in blocks:
+        for ufunc, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            for axis in (0, 1):
+                got, want = lattice.halving_fold(ufunc, x, axis), reduce(x, axis=axis)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                sign_ties += int(np.sum(np.signbit(got) != np.signbit(want)))
+                assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)
+                folded_abs = lattice.halving_fold(ufunc, np.abs(x), axis)
+                assert not np.any(np.signbit(folded_abs))
+    assert sign_ties > 0  # the grid reaches the tie it documents
+
+
+def test_halving_fold_leaves_its_input_and_rejects_an_empty_axis():
+    x = np.arange(12.0).reshape(3, 4)
+    before = x.copy()
+    assert lattice.halving_fold(np.maximum, x, 1).tolist() == [3.0, 7.0, 11.0]
+    assert lattice.halving_fold(np.minimum, x, 0).tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert np.array_equal(x, before)
+    # Callers keep one result per row block: a view would keep its halves.
+    for axis in (0, 1):
+        for block in (x, np.ones((9, 5)), np.ones((1, 3))):
+            assert lattice.halving_fold(np.maximum, block, axis).base is None
+    with pytest.raises(ValueError, match="empty axis"):
+        lattice.halving_fold(np.maximum, np.zeros((0, 3)), 0)

@@ -88,6 +88,34 @@ def test_process_sequence_validation():
         ProcessSequence(filt, bad)
 
 
+def test_process_sequence_copies_what_a_caller_passes_in():
+    space = SampleSpace.uniform(3)
+    filt = default_filtration(space, 2)
+    given = np.arange(6.0).reshape(2, 3)
+    proc = ProcessSequence(filt, given)
+    assert given.flags.writeable
+    assert not np.shares_memory(proc.values, given)
+    given[0, 0] = 99.0
+    assert proc.values[0, 0] == 0.0
+    assert not proc.values.flags.writeable
+
+
+def test_derived_processes_own_fresh_arrays_and_validate_them():
+    diffs = generate_mds(GeneratorConfig(seed=5, dim=4, steps=9))
+    sums = partial_sums(diffs)
+    derived = [sums, square_function(sums), positive_part_process(sums)]
+    for mode in ("positive-part", "drift"):
+        derived.append(generate_submartingale(GeneratorConfig(5, 4, 9), mode))
+    for proc in derived:
+        assert not proc.values.flags.writeable
+        assert not np.shares_memory(proc.values, diffs.values)
+    assert np.array_equal(sums.values, np.cumsum(diffs.values, axis=0))
+    with pytest.raises(ValueError, match="finite"):
+        ProcessSequence._owning(diffs.filtration, np.full((9, 4), np.inf))
+    with pytest.raises(ValueError, match="expected 9 x 4"):
+        ProcessSequence._owning(diffs.filtration, np.zeros((9, 3)))
+
+
 def test_process_sequence_indexing_and_csv():
     space = SampleSpace.uniform(2)
     filt = default_filtration(space, 2)
@@ -400,6 +428,121 @@ def test_blocked_residual_guard_names_the_oracle_step(block_elements, tampered, 
     assert str(blocked.value).endswith(f"at step {filt.ops.index(op) + 1}")
 
 
+# --- the singleton suffix -------------------------------------------------------
+#
+# Rows whose stage and previous stage both condition on the identity form a
+# suffix.  A horizon of more than one row block restarts its blocks there and
+# draws them as one word grid, conditioned elementwise.  The grid below is
+# fixed before any comparison.
+
+SINGLETON_AMPLITUDES = (5e-324, 1e-310, 1e-3, 1.0, 1e6, 8.9e307)
+
+
+def singleton_cut(filtration):
+    """The first row conditioned on the identity by an identity stage, or the
+    horizon when there is none."""
+    stage, last = filtration.stage, len(filtration.distinct) - 1
+    if not filtration.distinct[-1].is_identity:
+        return len(stage)
+    return min(int(np.flatnonzero(stage == last)[0]) + 1, len(stage))
+
+
+def singleton_horizons(dim):
+    """dim - 1, dim and dim + 1 stages (the default filtration's cut is dim),
+    and 3B + 5 stages past the cut, B rows a block."""
+    rows = max(1, lattice.BLOCK_ELEMENTS // dim)
+    return sorted({max(1, dim - 1), dim, dim + 1, dim + 3 * rows + 5})
+
+
+def singleton_grid(dims, amplitudes):
+    for dim in dims:
+        for weight_mode in ("uniform", "random"):
+            for amplitude in amplitudes:
+                for steps in singleton_horizons(dim):
+                    cfg = GeneratorConfig(dim + steps, dim, steps, amplitude, weight_mode)
+                    yield cfg, default_filtration(make_space(cfg), steps)
+                # A random refining first stage: its cut is at most dim.
+                steps = singleton_horizons(dim)[-1]
+                cfg = GeneratorConfig(3 * dim + steps, dim, steps, amplitude, weight_mode)
+                stream = SplitMix64(derive_seed(cfg.seed, "first-stage"))
+                yield cfg, _refining_filtration(stream, make_space(cfg), steps)
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 64])
+def test_singleton_rows_match_the_per_stage_loop(block_elements, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    kinds = set()
+    for cfg, filt in singleton_grid(range(1, 14), SINGLETON_AMPLITUDES):
+        got = generate_mds(cfg, filt).values
+        assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), cfg
+        if singleton_cut(filt) < cfg.steps:
+            # One block holds the cut and stays on the bincount path; more
+            # blocks restart at the cut and take the elementwise path.
+            kinds.add(cfg.steps > max(1, block_elements // cfg.dim))
+    assert kinds == {True, False} or block_elements == 1
+
+
+def test_singleton_rows_at_the_module_block_size_match_the_per_stage_loop():
+    # The per-stage loop takes about 60 us a stage, so the module block size
+    # gets four cases: 3B + 5 stages past the cut at dims 8 and 13, and B + 5
+    # at the extreme amplitudes.
+    rows8, rows13 = lattice.BLOCK_ELEMENTS // 8, lattice.BLOCK_ELEMENTS // 13
+    cases = [
+        (GeneratorConfig(3, 8, 8 + 3 * rows8 + 5, 1.0, "uniform"), None),
+        (GeneratorConfig(4, 13, 13 + 3 * rows13 + 5, 1e-3, "random"), "first-stage"),
+        (GeneratorConfig(5, 13, 13 + rows13 + 5, 5e-324, "random"), None),
+        (GeneratorConfig(6, 13, 13 + rows13 + 5, 8.9e307, "uniform"), None),
+    ]
+    for cfg, label in cases:
+        space = make_space(cfg)
+        if label is None:
+            filt = default_filtration(space, cfg.steps)
+        else:
+            filt = _refining_filtration(SplitMix64(derive_seed(cfg.seed, label)), space, cfg.steps)
+        assert singleton_cut(filt) < rows8
+        got = generate_mds(cfg, filt).values
+        assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), cfg
+
+
+def test_signed_zero_products_condition_as_the_bincount_does():
+    # At amplitude 5e-324 the products w * z underflow to +-0.0, and the
+    # bincount's 0.0 + w * z turns -0.0 into +0.0: z - 0.0 == z - -0.0.
+    cfg = GeneratorConfig(1, 5, 40, 5e-324, "random")
+    filt = default_filtration(make_space(cfg), cfg.steps)
+    values = generate_mds(cfg, filt).values
+    z = values[singleton_cut(filt) :]
+    assert np.any(np.signbit(z * filt.space.weights) & (z * filt.space.weights == 0.0))
+    assert values.tobytes() == generate_mds_per_stage(cfg, filt).tobytes()
+
+
+@pytest.mark.parametrize("block_elements", [lattice.BLOCK_ELEMENTS, 64, 7, 1])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("factor", [1.01, 1.0 + 1.5e-12])
+def test_tampered_singleton_weight_fails_at_the_oracle_step(
+    block_elements, dim, factor, monkeypatch
+):
+    # factor 1 + 1.5e-12 on one atom fails only the rows whose draw there
+    # exceeds about 2/3 in size, so the first failing step lies inside a block.
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    rows = max(1, block_elements // dim)
+    steps = set()
+    for seed, weight_mode in ((0, "uniform"), (1, "uniform"), (2, "random"), (3, "random")):
+        cfg = GeneratorConfig(seed, dim, dim + min(max(3 * rows + 5, 40), 400), 1.0, weight_mode)
+        filt = default_filtration(make_space(cfg), cfg.steps)
+        op = filt[-1]
+        assert op.is_identity
+        op.block_weight = op.block_weight.copy()
+        op.block_weight[-1] *= factor
+        with pytest.raises(AssertionError) as oracle:
+            generate_mds_per_stage(cfg, filt)
+        with pytest.raises(AssertionError) as blocked:
+            generate_mds(cfg, filt)
+        assert str(blocked.value) == str(oracle.value)
+        steps.add(int(str(oracle.value).rsplit(" ", 1)[1]) - singleton_cut(filt))
+    if factor != 1.01:
+        assert max(steps) > 0  # some first failure lies past the cut's row
+
+
 def stage_index_by_rescan(ops):
     """Reference stage index: the per-stage rescan of ops that the stored
     Filtration.distinct/stage replaced."""
@@ -560,9 +703,15 @@ def test_generator_config_validation():
         GeneratorConfig(seed=1, dim=3, steps=3, amplitude=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, dim=3, steps=3, weight_mode="heavy")
-    for amplitude in (float("nan"), float("inf")):
+    for amplitude in (float("nan"), float("inf"), 1e308, np.float64(9e307)):
         with pytest.raises(ValueError, match="amplitude must be finite"):
             GeneratorConfig(seed=1, dim=3, steps=3, amplitude=amplitude)
+
+
+def test_the_largest_amplitudes_whose_double_is_finite_still_generate():
+    for amplitude in (8.9e307, np.nextafter(np.finfo(float).max / 2, 0.0)):
+        diffs = generate_mds(GeneratorConfig(seed=1, dim=3, steps=20, amplitude=amplitude))
+        assert np.all(np.abs(diffs.values) <= 2 * amplitude)
 
 
 def test_default_filtration_saturates_to_singletons():

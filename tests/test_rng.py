@@ -12,6 +12,7 @@ from rieszmart.rng import (
     mix64_array,
     substream,
     substream_floats,
+    substream_grid,
 )
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -138,3 +139,26 @@ def test_substream_floats_blocks_with_first_offsets_concatenate_to_one_call(seed
     last = len(counts) - 1
     tail = substream_floats(counts[last:], seed, "mds-step", first=last)
     assert tail.tobytes() == substream(seed, "mds-step", last).floats(int(counts[last])).tobytes()
+
+
+@given(
+    U64,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**40),
+)
+@example(0, 1, 1, 0)
+@example(2**64 - 1, 7, 13, 2**40)
+def test_substream_grid_rows_are_the_scalar_streams(seed, rows, width, first):
+    out = np.empty((rows, width))
+    substream_grid(out, seed, "mds-step", first=first)
+    scalar = [substream(seed, "mds-step", first + i).floats(width) for i in range(rows)]
+    assert out.tobytes() == np.array(scalar).tobytes()
+    # A hashed prefix as the seed, with no labels, names the same streams,
+    # and a work array longer than the grid changes nothing.
+    again = np.empty((rows, width))
+    work = np.full(rows * width + 5, 7, dtype=np.uint64)
+    substream_grid(again, derive_seed(seed, "mds-step"), first=first, work=work)
+    assert again.tobytes() == out.tobytes()
+    counts = np.full(rows, width)
+    assert substream_floats(counts, seed, "mds-step", first=first).tobytes() == out.tobytes()
