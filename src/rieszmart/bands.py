@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeArgument, NegativeGenerator, SpaceMismatch
-from .lattice import LatticeElement, SampleSpace, atom_array, inf_many, sup_many
+from .lattice import LatticeElement, SampleSpace, _same_space, atom_array, raise_first
 from .reports import VerificationReport
 
 
@@ -127,45 +127,96 @@ def apply_sup_formula_oracle(g: LatticeElement, f: LatticeElement) -> SupFormula
         raise NegativeArgument("sup formula needs f >= 0")
     if f.space != g.space:
         raise SpaceMismatch("f and g on different spaces")
-    positive = g.coords[g.coords > 0.0]
-    if positive.size == 0:
-        bound = 1
-    else:
-        top, low = float(f.coords.max()), float(positive.min())
-        if top > 2.0**52 * low:
-            raise ValueError(f"sup formula needs max f / min positive g <= 2^52, got {top} / {low}")
-        bound = int(np.ceil(top / low)) + 1
+    value, stabilized_at, bound = sup_formula(g.coords, f.coords, np.array([0, f.space.n]))
+    return SupFormulaResult(LatticeElement(f.space, value), int(stabilized_at[0]), int(bound[0]))
 
-    def stage(n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an infinite n g_i is above f_i, as n g_i is
-            return np.minimum(f.coords, n * g.coords)
 
-    def stable(n: int) -> bool:
-        return np.array_equal(stage(n), stage(n + 1))
+def sup_formula(g: np.ndarray, f: np.ndarray, starts: np.ndarray):
+    """apply_sup_formula_oracle for trials laid end to end, trial t on atoms
+    starts[t]:starts[t + 1] with f, g >= 0 there: (value, stabilized_at,
+    bound), the last two one per trial.  Each trial runs its own doubling
+    and bisection.  Raises as the first failing trial."""
+    heads, sizes = starts[:-1], np.diff(starts)
+    top = np.maximum.reduceat(f, heads)
+    low = np.minimum.reduceat(np.where(g > 0.0, g, np.inf), heads)
+    with np.errstate(over="ignore"):  # an infinite n g_i is above f_i, as n g_i is
+        too_wide = (low < np.inf) & (top > 2.0**52 * low)
+        bound = np.where((low < np.inf) & ~too_wide, np.ceil(top / low), 0.0).astype(np.int64) + 1
 
-    if not stable(bound + 1):  # unreachable if the bound argument is right
-        raise AssertionError("sup formula failed to stabilize within its bound")
-    lo, n = 0, 1  # lo is 0 or a stage known to be unstable
-    while not stable(n):
-        lo, n = n, min(2 * n, bound + 1)
-    while n - lo > 1:
-        mid = (lo + n) // 2
-        lo, n = (lo, mid) if stable(mid) else (mid, n)
-    value = LatticeElement(f.space, stage(n))
-    return SupFormulaResult(value=value, stabilized_at=n, bound=bound)
+        def stage(n: np.ndarray) -> np.ndarray:
+            return np.minimum(f, np.repeat(n, sizes) * g)
+
+        def stable(n: np.ndarray) -> np.ndarray:
+            return np.logical_and.reduceat(stage(n) == stage(n + 1), heads)
+
+        def too_wide_error(t: int) -> ValueError:
+            return ValueError(
+                "sup formula needs max f / min positive g <= 2^52,"
+                f" got {float(top[t])} / {float(low[t])}"
+            )
+
+        def unstable_error(_t: int) -> AssertionError:
+            return AssertionError("sup formula failed to stabilize within its bound")
+
+        # The second is unreachable if the bound argument is right.
+        raise_first((too_wide, too_wide_error), (~stable(bound + 1), unstable_error))
+        lo, n = np.zeros_like(bound), np.ones_like(bound)  # lo is 0 or a stage known to be unstable
+        unstable = ~stable(n)
+        while unstable.any():
+            lo = np.where(unstable, n, lo)
+            n = np.where(unstable, np.minimum(2 * n, bound + 1), n)
+            unstable &= ~stable(n)
+        apart = n - lo > 1
+        while apart.any():
+            mid = (lo + n) // 2
+            settled = stable(mid)
+            n = np.where(apart & settled, mid, n)
+            lo = np.where(apart & ~settled, mid, lo)
+            apart = n - lo > 1
+        return stage(n), n, bound
+
+
+def _family(elements, empty: str) -> np.ndarray:
+    """The coordinates of a nonempty family on one space, one row each."""
+    if not elements:
+        raise ValueError(empty)
+    for g in elements[1:]:
+        _same_space(elements[0], g)
+    return np.array([g.coords for g in elements])
+
+
+def _atoms(mask: np.ndarray, starts: np.ndarray, t: int) -> list:
+    return np.flatnonzero(mask[starts[t] : starts[t + 1]]).tolist()
 
 
 def check_sup_identity(generators) -> VerificationReport:
     """Join of projections vs projection of the join: exact support equality."""
     generators = list(generators)
+    for g in generators:
+        band_projection(g)  # rejects a negative generator
     report = VerificationReport(suite="bands-join", trials=1)
-    union = np.any([band_projection(g).mask for g in generators], axis=0)
-    joined = band_projection(sup_many(generators))
-    ok = np.array_equal(union, joined.mask)
-    witness = f"union={np.flatnonzero(union).tolist()} vs join-support={list(joined.support)}"
-    report.record(ok, 0.0 if ok else -1.0, witness)
-    report.details["support_size"] = len(joined.support)
+    checks, support_size = sup_identity_checks(
+        _family(generators, "join of an empty family"), np.array([0, generators[0].space.n])
+    )
+    report.record_trials(checks, [0])
+    report.details["support_size"] = int(support_size[0])
     return report
+
+
+def sup_identity_checks(family: np.ndarray, starts: np.ndarray):
+    """check_sup_identity for trials laid end to end: family is a (k, atoms)
+    stack of nonnegative generators, a trial with fewer than k repeating its
+    first.  Returns its (ok, margin, witness_at) triples and each trial's
+    support size."""
+    heads = starts[:-1]
+    union = np.any(family > 0.0, axis=0)
+    joined = np.maximum.reduce(family, axis=0) > 0.0
+    ok = np.logical_and.reduceat(union == joined, heads)
+
+    def witness(t):
+        return f"union={_atoms(union, starts, t)} vs join-support={_atoms(joined, starts, t)}"
+
+    return [(ok, np.where(ok, 0.0, -1.0), witness)], np.add.reduceat(joined, heads)
 
 
 def check_inf_inequality(generators) -> VerificationReport:
@@ -175,17 +226,33 @@ def check_inf_inequality(generators) -> VerificationReport:
     minimum; the containment can be strict, which is recorded.
     """
     generators = list(generators)
+    for g in generators:
+        band_projection(g)  # rejects a negative generator
     report = VerificationReport(suite="bands-meet", trials=1)
-    inter = np.all([band_projection(g).mask for g in generators], axis=0)
-    met = band_projection(inf_many(generators)).mask
-    ok = not np.any(met & ~inter)
-    witness = (
-        f"meet-support={np.flatnonzero(met).tolist()}"
-        f" not within intersection={np.flatnonzero(inter).tolist()}"
+    checks, strict = inf_inequality_checks(
+        _family(generators, "meet of an empty family"), np.array([0, generators[0].space.n])
     )
-    report.record(ok, 0.0 if ok else -1.0, witness)
-    report.details["strict"] = bool(np.any(met != inter))
+    report.record_trials(checks, [0])
+    report.details["strict"] = bool(strict[0])
     return report
+
+
+def inf_inequality_checks(family: np.ndarray, starts: np.ndarray):
+    """check_inf_inequality for trials laid end to end, family as in
+    sup_identity_checks.  Returns its (ok, margin, witness_at) triples and
+    whether each trial's containment is strict."""
+    heads = starts[:-1]
+    inter = np.all(family > 0.0, axis=0)
+    met = np.minimum.reduce(family, axis=0) > 0.0
+    ok = ~np.logical_or.reduceat(met & ~inter, heads)
+
+    def witness(t):
+        return (
+            f"meet-support={_atoms(met, starts, t)}"
+            f" not within intersection={_atoms(inter, starts, t)}"
+        )
+
+    return [(ok, np.where(ok, 0.0, -1.0), witness)], np.logical_or.reduceat(met != inter, heads)
 
 
 def check_exclusion_inequality(elements) -> VerificationReport:
@@ -197,20 +264,32 @@ def check_exclusion_inequality(elements) -> VerificationReport:
     of the second.
     """
     elements = list(elements)
+    family = _family(elements, "join of an empty family")
     report = VerificationReport(suite="bands-exclusion", trials=1)
-    pos_join = band_projection(sup_many([g.pos_part() for g in elements]))
-    neg_meet = band_projection(inf_many([g.neg_part() for g in elements]))
-    overlap = np.flatnonzero(pos_join.mask & neg_meet.mask).tolist()
-    ok_sets = not overlap
-    report.record(
-        ok_sets,
-        0.0 if ok_sets else -float(len(overlap)),
-        f"overlapping atoms: {overlap}",
-    )
-    # The same fact as an operator inequality against the complement.
-    ok_op = pos_join.leq(neg_meet.complement())
-    report.record(ok_op, 0.0 if ok_op else -1.0, "projection not below complement")
+    report.record_trials(exclusion_checks(family, np.array([0, elements[0].space.n])), [0])
     return report
+
+
+def exclusion_checks(family: np.ndarray, starts: np.ndarray):
+    """check_exclusion_inequality's (ok, margin, witness_at) triples for
+    trials laid end to end, family a (k, atoms) stack of elements, a trial
+    with fewer than k repeating its first."""
+    heads = starts[:-1]
+    pos_join = np.maximum.reduce(np.maximum(family, 0.0), axis=0) > 0.0
+    neg_meet = np.minimum.reduce(np.maximum(-family, 0.0), axis=0) > 0.0
+    overlap = pos_join & neg_meet
+    count = np.add.reduceat(overlap, heads)
+    # The same fact as an operator inequality against the complement.
+    complement = ~neg_meet
+    below = ~np.logical_or.reduceat(pos_join & ~complement, heads)
+    return [
+        (
+            count == 0,
+            np.where(count == 0, 0.0, -count.astype(np.float64)),
+            lambda t: f"overlapping atoms: {_atoms(overlap, starts, t)}",
+        ),
+        (below, np.where(below, 0.0, -1.0), lambda t: "projection not below complement"),
+    ]
 
 
 def compose_all(projections) -> BandProjection:

@@ -23,12 +23,11 @@ from .lattice import (
     Tolerance,
     _same_space,
     atom_array,
-    compare,
-    leq_with_tolerance,
-    multiply,
+    compare_segments,
+    row_blocks,
 )
 from .reports import VerificationReport
-from .rng import SplitMix64, derive_seed
+from .rng import Streams, stream_floats, substream_seeds
 
 
 class Partition:
@@ -199,10 +198,15 @@ class ConditionalExpectationOp:
     def block_max(self, f: LatticeElement) -> LatticeElement:
         """Blockwise maximum, broadcast back to a block-constant element (on
         a tie of -0.0 and 0.0, NumPy's loop order picks the sign)."""
-        part = self.partition
+        return LatticeElement(self.space, self.block_max_array(f.coords))
+
+    def block_max_array(self, values: np.ndarray) -> np.ndarray:
+        """block_max of raw coordinates; of a (k, n) stack, each block's
+        maximum over all k rows."""
+        part, rows = self.partition, np.atleast_2d(values)
         maxima = np.full(part.num_blocks, -np.inf)
-        np.maximum.at(maxima, part.block_id, f.coords)
-        return LatticeElement(self.space, maxima[part.block_id])
+        np.maximum.at(maxima, np.tile(part.block_id, len(rows)), rows.ravel())
+        return maxima[part.block_id]
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,18 +221,61 @@ class ConditionalExpectationOp:
         return f"ConditionalExpectationOp(blocks={self.partition.num_blocks})"
 
 
+class RaggedOps:
+    """Averaging operators of several trials laid end to end: trial t owns
+    atoms starts[t]:starts[t + 1], with their weights and block ids, and its
+    blocks are numbered after those of the trials before it.  Each block sums
+    the same terms in the same order as ConditionalExpectationOp.apply_array
+    does for that trial alone, so every bit agrees with it."""
+
+    __slots__ = ("starts", "weights", "bins", "block_weight")
+
+    def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks):
+        self.starts = starts
+        self.weights = weights
+        self.bins = block_id + np.repeat(np.cumsum(num_blocks) - num_blocks, np.diff(starts))
+        self.block_weight = np.bincount(self.bins, weights=weights, minlength=np.sum(num_blocks))
+
+    @classmethod
+    def tiled(cls, op: ConditionalExpectationOp, trials: int = 1) -> "RaggedOps":
+        """trials copies of op."""
+        n = op.space.n
+        return cls(
+            np.arange(0, (trials + 1) * n, n),
+            np.tile(op.space.weights, trials),
+            np.tile(op.partition.block_id, trials),
+            np.full(trials, op.partition.num_blocks),
+        )
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        weighted = values * self.weights
+        sums = np.bincount(self.bins, weights=weighted, minlength=len(self.block_weight))
+        return (sums / self.block_weight)[self.bins]
+
+
+def _eq_segments(a: np.ndarray, b: np.ndarray, tol: Tolerance, starts: np.ndarray):
+    """Two-sided comparison per trial of atoms laid end to end: (ok, margin,
+    atom), the margin -max|a-b| (0 when exactly equal).  Rows a <= b and
+    b <= a share the slack; the lower margin is reported, and the a <= b row
+    on a tie."""
+    slack = tol.slack(a, b)
+    misses, margin, atom = compare_segments(a, b, slack, starts)
+    back_misses, back_margin, back_atom = compare_segments(b, a, slack, starts)
+    worse = back_margin < margin
+    return (
+        misses + back_misses == 0,
+        np.where(worse, back_margin, margin),
+        np.where(worse, back_atom, atom),
+    )
+
+
 def _eq_check(
     a: LatticeElement, b: LatticeElement, tol: Tolerance = DEFAULT_TOL
 ) -> MarginCheck:
-    """Two-sided comparison; margin is -max|a-b| (0 when exactly equal).
-
-    Rows a <= b and b <= a in one compare; the lower margin is reported, and
-    the a <= b row on a tie."""
+    """_eq_segments of one pair of elements."""
     _same_space(a, b)
-    lhs, rhs = np.stack([a.coords, b.coords]), np.stack([b.coords, a.coords])
-    misses, margin, atom = compare(lhs, rhs, tol.slack(lhs, rhs))
-    worse = int(margin[1] < margin[0])
-    return MarginCheck(ok=not misses.any(), margin=float(margin[worse]), atom=int(atom[worse]))
+    ok, margin, atom = _eq_segments(a.coords, b.coords, tol, np.array([0, a.space.n]))
+    return MarginCheck(ok=bool(ok[0]), margin=float(margin[0]), atom=int(atom[0]))
 
 
 def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> LatticeElement:
@@ -350,44 +397,58 @@ def verify_axioms(
 
     Per trial: linearity, positivity, idempotence, unit preservation, strict
     positivity (contrapositive on a draw bounded away from zero), and the
-    averaging identity T(Tf * g) = Tf * Tg.
+    averaging identity T(Tf * g) = Tf * Tg.  Trial t draws from the
+    substream (seed, "ce-axioms", t); trials run in blocks of about
+    BLOCK_ELEMENTS atoms.
     """
     report = VerificationReport(suite="ce-axioms", trials=trials, seed=seed, tol=tol)
-    space = op.space
-    e = space.unit()
-    zero = space.zero()
-    for t in range(trials):
-        stream = SplitMix64(derive_seed(seed, "ce-axioms", t))
-        f = LatticeElement(space, stream.uniforms(space.n, -2.0, 2.0))
-        g = LatticeElement(space, stream.uniforms(space.n, -2.0, 2.0))
-        alpha = stream.uniform(-2.0, 2.0)
-        beta = stream.uniform(-2.0, 2.0)
-
-        lin = _eq_check(op.apply(alpha * f + beta * g), alpha * op.apply(f) + beta * op.apply(g), tol)
-        report.record(lin.ok, lin.margin, f"trial {t}: linearity at atom {lin.atom}", t, seed)
-
-        pos = leq_with_tolerance(zero, op.apply(f.abs()), tol)
-        report.record(pos.ok, pos.margin, f"trial {t}: positivity at atom {pos.atom}", t, seed)
-
-        idem = _eq_check(op.apply(op.apply(f)), op.apply(f), tol)
-        report.record(idem.ok, idem.margin, f"trial {t}: idempotence at atom {idem.atom}", t, seed)
-
-        unit = _eq_check(op.apply(e), e, tol)
-        report.record(unit.ok, unit.margin, f"trial {t}: unit preservation at atom {unit.atom}", t, seed)
-
-        # Strict positivity, contrapositively: pin one coordinate away from 0
-        # and require T|f| to have a strictly positive coordinate.
-        pinned = np.array(f.coords)
-        k = stream.below(space.n)
-        pinned[k] = stream.uniform(0.5, 1.5) * (1.0 if stream.next_float() < 0.5 else -1.0)
-        tf = op.apply(LatticeElement(space, pinned).abs())
-        peak = tf.max_abs()
-        report.record(peak > 0.0, peak, f"trial {t}: strict positivity (max T|f| = {peak})", t, seed)
-
-        avg = _eq_check(
-            op.apply(multiply(op.apply(f), g)),
-            multiply(op.apply(f), op.apply(g)),
-            tol,
-        )
-        report.record(avg.ok, avg.margin, f"trial {t}: averaging identity at atom {avg.atom}", t, seed)
+    for rows in row_blocks(trials, op.space.n):
+        labels = np.arange(rows.start, rows.stop)
+        seeds = substream_seeds(len(labels), seed, "ce-axioms", first=rows.start)
+        checks = axiom_checks(RaggedOps.tiled(op, len(labels)), seeds, labels, tol)
+        report.record_trials(checks, labels, seed)
     return report
+
+
+def axiom_checks(ops: RaggedOps, seeds: np.ndarray, labels: np.ndarray, tol: Tolerance):
+    """verify_axioms' six checks for each trial t of ops, drawing from the
+    SplitMix64 stream seeded seeds[t] and naming it trial labels[t] in
+    witnesses: one (ok, margin, witness_at) triple per check, over the trials."""
+    starts = ops.starts
+    n = np.diff(starts)
+    draws = Streams(stream_floats(seeds, 2 * n + 5), 2 * n + 5)
+    f = draws.uniforms(n, -2.0, 2.0)
+    g = draws.uniforms(n, -2.0, 2.0)
+    alpha = np.repeat(draws.uniform(-2.0, 2.0), n)
+    beta = np.repeat(draws.uniform(-2.0, 2.0), n)
+    # Strict positivity, contrapositively: pin one coordinate away from 0
+    # and require T|f| to have a strictly positive coordinate.
+    pinned, at = f.copy(), starts[:-1] + draws.below(n)
+    pinned[at] = draws.uniform(0.5, 1.5) * np.where(draws.next_float() < 0.5, 1.0, -1.0)
+    tf, tg = ops.apply(f), ops.apply(g)
+    e = np.ones(len(f))
+    lin = _eq_segments(ops.apply(f * alpha + g * beta), tf * alpha + tg * beta, tol, starts)
+    positive = ops.apply(np.abs(f))
+    zero = np.zeros(len(f))
+    pos_misses, pos_margin, pos_atom = compare_segments(
+        zero, positive, tol.slack(zero, positive), starts
+    )
+    idem = _eq_segments(ops.apply(tf), tf, tol, starts)
+    unit = _eq_segments(ops.apply(e), e, tol, starts)
+    peak = np.maximum.reduceat(np.abs(ops.apply(np.abs(pinned))), starts[:-1])
+    avg = _eq_segments(ops.apply(tf * g), tf * tg, tol, starts)
+
+    def at_atom(check, atom):
+        return lambda t: f"trial {labels[t]}: {check} at atom {atom[t]}"
+
+    def strict(t):
+        return f"trial {labels[t]}: strict positivity (max T|f| = {float(peak[t])})"
+
+    return [
+        (lin[0], lin[1], at_atom("linearity", lin[2])),
+        (pos_misses == 0, pos_margin, at_atom("positivity", pos_atom)),
+        (idem[0], idem[1], at_atom("idempotence", idem[2])),
+        (unit[0], unit[1], at_atom("unit preservation", unit[2])),
+        (peak > 0.0, peak, strict),
+        (avg[0], avg[1], at_atom("averaging identity", avg[2])),
+    ]

@@ -16,6 +16,10 @@ Covered here:
   * the telescoped band-projection bound and the Hajek-Renyi-Chow maximal
     inequality, including Doob's special case a = 1, each checked in array
     passes over the (N, n) stack of stages, with projections as masks.
+
+clarkson and jensen_power are the one-trial case of clarkson_checks and
+jensen_checks, which check many trials at once with their atoms laid end to
+end (lattice.compare_segments), as the verify suites run them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 
 import numpy as np
 
-from .conditional import CompatibleTriple, ConditionalExpectationOp, lp_norm
+from .conditional import CompatibleTriple, ConditionalExpectationOp, RaggedOps
 from .errors import (
     BadExponent,
     BadWeights,
@@ -37,12 +41,15 @@ from .lattice import (
     DEFAULT_TOL,
     LatticeElement,
     Tolerance,
+    _same_space,
     compare,
+    compare_segments,
     leq_with_tolerance,
-    multiply,
-    power,
+    power_array,
+    ragged_power,
+    raise_first,
     require_finite,
-    sup_many,
+    require_finite_segments,
 )
 from .processes import (
     MARTINGALE,
@@ -67,16 +74,6 @@ def _check_conjugate(p: float, q: float) -> None:
         raise ExponentMismatch(f"1/p + 1/q = {inv}, expected 1")
 
 
-def _norm_factor(elements, r: float, op: ConditionalExpectationOp) -> LatticeElement:
-    """(sum_i T|x_i|^r)^(1/r), or the join of blockwise maxima at r = inf."""
-    if r == math.inf:
-        return sup_many([lp_norm(op, x, math.inf) for x in elements])
-    total = op.space.zero()
-    for x in elements:
-        total = total + op.apply(power(x.abs(), r))
-    return power(total, 1.0 / r)
-
-
 def holder_sums(
     x_list,
     y_list,
@@ -85,19 +82,51 @@ def holder_sums(
     op: ConditionalExpectationOp,
     tol: Tolerance = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Holder inequality for finite sums under an averaging operator."""
+    """Holder inequality for finite sums under an averaging operator.
+
+    The right side multiplies (sum_i T|x_i|^p)^(1/p) by the same factor of
+    the y_i at q; a factor at exponent inf is the join of the blockwise
+    maxima.  One block sum conditions every row of both sides."""
     x_list, y_list = list(x_list), list(y_list)
     if len(x_list) != len(y_list) or not x_list:
         raise ValueError("need equally many x and y elements, at least one pair")
     _check_conjugate(p, q)
+    if any(z.space != op.space for z in x_list + y_list):
+        raise SpaceMismatch("element on a different space than the operator")
+    xs = np.array([x.coords for x in x_list])
+    ys = np.array([y.coords for y in y_list])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        stacks = [np.abs(xs * ys)] + [
+            power_array(np.abs(zs), r) for zs, r in ((xs, p), (ys, q)) if r != math.inf
+        ]
+        conditioned = op.apply_array(np.concatenate(stacks)).reshape(len(stacks), *xs.shape)
+        sums = conditioned[:, 0]
+        for i in range(1, len(xs)):  # pair by pair, in order
+            sums = sums + conditioned[:, i]
+        lhs, moments = sums[0], iter(sums[1:])
+
+        def factor(rows: np.ndarray, r: float) -> np.ndarray:
+            if r == math.inf:
+                return op.block_max_array(np.abs(rows))
+            return power_array(next(moments), 1.0 / r)
+
+        rhs = factor(xs, p) * factor(ys, q)
+    check = leq_with_tolerance(LatticeElement(op.space, lhs), LatticeElement(op.space, rhs), tol)
     report = VerificationReport(suite="holder", trials=1, tol=tol)
-    lhs = op.space.zero()
-    for x, y in zip(x_list, y_list):
-        lhs = lhs + op.apply(multiply(x, y).abs())
-    rhs = multiply(_norm_factor(x_list, p, op), _norm_factor(y_list, q, op))
-    check = leq_with_tolerance(lhs, rhs, tol)
     report.record(check.ok, check.margin, f"pairs={len(x_list)} p={p} atom={check.atom}")
     return report
+
+
+def _one_trial(suite: str, tol: Tolerance, checks) -> VerificationReport:
+    report = VerificationReport(suite=suite, trials=1, tol=tol)
+    report.record_trials(checks, [0])
+    return report
+
+
+def _clarkson_range(p: np.ndarray):
+    return ~((1.0 <= p) & (p <= 2.0)), lambda t: BadExponent(
+        f"Clarkson range is 1 <= p <= 2, got {float(p[t])}"
+    )
 
 
 def clarkson(
@@ -108,18 +137,37 @@ def clarkson(
     |x+y|^p + |x-y|^p <= 2 (x^2 + y^2)^(p/2) <= 2 (|x|^p + |y|^p);
     both upper bounds are checked against the same left side.
     """
-    p = float(p)
-    if not 1.0 <= p <= 2.0:
-        raise BadExponent(f"Clarkson range is 1 <= p <= 2, got {p}")
-    report = VerificationReport(suite="clarkson", trials=1, tol=tol)
-    lhs = power((x + y).abs(), p) + power((x - y).abs(), p)
-    plain = 2.0 * (power(x.abs(), p) + power(y.abs(), p))
-    sharper = 2.0 * power(multiply(x, x) + multiply(y, y), p / 2.0)
-    main = leq_with_tolerance(lhs, plain, tol)
-    report.record(main.ok, main.margin, f"p={p} plain bound atom={main.atom}")
-    mid = leq_with_tolerance(lhs, sharper, tol)
-    report.record(mid.ok, mid.margin, f"p={p} quadratic-mean bound atom={mid.atom}")
-    return report
+    p = np.array([float(p)])
+    raise_first(_clarkson_range(p))
+    _same_space(x, y)
+    checks = clarkson_checks(x.coords, y.coords, p, np.array([0, x.space.n]), tol)
+    return _one_trial("clarkson", tol, checks)
+
+
+def clarkson_checks(x, y, p, starts, tol: Tolerance):
+    """clarkson's two checks for trials laid end to end, trial t on atoms
+    starts[t]:starts[t + 1] at exponent p[t]: one (ok, margin, witness_at)
+    triple per check, over the trials.  Raises as the first failing trial."""
+    out_of_range = _clarkson_range(p)
+    p_or_1 = np.where(out_of_range[0], 1.0, p)  # such a trial raises before its powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = ragged_power(np.abs(np.stack((x + y, x - y, x, y))), starts, p_or_1)
+        lhs = powers[0] + powers[1]
+        plain = 2.0 * (powers[2] + powers[3])
+        sharper = 2.0 * ragged_power(x * x + y * y, starts, p_or_1 / 2.0)
+    require_finite_segments(starts, lhs, plain, sharper, checks=[out_of_range])
+    main = compare_segments(lhs, plain, tol.slack(lhs, plain), starts)
+    mid = compare_segments(lhs, sharper, tol.slack(lhs, sharper), starts)
+    return [
+        (main[0] == 0, main[1], lambda t: f"p={float(p[t])} plain bound atom={main[2][t]}"),
+        (mid[0] == 0, mid[1], lambda t: f"p={float(p[t])} quadratic-mean bound atom={mid[2][t]}"),
+    ]
+
+
+def _jensen_range(p: np.ndarray):
+    return ~((1.0 <= p) & (p < math.inf)), lambda t: BadExponent(
+        f"Jensen power bound needs finite p >= 1, got {float(p[t])}"
+    )
 
 
 def jensen_power(
@@ -129,15 +177,25 @@ def jensen_power(
     tol: Tolerance = DEFAULT_TOL,
 ) -> VerificationReport:
     """Convexity bound |Tf|^p <= T|f|^p for p >= 1."""
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise BadExponent(f"Jensen power bound needs finite p >= 1, got {p}")
-    report = VerificationReport(suite="jensen", trials=1, tol=tol)
-    lhs = power(op.apply(f).abs(), p)
-    rhs = op.apply(power(f.abs(), p))
-    check = leq_with_tolerance(lhs, rhs, tol)
-    report.record(check.ok, check.margin, f"p={p} atom={check.atom}")
-    return report
+    p = np.array([float(p)])
+    raise_first(_jensen_range(p))
+    if f.space != op.space:
+        raise SpaceMismatch("element on a different space than the operator")
+    return _one_trial("jensen", tol, jensen_checks(f.coords, p, RaggedOps.tiled(op), tol))
+
+
+def jensen_checks(f, p, ops: RaggedOps, tol: Tolerance):
+    """jensen_power's check for each trial t of ops, at exponent p[t]: one
+    (ok, margin, witness_at) triple over the trials.  Raises as the first
+    failing trial."""
+    out_of_range = _jensen_range(p)
+    p_or_1 = np.where(out_of_range[0], 1.0, p)  # such a trial raises before its powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = ragged_power(np.abs(ops.apply(f)), ops.starts, p_or_1)
+        rhs = ops.apply(ragged_power(np.abs(f), ops.starts, p_or_1))
+    require_finite_segments(ops.starts, lhs, rhs, checks=[out_of_range])
+    misses, margin, atom = compare_segments(lhs, rhs, tol.slack(lhs, rhs), ops.starts)
+    return [(misses == 0, margin, lambda t: f"p={float(p[t])} atom={atom[t]}")]
 
 
 def burkholder_ratio(
@@ -236,15 +294,19 @@ def telescoping_bound(
     for x in xs:
         if x.space != g.space:
             raise SpaceMismatch("sequence and threshold on different spaces")
-    seq = np.array([x.coords for x in xs])
-    below, steps = g.coords - seq, seq[1:] - seq[:-1]
+    return _telescoping_rows(np.array([x.coords for x in xs]), g.coords, tol)
+
+
+def _telescoping_rows(seq: np.ndarray, g: np.ndarray, tol: Tolerance) -> VerificationReport:
+    """telescoping_bound of the (N, n) stack seq of X_1..X_N and g's coordinates."""
+    below, steps = g - seq, seq[1:] - seq[:-1]
     prod = np.logical_and.accumulate(np.maximum(below, 0.0) > 0.0, axis=0)
-    join = np.maximum(g.coords - np.maximum.accumulate(seq, axis=0), 0.0) > 0.0
+    join = np.maximum(g - np.maximum.accumulate(seq, axis=0), 0.0) > 0.0
     rhs_sum = np.cumsum(np.concatenate((seq[:1], np.where(prod[:-1], steps, 0.0))), axis=0)
     rhs = rhs_sum - np.where(prod, seq, 0.0)
     require_finite(below, steps, rhs)
     report = VerificationReport(suite="telescoping", trials=1, tol=tol)
-    lhs = np.where(prod, 0.0, g.coords)
+    lhs = np.where(prod, 0.0, g)
     _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
     return report
 

@@ -29,11 +29,9 @@ class SampleSpace:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("weights must be finite and strictly positive")
-        total = float(w.sum())
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            w = w / total
+        w = normalized(w)
         self.n = int(w.size)
         self.weights = w
         self.weights.flags.writeable = False
@@ -73,6 +71,12 @@ class SampleSpace:
         return {"n": self.n, "weights": [float(w) for w in self.weights]}
 
 
+def normalized(weights: np.ndarray) -> np.ndarray:
+    """Weights scaled to sum to one, or as given when they already do."""
+    total = float(weights.sum())
+    return weights / total if abs(total - 1.0) > _WEIGHT_TOL else weights
+
+
 def atom_array(atoms) -> np.ndarray:
     """Atom labels as an intp array.  Labels must be integers: a float or
     string label raises ValueError instead of being truncated to an atom."""
@@ -85,8 +89,36 @@ def atom_array(atoms) -> np.ndarray:
 def require_finite(*stacks) -> None:
     """Raise ValueError, as for an element's coordinates, unless every entry
     of every stack is finite."""
-    if not all(np.isfinite(stack).all() for stack in stacks):
-        raise ValueError("coordinates must be finite")
+    for stack in stacks:
+        if not np.isfinite(stack).all():
+            raise _not_finite()
+
+
+def _not_finite(_trial=None) -> ValueError:
+    return ValueError("coordinates must be finite")
+
+
+def raise_first(*checks) -> None:
+    """Raise what the first failing trial raises when its trials run one by
+    one: checks are (bad, error) pairs in the order a trial meets them, bad a
+    boolean array over the trials and error(t) the exception of trial t."""
+    first = None
+    for bad, error in checks:
+        hit = np.flatnonzero(bad)
+        if hit.size and (first is None or hit[0] < first[0]):
+            first = (int(hit[0]), error)
+    if first is not None:
+        raise first[1](first[0])
+
+
+def require_finite_segments(starts: np.ndarray, *stacks, checks=()) -> None:
+    """Trials laid end to end, trial t on atoms starts[t]:starts[t + 1]:
+    raise_first over checks, then the ValueError of require_finite for a
+    trial with a non-finite entry in any stack (each 1-d over the atoms)."""
+    bad = np.zeros(int(starts[-1]), dtype=bool)
+    for stack in stacks:
+        bad |= ~np.isfinite(stack)
+    raise_first(*checks, (np.logical_or.reduceat(bad, starts[:-1]), _not_finite))
 
 
 def _same_space(a: "LatticeElement", b: "LatticeElement") -> None:
@@ -210,25 +242,40 @@ def power(f: LatticeElement, p: float) -> LatticeElement:
     integer p <= 16 uses repeated multiplication, which keeps e.g. squares
     exact for the identity checks downstream.  p must be finite (BadExponent).
     """
+    out = power_array(f.coords, p)
+    return f if out is f.coords else LatticeElement(f.space, out)
+
+
+def power_array(values: np.ndarray, p: float) -> np.ndarray:
+    """power on raw coordinates, with its checks; p = 1 returns values."""
     p = float(p)
     if p <= 0.0:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
     if not p < math.inf:
         raise BadExponent(f"exponent must be finite, got {p}")
     if p == 1.0:
-        return f
+        return values
     if p == int(p) and p <= 16:
-        out = np.ones(f.space.n)
-        base = f.coords
+        out = np.ones(values.shape)
         for _ in range(int(p)):
-            out = out * base
-        return LatticeElement(f.space, out)
-    if p != int(p) and np.any(f.coords < 0.0):
-        worst = int(np.argmin(f.coords))
+            out = out * values
+        return out
+    if p != int(p) and (values < 0.0).any():
+        worst = int(np.argmin(values))
         raise NegativeBase(
             f"fractional power {p} of a negative coordinate at atom {worst}"
         )
-    return LatticeElement(f.space, np.power(f.coords, p))
+    return np.power(values, p)
+
+
+def ragged_power(values: np.ndarray, starts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """power_array of each trial's atoms starts[t]:starts[t + 1] (along the
+    last axis) at its own exponent p[t]: one scalar-exponent call per trial,
+    as NumPy's sqrt and square paths for an exponent array move bits."""
+    out = np.empty(values.shape)
+    for t, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+        out[..., lo:hi] = power_array(values[..., lo:hi], p[t])
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,6 +359,21 @@ def compare(lhs, rhs, slack):
     loose = gap + slack
     misses = np.shape(loose)[-1] - np.count_nonzero(loose >= 0.0, axis=-1)
     return misses, gap.min(axis=-1), loose.argmin(axis=-1)
+
+
+def compare_segments(lhs, rhs, slack, starts: np.ndarray):
+    """compare for trials laid end to end along one axis: per trial t, on
+    atoms starts[t]:starts[t + 1], the misses, the margin and the first
+    argmin (counted from the trial's first atom), a NaN missing and coming
+    first as in compare."""
+    heads = starts[:-1]
+    gap = rhs - lhs
+    loose = gap + slack
+    misses = np.add.reduceat((~(loose >= 0.0)).astype(np.intp), heads)
+    least = np.repeat(np.minimum.reduceat(loose, heads), np.diff(starts))
+    index = np.arange(len(loose))
+    first = np.where((loose == least) | np.isnan(loose), index, len(loose))
+    return misses, np.minimum.reduceat(gap, heads), np.minimum.reduceat(first, heads) - heads
 
 
 def leq_with_tolerance(

@@ -185,7 +185,8 @@ def series_report(terms: np.ndarray) -> SeriesReport:
             low = np.minimum(low, halving_fold(np.minimum, tail, 0))
             high = np.maximum(high, halving_fold(np.maximum, tail, 0))
     last = at[count]
-    tail_gap = float(np.max(np.abs(last - np.stack([low, high]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        tail_gap = float(np.max(np.abs(last - np.stack([low, high]))))
     scale = max(1.0, float(np.max(np.abs(last))))
     epsilon = SERIES_TAIL_REL * scale
     return SeriesReport(
@@ -320,10 +321,11 @@ def submartingale_convergence_experiment(
     t1 = process.filtration[0]
     checks = {"term-nonneg": CheckSummary()}
     if count > 1:
-        powers = process.values**p
-        terms = powers[1:] - powers[:-1]
-        del powers
-        terms /= (a[1:] ** p)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+            powers = process.values**p
+            terms = powers[1:] - powers[:-1]
+            del powers
+            terms /= (a[1:] ** p)[:, None]
         terms = t1.apply_rows(terms)
         _check(checks["term-nonneg"], 0.0, terms, tol.slack, "series term sign")
         series = series_report(terms)
@@ -366,12 +368,13 @@ def slln_p_le_2(
     t1 = diffs.filtration[0]
     # Each (N, n) stack is built once, in place where the ufunc allows.
     absy_p = np.abs(diffs.values)
-    absy_p **= p
-    series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
-    absx_p = np.cumsum(diffs.values, axis=0)
-    decay = decay_report(absx_p / a[:, None], epsilon)
-    np.abs(absx_p, out=absx_p)
-    absx_p **= p
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        absy_p **= p
+        series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
+        absx_p = np.cumsum(diffs.values, axis=0)
+        decay = decay_report(absx_p / a[:, None], epsilon)
+        np.abs(absx_p, out=absx_p)
+        absx_p **= p
     checks = {
         "power-diff-nonneg": CheckSummary(),
         "power-diff-dominated": CheckSummary(),
@@ -541,23 +544,24 @@ def slln_an_equals_n(
     decay = decay_report(sums, epsilon)
     del sums
     absy_p = np.abs(diffs.values)
-    absy_p **= p
-    series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
-    bound_rhs = t1.apply_rows(absy_p)
-    del absy_p
-    np.cumsum(bound_rhs, axis=0, out=bound_rhs)
-    bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
-    del steps
-    absy_sq = np.abs(diffs.values)
-    absy_sq **= 2
-    running = np.cumsum(absy_sq, axis=0)
-    running **= p / 2.0
-    exchange_lhs = t1.apply_rows(running)
-    del running
-    exchange_rhs = t1.apply_rows(absy_sq)
-    del absy_sq
-    np.cumsum(exchange_rhs, axis=0, out=exchange_rhs)
-    exchange_rhs **= p / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        absy_p **= p
+        series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
+        bound_rhs = t1.apply_rows(absy_p)
+        del absy_p
+        np.cumsum(bound_rhs, axis=0, out=bound_rhs)
+        bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
+        del steps
+        absy_sq = np.abs(diffs.values)
+        absy_sq **= 2
+        running = np.cumsum(absy_sq, axis=0)
+        running **= p / 2.0
+        exchange_lhs = t1.apply_rows(running)
+        del running
+        exchange_rhs = t1.apply_rows(absy_sq)
+        del absy_sq
+        np.cumsum(exchange_rhs, axis=0, out=exchange_rhs)
+        exchange_rhs **= p / 2.0
 
     checks = {
         "square-sum-exchange": CheckSummary(),

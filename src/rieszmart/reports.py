@@ -66,15 +66,33 @@ class VerificationReport:
             if len(self.failures) < MAX_RECORDED_FAILURES:
                 self.failures.append(Failure(trial, seed, margin, witness))
 
-    def record_many(self, ok: np.ndarray, margin: np.ndarray, witness_at) -> None:
-        """record(ok[i], margin[i], witness_at(i)) for each i in turn; only
-        the failures that are kept call witness_at."""
+    def record_many(
+        self, ok: np.ndarray, margin: np.ndarray, witness_at, trials=None, seed: int | None = None
+    ) -> None:
+        """record(ok[i], margin[i], witness_at(i), trials[i], seed) for each i
+        in turn, trial 0 when trials is None; only the failures that are kept
+        call witness_at."""
         if len(margin):
             self.min_margin = min(self.min_margin, float(margin[np.argmin(margin)]))
         misses = np.flatnonzero(~ok)
         self.failure_count += misses.size
         for i in misses[: MAX_RECORDED_FAILURES - len(self.failures)].tolist():
-            self.failures.append(Failure(0, None, float(margin[i]), witness_at(i)))
+            trial = 0 if trials is None else int(trials[i])
+            self.failures.append(Failure(trial, seed, float(margin[i]), witness_at(i)))
+
+    def record_trials(self, checks, trials, seed: int | None = None) -> None:
+        """Record several checks of several trials, trial by trial and each
+        trial's checks in list order: checks are (ok, margin, witness_at)
+        triples of arrays over the trials, witness_at(k) naming a miss of the
+        k-th trial, and trials holds each trial's number."""
+        width = len(checks)
+        self.record_many(
+            np.column_stack([check[0] for check in checks]).ravel(),
+            np.column_stack([check[1] for check in checks]).ravel(),
+            lambda i: checks[i % width][2](i // width),
+            np.repeat(trials, width),
+            seed,
+        )
 
     def absorb(self, other: "VerificationReport", trial: int, seed: int | None) -> None:
         """Fold a single-instance report into this aggregate, reindexed by trial."""

@@ -7,6 +7,8 @@ platform.  Uniform doubles use the top 53 bits of each output word divided by
 parent seed together with string/integer labels, never by sharing state.
 mix64_array and substream_floats do the same over numpy uint64 arrays, which
 wrap mod 2**64; the scalar SplitMix64 class is the reference they match bit for bit.
+substream_floats can skip a number of words per stream, and Streams reads
+such draws back, stream by stream, with the scalar methods' arithmetic.
 """
 
 from __future__ import annotations
@@ -41,17 +43,41 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
 
 
 def substream_floats(
-    counts: np.ndarray, seed: int, *labels: int | str, first: int = 0
+    counts: np.ndarray, seed: int, *labels: int | str, first: int = 0, offsets=0
 ) -> np.ndarray:
     """substream(seed, *labels, first + i).floats(counts[i]) for every i,
-    concatenated.  Label first + i is one mix64 of the hashed prefix; word k
-    of a stream seeded s is mix64(s + k * golden) mod 2**64, and
-    k = j - before for word j of the whole."""
-    golden = np.uint64(_GOLDEN)
+    concatenated, after skipping offsets[i] words of stream i (offsets may
+    be one number for all streams)."""
+    return stream_floats(substream_seeds(len(counts), seed, *labels, first=first), counts, offsets)
+
+
+def substream_seeds(count: int, seed: int, *labels: int | str, first: int = 0) -> np.ndarray:
+    """derive_seed(seed, *labels, first + i) for i < count, as uint64: label
+    first + i is one mix64 of the hashed prefix."""
     prefix = np.uint64(derive_seed(seed, *labels))
-    seeds = _mix64_in_place(np.arange(first, first + len(counts), dtype=np.uint64) ^ prefix)
+    return _mix64_in_place(np.arange(first, first + count, dtype=np.uint64) ^ prefix)
+
+
+def derive_seeds(seeds: np.ndarray, *labels: int | str) -> np.ndarray:
+    """derive_seed(s, *labels) for every uint64 seed s, as a new array."""
+    h = np.array(seeds, dtype=np.uint64)
+    for label in labels:
+        for word in label.encode("utf-8") if isinstance(label, str) else (int(label) & _MASK64,):
+            h ^= np.uint64(word)
+            _mix64_in_place(h)
+    return h
+
+
+def stream_floats(seeds: np.ndarray, counts: np.ndarray, offsets=0) -> np.ndarray:
+    """SplitMix64(seeds[i]).floats(counts[i]) after skipping offsets[i]
+    words, for every i, concatenated.  Word k of the stream seeded s is
+    mix64(s + k * golden) mod 2**64, and k = j - before + offset for word j
+    of the whole."""
+    golden = np.uint64(_GOLDEN)
+    counts = np.asarray(counts, dtype=np.int64)
+    shift = (np.asarray(offsets, dtype=np.int64) - (np.cumsum(counts) - counts)).astype(np.uint64)
     words = np.arange(1, int(np.sum(counts)) + 1, dtype=np.uint64) * golden
-    words += np.repeat(seeds - (np.cumsum(counts) - counts).astype(np.uint64) * golden, counts)
+    words += np.repeat(seeds + shift * golden, counts)
     return (_mix64_in_place(words) >> np.uint64(11)) * 2.0**-53
 
 
@@ -120,6 +146,51 @@ class SplitMix64:
 
     def uniforms(self, count: int, lo: float, hi: float) -> np.ndarray:
         return lo + (hi - lo) * self.floats(count)
+
+
+class Streams:
+    """Floats drawn for several streams at once, stream i's counts[i] of them
+    in turn, read in order through one cursor per stream.  Each method reads
+    like the SplitMix64 method of its name, for every stream at once, or
+    only where the mask where is True (NaN elsewhere)."""
+
+    __slots__ = ("drawn", "pos")
+
+    def __init__(self, drawn: np.ndarray, counts: np.ndarray):
+        self.drawn = drawn
+        self.pos = np.cumsum(counts) - counts
+
+    def next_float(self, where=None) -> np.ndarray:
+        if where is None:
+            out = self.drawn[self.pos]
+            self.pos = self.pos + 1
+            return out
+        out = np.where(where, self.drawn[np.where(where, self.pos, 0)], np.nan)
+        self.pos = self.pos + where
+        return out
+
+    def uniform(self, lo: float, hi: float, where=None) -> np.ndarray:
+        return lo + (hi - lo) * self.next_float(where)
+
+    def below(self, k) -> np.ndarray:
+        return below(self.next_float(), k)
+
+    def floats(self, sizes) -> np.ndarray:
+        """sizes[i] floats of stream i, for every i, concatenated."""
+        sizes = np.asarray(sizes)
+        heads = np.cumsum(sizes) - sizes
+        out = self.drawn[np.repeat(self.pos - heads, sizes) + np.arange(int(np.sum(sizes)))]
+        self.pos = self.pos + sizes
+        return out
+
+    def uniforms(self, sizes, lo: float, hi: float) -> np.ndarray:
+        return lo + (hi - lo) * self.floats(sizes)
+
+
+def below(floats: np.ndarray, k) -> np.ndarray:
+    """SplitMix64.below(k) read from each float, k >= 1 (one or one each)."""
+    v = (floats * k).astype(np.int64)
+    return np.minimum(v, np.asarray(k) - 1)
 
 
 def substream(seed: int, *labels: int | str) -> SplitMix64:

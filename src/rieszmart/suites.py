@@ -4,6 +4,18 @@ Every driver takes a RunConfig and returns one aggregated VerificationReport.
 Trial t of suite S draws all of its randomness from the substream keyed by
 (seed, S, t), so a single seed reproduces every trial regardless of how many
 trials run or in what order.  Reports echo the effective configuration.
+
+holder, clarkson, jensen, bands and ce-axioms take their trials in batches of
+about lattice.BLOCK_ELEMENTS atoms.  One SplitMix64 pass draws words 1 and 2
+of every trial's substream (its dimension and weight mode), and a second
+draws every later word the trial can use on that many atoms; a trial that
+uses fewer leaves the rest of its own substream unread.  The floats are read
+back per trial with the scalar generator's arithmetic (rng.Streams).  Each
+check then runs once over the batch: the trials' atoms laid end to end, block
+ids offset per trial, and per-trial outcomes from segment reductions, which
+are recorded trial by trial.  holder keeps one holder_sums call per trial on
+the batch's draws, the checker span per trial that perfbench's tracer
+counts.  The other suites draw and check one trial at a time.
 """
 
 from __future__ import annotations
@@ -13,30 +25,25 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bands import (
-    apply_sup_formula_oracle,
-    band_projection,
-    check_exclusion_inequality,
-    check_inf_inequality,
-    check_sup_identity,
-)
+from .bands import exclusion_checks, inf_inequality_checks, sup_formula, sup_identity_checks
 from .conditional import (
     ConditionalExpectationOp,
     Filtration,
     Partition,
-    verify_axioms,
+    RaggedOps,
+    axiom_checks,
 )
 from .errors import RieszmartError
 from .inequalities import (
+    _telescoping_rows,
     burkholder_ratio,
-    clarkson,
+    clarkson_checks,
     doob_maximal,
     holder_sums,
     hrc_maximal,
-    jensen_power,
-    telescoping_bound,
+    jensen_checks,
 )
-from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance
+from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, normalized, row_blocks
 from .processes import (
     GeneratorConfig,
     _split_largest_chain,
@@ -44,7 +51,15 @@ from .processes import (
     generate_submartingale,
 )
 from .reports import VerificationReport
-from .rng import SplitMix64, derive_seed
+from .rng import (
+    SplitMix64,
+    Streams,
+    below,
+    derive_seed,
+    derive_seeds,
+    substream_floats,
+    substream_seeds,
+)
 
 STANDARD_SEED = 42
 
@@ -111,10 +126,6 @@ def _random_space(stream: SplitMix64, dim_max: int) -> SampleSpace:
     return SampleSpace(stream.uniforms(dim, 0.05, 1.0))
 
 
-def _random_element(stream: SplitMix64, space: SampleSpace, hi: float = 2.0) -> LatticeElement:
-    return LatticeElement(space, stream.uniforms(space.n, -hi, hi))
-
-
 def _sparse_nonneg(stream: SplitMix64, space: SampleSpace, hi: float = 2.0) -> LatticeElement:
     """Nonnegative draw with exact zeros, so band supports are interesting."""
     coords = stream.uniforms(space.n, 0.0, hi)
@@ -122,30 +133,55 @@ def _sparse_nonneg(stream: SplitMix64, space: SampleSpace, hi: float = 2.0) -> L
     return LatticeElement(space, np.where(keep, coords, 0.0))
 
 
-def _sparse_signed(stream: SplitMix64, space: SampleSpace, hi: float = 2.0) -> LatticeElement:
-    coords = stream.uniforms(space.n, -hi, hi)
-    keep = stream.floats(space.n) < 0.7
-    return LatticeElement(space, np.where(keep, coords, 0.0))
+def _partition_words(n):
+    """How many floats _random_partition draws on n atoms: n - 1 for the
+    atom shuffle, one for the block count and n - 2 for the cut shuffle."""
+    return np.maximum(2 * np.asarray(n) - 2, 1)
 
 
-def _shuffled(stream: SplitMix64, xs: list) -> list:
-    xs = list(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        j = stream.below(i + 1)
-        xs[i], xs[j] = xs[j], xs[i]
-    return xs
+def _partition_ids(floats: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block ids of _random_partition for each trial, read from its
+    _partition_words(n[t]) floats laid end to end: the ids of all trials
+    concatenated, and each trial's number of blocks."""
+    counts = _partition_words(n)
+    local = np.arange(len(floats)) - np.repeat(np.cumsum(counts) - counts, counts)
+    size = np.repeat(n, counts)
+    # below(i + 1) for i = n - 1, ..., 1; below(n); below(i + 1) for i = n - 2, ..., 1.
+    k = np.where(local < size, size - local, 2 * size - 1 - local)
+    draws = iter(below(floats, np.where(local == size - 1, size, k)).tolist())
+    order, cut = [], []  # each trial's shuffled atoms, and whether a block starts there
+    for m in n.tolist():
+        atoms, rest = list(range(m)), list(range(1, m))
+        for i in range(m - 1, 0, -1):
+            j = next(draws)
+            atoms[i], atoms[j] = atoms[j], atoms[i]
+        k = 1 + next(draws)
+        for i in range(m - 2, 0, -1):
+            j = next(draws)
+            rest[i], rest[j] = rest[j], rest[i]
+        starts = [False] * m
+        for c in [0] + rest[: k - 1]:
+            starts[c] = True
+        order += atoms
+        cut += starts
+    # Blocks in shuffled order, numbered across the trials, then renumbered
+    # by their lowest atom, trial by trial.
+    heads = np.cumsum(n) - n
+    atom = np.array(order) + np.repeat(heads, n)
+    block = np.empty(len(atom), dtype=np.intp)
+    block[atom] = np.cumsum(cut) - 1
+    num_blocks = np.add.reduceat(np.array(cut), heads)
+    lowest = np.full(int(num_blocks.sum()), len(atom))
+    np.minimum.at(lowest, block, np.arange(len(atom)))
+    rank = np.empty(len(lowest), dtype=np.intp)
+    rank[np.argsort(lowest)] = np.arange(len(lowest))
+    return rank[block] - np.repeat(np.cumsum(num_blocks) - num_blocks, n), num_blocks
 
 
 def _random_partition(stream: SplitMix64, space: SampleSpace) -> Partition:
-    n = space.n
-    atoms = _shuffled(stream, range(n))
-    k = 1 + stream.below(n)
-    cuts = sorted(_shuffled(stream, range(1, n))[: k - 1])
-    blocks, prev = [], 0
-    for c in cuts + [n]:
-        blocks.append(atoms[prev:c])
-        prev = c
-    return Partition(space, blocks)
+    n = np.array([space.n])
+    ids, _ = _partition_ids(stream.floats(int(_partition_words(n)[0])), n)
+    return Partition(space, block_id=ids)
 
 
 def _refining_filtration(stream: SplitMix64, space: SampleSpace, steps: int) -> Filtration:
@@ -170,6 +206,59 @@ def _rates_for(trial: int, length: int) -> np.ndarray:
     return np.arange(1, length + 1, dtype=np.float64) ** s
 
 
+class _Batch:
+    """Trials of one suite drawn together, each from its own substream, as
+    the per-trial helpers above draw: a first pass takes words 1 and 2 of
+    every trial (its dimension and weight mode), a second pass every later
+    word the trial can use, words(n) of them on n atoms after its weights.
+    Trial t's atoms are starts[t]:starts[t + 1] of every array over atoms."""
+
+    def __init__(self, cfg: "RunConfig", suite: str, trials: range, words):
+        head = substream_floats(np.full(len(trials), 2), cfg.seed, suite, first=trials.start)
+        self.trials = np.arange(trials.start, trials.stop)
+        self.n = 1 + below(head[0::2], cfg.dim_max)
+        self.starts = np.concatenate(([0], np.cumsum(self.n)))
+        drawn = np.where(head[1::2] < 0.5, 0, self.n)
+        counts = drawn + words(self.n)
+        self.draws = Streams(
+            substream_floats(counts, cfg.seed, suite, first=trials.start, offsets=2), counts
+        )
+        self.weights = np.repeat(1.0 / self.n, self.n)
+        self.weights[np.repeat(drawn > 0, self.n)] = self.draws.uniforms(drawn, 0.05, 1.0)
+        for lo, hi in zip(self.starts[:-1].tolist(), self.starts[1:].tolist()):
+            self.weights[lo:hi] = normalized(self.weights[lo:hi])
+
+    def partitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's _random_partition: block ids and block counts."""
+        return _partition_ids(self.draws.floats(_partition_words(self.n)), self.n)
+
+    def sparse(self, hi: float, keep: float, lo: float = 0.0, where=None) -> np.ndarray:
+        """One element per trial (or where where is True, and zeros
+        elsewhere): uniforms on [lo, hi), each kept with probability keep."""
+        sizes = self.n if where is None else np.where(where, self.n, 0)
+        coords = self.draws.uniforms(sizes, lo, hi)
+        out = np.zeros(self.starts[-1])
+        out[np.repeat(sizes > 0, self.n)] = np.where(self.draws.floats(sizes) < keep, coords, 0.0)
+        return out
+
+    def family(self, hi: float, keep: float, lo: float = 0.0) -> np.ndarray:
+        """2 + below(3) sparse elements per trial, as rows of a (4, atoms)
+        stack; a trial with fewer repeats its first."""
+        size = 2 + self.draws.below(3)
+        rows = np.empty((4, self.starts[-1]))
+        rows[0] = self.sparse(hi, keep, lo)
+        for j in range(1, 4):
+            drawn = self.sparse(hi, keep, lo, where=size > j)
+            rows[j] = np.where(np.repeat(size > j, self.n), drawn, rows[0])
+        return rows
+
+
+def _batches(cfg: "RunConfig", suite: str, words):
+    """The suite's trials in batches of about BLOCK_ELEMENTS atoms."""
+    for rows in row_blocks(cfg.trials, cfg.dim_max):
+        yield _Batch(cfg, suite, range(rows.start, rows.stop), words)
+
+
 # ---------------------------------------------------------------------------
 # suite drivers
 
@@ -185,53 +274,59 @@ def _fresh(cfg: RunConfig, name: str) -> VerificationReport:
 def run_holder(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "holder")
     lo, hi = cfg.p_range(1.01, 10.0)
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "holder", t))
-        space = _random_space(stream, cfg.dim_max)
-        op = ConditionalExpectationOp(_random_partition(stream, space))
-        pairs = 1 + stream.below(4)
-        mode = t % 4
-        if mode == 2:
-            p, q = 1.0, float("inf")
-        elif mode == 3:
-            p, q = float("inf"), 1.0
-        else:
-            p = stream.uniform(lo, hi)
-            q = p / (p - 1.0)
-        xs = [_random_element(stream, space) for _ in range(pairs)]
-        ys = [_random_element(stream, space) for _ in range(pairs)]
-        report.absorb(holder_sums(xs, ys, p, q, op, cfg.tol), t, cfg.seed)
+    # After the weights: the partition, the pair count, p and at most 4 pairs.
+    for batch in _batches(cfg, "holder", lambda n: _partition_words(n) + 2 + 8 * n):
+        block_id, _ = batch.partitions()
+        pairs = 1 + batch.draws.below(4)
+        mode = batch.trials % 4
+        drawn_p = batch.draws.uniform(lo, hi, where=mode < 2)
+        xs = batch.draws.uniforms(pairs * batch.n, -2.0, 2.0)
+        ys = batch.draws.uniforms(pairs * batch.n, -2.0, 2.0)
+        ends = np.cumsum(pairs * batch.n).tolist()
+        lows, highs = batch.starts[:-1].tolist(), batch.starts[1:].tolist()
+        per_trial = zip(batch.trials.tolist(), mode.tolist(), drawn_p.tolist(), pairs.tolist())
+        for i, (t, m, p, k) in enumerate(per_trial):
+            space = SampleSpace(batch.weights[lows[i] : highs[i]])
+            op = ConditionalExpectationOp(Partition(space, block_id=block_id[lows[i] : highs[i]]))
+            if m == 2:
+                p, q = 1.0, float("inf")
+            elif m == 3:
+                p, q = float("inf"), 1.0
+            else:
+                q = p / (p - 1.0)
+            mine = slice(ends[i] - k * space.n, ends[i])
+            x_list = [LatticeElement(space, x) for x in xs[mine].reshape(k, -1)]
+            y_list = [LatticeElement(space, y) for y in ys[mine].reshape(k, -1)]
+            report.absorb(holder_sums(x_list, y_list, p, q, op, cfg.tol), t, cfg.seed)
     return report
 
 
 def run_clarkson(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "clarkson")
     lo, hi = cfg.p_range(1.0, 2.0)
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "clarkson", t))
-        space = _random_space(stream, cfg.dim_max)
-        if t % 10 == 0:
-            p = lo
-        elif t % 10 == 5:
-            p = hi
-        else:
-            p = stream.uniform(lo, hi)
-        x = _random_element(stream, space)
-        y = _random_element(stream, space)
-        report.absorb(clarkson(x, y, p, cfg.tol), t, cfg.seed)
+    for batch in _batches(cfg, "clarkson", lambda n: 1 + 2 * n):
+        t = batch.trials
+        drawn = t % 5 != 0
+        p = np.where(drawn, batch.draws.uniform(lo, hi, where=drawn), np.where(t % 10 == 0, lo, hi))
+        x = batch.draws.uniforms(batch.n, -2.0, 2.0)
+        y = batch.draws.uniforms(batch.n, -2.0, 2.0)
+        report.record_trials(clarkson_checks(x, y, p, batch.starts, cfg.tol), t, cfg.seed)
     return report
+
+
+def _ops(batch: _Batch) -> RaggedOps:
+    return RaggedOps(batch.starts, batch.weights, *batch.partitions())
 
 
 def run_jensen(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "jensen")
     lo, hi = cfg.p_range(1.0, 4.0)
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "jensen", t))
-        space = _random_space(stream, cfg.dim_max)
-        op = ConditionalExpectationOp(_random_partition(stream, space))
-        p = lo if t % 5 == 0 else stream.uniform(lo, hi)
-        f = _random_element(stream, space)
-        report.absorb(jensen_power(f, p, op, cfg.tol), t, cfg.seed)
+    for batch in _batches(cfg, "jensen", lambda n: _partition_words(n) + 1 + n):
+        ops = _ops(batch)
+        drawn = batch.trials % 5 != 0
+        p = np.where(drawn, batch.draws.uniform(lo, hi, where=drawn), lo)
+        f = batch.draws.uniforms(batch.n, -2.0, 2.0)
+        report.record_trials(jensen_checks(f, p, ops, cfg.tol), batch.trials, cfg.seed)
     return report
 
 
@@ -271,16 +366,14 @@ def run_telescoping(cfg: RunConfig) -> VerificationReport:
             # The bound is pathwise and holds for arbitrary sequences too.
             space = _random_space(stream, cfg.dim_max)
             count = 1 + stream.below(cfg.steps_max)
-            xs = [_random_element(stream, space) for _ in range(count)]
+            seq = np.array([stream.uniforms(space.n, -2.0, 2.0) for _ in range(count)])
         else:
             gen = _generator_for(cfg, "telescoping", t, stream)
             mode = "positive-part" if t % 2 == 0 else "drift"
             proc = generate_submartingale(gen, mode)
-            space = proc.space
-            xs = [proc[i] for i in range(len(proc))]
-        hi = 1.0 + float(np.sqrt(len(xs)))
-        g = _sparse_nonneg(stream, space, hi)
-        report.absorb(telescoping_bound(xs, g, cfg.tol), t, cfg.seed)
+            space, seq = proc.space, proc.values
+        g = _sparse_nonneg(stream, space, 1.0 + float(np.sqrt(len(seq))))
+        report.absorb(_telescoping_rows(seq, g.coords, cfg.tol), t, cfg.seed)
     return report
 
 
@@ -318,45 +411,40 @@ def run_doob(cfg: RunConfig) -> VerificationReport:
 
 def run_bands(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "bands")
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "bands", t))
-        space = _random_space(stream, cfg.dim_max)
-        f = _sparse_nonneg(stream, space)
-        g = _sparse_nonneg(stream, space)
-        oracle = apply_sup_formula_oracle(g, f)
-        masked = band_projection(g).apply(f)
-        same = bool(np.array_equal(oracle.value.coords, masked.coords))
-        report.record(
-            same,
-            0.0 if same else -float(np.max(np.abs(oracle.value.coords - masked.coords))),
-            f"sup-formula vs mask on {space.n} atoms",
-            t,
-            cfg.seed,
-        )
-        within = oracle.stabilized_at <= oracle.bound
-        report.record(
-            within,
-            float(oracle.bound - oracle.stabilized_at),
-            f"stabilized at {oracle.stabilized_at}, bound {oracle.bound}",
-            t,
-            cfg.seed,
-        )
-        family = [_sparse_nonneg(stream, space) for _ in range(2 + stream.below(3))]
-        report.absorb(check_sup_identity(family), t, cfg.seed)
-        report.absorb(check_inf_inequality(family), t, cfg.seed)
-        signed = [_sparse_signed(stream, space) for _ in range(2 + stream.below(3))]
-        report.absorb(check_exclusion_inequality(signed), t, cfg.seed)
+    # After the weights: f, g, then two families of at most 4 elements each.
+    for batch in _batches(cfg, "bands", lambda n: 2 + 20 * n):
+        starts, heads, n = batch.starts, batch.starts[:-1], batch.n
+        f = batch.sparse(2.0, 0.6)
+        g = batch.sparse(2.0, 0.6)
+        value, stabilized_at, bound = sup_formula(g, f, starts)
+        masked = np.where(g > 0.0, f, 0.0)  # f under the band projection of g, a mask
+        same = np.logical_and.reduceat(value == masked, heads)
+        apart = np.maximum.reduceat(np.abs(value - masked), heads)
+        checks = [
+            (same, np.where(same, 0.0, -apart), lambda t: f"sup-formula vs mask on {n[t]} atoms"),
+            (
+                stabilized_at <= bound,
+                (bound - stabilized_at).astype(np.float64),
+                lambda t: f"stabilized at {stabilized_at[t]}, bound {bound[t]}",
+            ),
+        ]
+        family = batch.family(2.0, 0.6)
+        checks += sup_identity_checks(family, starts)[0] + inf_inequality_checks(family, starts)[0]
+        checks += exclusion_checks(batch.family(2.0, 0.7, lo=-2.0), starts)
+        report.record_trials(checks, batch.trials, cfg.seed)
     return report
 
 
 def run_ce_axioms(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "ce-axioms")
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "ce-axioms", t))
-        space = _random_space(stream, cfg.dim_max)
-        op = ConditionalExpectationOp(_random_partition(stream, space))
-        sub = verify_axioms(op, trials=1, seed=derive_seed(cfg.seed, "ce-axioms-inner", t))
-        report.absorb(sub, t, cfg.seed)
+    for batch in _batches(cfg, "ce-axioms", _partition_words):
+        # Trial t is trial 0 of verify_axioms(op, 1, derive_seed(cfg.seed,
+        # "ce-axioms-inner", t)), at its default tolerance, not cfg.tol.
+        first = int(batch.trials[0])
+        inner = substream_seeds(len(batch.trials), cfg.seed, "ce-axioms-inner", first=first)
+        seeds = derive_seeds(inner, "ce-axioms", 0)
+        checks = axiom_checks(_ops(batch), seeds, np.zeros_like(batch.trials), DEFAULT_TOL)
+        report.record_trials(checks, batch.trials, cfg.seed)
     return report
 
 

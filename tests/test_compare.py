@@ -9,6 +9,7 @@ the same bytes, ±0.0 and witness atoms included.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,12 +41,7 @@ from rieszmart import (
 )
 from rieszmart.cli import main
 from rieszmart.lattice import MarginCheck, compare, require_finite
-from rieszmart.processes import (
-    _stage_groups,
-    classify,
-    make_space,
-    require_difference_sequence,
-)
+from rieszmart.processes import _stage_groups, make_space, require_difference_sequence
 from rieszmart.reports import CheckSummary, VerificationReport, checkpoint_schedule, dump_json
 from rieszmart.rng import SplitMix64
 from rieszmart.suites import RunConfig, _refining_filtration, run_suite
@@ -58,16 +54,6 @@ TOLS = pytest.mark.parametrize(
 
 def same_bytes(new, old):
     assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
-
-
-@pytest.fixture
-def lenient_gates(monkeypatch):
-    """Hypothesis gates keep the default slack, so a negative one fails
-    comparisons only."""
-    gates = {"classify": classify, "require_difference_sequence": require_difference_sequence}
-    for module in (inequalities, limits):
-        for name, gate in gates.items():
-            monkeypatch.setattr(module, name, lambda proc, tol=None, gate=gate: gate(proc, DEFAULT_TOL))
 
 
 def mds_cases(count=60):
@@ -267,7 +253,6 @@ def test_suites_match_the_old_comparison_bodies(suite, tol, lenient_gates, monke
     cfg = RunConfig(suite=suite, trials=60, seed=3, tol=tol)
     new = run_suite(cfg)
     monkeypatch.setattr(inequalities, "leq_with_tolerance", old_leq_with_tolerance)
-    monkeypatch.setattr(conditional, "leq_with_tolerance", old_leq_with_tolerance)
     monkeypatch.setattr(inequalities, "_rows_leq", old_rows_leq)
     old = run_suite(cfg)
     new.elapsed_ms = old.elapsed_ms = 0.0
@@ -421,9 +406,20 @@ def test_burkholder_ratio_whose_sides_overflow_raises(p):
         burkholder_ratio(diffs, diffs.filtration[0], p)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_exits_2_and_writes_nothing_when_the_checks_overflow(tmp_path, capsys):
     argv = ["simulate", "slln-n", "--amplitude", "1e150", "--dim", "4", "--n", "64", "--seed", "1"]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "coordinates must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", ["slln-n", "slln-p-le-2", "submartingale"])
+@pytest.mark.parametrize("amplitude", ["1e200", "8.9e307"])
+def test_overflowing_experiments_exit_2_without_a_warning(experiment, amplitude, tmp_path, capsys):
+    argv = ["simulate", experiment, "--dim", "3", "--n", "20", "--amplitude", amplitude,
+            "--seed", "1", "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "error: coordinates must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

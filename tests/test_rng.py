@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from rieszmart.rng import (
     SplitMix64,
+    Streams,
+    below,
     derive_seed,
+    derive_seeds,
     mix64,
     mix64_array,
+    stream_floats,
     substream,
     substream_floats,
     substream_grid,
+    substream_seeds,
 )
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -162,3 +167,61 @@ def test_substream_grid_rows_are_the_scalar_streams(seed, rows, width, first):
     assert again.tobytes() == out.tobytes()
     counts = np.full(rows, width)
     assert substream_floats(counts, seed, "mds-step", first=first).tobytes() == out.tobytes()
+
+
+@given(
+    U64,
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=70)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=2**40),
+)
+@example(0, [(0, 0)], 0)
+@example(2**64 - 1, [(3, 2), (0, 5), (12, 0), (1, 70)], 2**40)
+def test_substream_floats_with_word_offsets_match_the_scalar_generator(seed, streams, first):
+    counts = np.array([count for count, _ in streams])
+    offsets = np.array([offset for _, offset in streams])
+    scalar = []
+    for i, (count, offset) in enumerate(streams):
+        stream = substream(seed, "holder", first + i)
+        for _ in range(offset):
+            stream.next_u64()
+        scalar.append(stream.floats(count))
+    drawn = substream_floats(counts, seed, "holder", first=first, offsets=offsets)
+    assert drawn.tobytes() == np.concatenate(scalar).tobytes()
+    # One offset for every stream reads as that offset given to each.
+    same = substream_floats(counts, seed, "holder", first=first, offsets=2)
+    assert same.tobytes() == substream_floats(counts, seed, "holder", first=first, offsets=np.full(len(counts), 2)).tobytes()
+
+
+@given(U64, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**40))
+@example(2**64 - 1, 3, 0)
+def test_derived_seed_arrays_match_derive_seed(seed, count, first):
+    parents = substream_seeds(count, seed, "ce-axioms-inner", first=first)
+    assert parents.tolist() == [derive_seed(seed, "ce-axioms-inner", first + i) for i in range(count)]
+    inner = derive_seeds(parents, "ce-axioms", 0)
+    assert inner.tolist() == [derive_seed(int(s), "ce-axioms", 0) for s in parents.tolist()]
+    counts = np.arange(count) % 5
+    scalar = [SplitMix64(int(s)).floats(c) for s, c in zip(inner.tolist(), counts)]
+    assert stream_floats(inner, counts).tobytes() == np.concatenate(scalar).tobytes()
+
+
+def test_streams_read_each_stream_as_its_scalar_generator():
+    seeds = substream_seeds(6, 11, "bands")
+    counts = np.array([9, 4, 12, 7, 9, 6])
+    draws = Streams(stream_floats(seeds, counts), counts)
+    scalar = [SplitMix64(int(s)) for s in seeds.tolist()]
+    k = np.array([1, 2, 3, 5, 8, 13])
+    assert draws.below(k).tolist() == [s.below(int(j)) for s, j in zip(scalar, k)]
+    where = np.array([True, False, True, True, False, True])
+    got = draws.uniform(-1.5, 0.5, where=where)
+    assert np.isnan(got[~where]).all()
+    assert got[where].tolist() == [s.uniform(-1.5, 0.5) for s, w in zip(scalar, where) if w]
+    sizes = np.array([3, 0, 2, 4, 1, 3])
+    expected = np.concatenate([s.uniforms(int(c), 0.05, 1.0) for s, c in zip(scalar, sizes)])
+    assert draws.uniforms(sizes, 0.05, 1.0).tobytes() == expected.tobytes()
+    assert draws.next_float().tolist() == [s.next_float() for s in scalar]
+    # below clamps a product that rounds up to k, as the scalar method does.
+    assert below(np.array([1.0 - 2.0**-53, 0.5]), 3).tolist() == [2, 1]
