@@ -76,3 +76,9 @@ class NotSummable(RieszmartError):
 
 class ParameterViolation(RieszmartError):
     """Scalar parameters violate an exact hypothesis of the statement."""
+
+
+class GeneratorResidual(RieszmartError, AssertionError):
+    """A generated increment fails the guard T_{i-1} Y_i = 0: the filtration's
+    block weights disagree with its atom weights.  Also an AssertionError,
+    the type the guard raised before it had an exit code."""

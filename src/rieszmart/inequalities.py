@@ -15,7 +15,12 @@ Covered here:
     identity at p = 2 coming from orthogonality of increments;
   * the telescoped band-projection bound and the Hajek-Renyi-Chow maximal
     inequality, including Doob's special case a = 1, each checked in array
-    passes over the (N, n) stack of stages, with projections as masks.
+    passes over the stages of one process or of many laid end to end
+    (processes.StageRows), with projections as masks.
+
+burkholder_ratio, telescoping_bound, hrc_maximal and doob_maximal are the
+one-process case of burkholder_rows, telescoping_rows and maximal_rows,
+which the verify suites run over a batch of trials.
 
 clarkson and jensen_power are the one-trial case of clarkson_checks and
 jensen_checks, which check many trials at once with their atoms laid end to
@@ -34,6 +39,8 @@ from .errors import (
     BadWeights,
     ExponentMismatch,
     GNotInRange,
+    NotAdapted,
+    NotDifferenceSequence,
     NotSubmartingale,
     SpaceMismatch,
 )
@@ -42,23 +49,24 @@ from .lattice import (
     LatticeElement,
     Tolerance,
     _same_space,
-    compare,
+    _not_finite,
     compare_segments,
     leq_with_tolerance,
     power_array,
     ragged_power,
     raise_first,
-    require_finite,
     require_finite_segments,
 )
 from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
     ProcessSequence,
+    StageRows,
+    Stages,
+    _classify,
+    _difference_sequence,
     classify,
-    partial_sums,
     require_difference_sequence,
-    square_function,
 )
 from .reports import VerificationReport
 
@@ -214,65 +222,169 @@ def burkholder_ratio(
     """
     p = float(p)
     if not 1.0 < p < math.inf:
-        raise BadExponent(f"ratio defined for 1 < p < inf, got {p}")
+        raise exponent_error(p)
     require_difference_sequence(diffs, tol)
     CompatibleTriple(base, diffs.filtration)  # raises Incompatible
+    rows = StageRows(np.array([diffs.space.n]), np.array([len(diffs)]))
+    bad, records, (low, high) = burkholder_rows(
+        diffs.values.ravel(), rows, lambda k, mat: base.apply_rows(mat), p, tol
+    )
+    raise_first(bad)
     report = VerificationReport(suite="burkholder", trials=1, tol=tol)
-    sums = partial_sums(diffs)
-    square = square_function(sums)
-    a_side = base.apply_rows(np.abs(sums.values) ** p)
-    b_side = base.apply_rows(square.values ** (p / 2.0))
-    require_finite(a_side, b_side)
-    if p == 2.0:
-        ok, margin, worst = _rows_agree(a_side.ravel(), b_side.ravel(), tol)
-        n_idx, atom = np.unravel_index(worst, a_side.shape)
-        report.record(bool(ok), float(margin), f"p=2 identity n={n_idx + 1} atom={atom}")
-    positive = a_side > 0.0
-    if np.any(positive):
-        ratios = b_side[positive] / a_side[positive]
-        report.details["ratio_min"] = float(ratios.min())
-        report.details["ratio_max"] = float(ratios.max())
-        finite = bool(np.all(np.isfinite(ratios)))
-        report.record(
-            finite,
-            0.0 if finite else -math.inf,
-            "ratio finiteness",
-        )
-    else:
-        report.details["ratio_min"] = None
-        report.details["ratio_max"] = None
+    report.record_many(*records)
+    some = not np.isnan(low[0])  # a positive left side somewhere
+    report.details["ratio_min"] = float(low[0]) if some else None
+    report.details["ratio_max"] = float(high[0]) if some else None
     return report
 
 
-def _same_masks(prod: np.ndarray, join: np.ndarray):
-    """Per stage n: (ok, margin, witness(n)) of product mask == join mask."""
-    same = (prod == join).all(axis=1)
-    return same, np.where(same, 0.0, -1.0), lambda n: (
-        f"n={n} product-support {np.flatnonzero(prod[n - 1]).tolist()}"
-        f" vs join-support {np.flatnonzero(join[n - 1]).tolist()}"
+def exponent_error(p: float) -> BadExponent:
+    return BadExponent(f"ratio defined for 1 < p < inf, got {p}")
+
+
+def difference_check(stages: Stages, values: np.ndarray, tol: Tolerance):
+    """The (bad, error) pair, for raise_first, of the first process of
+    stages whose rows are not a difference sequence, the error of
+    require_difference_sequence; later processes are not checked."""
+    bad = np.zeros(len(stages.n), dtype=bool)
+    for k in range(len(bad)):
+        if not _difference_sequence(stages.values(values, k), *stages.table(k), tol):
+            bad[k] = True
+            break
+    return bad, lambda k: NotDifferenceSequence(
+        "sequence is not a martingale difference sequence for its filtration"
     )
 
 
-def _rows_leq(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance, label: str):
-    """Per stage n: (ok, margin, witness(n)) of leq_with_tolerance on row n."""
-    misses, margin, atom = compare(lhs, rhs, tol.slack(lhs, rhs))
-    return misses == 0, margin, lambda n: f"n={n} {label} atom={atom[n - 1]}"
+def label_check(stages: Stages, values: np.ndarray, tol: Tolerance):
+    """The (bad, error) pair, for raise_first, of the first process of
+    stages that hrc_maximal refuses for its label: classify raises, or finds
+    neither a martingale nor a submartingale.  Later processes are not
+    classified."""
+    bad = np.zeros(len(stages.n), dtype=bool)
+    errors = {}
+    for k in range(len(bad)):
+        try:
+            _require_submartingale(_classify(stages.values(values, k), *stages.table(k), tol))
+        except (NotAdapted, NotSubmartingale) as exc:
+            bad[k], errors[k] = True, exc
+            break
+    return bad, errors.get
 
 
-def _rows_agree(a: np.ndarray, b: np.ndarray, tol: Tolerance):
+def _require_submartingale(label: str) -> None:
+    if label not in (MARTINGALE, SUBMARTINGALE):
+        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
+
+
+def burkholder_rows(diffs: np.ndarray, rows: StageRows, apply, p: float, tol: Tolerance):
+    """burkholder_ratio of every process of rows, with diffs their flat
+    difference rows and apply(k, mat) the base operator's apply_rows for
+    process k, called once per process.  Returns the (bad, error) pair of
+    the processes whose sides are not finite, for raise_first; the records
+    of every process in turn (ok, margin, witness_at and process numbers,
+    as record_many takes them); and each process's smallest and largest
+    ratio (NaN without a positive left side)."""
+    sums = rows.accumulate(np.add, diffs)
+    square = rows.accumulate(np.add, (sums - rows.previous(sums)) ** 2)
+    sides = np.abs(sums) ** p, square ** (p / 2.0)
+    for side in sides:
+        for k in range(len(rows.n)):
+            mat = rows.values(side, k)
+            mat[:] = apply(k, mat)
+    heads = rows.elements[:-1]
+    bad = np.logical_or.reduceat(~(np.isfinite(sides[0]) & np.isfinite(sides[1])), heads)
+    # A process with a non-finite side raises before its records are made.
+    drop = np.repeat(bad, rows.n * rows.steps)
+    a_side, b_side = (np.where(drop, 0.0, side) for side in sides)
+    checks = []
+    if p == 2.0:
+        a, b = a_side, b_side
+        misses, margin, worst = compare_segments(np.abs(a - b), -0.0, tol.slack(a, b), rows.elements)
+        step, atom = divmod(worst, rows.n)
+        checks.append(
+            (np.ones(len(heads), dtype=bool), misses == 0, margin,
+             lambda k: f"p=2 identity n={step[k] + 1} atom={atom[k]}")
+        )
+    positive = a_side > 0.0
+    some = np.logical_or.reduceat(positive, heads)
+    lows, highs = np.full(len(heads), np.nan), np.full(len(heads), np.nan)
+    if some.any():
+        counts = np.add.reduceat(positive, heads)[some]
+        ratios = b_side[positive] / a_side[positive]
+        starts = np.cumsum(counts) - counts
+        lows[some] = np.minimum.reduceat(ratios, starts)
+        highs[some] = np.maximum.reduceat(ratios, starts)
+        finite = np.logical_and.reduceat(np.isfinite(ratios), starts)
+        ok = np.ones(len(heads), dtype=bool)
+        ok[some] = finite
+        checks.append((some, ok, np.where(ok, 0.0, -math.inf), lambda k: "ratio finiteness"))
+    kept = np.array([check[0] for check in checks]).T.ravel()  # process by process
+    which = np.flatnonzero(kept)
+    width = len(checks)
+    records = (
+        np.array([check[1] for check in checks]).T.ravel()[which],
+        np.array([check[2] for check in checks]).T.ravel()[which],
+        lambda i: checks[which[i] % width][3](which[i] // width),
+        which // max(width, 1),
+    )
+    return (bad, _not_finite), records, (lows, highs)
+
+
+def _same_masks(prod: np.ndarray, join: np.ndarray, rows: StageRows):
+    """Per row: (ok, margin, witness(r)) of product mask == join mask."""
+    heads = rows.row_starts()
+    same = np.logical_and.reduceat(prod == join, heads[:-1])
+    step = rows.stage_of_rows()
+
+    def witness(r):
+        lo, hi = heads[r], heads[r + 1]
+        return (
+            f"n={step[r] + 1} product-support {np.flatnonzero(prod[lo:hi]).tolist()}"
+            f" vs join-support {np.flatnonzero(join[lo:hi]).tolist()}"
+        )
+
+    return same, np.where(same, 0.0, -1.0), witness
+
+
+def _rows_leq(lhs: np.ndarray, rhs: np.ndarray, rows: StageRows, tol: Tolerance, label: str):
+    """Per row: (ok, margin, witness(r)) of leq_with_tolerance on row r."""
+    misses, margin, atom = compare_segments(lhs, rhs, tol.slack(lhs, rhs), rows.row_starts())
+    step = rows.stage_of_rows()
+    return misses == 0, margin, lambda r: f"n={step[r] + 1} {label} atom={atom[r]}"
+
+
+def _rows_agree(a: np.ndarray, b: np.ndarray, rows: StageRows, tol: Tolerance):
     """Per row: (ok, -max|a - b|, first argmax of |a - b| - slack) of the
     two-sided comparison a = b within the slack.  The right side is -0.0 so
     that the margin of an exact agreement is -0.0, as -max|a - b| gives."""
-    misses, margin, worst = compare(np.abs(a - b), -0.0, tol.slack(a, b))
+    misses, margin, worst = compare_segments(np.abs(a - b), -0.0, tol.slack(a, b), rows.row_starts())
     return misses == 0, margin, worst
 
 
-def _record_stages(report: VerificationReport, first, second) -> None:
-    """Record first, then second, at each stage n = 1..N in turn."""
+def record_stages(report: VerificationReport, parts, rows: StageRows, trials=None, seed=None):
+    """Record the checks of every process of rows in turn: part by part,
+    each part's two checks at stage n = 1..N in turn.  parts are pairs of
+    (ok, margin, witness(r)) triples of arrays over the rows, witness(r)
+    naming a miss at row r; trials[k] numbers process k's records (0 when
+    None)."""
+    ok = np.array([[check[0] for check in part] for part in parts]).transpose(0, 2, 1)
+    margin = np.array([[check[1] for check in part] for part in parts]).transpose(0, 2, 1)
+    process = np.repeat(np.arange(len(rows.n)), rows.steps)
+    order = np.argsort(np.broadcast_to(process[:, None], ok.shape).ravel(), kind="stable")
+    count = ok.shape[1]
+
+    def witness_at(i):
+        part, rest = divmod(int(order[i]), 2 * count)
+        return parts[part][rest % 2][2](rest // 2)
+
+    owner = np.broadcast_to(process[:, None], ok.shape).ravel()[order]
     report.record_many(
-        np.array((first[0], second[0])).T.ravel(),
-        np.array((first[1], second[1])).T.ravel(),
-        lambda i: (first, second)[i % 2][2](i // 2 + 1),
+        ok.ravel()[order],
+        margin.ravel()[order],
+        witness_at,
+        None if trials is None else np.asarray(trials)[owner],
+        seed,
     )
 
 
@@ -294,28 +406,35 @@ def telescoping_bound(
     for x in xs:
         if x.space != g.space:
             raise SpaceMismatch("sequence and threshold on different spaces")
-    return _telescoping_rows(np.array([x.coords for x in xs]), g.coords, tol)
-
-
-def _telescoping_rows(seq: np.ndarray, g: np.ndarray, tol: Tolerance) -> VerificationReport:
-    """telescoping_bound of the (N, n) stack seq of X_1..X_N and g's coordinates."""
-    below, steps = g - seq, seq[1:] - seq[:-1]
-    prod = np.logical_and.accumulate(np.maximum(below, 0.0) > 0.0, axis=0)
-    join = np.maximum(g - np.maximum.accumulate(seq, axis=0), 0.0) > 0.0
-    rhs_sum = np.cumsum(np.concatenate((seq[:1], np.where(prod[:-1], steps, 0.0))), axis=0)
-    rhs = rhs_sum - np.where(prod, seq, 0.0)
-    require_finite(below, steps, rhs)
+    rows = StageRows(np.array([g.space.n]), np.array([len(xs)]))
+    bad, parts = telescoping_rows(np.concatenate([x.coords for x in xs]), g.coords, rows, tol)
+    raise_first(bad)
     report = VerificationReport(suite="telescoping", trials=1, tol=tol)
-    lhs = np.where(prod, 0.0, g)
-    _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
+    record_stages(report, parts, rows)
     return report
 
 
-def _hrc_pass(process: ProcessSequence, a_values, g: LatticeElement, tol, suite: str):
-    """hrc_maximal's report, plus T_1, Y+, join masks and right side for Doob."""
-    label = classify(process, tol)
-    if label not in (MARTINGALE, SUBMARTINGALE):
-        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
+def telescoping_rows(seq: np.ndarray, g: np.ndarray, rows: StageRows, tol: Tolerance):
+    """telescoping_bound of every process of rows: seq their X_1..X_N laid
+    end to end, g each one's threshold over its atoms.  Returns the (bad,
+    error) pair of the processes with a non-finite entry, for raise_first,
+    and the parts for record_stages."""
+    g = g[rows.atom_index()]
+    below, steps = g - seq, seq - rows.previous(seq)  # a first stage's step is X_1 itself
+    prod = rows.accumulate(np.logical_and, np.maximum(below, 0.0) > 0.0)
+    join = np.maximum(g - rows.accumulate(np.maximum, seq), 0.0) > 0.0
+    first = rows.spread(rows.stage_of_rows() == 0)
+    rhs = rows.accumulate(np.add, np.where(first | rows.previous(prod), steps, 0.0))
+    rhs -= np.where(prod, seq, 0.0)
+    finite = np.isfinite(below) & np.isfinite(steps) & np.isfinite(rhs)
+    bad = np.logical_or.reduceat(~finite, rows.elements[:-1])
+    lhs = np.where(prod, 0.0, g)
+    return (bad, _not_finite), [(_same_masks(prod, join, rows), _rows_leq(lhs, rhs, rows, tol, "bound"))]
+
+
+def _check_maximal(process: ProcessSequence, a_values, g: LatticeElement, tol) -> np.ndarray:
+    """hrc_maximal's preconditions, in order; the rates as an array."""
+    _require_submartingale(classify(process, tol))
     a = np.asarray(a_values, dtype=np.float64)
     if a.shape != (len(process),):
         raise BadWeights(f"need {len(process)} rate values, got shape {a.shape}")
@@ -323,27 +442,58 @@ def _hrc_pass(process: ProcessSequence, a_values, g: LatticeElement, tol, suite:
         raise BadWeights("rates must be strictly positive")
     if np.any(np.diff(a) < 0.0):
         raise BadWeights("rates must be nondecreasing")
-    t1 = process.filtration[0]
     if g.space != process.space:
         raise SpaceMismatch("threshold on a different space")
     if np.any(g.coords < 0.0):
         raise GNotInRange("threshold must be nonnegative")
-    if not t1.fixes_exactly(g):
+    if not process.filtration[0].fixes_exactly(g):
         raise GNotInRange("threshold must be exactly block-constant for the base operator")
-    scaled = process.values / a[:, None]
-    pos = np.maximum(process.values, 0.0)
-    excess = np.maximum(g.coords - scaled, 0.0)
-    prod = np.logical_and.accumulate(excess > 0.0, axis=0)
-    join = g.coords > np.maximum.accumulate(scaled, axis=0)
-    steps = (pos[1:] - pos[:-1]) / a[1:, None]
-    # One block sum for T_1 of the steps and of the rows (I - U_n) g.
-    conditioned = t1.apply_array(np.concatenate((steps, np.where(prod, 0.0, g.coords))))
-    rhs = np.cumsum(np.concatenate((pos[:1] / a[0], conditioned[: len(steps)])), axis=0)
-    require_finite(excess, rhs)
+    return a
+
+
+def maximal_rows(values, rates, g, t1: RaggedOps, rows: StageRows, tol: Tolerance, doob: bool):
+    """The Hajek-Renyi-Chow pass of every process of rows, and with doob
+    Doob's records after it: values their Y_1..Y_N laid end to end, rates
+    each row's a_n, g each one's threshold over its atoms and t1 each row's
+    first-stage operator.  Returns the (bad, error) pairs of the processes
+    with a non-finite entry, for raise_first, and the parts for
+    record_stages."""
+    g = g[rows.atom_index()]
+    a = rows.spread(rates)
+    scaled = values / a
+    pos = np.maximum(values, 0.0)
+    excess = np.maximum(g - scaled, 0.0)
+    prod = rows.accumulate(np.logical_and, excess > 0.0)
+    join = g > rows.accumulate(np.maximum, scaled)
+    steps = (pos - rows.previous(pos)) / a  # a first stage's term is Y_1+/a_1 itself
+    first = rows.spread(rows.stage_of_rows() == 0)
+    rhs = rows.accumulate(np.add, np.where(first, steps, t1.apply(steps)))
+    heads = rows.elements[:-1]
+    bad = [(np.logical_or.reduceat(~(np.isfinite(excess) & np.isfinite(rhs)), heads), _not_finite)]
+    lhs = t1.apply(np.where(prod, 0.0, g))
+    parts = [(_same_masks(prod, join, rows), _rows_leq(lhs, rhs, rows, tol, "bound"))]
+    if doob:
+        telescoped = t1.apply(pos)
+        bad.append((np.logical_or.reduceat(~np.isfinite(telescoped), heads), _not_finite))
+        agree, margin, _ = _rows_agree(rhs, telescoped, rows, tol)
+        step = rows.stage_of_rows()
+        agreement = (agree, margin, lambda r: f"n={step[r] + 1} telescoped-right-side agreement")
+        bound = _rows_leq(t1.apply(np.where(join, 0.0, g)), telescoped, rows, tol, "telescoped bound")
+        parts.append((agreement, bound))
+    return bad, parts
+
+
+def _maximal(process, a_values, g, tol, suite: str, doob: bool) -> VerificationReport:
+    """hrc_maximal, or with doob doob_maximal, of one process."""
+    a = _check_maximal(process, a_values, g, tol)
+    n, count = process.space.n, len(process)
+    rows = StageRows(np.array([n]), np.array([count]))
+    t1 = RaggedOps.tiled(process.filtration[0], count)
+    bad, parts = maximal_rows(process.values.ravel(), a, g.coords, t1, rows, tol, doob)
+    raise_first(*bad)
     report = VerificationReport(suite=suite, trials=1, tol=tol)
-    lhs = conditioned[len(steps) :]
-    _record_stages(report, _same_masks(prod, join), _rows_leq(lhs, rhs, tol, "bound"))
-    return report, t1, pos, join, rhs
+    record_stages(report, parts, rows)
+    return report
 
 
 def hrc_maximal(
@@ -361,7 +511,7 @@ def hrc_maximal(
     side takes U_n as the running product of the (g - Y_i/a_i)+ masks, which
     must equal the join-form mask exactly.
     """
-    return _hrc_pass(process, a_values, g, tol, "hrc")[0]
+    return _maximal(process, a_values, g, tol, "hrc", doob=False)
 
 
 def doob_maximal(
@@ -374,11 +524,4 @@ def doob_maximal(
     against the telescoped form as well.  The HRC records at a = 1 come
     first; its masks and sum are reused, since Y/1 is Y exactly.
     """
-    report, t1, pos, join, rhs = _hrc_pass(process, np.ones(len(process)), g, tol, "doob")
-    conditioned = t1.apply_array(np.concatenate((pos, np.where(join, 0.0, g.coords))))
-    telescoped, lhs = conditioned[: len(pos)], conditioned[len(pos) :]
-    require_finite(telescoped)
-    agree, margin, _ = _rows_agree(rhs, telescoped, tol)
-    agreement = (agree, margin, lambda n: f"n={n} telescoped-right-side agreement")
-    _record_stages(report, agreement, _rows_leq(lhs, telescoped, tol, "telescoped bound"))
-    return report
+    return _maximal(process, np.ones(len(process)), g, tol, "doob", doob=True)

@@ -5,9 +5,13 @@ compares apply(T_i, f_j) against f_i over every ordered pair i < j, not just
 consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).  The
-groups come from the filtration's stored stage index.
+groups come from the filtration's stored stage index.  classify, is_adapted
+and is_difference_sequence are shells over cores on raw arrays: the values,
+the atom weights, the block ids of each distinct stage and the stage index.
 
-Generators draw the stages in row blocks from the per-step SplitMix64
+Stages lays several processes and their filtrations end to end as block-id
+tables, and _mds_rows generates all of their rows in one binned pass per
+row block; generate_mds is its one-process case.  Generators draw the stages in row blocks from the per-step SplitMix64
 substreams (seed, "mds-step", i), so a fixed GeneratorConfig reproduces the
 same process bit for bit.  Step i draws a block-constant Z_i for the stage-i
 partition in [-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with
@@ -21,15 +25,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalExpectationOp, Filtration, Partition
+from .conditional import (
+    ConditionalExpectationOp,
+    Filtration,
+    Partition,
+    RaggedOps,
+    averaging_matrix,
+    split_largest_ids,
+)
 from .errors import (
+    GeneratorResidual,
     NotAdapted,
     NotDifferenceSequence,
     NotSubmartingale,
     SpaceMismatch,
 )
-from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, halving_fold, row_blocks
-from .rng import SplitMix64, derive_seed, substream_floats, substream_grid
+from .lattice import (
+    DEFAULT_TOL,
+    LatticeElement,
+    SampleSpace,
+    Tolerance,
+    halving_fold,
+    raise_first,
+    row_blocks,
+)
+from .rng import SplitMix64, derive_seed, seeds_at, stream_floats, substream_grid
 
 MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
@@ -98,29 +118,56 @@ class ProcessSequence:
 
 
 def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
-    """Stages [:stop] grouped by distinct operator, first seen first.  The
-    stage index numbers operators in first-seen order, so a prefix holds
-    groups 0..max and zip leaves out the operators it never reaches."""
-    stage = filtration.stage[:stop]
-    ends = np.cumsum(np.bincount(stage))
-    return list(zip(filtration.distinct, np.split(np.argsort(stage, kind="stable"), ends)[:-1]))
+    """Stages [:stop] grouped by distinct operator, first seen first."""
+    return [(filtration.distinct[d], idx) for d, idx in _groups(filtration.stage, stop)]
+
+
+def _groups(stage: np.ndarray, stop: int | None = None) -> list:
+    """Stages [:stop] grouped by distinct partition: (index into the
+    distinct partitions, stages) pairs, first seen first.  A stage index
+    numbers partitions in first-seen order, so a prefix holds groups 0..max."""
+    stage = stage[:stop]
+    ends = np.cumsum(np.bincount(stage)).tolist()  # before the sort: bincount copies stage
+    order = np.argsort(stage, kind="stable")
+    return [(d, order[lo:hi]) for d, (lo, hi) in enumerate(zip([0] + ends, ends))]
 
 
 def _max_abs(mat: np.ndarray) -> float:
     """max |mat| taken over row blocks, so no whole-size temporary is made;
     0.0 when there are no rows."""
-    return max((float(np.max(np.abs(mat[rows]))) for rows in row_blocks(*mat.shape)), default=0.0)
+    blocks = row_blocks(*mat.shape)
+    if len(blocks) == 1:
+        return float(np.max(np.abs(mat)))
+    return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
+
+
+def _apply_rows(weights: np.ndarray, block_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """ConditionalExpectationOp.apply_rows on raw arrays: the rows
+    themselves for singletons (block ids 0..n-1), else the dense product."""
+    if block_id[-1] == len(block_id) - 1:
+        return rows
+    return rows @ averaging_matrix(weights, block_id).T
+
+
+def _slack(mat: np.ndarray, tol: Tolerance) -> float:
+    return tol.abs + tol.rel * _max_abs(mat)
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
-    mat = process.values
-    slack = tol.abs + tol.rel * _max_abs(mat)
-    for op, idx in _stage_groups(process.filtration):
-        if op.is_identity:
+    return _adapted(process.values, *Stages.of(process.filtration).table(0), tol)
+
+
+def _adapted(mat, weights, ids, stage, tol: Tolerance) -> bool:
+    """is_adapted of the (N, n) values mat, on the filtration given by its
+    atom weights, the (D, n) block ids of its distinct partitions and its
+    stage index."""
+    slack = _slack(mat, tol)
+    for d, idx in _groups(stage):
+        if ids[d, -1] == mat.shape[1] - 1:  # the identity fixes everything
             continue
         rows = mat[idx]
-        if np.max(np.abs(op.apply_rows(rows) - rows)) > slack:
+        if np.max(np.abs(_apply_rows(weights, ids[d], rows) - rows)) > slack:
             return False
     return True
 
@@ -133,19 +180,22 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     "supermartingale", or "none".  Raises NotAdapted first if any stage value
     is not fixed by its operator.
     """
-    if not is_adapted(process, tol):
+    return _classify(process.values, *Stages.of(process.filtration).table(0), tol)
+
+
+def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
+    """classify on raw arrays, as _adapted takes them."""
+    if not _adapted(mat, weights, ids, stage, tol):
         raise NotAdapted("process value not fixed by its stage operator")
-    mat = process.values
     count = mat.shape[0]
     if count < 2:
         return MARTINGALE
-    slack = tol.abs + tol.rel * _max_abs(mat)
+    slack = _slack(mat, tol)
     is_sub = True
     is_super = True
-    for op, idx in _stage_groups(process.filtration, count - 1):
+    for d, idx in _groups(stage, count - 1):
         # Only stages after the operator's first use are ever compared.
-        later = mat[idx[0] + 1 :]
-        transformed = op.apply_rows(later)
+        transformed = _apply_rows(weights, ids[d], mat[idx[0] + 1 :])
         # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
         # row r standing for stage idx[0] + 1 + r
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
@@ -165,16 +215,23 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
 
 def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Martingale difference property: apply(T_{i-1}, Y_i) = 0 for i >= 2."""
-    if not is_adapted(process, tol):
+    return _difference_sequence(process.values, *Stages.of(process.filtration).table(0), tol)
+
+
+def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
+    """is_difference_sequence on raw arrays, as _adapted takes them."""
+    if not _adapted(mat, weights, ids, stage, tol):
         return False
-    mat = process.values
     if mat.shape[0] < 2:
         return True
-    slack = tol.abs + tol.rel * _max_abs(mat)
-    for op, idx in _stage_groups(process.filtration, -1):
+    slack = _slack(mat, tol)
+    for d, idx in _groups(stage, -1):
         # Only singletons refine singletons, so the identity group's stages
         # are a suffix and their next rows one contiguous view, not a copy.
-        means = mat[idx[0] + 1 :] if op.is_identity else op.apply_rows(mat[idx + 1])
+        if ids[d, -1] == mat.shape[1] - 1:
+            means = mat[idx[0] + 1 :]
+        else:
+            means = _apply_rows(weights, ids[d], mat[idx + 1])
         if _max_abs(means) > slack:
             return False
     return True
@@ -272,103 +329,310 @@ def _split_largest_chain(first: Partition, steps: int) -> Filtration:
     return Filtration(ops[:steps], repeat_last=max(steps - len(ops), 0))
 
 
+class StageRows:
+    """Several processes laid end to end in one flat array: process k has
+    steps[k] stages on n[k] atoms, and its values are the C order of a
+    (steps[k], n[k]) array at elements[k]:elements[k + 1].  Row r is one
+    stage of one process, the processes in turn; a process's atoms are
+    atoms[k]:atoms[k + 1] of an array over the atoms of all of them."""
+
+    __slots__ = ("n", "steps", "atoms", "elements", "first_row")
+
+    def __init__(self, n: np.ndarray, steps: np.ndarray):
+        self.n, self.steps = n, steps
+        self.atoms = np.concatenate(([0], np.cumsum(n)))
+        self.elements = np.concatenate(([0], np.cumsum(n * steps)))
+        self.first_row = np.cumsum(steps) - steps
+
+    @property
+    def size(self) -> int:
+        return int(self.elements[-1])
+
+    def rows(self, rows: slice) -> tuple:
+        """(process, step, n) of each row in rows."""
+        index = np.arange(rows.start, rows.stop)
+        process = np.searchsorted(self.first_row, index, side="right") - 1
+        return process, index - self.first_row[process], self.n[process]
+
+    def values(self, flat: np.ndarray, k: int) -> np.ndarray:
+        """Process k's (steps, n) view of a flat array over the elements."""
+        return flat[self.elements[k] : self.elements[k + 1]].reshape(-1, int(self.n[k]))
+
+    def spread(self, per_row: np.ndarray) -> np.ndarray:
+        """One value per row, repeated over the row's atoms."""
+        return np.repeat(per_row, np.repeat(self.n, self.steps))
+
+    def atom_index(self) -> np.ndarray:
+        """Each element's atom, as an index into an array over all atoms."""
+        width = np.repeat(self.n, self.steps)
+        heads = np.repeat(self.atoms[:-1], self.steps)
+        return np.arange(self.size) - np.repeat(np.cumsum(width) - width - heads, width)
+
+    def accumulate(self, ufunc, flat: np.ndarray) -> np.ndarray:
+        """ufunc.accumulate of every process's values along its stages, as
+        on its own (steps, n) array: one call on the processes padded to a
+        (processes, max steps, max n) array, which moves no bit."""
+        padded, at = self._padded(flat)
+        out = ufunc.accumulate(padded, axis=1).reshape(-1)
+        return out if at is None else out[at]
+
+    def previous(self, flat: np.ndarray) -> np.ndarray:
+        """Each element's value one stage earlier, 0 on first stages."""
+        padded, at = self._padded(flat)
+        out = np.zeros_like(padded)
+        out[:, 1:] = padded[:, :-1]
+        return out.reshape(-1) if at is None else out.reshape(-1)[at]
+
+    def _padded(self, flat: np.ndarray) -> tuple:
+        """flat as a (processes, max steps, max n) array, zero past each
+        process's stages and atoms, and the index of each element in it
+        (None when no process is padded, and the array is a view)."""
+        shape = (len(self.n), int(self.steps.max()), int(self.n.max()))
+        if self.size == np.prod(shape):
+            return flat.reshape(shape), None
+        process, step, width = self.rows(slice(0, int(self.steps.sum())))
+        at = self.atom_index() - np.repeat(self.atoms[process], width)
+        at += np.repeat((process * shape[1] + step) * shape[2], width)
+        padded = np.zeros(shape, dtype=flat.dtype)
+        padded.reshape(-1)[at] = flat
+        return padded, at
+
+    def row_starts(self) -> np.ndarray:
+        """Each row's first element, and the end of the last row."""
+        return np.concatenate(([0], np.cumsum(np.repeat(self.n, self.steps))))
+
+    def stage_of_rows(self) -> np.ndarray:
+        """Each row's stage within its process."""
+        return np.arange(int(self.steps.sum())) - np.repeat(self.first_row, self.steps)
+
+
+class Stages(StageRows):
+    """Processes laid end to end as in StageRows, with their filtrations as
+    block-id tables rather than Partition and operator objects.
+
+    Row r conditions on partition stage[r] of a table of distinct
+    partitions.  The partitions of a process are consecutive and first seen
+    first, as in Filtration.distinct; partition g of process k holds the
+    block ids ids[id_starts[g]:id_starts[g] + n[k]], numbered by lowest
+    atom, and the weights of its num_blocks[g] blocks from
+    block_weight[weight_starts[g]].  Atom weights are in weights, over the
+    atoms of all processes."""
+
+    __slots__ = ("weights", "ids", "id_starts", "num_blocks", "block_weight", "weight_starts", "stage")
+
+    def __init__(self, n, steps, weights, ids, id_starts, num_blocks, block_weight, stage):
+        super().__init__(n, steps)
+        self.weights, self.ids, self.id_starts = weights, ids, id_starts
+        self.num_blocks, self.block_weight = num_blocks, block_weight
+        self.weight_starts = np.cumsum(num_blocks) - num_blocks
+        self.stage = stage
+
+    @classmethod
+    def of(cls, filtration: Filtration) -> "Stages":
+        """One process on filtration, with its operators' block weights."""
+        n, distinct = filtration.space.n, filtration.distinct
+        return cls(
+            np.array([n]),
+            np.array([len(filtration)]),
+            filtration.space.weights,
+            np.concatenate([op.partition.block_id for op in distinct]),
+            np.arange(len(distinct)) * n,
+            np.array([op.partition.num_blocks for op in distinct]),
+            np.concatenate([op.block_weight for op in distinct]),
+            filtration.stage,
+        )
+
+    @classmethod
+    def split_chains(cls, n, steps, weights, first, num_blocks) -> "Stages":
+        """Each process on _split_largest_chain of its first partition, whose
+        block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k] blocks,
+        for steps[k] stages: the chain stops changing at singletons."""
+        atoms = np.concatenate(([0], np.cumsum(n)))
+        depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
+        chain, counts = [first], [num_blocks]
+        for _ in range(1, int(depth.max())):
+            ids, blocks = split_largest_ids(chain[-1], atoms, counts[-1])
+            chain.append(ids)
+            counts.append(blocks)
+        owner = np.repeat(np.arange(len(n)), depth)  # process of each partition
+        level = np.arange(len(owner)) - np.repeat(np.cumsum(depth) - depth, depth)
+        width = n[owner]
+        id_starts = np.cumsum(width) - width
+        local = np.arange(int(width.sum())) - np.repeat(id_starts, width)
+        atom = np.repeat(atoms[owner], width) + local
+        ids = np.stack(chain)[np.repeat(level, width), atom]
+        blocks = np.stack(counts)[level, owner]
+        bins = ids + np.repeat(np.cumsum(blocks) - blocks, width)
+        block_weight = np.bincount(bins, weights=weights[atom], minlength=int(blocks.sum()))
+        step = np.arange(int(steps.sum())) - np.repeat(np.cumsum(steps) - steps, steps)
+        first_group = np.repeat(np.cumsum(depth) - depth, steps)
+        stage = first_group + np.minimum(step, np.repeat(depth - 1, steps))
+        return cls(n, steps, weights, ids, id_starts, blocks, block_weight, stage)
+
+    def first_stage(self) -> RaggedOps:
+        """Each row's first-stage operator T_1, as RaggedOps over the rows."""
+        group = np.repeat(self.stage[self.first_row], self.steps)
+        atom = self.atom_index()
+        local = atom - self.spread(np.repeat(self.atoms[:-1], self.steps))
+        ids = self.ids[self.spread(self.id_starts[group]) + local]
+        return RaggedOps(self.row_starts(), self.weights[atom], ids, self.num_blocks[group])
+
+    def table(self, k: int) -> tuple:
+        """Process k's (weights, (D, n) block ids, stage index), the
+        arguments of the raw-array cores _adapted, _classify and
+        _difference_sequence."""
+        rows = slice(int(self.first_row[k]), int(self.first_row[k] + self.steps[k]))
+        stage = self.stage[rows]
+        first, last = int(stage[0]), int(stage[-1])
+        n = int(self.n[k])
+        start = int(self.id_starts[first])
+        ids = self.ids[start : start + (last - first + 1) * n].reshape(-1, n)
+        return self.weights[self.atoms[k] : self.atoms[k + 1]], ids, stage - first if first else stage
+
+
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:
     """Martingale difference sequence with increments bounded by 2*amplitude.
 
     Stages are generated in consecutive row blocks of lattice.BLOCK_ELEMENTS
-    values, written into one (N, n) output, so temporaries stay O(block)
-    at any horizon.  Stage i draws its own substream (seed, "mds-step", i),
-    and one bincount over per-stage block ids conditions a block's rows,
-    row i binned by the blocks of stage i - 1 (read again for a block's
-    first row).  Every bin holds the terms of one row, added in the order a
-    per-row apply_array adds them, so the blocks change no bit.  The block
-    ids of stage i are those of filtration.distinct[filtration.stage[i]].
+    values by _mds_rows, of which this is the one-process case.  Stage i
+    draws its own substream (seed, "mds-step", i).  Raises GeneratorResidual
+    (an AssertionError) when the guard T_{i-1} Y_i = 0 fails, which a
+    filtration whose block weights disagree with its atom weights can do.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
     uniform weights, otherwise up to about 1.1e-16 * amplitude.  Stages
     past the first singleton stage add draws but no signal, so horizons
-    beyond dim stages carry none.  Only singletons refine singletons, so
-    these rows form a suffix.  When the horizon spans more than one row
-    block, the blocks restart where it begins, and its blocks skip the
-    bins: their draws are one (rows, n) word grid and Y = Z - (w Z)/b, the
-    same bits at a fraction of the cost.  A horizon of one block stays on
-    the bincount path, so short horizons pay nothing extra.
+    beyond dim stages carry none.
     """
     if filtration is None:
         filtration = default_filtration(make_space(cfg), cfg.steps)
     elif len(filtration) != cfg.steps:
         raise ValueError("filtration length does not match steps")
+    prefix = np.array([derive_seed(cfg.seed, "mds-step")], dtype=np.uint64)
+    values, failed = _mds_rows(Stages.of(filtration), prefix, cfg.amplitude)
+    raise_first(failed)
     # The blocks' temporaries are freed before ProcessSequence copies the rows.
-    return ProcessSequence(filtration, _mds_rows(cfg, filtration))
+    return ProcessSequence(filtration, values.reshape(cfg.steps, -1))
 
 
-def _mds_rows(cfg: GeneratorConfig, filtration: Filtration) -> np.ndarray:
-    """The (N, n) values of generate_mds, one row block at a time."""
-    space, distinct, stage = filtration.space, filtration.distinct, filtration.stage
-    group_blocks = np.array([op.partition.num_blocks for op in distinct])
-    group_first = np.cumsum(group_blocks) - group_blocks
-    block_weight = np.concatenate([op.block_weight for op in distinct])
-    block_id = np.stack([op.partition.block_id for op in distinct])
-    check_slack = 1e-12 * max(1.0, cfg.amplitude)
-    out = np.empty((len(stage), space.n))
-    # Only singletons refine singletons, so the rows whose stage and previous
-    # stage both condition on the identity form a suffix: rows cut and on.
-    # A refining chain never returns to a partition, so stage is sorted.  A
-    # horizon of one block stays whole; a longer one restarts its blocks at
-    # the cut, so every block lies on one side of it.
-    blocks, cut = row_blocks(len(stage), space.n), len(stage)
-    if len(blocks) > 1 and distinct[-1].is_identity:
-        cut = min(int(stage.searchsorted(len(distinct) - 1)) + 1, cut)
-        suffix = row_blocks(len(stage), space.n, start=cut)
-        blocks = row_blocks(cut, space.n) + suffix
-        # derive_seed(s, "mds-step", i) == derive_seed(derive_seed(s, "mds-step"), i)
-        prefix = derive_seed(cfg.seed, "mds-step")
+def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
+    """The values of generate_mds for every process of stages, laid end to
+    end, process k drawing stage i from substream (prefix[k], i), where
+    prefix[k] is derive_seed(seed, "mds-step") of its seed; and the
+    (failed, error) pair of the processes whose residual guard fails, for
+    lattice.raise_first.
+
+    Rows are generated in consecutive row blocks of about BLOCK_ELEMENTS
+    values.  A block draws every row's block values in one SplitMix64 pass,
+    and one bincount over per-row block ids conditions its rows, row i of a
+    process binned by the blocks of its stage i - 1.  Every bin holds the
+    terms of one row, added in the order a per-row apply_array adds them, so
+    neither the blocks nor the other processes change a bit.
+
+    Only singletons refine singletons, so the rows of one process whose
+    stage and previous stage both condition on the identity form a suffix.
+    When a single process spans more than one row block, the blocks restart
+    where that suffix begins, and its blocks skip the bins: their draws are
+    one (rows, n) word grid and Y = Z - (w Z)/b, the same bits at a fraction
+    of the cost.  A horizon of one block stays on the bincount path, so
+    short horizons pay nothing extra.
+    """
+    check_slack = 1e-12 * max(1.0, amplitude)
+    failed_at = np.full(len(prefix), -1)
+    residual = np.zeros(len(prefix))
+    out = np.empty(stages.size)
+    total, width = len(stages.stage), int(stages.n.max())
+    blocks, cut = row_blocks(total, width), total
+    if len(prefix) == 1 and len(blocks) > 1 and stages.num_blocks[-1] == width:
+        # A refining chain never returns to a partition, so stage is sorted.
+        cut = min(int(stages.stage.searchsorted(len(stages.num_blocks) - 1)) + 1, total)
+        suffix = row_blocks(total, width, start=cut)
+        blocks = row_blocks(cut, width) + suffix
         # w and b tiled over a block, so no ufunc loops along the narrow axis,
         # and one work array for every block, so no block faults in fresh pages.
         reps = suffix[0].stop - cut if suffix else 0
-        tiles = (np.tile(space.weights, reps), np.tile(distinct[-1].block_weight, reps))
-        work = np.empty(reps * space.n, dtype=np.uint64)
+        last = stages.weight_starts[-1]
+        tiles = (np.tile(stages.weights, reps), np.tile(stages.block_weight[last:], reps))
+        work = np.empty(reps * width, dtype=np.uint64)
     for rows in blocks:
         if rows.start >= cut:
-            _singleton_rows(cfg, prefix, tiles, work, out[rows], rows.start, check_slack)
-            continue
-        counts = group_blocks[stage[rows]]
-        starts = np.cumsum(counts) - counts  # first drawn value of each stage
-        # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
-        vals = substream_floats(counts, cfg.seed, "mds-step", first=rows.start)
-        vals = -cfg.amplitude + 2 * cfg.amplitude * vals
-        # mode="clip" writes straight into out (every index is in range).
-        np.take(vals, block_id[stage[rows]] + starts[:, None], out=out[rows], mode="clip")
-        lo = max(rows.start, 1)
-        if lo == rows.stop:
-            continue
-        prev = stage[lo - 1 : rows.stop - 1]
-        counts = group_blocks[prev]
-        starts = np.cumsum(counts) - counts
-        bins = block_id[prev] + starts[:, None]
-        shift = np.repeat(group_first[prev] - starts, counts)  # bin to block_weight index
-        weight = block_weight[shift + np.arange(shift.size)]
-        cond = out[lo : rows.stop]
-        scratch = cond * space.weights
-        means = np.bincount(bins.ravel(), weights=scratch.ravel(), minlength=weight.size) / weight
-        np.take(means, bins, out=scratch, mode="clip")
-        cond -= scratch
-        np.multiply(cond, space.weights, out=scratch)
-        means = np.bincount(bins.ravel(), weights=scratch.ravel(), minlength=weight.size) / weight
-        _raise_residual(np.maximum.reduceat(np.abs(means), starts), lo, check_slack)
-    return out
+            block = out[rows.start * width : rows.stop * width].reshape(-1, width)
+            residuals = _singleton_rows(amplitude, int(prefix[0]), tiles, work, block, rows.start)
+            process, step = np.zeros(len(block), dtype=np.intp), np.arange(rows.start, rows.stop)
+        else:
+            residuals, process, step = _binned_rows(stages, rows, prefix, amplitude, out)
+        over = np.flatnonzero(residuals > check_slack)
+        hit, first = np.unique(process[over], return_index=True)
+        new = failed_at[hit] < 0
+        failed_at[hit[new]] = step[over[first[new]]]
+        residual[hit[new]] = residuals[over[first[new]]]
+
+    def error(k):
+        return GeneratorResidual(
+            f"difference residual {residual[k]} exceeds {check_slack} at step {failed_at[k]}"
+        )
+
+    return out, (failed_at >= 0, error)
 
 
-def _singleton_rows(cfg, prefix, tiles, work, block, first, check_slack) -> None:
+def _binned_rows(stages: Stages, rows: slice, prefix, amplitude: float, out: np.ndarray):
+    """Rows rows of _mds_rows, written into out: the residual max
+    |T_{i-1} Y_i| of each conditioned row (every row but a first stage), and
+    its process and step."""
+    process, step, width = stages.rows(rows)
+    group = stages.stage[rows]
+    starts = np.cumsum(width) - width
+    local = np.arange(int(width.sum())) - np.repeat(starts, width)
+    counts = stages.num_blocks[group]
+    first = np.cumsum(counts) - counts  # first drawn value of each row
+    # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
+    vals = stream_floats(seeds_at(prefix[process], step), counts)
+    vals = -amplitude + 2 * amplitude * vals
+    block = out[stages.elements[process[0]] + step[0] * width[0] :][: local.size]
+    ids = stages.ids[np.repeat(stages.id_starts[group], width) + local]
+    # mode="clip" writes straight into out (every index is in range).
+    np.take(vals, ids + np.repeat(first, width), out=block, mode="clip")
+    later = step > 0
+    if not later.any():
+        return np.zeros(0), process[later], step[later]
+    # Row i is binned by the blocks of stage i - 1, read from the row before.
+    prev = stages.stage[np.flatnonzero(later) + rows.start - 1]
+    # A batch interleaves first stages with later ones; the block of one
+    # process holds at most one, its first row, so its later rows are a view.
+    skip = int(np.argmax(later))
+    at = slice(int(starts[skip]), None) if later[skip:].all() else np.repeat(later, width)
+    width = width[later]
+    sizes = stages.num_blocks[prev]
+    first = np.cumsum(sizes) - sizes
+    bins = stages.ids[np.repeat(stages.id_starts[prev], width) + local[at]]
+    bins += np.repeat(first, width)
+    shift = np.repeat(stages.weight_starts[prev] - first, sizes)  # bin to block_weight index
+    weight = stages.block_weight[shift + np.arange(shift.size)]
+    atom_weight = stages.weights[np.repeat(stages.atoms[process[later]], width) + local[at]]
+    cond = block[at]
+    scratch = cond * atom_weight
+    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
+    np.take(means, bins, out=scratch, mode="clip")
+    cond -= scratch
+    np.multiply(cond, atom_weight, out=scratch)
+    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
+    if not isinstance(at, slice):
+        block[at] = cond
+    return np.maximum.reduceat(np.abs(means), first), process[later], step[later]
+
+
+def _singleton_rows(amplitude, prefix, tiles, work, block, first):
     """Steps first, first + 1, ... past the cut, written into block: Z drawn
     as one word grid, then Y = Z - (w Z)/b with b the identity's block
     weights, w and b tiled over a whole block.  That is the bincount path
     bit for bit: its 0.0 + w Z differs only where w Z is -0.0, and
-    z - 0.0 == z - -0.0.  work holds the grid, then the products."""
+    z - 0.0 == z - -0.0.  work holds the grid, then the products.  Returns
+    each row's residual max |T_{i-1} Y_i|, or zeros when the block's
+    largest is within the slack."""
     substream_grid(block, prefix, first=first, work=work)
-    block *= 2 * cfg.amplitude
-    block += -cfg.amplitude
+    block *= 2 * amplitude
+    block += -amplitude
     flat = block.reshape(-1)  # a view: out's row blocks are contiguous
     weights, block_weight = (tile[: flat.size] for tile in tiles)
     scratch = work[: flat.size].view(np.float64)
@@ -378,20 +642,9 @@ def _singleton_rows(cfg, prefix, tiles, work, block, first, check_slack) -> None
     np.multiply(flat, weights, out=scratch)
     scratch /= block_weight
     np.abs(scratch, out=scratch)
-    if not np.max(scratch) <= check_slack:  # a NaN max is searched as well
-        residuals = halving_fold(np.maximum, scratch.reshape(block.shape), 1)
-        _raise_residual(residuals, first, check_slack)
-
-
-def _raise_residual(residuals, first, check_slack) -> None:
-    """AssertionError naming the first step whose residual max |T_{i-1} Y_i|
-    exceeds check_slack; residuals[k] is that of step first + k."""
-    over = np.flatnonzero(residuals > check_slack)
-    if over.size:
-        i = over[0]
-        raise AssertionError(
-            f"difference residual {residuals[i]} exceeds {check_slack} at step {first + i}"
-        )
+    if not np.max(scratch) <= 1e-12 * max(1.0, amplitude):  # a NaN max is searched as well
+        return halving_fold(np.maximum, scratch.reshape(block.shape), 1)
+    return np.zeros(len(block))
 
 
 def generate_submartingale(

@@ -54,8 +54,13 @@ def substream_floats(
 def substream_seeds(count: int, seed: int, *labels: int | str, first: int = 0) -> np.ndarray:
     """derive_seed(seed, *labels, first + i) for i < count, as uint64: label
     first + i is one mix64 of the hashed prefix."""
-    prefix = np.uint64(derive_seed(seed, *labels))
-    return _mix64_in_place(np.arange(first, first + count, dtype=np.uint64) ^ prefix)
+    return seeds_at(np.uint64(derive_seed(seed, *labels)), np.arange(first, first + count))
+
+
+def seeds_at(prefix, index: np.ndarray) -> np.ndarray:
+    """derive_seed(p, i) for uint64 seeds p and integer labels i >= 0,
+    elementwise (one seed for all, or one each), as a new uint64 array."""
+    return _mix64_in_place(np.asarray(index).astype(np.uint64) ^ prefix)
 
 
 def derive_seeds(seeds: np.ndarray, *labels: int | str) -> np.ndarray:
@@ -165,7 +170,8 @@ class Streams:
             out = self.drawn[self.pos]
             self.pos = self.pos + 1
             return out
-        out = np.where(where, self.drawn[np.where(where, self.pos, 0)], np.nan)
+        out = np.full(len(self.pos), np.nan)
+        out[where] = self.drawn[self.pos[where]]
         self.pos = self.pos + where
         return out
 

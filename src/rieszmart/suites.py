@@ -5,51 +5,61 @@ Trial t of suite S draws all of its randomness from the substream keyed by
 (seed, S, t), so a single seed reproduces every trial regardless of how many
 trials run or in what order.  Reports echo the effective configuration.
 
-holder, clarkson, jensen, bands and ce-axioms take their trials in batches of
-about lattice.BLOCK_ELEMENTS atoms.  One SplitMix64 pass draws words 1 and 2
-of every trial's substream (its dimension and weight mode), and a second
-draws every later word the trial can use on that many atoms; a trial that
-uses fewer leaves the rest of its own substream unread.  The floats are read
-back per trial with the scalar generator's arithmetic (rng.Streams).  Each
-check then runs once over the batch: the trials' atoms laid end to end, block
-ids offset per trial, and per-trial outcomes from segment reductions, which
-are recorded trial by trial.  holder keeps one holder_sums call per trial on
-the batch's draws, the checker span per trial that perfbench's tracer
-counts.  The other suites draw and check one trial at a time.
+Every suite takes its trials in batches of about lattice.BLOCK_ELEMENTS
+atoms, or values for the generated-process suites.  One SplitMix64 pass
+draws the first words of every trial's substream (its dimension, and steps
+and weight mode where it has them), and a later pass, at a per-trial word
+offset, draws every later word the trial can use; a trial that uses fewer
+leaves the rest of its own substream unread.  The floats are read back per
+trial with the scalar generator's arithmetic (rng.Streams).  Each check then
+runs once over the batch: the trials' atoms laid end to end, block ids
+offset per trial, and per-trial outcomes from segment reductions, recorded
+trial by trial.  A raising batch raises what its first failing trial raises.
+
+burkholder, telescoping, hrc and doob generate their processes together:
+each trial's split-largest chain is a block-id table (processes.Stages, not
+Partition and operator objects), one binned pass of processes._mds_rows
+draws and conditions every trial's rows, and the checkers run over the
+batch's (trial * stage, atoms) rows.  classify and the difference-sequence
+check run trial by trial on raw arrays, and so do burkholder's two dense
+products of the base operator.  holder keeps one holder_sums call per trial
+on the batch's draws, the checker span per trial that perfbench's tracer
+counts.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bands import exclusion_checks, inf_inequality_checks, sup_formula, sup_identity_checks
-from .conditional import (
-    ConditionalExpectationOp,
-    Filtration,
-    Partition,
-    RaggedOps,
-    axiom_checks,
-)
+from .conditional import ConditionalExpectationOp, Filtration, Partition, RaggedOps, axiom_checks
 from .errors import RieszmartError
 from .inequalities import (
-    _telescoping_rows,
-    burkholder_ratio,
+    burkholder_rows,
     clarkson_checks,
-    doob_maximal,
+    difference_check,
+    exponent_error,
     holder_sums,
-    hrc_maximal,
     jensen_checks,
+    label_check,
+    maximal_rows,
+    record_stages,
+    telescoping_rows,
 )
-from .lattice import DEFAULT_TOL, LatticeElement, SampleSpace, Tolerance, normalized, row_blocks
-from .processes import (
-    GeneratorConfig,
-    _split_largest_chain,
-    generate_mds,
-    generate_submartingale,
+from .lattice import (
+    DEFAULT_TOL,
+    LatticeElement,
+    SampleSpace,
+    Tolerance,
+    normalized,
+    raise_first,
+    row_blocks,
 )
+from .processes import StageRows, Stages, _apply_rows, _mds_rows, _split_largest_chain
 from .reports import VerificationReport
 from .rng import (
     SplitMix64,
@@ -57,6 +67,8 @@ from .rng import (
     below,
     derive_seed,
     derive_seeds,
+    seeds_at,
+    stream_floats,
     substream_floats,
     substream_seeds,
 )
@@ -119,20 +131,6 @@ class RunConfig:
 # sampling helpers
 
 
-def _random_space(stream: SplitMix64, dim_max: int) -> SampleSpace:
-    dim = 1 + stream.below(dim_max)
-    if stream.next_float() < 0.5:
-        return SampleSpace.uniform(dim)
-    return SampleSpace(stream.uniforms(dim, 0.05, 1.0))
-
-
-def _sparse_nonneg(stream: SplitMix64, space: SampleSpace, hi: float = 2.0) -> LatticeElement:
-    """Nonnegative draw with exact zeros, so band supports are interesting."""
-    coords = stream.uniforms(space.n, 0.0, hi)
-    keep = stream.floats(space.n) < 0.6
-    return LatticeElement(space, np.where(keep, coords, 0.0))
-
-
 def _partition_words(n):
     """How many floats _random_partition draws on n atoms: n - 1 for the
     atom shuffle, one for the block count and n - 2 for the cut shuffle."""
@@ -193,19 +191,6 @@ def _refining_filtration(stream: SplitMix64, space: SampleSpace, steps: int) -> 
     return _split_largest_chain(first, steps)
 
 
-def _block_constant_nonneg(
-    stream: SplitMix64, op: ConditionalExpectationOp, hi: float
-) -> LatticeElement:
-    # Broadcasting one draw per block keeps the element exactly block-constant.
-    vals = stream.uniforms(op.partition.num_blocks, 0.0, hi)
-    return LatticeElement(op.space, vals[op.partition.block_id])
-
-
-def _rates_for(trial: int, length: int) -> np.ndarray:
-    s = (0.0, 0.5, 1.0)[trial % 3]
-    return np.arange(1, length + 1, dtype=np.float64) ** s
-
-
 class _Batch:
     """Trials of one suite drawn together, each from its own substream, as
     the per-trial helpers above draw: a first pass takes words 1 and 2 of
@@ -214,19 +199,16 @@ class _Batch:
     Trial t's atoms are starts[t]:starts[t + 1] of every array over atoms."""
 
     def __init__(self, cfg: "RunConfig", suite: str, trials: range, words):
-        head = substream_floats(np.full(len(trials), 2), cfg.seed, suite, first=trials.start)
         self.trials = np.arange(trials.start, trials.stop)
-        self.n = 1 + below(head[0::2], cfg.dim_max)
+        head = _head(cfg, suite, self.trials, 2)
+        self.n = 1 + below(head[:, 0], cfg.dim_max)
         self.starts = np.concatenate(([0], np.cumsum(self.n)))
-        drawn = np.where(head[1::2] < 0.5, 0, self.n)
-        counts = drawn + words(self.n)
+        drawn = head[:, 1] >= 0.5
+        counts = np.where(drawn, self.n, 0) + words(self.n)
         self.draws = Streams(
             substream_floats(counts, cfg.seed, suite, first=trials.start, offsets=2), counts
         )
-        self.weights = np.repeat(1.0 / self.n, self.n)
-        self.weights[np.repeat(drawn > 0, self.n)] = self.draws.uniforms(drawn, 0.05, 1.0)
-        for lo, hi in zip(self.starts[:-1].tolist(), self.starts[1:].tolist()):
-            self.weights[lo:hi] = normalized(self.weights[lo:hi])
+        self.weights = _weights(self.n, [(drawn, self.draws)])
 
     def partitions(self) -> tuple[np.ndarray, np.ndarray]:
         """Each trial's _random_partition: block ids and block counts."""
@@ -251,6 +233,19 @@ class _Batch:
             drawn = self.sparse(hi, keep, lo, where=size > j)
             rows[j] = np.where(np.repeat(size > j, self.n), drawn, rows[0])
         return rows
+
+
+def _weights(n: np.ndarray, sources) -> np.ndarray:
+    """Each trial's SampleSpace weights laid end to end: uniform, or for the
+    trials where a (where, draws) source's mask is True, n uniforms on
+    [0.05, 1) read from its Streams; then normalized trial by trial."""
+    weights = np.repeat(1.0 / n, n)
+    for where, draws in sources:
+        weights[np.repeat(where, n)] = draws.uniforms(np.where(where, n, 0), 0.05, 1.0)
+    ends = np.cumsum(n).tolist()
+    for lo, hi in zip([0] + ends, ends):
+        weights[lo:hi] = normalized(weights[lo:hi])
+    return weights
 
 
 def _batches(cfg: "RunConfig", suite: str, words):
@@ -288,7 +283,7 @@ def run_holder(cfg: RunConfig) -> VerificationReport:
         for i, (t, m, p, k) in enumerate(per_trial):
             space = SampleSpace(batch.weights[lows[i] : highs[i]])
             op = ConditionalExpectationOp(Partition(space, block_id=block_id[lows[i] : highs[i]]))
-            if m == 2:
+            if m == 2 or p == 1.0:  # a drawn p of 1 takes mode 2's conjugate
                 p, q = 1.0, float("inf")
             elif m == 3:
                 p, q = float("inf"), 1.0
@@ -330,83 +325,200 @@ def run_jensen(cfg: RunConfig) -> VerificationReport:
     return report
 
 
-def _generator_for(cfg: RunConfig, suite: str, t: int, stream: SplitMix64) -> GeneratorConfig:
-    return GeneratorConfig(
-        seed=derive_seed(cfg.seed, suite, "process", t),
-        dim=1 + stream.below(cfg.dim_max),
-        steps=1 + stream.below(cfg.steps_max),
-        amplitude=1.0,
-        weight_mode="uniform" if stream.next_float() < 0.5 else "random",
-    )
+def _process_trials(cfg: RunConfig):
+    """The trials of a generated-process suite in batches of about
+    BLOCK_ELEMENTS values."""
+    for rows in row_blocks(cfg.trials, cfg.dim_max * cfg.steps_max):
+        yield np.arange(rows.start, rows.stop)
+
+
+def _head(cfg: RunConfig, suite: str, t: np.ndarray, words: int) -> np.ndarray:
+    """Words 1..words of each trial's substream, one row per trial."""
+    count = np.full(len(t), words)
+    return substream_floats(count, cfg.seed, suite, first=int(t[0])).reshape(-1, words)
+
+
+def _process_seeds(cfg: RunConfig, suite: str, t: np.ndarray) -> np.ndarray:
+    """The GeneratorConfig seeds derive_seed(cfg.seed, suite, "process", t)."""
+    return seeds_at(np.uint64(derive_seed(cfg.seed, suite, "process")), t)
+
+
+def _made_space(seeds: np.ndarray, n: np.ndarray, random: np.ndarray):
+    """make_space's draws for the trials where random: a _weights source."""
+    words = np.where(random, n, 0)
+    return random, Streams(stream_floats(derive_seeds(seeds, "space"), words), words)
+
+
+def _differences(seeds, n, steps, weights, first=None, blocks=None):
+    """generate_mds of each trial's GeneratorConfig(seed=seeds[k],
+    amplitude 1) on its weights, the split-largest chain from the first
+    partitions with block ids first and blocks blocks (a single block when
+    not given): the Stages, the rows laid end to end and the generator's
+    (failed, error) pair."""
+    if first is None:
+        first, blocks = np.zeros(int(n.sum()), dtype=np.intp), np.ones(len(n), dtype=np.intp)
+    stages = Stages.split_chains(n, steps, weights, first, blocks)
+    diffs, failed = _mds_rows(stages, derive_seeds(seeds, "mds-step"), 1.0)
+    return stages, diffs, failed
+
+
+def _submartingales(t, seeds, stages: Stages, diffs: np.ndarray) -> np.ndarray:
+    """generate_submartingale of the trials' rows: mode "positive-part" for
+    even trials, "drift" for odd ones."""
+    sums = stages.accumulate(np.add, diffs)
+    drift = t % 2 == 1
+    words = np.where(drift, stages.steps, 0)
+    draws = Streams(stream_floats(derive_seeds(seeds, "drift"), words), words)
+    per_row = np.zeros(len(stages.stage))
+    per_row[np.repeat(drift, stages.steps)] = draws.uniforms(words, 0.0, 0.5)
+    drifted = sums + stages.accumulate(np.add, stages.spread(per_row))
+    return np.where(np.repeat(drift, stages.n * stages.steps), drifted, np.maximum(sums, 0.0))
+
+
+def _within(mask: np.ndarray, check):
+    """A (bad, error) pair over the trials where mask is True, as one over
+    all trials."""
+    bad, error = check
+    full = np.zeros(len(mask), dtype=bool)
+    full[mask] = bad
+    index = np.cumsum(mask) - 1
+    return full, lambda k: error(index[k])
 
 
 def run_burkholder(cfg: RunConfig, p: float = 2.0) -> VerificationReport:
     report = _fresh(cfg, "burkholder")
     report.config["p"] = p
-    ratio_min, ratio_max = float("inf"), float("-inf")
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "burkholder", t))
-        gen = _generator_for(cfg, "burkholder", t, stream)
-        diffs = generate_mds(gen)
-        sub = burkholder_ratio(diffs, diffs.filtration[0], p, cfg.tol)
-        report.absorb(sub, t, cfg.seed)
-        if sub.details.get("ratio_min") is not None:
-            ratio_min = min(ratio_min, sub.details["ratio_min"])
-            ratio_max = max(ratio_max, sub.details["ratio_max"])
+    p = float(p)
+    lows, highs = [float("inf")], [float("-inf")]
+    for t in _process_trials(cfg):
+        head = _head(cfg, "burkholder", t, 3)  # dimension, steps, weight mode
+        n = 1 + below(head[:, 0], cfg.dim_max)
+        steps = 1 + below(head[:, 1], cfg.steps_max)
+        seeds = _process_seeds(cfg, "burkholder", t)
+        weights = _weights(n, [_made_space(seeds, n, head[:, 2] >= 0.5)])
+        stages, diffs, failed = _differences(seeds, n, steps, weights)
+        checks = [failed, (np.full(len(t), not 1.0 < p < math.inf), lambda k: exponent_error(p))]
+        raise_first(*checks)  # before any power of p
+        checks.append(difference_check(stages, diffs, cfg.tol))
+        bad, records, (low, high) = burkholder_rows(diffs, stages, _first_stage_rows(stages), p, cfg.tol)
+        raise_first(*checks, bad)
+        ok, margin, witness_at, process = records
+        report.record_many(ok, margin, witness_at, t[process], cfg.seed)
+        lows += low[~np.isnan(low)].tolist()
+        highs += high[~np.isnan(high)].tolist()
+    ratio_min, ratio_max = min(lows), max(highs)
     report.details["ratio_min"] = None if ratio_min == float("inf") else ratio_min
     report.details["ratio_max"] = None if ratio_max == float("-inf") else ratio_max
     return report
 
 
+def _first_stage_rows(stages: Stages):
+    """apply(k, rows): apply_rows of process k's first stage."""
+
+    def apply(k, rows):
+        weights, ids, _ = stages.table(k)
+        return _apply_rows(weights, ids[0], rows)
+
+    return apply
+
+
 def run_telescoping(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "telescoping")
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, "telescoping", t))
-        if t % 3 == 2:
-            # The bound is pathwise and holds for arbitrary sequences too.
-            space = _random_space(stream, cfg.dim_max)
-            count = 1 + stream.below(cfg.steps_max)
-            seq = np.array([stream.uniforms(space.n, -2.0, 2.0) for _ in range(count)])
-        else:
-            gen = _generator_for(cfg, "telescoping", t, stream)
-            mode = "positive-part" if t % 2 == 0 else "drift"
-            proc = generate_submartingale(gen, mode)
-            space, seq = proc.space, proc.values
-        g = _sparse_nonneg(stream, space, 1.0 + float(np.sqrt(len(seq))))
-        report.absorb(_telescoping_rows(seq, g.coords, cfg.tol), t, cfg.seed)
+    for t in _process_trials(cfg):
+        # Trials t % 3 == 2 draw arbitrary rows, for which the pathwise bound
+        # holds too: a random space (its weights unused), then the row
+        # count.  The others draw a GeneratorConfig: dimension, steps, weight
+        # mode.  Then every trial draws its rows, if free, and its threshold.
+        head = _head(cfg, "telescoping", t, 2)
+        free = t % 3 == 2
+        n = 1 + below(head[:, 0], cfg.dim_max)
+        skip = 2 + np.where(free & (head[:, 1] >= 0.5), n, 0)
+        word = substream_floats(np.ones_like(t), cfg.seed, "telescoping", first=int(t[0]), offsets=skip)
+        steps = 1 + below(np.where(free, word, head[:, 1]), cfg.steps_max)
+        counts = np.where(free, steps * n, 0) + 2 * n
+        draws = Streams(
+            substream_floats(counts, cfg.seed, "telescoping", first=int(t[0]), offsets=skip + 1),
+            counts,
+        )
+        rows = StageRows(n, steps)
+        seq = np.empty(rows.size)
+        seq[np.repeat(free, n * steps)] = draws.uniforms(np.where(free, steps * n, 0), -2.0, 2.0)
+        made = ~free
+        failed = (np.zeros(0, dtype=bool), None)
+        if made.any():
+            seeds = _process_seeds(cfg, "telescoping", t[made])
+            weights = _weights(n[made], [_made_space(seeds, n[made], word[made] >= 0.5)])
+            stages, diffs, failed = _differences(seeds, n[made], steps[made], weights)
+            seq[np.repeat(made, n * steps)] = _submartingales(t[made], seeds, stages, diffs)
+        coords = draws.uniforms(n, 0.0, np.repeat(1.0 + np.sqrt(steps), n))
+        g = np.where(draws.floats(n) < 0.6, coords, 0.0)
+        bad, parts = telescoping_rows(seq, g, rows, cfg.tol)
+        raise_first(_within(made, failed), bad)
+        record_stages(report, parts, rows, t, cfg.seed)
     return report
 
 
-def _maximal_trials(cfg: RunConfig, suite: str):
-    """Trials t of the hrc and doob suites: (t, submartingale, threshold)."""
-    for t in range(cfg.trials):
-        stream = SplitMix64(derive_seed(cfg.seed, suite, t))
-        gen = _generator_for(cfg, suite, t, stream)
-        filt = None
-        if stream.next_float() < 0.5:
-            # Nontrivial first stage: threshold lives on a coarse partition.
-            base = _random_space(stream, cfg.dim_max)
-            filt = _refining_filtration(stream, base, gen.steps)
-        mode = "positive-part" if t % 2 == 0 else "drift"
-        proc = generate_submartingale(gen, mode, filt)
-        g = _block_constant_nonneg(
-            stream, proc.filtration[0], 1.0 + float(np.sqrt(len(proc)))
+def _maximal_trials(cfg: RunConfig, suite: str, t: np.ndarray):
+    """Trials t of the hrc and doob suites: their Stages, submartingale
+    values, thresholds over the atoms and generator check."""
+    # Words: the dimension, steps and weight mode of a GeneratorConfig, the
+    # coarse-stage coin, then for a coarse first stage the dimension and
+    # weight mode of a random space; else word 5 draws the threshold.
+    head = _head(cfg, suite, t, 6)
+    steps = 1 + below(head[:, 1], cfg.steps_max)
+    coarse = head[:, 3] < 0.5
+    n = 1 + below(np.where(coarse, head[:, 4], head[:, 0]), cfg.dim_max)
+    own = coarse & (head[:, 5] >= 0.5)
+    # A coarse trial goes on: its weights, the coin for a random first
+    # partition (else a single block), the partition, one threshold value
+    # per block.  The process lives on that space.
+    counts = np.where(coarse, np.where(own, n, 0) + 1 + _partition_words(n) + n, 0)
+    draws = Streams(substream_floats(counts, cfg.seed, suite, first=int(t[0]), offsets=6), counts)
+    seeds = _process_seeds(cfg, suite, t)
+    made = ~coarse & (head[:, 2] >= 0.5)
+    weights = _weights(n, [(own, draws), _made_space(seeds, n, made)])
+    split = coarse & (draws.next_float(where=coarse) >= 0.5)
+    first = np.zeros(int(n.sum()), dtype=np.intp)
+    blocks = np.ones(len(n), dtype=np.intp)
+    if split.any():
+        floats = draws.floats(np.where(split, _partition_words(n), 0))
+        first[np.repeat(split, n)], blocks[split] = _partition_ids(floats, n[split])
+    value = np.empty(int(blocks.sum()))
+    value[np.repeat(coarse, blocks)] = draws.floats(np.where(coarse, blocks, 0))
+    value[np.repeat(~coarse, blocks)] = head[~coarse, 4]
+    # uniforms(blocks, 0, 1 + sqrt(steps)), broadcast over each block's atoms
+    value = 0.0 + np.repeat(1.0 + np.sqrt(steps) - 0.0, blocks) * value
+    g = value[first + np.repeat(np.cumsum(blocks) - blocks, n)]
+    stages, diffs, failed = _differences(seeds, n, steps, weights, first, blocks)
+    return stages, _submartingales(t, seeds, stages, diffs), g, failed
+
+
+def _run_maximal(cfg: RunConfig, suite: str) -> VerificationReport:
+    report = _fresh(cfg, suite)
+    for t in _process_trials(cfg):
+        stages, values, g, failed = _maximal_trials(cfg, suite, t)
+        rates = np.ones(len(stages.stage))
+        if suite == "hrc":
+            # Rates i ** s, s = 0, 1/2 or 1 by the trial: one scalar exponent each.
+            index = (stages.stage_of_rows() + 1).astype(np.float64)
+            kind = np.repeat(t % 3, stages.steps)
+            for k, s in enumerate((0.0, 0.5, 1.0)):
+                rates[kind == k] = index[kind == k] ** s
+        gates = label_check(stages, values, cfg.tol)
+        bad, parts = maximal_rows(
+            values, rates, g, stages.first_stage(), stages, cfg.tol, suite == "doob"
         )
-        yield t, proc, g
+        raise_first(failed, gates, *bad)
+        record_stages(report, parts, stages, t, cfg.seed)
+    return report
 
 
 def run_hrc(cfg: RunConfig) -> VerificationReport:
-    report = _fresh(cfg, "hrc")
-    for t, proc, g in _maximal_trials(cfg, "hrc"):
-        report.absorb(hrc_maximal(proc, _rates_for(t, len(proc)), g, cfg.tol), t, cfg.seed)
-    return report
+    return _run_maximal(cfg, "hrc")
 
 
 def run_doob(cfg: RunConfig) -> VerificationReport:
-    report = _fresh(cfg, "doob")
-    for t, proc, g in _maximal_trials(cfg, "doob"):
-        report.absorb(doob_maximal(proc, g, cfg.tol), t, cfg.seed)
-    return report
+    return _run_maximal(cfg, "doob")
 
 
 def run_bands(cfg: RunConfig) -> VerificationReport:
@@ -439,11 +551,11 @@ def run_ce_axioms(cfg: RunConfig) -> VerificationReport:
     report = _fresh(cfg, "ce-axioms")
     for batch in _batches(cfg, "ce-axioms", _partition_words):
         # Trial t is trial 0 of verify_axioms(op, 1, derive_seed(cfg.seed,
-        # "ce-axioms-inner", t)), at its default tolerance, not cfg.tol.
+        # "ce-axioms-inner", t), cfg.tol).
         first = int(batch.trials[0])
         inner = substream_seeds(len(batch.trials), cfg.seed, "ce-axioms-inner", first=first)
         seeds = derive_seeds(inner, "ce-axioms", 0)
-        checks = axiom_checks(_ops(batch), seeds, np.zeros_like(batch.trials), DEFAULT_TOL)
+        checks = axiom_checks(_ops(batch), seeds, np.zeros_like(batch.trials), cfg.tol)
         report.record_trials(checks, batch.trials, cfg.seed)
     return report
 

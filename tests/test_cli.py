@@ -565,3 +565,70 @@ def test_run_config_validate_owns_the_finite_rule_of_verify(name, bad):
     options["dim_max"] = 4
     with pytest.raises(cli.RieszmartError, match=f"{name} must be finite"):
         cli.RunConfig(tol=cli.Tolerance(**tol), **options).validate()
+
+
+# --- exponents, tolerances and the generator guard ------------------------------
+
+
+def test_holder_at_p_one_takes_q_infinity(capsys):
+    # A drawn p of exactly 1 divided by p - 1 = 0 and escaped as a traceback.
+    code, report = run_json(
+        capsys, ["verify", "--suite", "holder", "--p-min", "1", "--p-max", "1", "--trials", "2"]
+    )
+    assert code == 0
+    assert report["failure_count"] == 0
+
+
+def test_ce_axioms_checks_at_the_configured_tolerance(capsys):
+    from rieszmart import ConditionalExpectationOp, SampleSpace, Tolerance, verify_axioms
+    from rieszmart.reports import VerificationReport
+    from rieszmart.rng import SplitMix64, derive_seed
+    from rieszmart.suites import _random_partition
+
+    argv = ["verify", "--suite", "ce-axioms", "--trials", "12", "--seed", "5", "--tol-abs=-1e-3"]
+    code, report = run_json(capsys, argv)
+    tol = Tolerance(abs=-1e-3)
+    expected = VerificationReport(suite="ce-axioms", trials=12, seed=5, tol=tol)
+    for t in range(12):
+        stream = SplitMix64(derive_seed(5, "ce-axioms", t))
+        dim = 1 + stream.below(16)
+        if stream.next_float() < 0.5:
+            space = SampleSpace.uniform(dim)
+        else:
+            space = SampleSpace(stream.uniforms(dim, 0.05, 1.0))
+        op = ConditionalExpectationOp(_random_partition(stream, space))
+        expected.absorb(verify_axioms(op, 1, derive_seed(5, "ce-axioms-inner", t), tol), t, 5)
+    assert code == 1 and report["failure_count"] == expected.failure_count > 0
+    failures = [f.to_json_dict() for f in expected.failures]
+    assert report["failures"] == json.loads(json.dumps(failures))
+
+
+def tamper_block_weights(stages):
+    """A block weight 1% off its atoms' weights breaks T_{i-1} Y_i = 0."""
+    stages.block_weight = stages.block_weight * 1.01
+    return stages
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "slln-n", "--dim", "4", "--n", "4"],
+        ["verify", "--suite", "burkholder", "--trials", "3"],
+        ["verify", "--suite", "hrc", "--trials", "3"],
+    ],
+)
+def test_a_failing_generator_guard_exits_2(argv, tmp_path, monkeypatch, capsys):
+    from rieszmart import processes
+    from rieszmart.errors import GeneratorResidual
+
+    stages_of, split_chains = processes.Stages.of, processes.Stages.split_chains
+    monkeypatch.setattr(processes.Stages, "of", lambda f: tamper_block_weights(stages_of(f)))
+    monkeypatch.setattr(
+        processes.Stages, "split_chains", lambda *a: tamper_block_weights(split_chains(*a))
+    )
+    out = ["--output-dir", str(tmp_path)] if argv[0] == "simulate" else ["--output", str(tmp_path / "r.json")]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^error: difference residual \S+ exceeds 1e-12 at step \d+\n\Z", err, re.M)
+    assert not any(tmp_path.iterdir())
+    assert issubclass(GeneratorResidual, AssertionError)  # what the guard raised before

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+import test_batched as loops
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -119,14 +120,14 @@ def old_burkholder_p2(diffs, base, tol):
 
 def old_doob_maximal(process, g, tol):
     ones = np.ones(len(process))
-    report, t1, pos, join, rhs = inequalities._hrc_pass(process, ones, g, tol, "doob")
+    report, t1, pos, join, rhs = loops.old_hrc_pass(process, ones, g, tol, "doob")
     conditioned = t1.apply_array(np.concatenate((pos, np.where(join, 0.0, g.coords))))
     telescoped, lhs = conditioned[: len(pos)], conditioned[len(pos) :]
     gap = np.abs(rhs - telescoped)
     agree = (gap <= tol.slack(rhs, telescoped)).all(axis=1)
     agreement = (agree, -gap.max(axis=1), lambda n: f"n={n} telescoped-right-side agreement")
     bound = old_rows_leq(lhs, telescoped, tol, "telescoped bound")
-    inequalities._record_stages(report, agreement, bound)
+    loops.old_record_stages(report, agreement, bound)
     return report
 
 
@@ -253,14 +254,18 @@ def test_suites_match_the_old_comparison_bodies(suite, tol, lenient_gates, monke
     cfg = RunConfig(suite=suite, trials=60, seed=3, tol=tol)
     new = run_suite(cfg)
     monkeypatch.setattr(inequalities, "leq_with_tolerance", old_leq_with_tolerance)
-    monkeypatch.setattr(inequalities, "_rows_leq", old_rows_leq)
-    old = run_suite(cfg)
+    # telescoping and hrc check their batched rows without _rows_leq: their
+    # per-trial loops, kept in test_batched, take the old body instead.
+    monkeypatch.setattr(loops, "old_rows_leq", old_rows_leq)
+    monkeypatch.setattr(loops, "classify", inequalities.classify)  # the lenient gate
+    old = loops.OLD[suite](cfg) if suite in ("telescoping", "hrc") else run_suite(cfg)
     new.elapsed_ms = old.elapsed_ms = 0.0
     same_bytes(new, old)
 
 
 @TOLS
 def test_doob_and_burkholder_match_the_old_two_sided_bodies(tol, lenient_gates, monkeypatch):
+    monkeypatch.setattr(loops, "classify", inequalities.classify)  # the lenient gate
     failures = 0
     for cfg, filt in mds_cases():
         diffs = generate_mds(cfg, filt)
@@ -276,7 +281,7 @@ def test_doob_and_burkholder_match_the_old_two_sided_bodies(tol, lenient_gates, 
         g = proc.space.element(np.linspace(0.5, 2.0, part.num_blocks)[part.block_id])
         new = doob_maximal(proc, g, tol)
         with monkeypatch.context() as patch:
-            patch.setattr(inequalities, "_rows_leq", old_rows_leq)
+            patch.setattr(loops, "old_rows_leq", old_rows_leq)
             same_bytes(new, old_doob_maximal(proc, g, tol))
         failures += new.failure_count
     assert (failures > 0) == (tol is NEGATIVE_SLACK)

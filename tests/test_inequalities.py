@@ -672,10 +672,13 @@ class _ProductRouteFault:
     the stage masks drops or adds atom 0 at the last stage."""
 
     class logical_and:
+        reduceat = staticmethod(np.logical_and.reduceat)
+
         @staticmethod
         def accumulate(masks, axis):
+            # Stages run along the second-last axis, atoms along the last.
             out = np.logical_and.accumulate(masks, axis=axis)
-            out[-1, 0] = ~out[-1, 0]
+            out[..., -1, 0] = ~out[..., -1, 0]
             return out
 
     def __getattr__(self, name):

@@ -358,3 +358,23 @@ def test_halving_fold_leaves_its_input_and_rejects_an_empty_axis():
             assert lattice.halving_fold(np.maximum, block, axis).base is None
     with pytest.raises(ValueError, match="empty axis"):
         lattice.halving_fold(np.maximum, np.zeros((0, 3)), 0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_halving_fold_takes_the_reduce_past_the_cut_and_folds_up_to_it(axis, monkeypatch):
+    rng = np.random.default_rng(31)
+    cut = lattice.FOLD_MAX_WIDTH[axis]
+    calls = []
+    fold = np.moveaxis
+    monkeypatch.setattr(np, "moveaxis", lambda *a: calls.append(a[1:]) or fold(*a))
+    for width in (1, cut - 1, cut, cut + 1, 2 * cut + 3, 256):
+        for rows in (1, 2, 37):
+            x = awkward_block(rng, rows, width)
+            for ufunc in (np.maximum, np.minimum):
+                calls.clear()
+                got = lattice.halving_fold(ufunc, x, axis)
+                assert np.array_equal(got, ufunc.reduce(x, axis=axis), equal_nan=True)
+                assert bool(calls) == (width <= cut)  # folded, or reduced
+                assert got.base is None
+    with pytest.raises(ValueError, match="empty axis"):
+        lattice.halving_fold(np.maximum, np.zeros((0, 300)), 0)
