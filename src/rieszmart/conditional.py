@@ -103,9 +103,8 @@ class Partition:
     def split_largest(self) -> "Partition":
         """Split the largest block in half (ties: block with the lowest atom).
         The upper half takes the label after those of the blocks starting
-        below it, and every later label moves up by one.  split_largest_ids
-        splits many partitions at once by the same rule, but on one
-        partition it takes twice as long as this body."""
+        below it, and every later label moves up by one.  The chains that
+        repeat this step are built whole by processes.split_cuts."""
         bid = self.block_id
         sizes = np.bincount(bid)
         largest = sizes.argmax()  # first maximum: the lowest first atom
@@ -133,35 +132,6 @@ class Partition:
 
     def to_json_dict(self) -> list:
         return [list(b) for b in self.blocks]
-
-
-def split_largest_ids(block_id: np.ndarray, starts: np.ndarray, num_blocks: np.ndarray):
-    """Partition.split_largest of several partitions laid end to end, the
-    one on atoms starts[t]:starts[t + 1] with num_blocks[t] blocks: each
-    splits its largest block (ties: the lowest first atom) into its lower
-    and upper half in atom order, the upper half taking the label after
-    those of the blocks that start below it, every later label moving up by
-    one.  A partition of singletons stays as it is.  Returns the new block
-    ids and block counts."""
-    heads = starts[:-1]
-    owner = np.repeat(np.arange(len(heads)), np.diff(starts))
-    atom = np.arange(len(block_id))
-    label = block_id + (np.cumsum(num_blocks) - num_blocks)[owner]  # numbered across partitions
-    size = np.bincount(label)[label]  # of each atom's block
-    top = np.maximum.reduceat(size, heads)
-    # Blocks are numbered by lowest atom: the lowest atom in a largest block
-    # lies in the first of them.
-    lowest = np.minimum.reduceat(np.where(size == top[owner], atom, len(atom)), heads)
-    member = label == label[lowest][owner]
-    count = np.cumsum(member)
-    rank = count - (count[heads] - member[heads])[owner]  # 1 for the lowest member
-    upper = member & (rank > ((top + 1) // 2)[owner])
-    split_at = np.minimum.reduceat(np.where(upper, atom, len(atom)), heads)
-    below = np.where(atom < split_at[owner], block_id, -1)
-    new = (np.maximum.reduceat(below, heads) + 1)[owner]
-    child = block_id + (block_id >= new)
-    child[upper] = new[upper]
-    return child, num_blocks + (top > 1)
 
 
 def averaging_matrix(

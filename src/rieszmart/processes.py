@@ -10,12 +10,13 @@ and is_difference_sequence are shells over cores on raw arrays: the values,
 the atom weights, the block ids of each distinct stage and the stage index.
 
 Stages lays several processes and their filtrations end to end as block-id
-tables, and _mds_rows generates all of their rows in one binned pass per
-row block; generate_mds is its one-process case.  Generators draw the stages in row blocks from the per-step SplitMix64
-substreams (seed, "mds-step", i), so a fixed GeneratorConfig reproduces the
-same process bit for bit.  Step i draws a block-constant Z_i for the stage-i
-partition in [-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with
-Y_1 = Z_1.
+tables, read from each split-largest chain's cut array (split_cuts), and
+_mds_rows generates all of their rows in one binned pass per row block;
+generate_mds is its one-process case.  Generators draw the stages in row
+blocks from the per-step SplitMix64 substreams (seed, "mds-step", i), so a
+fixed GeneratorConfig reproduces the same process bit for bit.  Step i
+draws a block-constant Z_i for the stage-i partition in [-amplitude,
+amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .conditional import (
     Partition,
     RaggedOps,
     averaging_matrix,
-    split_largest_ids,
 )
 from .errors import (
     GeneratorResidual,
@@ -317,16 +317,43 @@ def make_space(cfg: GeneratorConfig) -> SampleSpace:
 def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     """Single block first, then split the largest block per stage;
     once singletons are reached the finest operator repeats."""
-    return _split_largest_chain(Partition.single_block(space), steps)
+    n = space.n
+    _, cut = split_cuts(np.array([n]), np.zeros(n, dtype=np.intp), np.ones(1, dtype=np.intp))
+    parts = (Partition(space, block_id=np.cumsum(cut <= i) - 1) for i in range(min(steps, n)))
+    ops = [ConditionalExpectationOp(part) for part in parts]
+    return Filtration(ops, repeat_last=max(steps - len(ops), 0))
 
 
-def _split_largest_chain(first: Partition, steps: int) -> Filtration:
-    """first, then split the largest block per stage: one operator per
-    distinct partition, the singleton operator repeated by reference."""
-    ops = [ConditionalExpectationOp(first)]
-    while len(ops) < steps and not ops[-1].is_identity:
-        ops.append(ConditionalExpectationOp(ops[-1].partition.split_largest()))
-    return Filtration(ops[:steps], repeat_last=max(steps - len(ops), 0))
+def split_cuts(n: np.ndarray, first: np.ndarray, num_blocks: np.ndarray) -> tuple:
+    """The split-largest chains (Partition.split_largest until singletons)
+    from first partitions laid end to end: n[k] atoms with num_blocks[k]
+    blocks in chain k.  In the order of (chain, first block, atom), every
+    block a chain creates is a run of positions whose lower half keeps
+    ceil(s/2) of its s atoms, and a child is smaller than its parent, so
+    the chain splits the nodes of this fixed halving tree by size
+    descending, then lowest atom.  Returns (order, cut): the atom at each
+    position, and the stage at which a block boundary opens before each
+    position, 0 where a first block starts; stage i's blocks start where
+    cut <= i.  O(atoms) memory: about log2(max n) passes and one lexsort."""
+    bins = first + np.repeat(np.cumsum(num_blocks) - num_blocks, n)
+    order = np.argsort(bins, kind="stable")
+    size = np.bincount(bins)
+    lo = np.cumsum(size) - size
+    levels = []
+    while len(size):
+        inner = size > 1
+        lo, size = lo[inner], size[inner]
+        levels.append((lo, size))
+        half = (size + 1) // 2
+        lo, size = np.concatenate((lo, lo + half)), np.concatenate((half, size - half))
+    lo, size = (np.concatenate(nodes) for nodes in zip(*levels))
+    chain = np.searchsorted(np.cumsum(n), lo, side="right")
+    split = np.lexsort((order[lo], -size, chain))
+    count = np.bincount(chain, minlength=len(n))
+    stage = np.arange(1, len(split) + 1) - np.repeat(np.cumsum(count) - count, count)
+    cut = np.zeros(len(order), dtype=np.intp)
+    cut[(lo + (size + 1) // 2)[split]] = stage
+    return order, cut
 
 
 class StageRows:
@@ -444,24 +471,31 @@ class Stages(StageRows):
 
     @classmethod
     def split_chains(cls, n, steps, weights, first, num_blocks) -> "Stages":
-        """Each process on _split_largest_chain of its first partition, whose
-        block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k] blocks,
-        for steps[k] stages: the chain stops changing at singletons."""
+        """Each process on the split-largest chain of its first partition,
+        whose block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k]
+        blocks, for steps[k] stages: the chain stops changing at
+        singletons.  Stage i's blocks start where cut <= i (split_cuts),
+        numbered by the rank of their first atom."""
+        order, cut = split_cuts(n, first, num_blocks)
         atoms = np.concatenate(([0], np.cumsum(n)))
         depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
-        chain, counts = [first], [num_blocks]
-        for _ in range(1, int(depth.max())):
-            ids, blocks = split_largest_ids(chain[-1], atoms, counts[-1])
-            chain.append(ids)
-            counts.append(blocks)
         owner = np.repeat(np.arange(len(n)), depth)  # process of each partition
         level = np.arange(len(owner)) - np.repeat(np.cumsum(depth) - depth, depth)
         width = n[owner]
         id_starts = np.cumsum(width) - width
-        local = np.arange(int(width.sum())) - np.repeat(id_starts, width)
-        atom = np.repeat(atoms[owner], width) + local
-        ids = np.stack(chain)[np.repeat(level, width), atom]
-        blocks = np.stack(counts)[level, owner]
+        index = np.arange(int(width.sum()))
+        # Read in position order, entry e is position atom[e]: it holds atom
+        # order[atom[e]], whose id goes to entry slot[e].
+        atom = index + np.repeat(atoms[owner] - id_starts, width)
+        opens = cut[atom] <= np.repeat(level, width)
+        slot = index + order[atom] - atom
+        marked = np.zeros(len(index), dtype=bool)
+        marked[slot] = opens
+        rank = np.cumsum(marked)
+        head = np.maximum.accumulate(np.where(opens, index, 0))
+        ids = np.empty(len(index), dtype=np.intp)
+        ids[slot] = rank[slot[head]] - rank[np.repeat(id_starts, width)]
+        blocks = num_blocks[owner] + level
         bins = ids + np.repeat(np.cumsum(blocks) - blocks, width)
         block_weight = np.bincount(bins, weights=weights[atom], minlength=int(blocks.sum()))
         step = np.arange(int(steps.sum())) - np.repeat(np.cumsum(steps) - steps, steps)

@@ -17,8 +17,9 @@ offset per trial, and per-trial outcomes from segment reductions, recorded
 trial by trial.  A raising batch raises what its first failing trial raises.
 
 burkholder, telescoping, hrc and doob generate their processes together:
-each trial's split-largest chain is a block-id table (processes.Stages, not
-Partition and operator objects), one binned pass of processes._mds_rows
+every trial's split-largest chain is one cut array (processes.split_cuts),
+read out with no loop over stages as a block-id table (processes.Stages,
+not Partition and operator objects), one binned pass of processes._mds_rows
 draws and conditions every trial's rows, and the checkers run over the
 batch's (trial * stage, atoms) rows.  classify and the difference-sequence
 check run trial by trial on raw arrays, and so do burkholder's two dense
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bands import exclusion_checks, inf_inequality_checks, sup_formula, sup_identity_checks
-from .conditional import ConditionalExpectationOp, Filtration, Partition, RaggedOps, axiom_checks
+from .conditional import ConditionalExpectationOp, Partition, RaggedOps, axiom_checks
 from .errors import RieszmartError
 from .inequalities import (
     burkholder_rows,
@@ -59,10 +60,9 @@ from .lattice import (
     raise_first,
     row_blocks,
 )
-from .processes import StageRows, Stages, _apply_rows, _mds_rows, _split_largest_chain
+from .processes import StageRows, Stages, _apply_rows, _mds_rows
 from .reports import VerificationReport
 from .rng import (
-    SplitMix64,
     Streams,
     below,
     derive_seed,
@@ -132,15 +132,17 @@ class RunConfig:
 
 
 def _partition_words(n):
-    """How many floats _random_partition draws on n atoms: n - 1 for the
+    """How many floats a random partition draws on n atoms: n - 1 for the
     atom shuffle, one for the block count and n - 2 for the cut shuffle."""
     return np.maximum(2 * np.asarray(n) - 2, 1)
 
 
 def _partition_ids(floats: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The block ids of _random_partition for each trial, read from its
-    _partition_words(n[t]) floats laid end to end: the ids of all trials
-    concatenated, and each trial's number of blocks."""
+    """A random partition of each trial's n[t] atoms, read from its
+    _partition_words(n[t]) floats laid end to end: the atoms shuffled, cut
+    into 1 + below(n[t]) blocks at the first cut points of a shuffle of
+    1..n[t] - 1.  Returns the ids of all trials concatenated, and each
+    trial's number of blocks."""
     counts = _partition_words(n)
     local = np.arange(len(floats)) - np.repeat(np.cumsum(counts) - counts, counts)
     size = np.repeat(n, counts)
@@ -176,21 +178,6 @@ def _partition_ids(floats: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.nd
     return rank[block] - np.repeat(np.cumsum(num_blocks) - num_blocks, n), num_blocks
 
 
-def _random_partition(stream: SplitMix64, space: SampleSpace) -> Partition:
-    n = np.array([space.n])
-    ids, _ = _partition_ids(stream.floats(int(_partition_words(n)[0])), n)
-    return Partition(space, block_id=ids)
-
-
-def _refining_filtration(stream: SplitMix64, space: SampleSpace, steps: int) -> Filtration:
-    """A refining chain starting from a random coarse stage."""
-    if stream.next_float() < 0.5:
-        first = Partition.single_block(space)
-    else:
-        first = _random_partition(stream, space)
-    return _split_largest_chain(first, steps)
-
-
 class _Batch:
     """Trials of one suite drawn together, each from its own substream, as
     the per-trial helpers above draw: a first pass takes words 1 and 2 of
@@ -211,7 +198,8 @@ class _Batch:
         self.weights = _weights(self.n, [(drawn, self.draws)])
 
     def partitions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's _random_partition: block ids and block counts."""
+        """Each trial's random partition (_partition_ids): block ids and
+        block counts."""
         return _partition_ids(self.draws.floats(_partition_words(self.n)), self.n)
 
     def sparse(self, hi: float, keep: float, lo: float = 0.0, where=None) -> np.ndarray:

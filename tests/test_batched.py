@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from chains import split_largest_chain
 
 from rieszmart import (
     DEFAULT_TOL,
@@ -62,7 +63,6 @@ from rieszmart.processes import (
     SUBMARTINGALE,
     GeneratorConfig,
     ProcessSequence,
-    _split_largest_chain,
     classify,
     default_filtration,
     make_space,
@@ -627,7 +627,7 @@ def old_refining_filtration(stream, space, steps):
         first = Partition.single_block(space)
     else:
         first = old_random_partition(stream, space)
-    return _split_largest_chain(first, steps)
+    return split_largest_chain(first, steps)
 
 
 def old_run_burkholder(cfg, p=2.0):

@@ -44,7 +44,7 @@ from rieszmart.reports import (
     dump_json,
 )
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 BLOCK_SIZES = [lattice.BLOCK_ELEMENTS, 1, 7, 64]
 TOLS = [DEFAULT_TOL, Tolerance(abs=-1e-3)]
@@ -273,7 +273,7 @@ def cases():
             steps=steps,
             weight_mode=("uniform", "random")[seed % 2],
         )
-        filt = None if seed % 3 else _refining_filtration(SplitMix64(seed), make_space(cfg), steps)
+        filt = None if seed % 3 else refining_filtration(SplitMix64(seed), make_space(cfg), steps)
         yield cfg, filt
 
 

@@ -583,7 +583,7 @@ def test_ce_axioms_checks_at_the_configured_tolerance(capsys):
     from rieszmart import ConditionalExpectationOp, SampleSpace, Tolerance, verify_axioms
     from rieszmart.reports import VerificationReport
     from rieszmart.rng import SplitMix64, derive_seed
-    from rieszmart.suites import _random_partition
+    from chains import random_partition
 
     argv = ["verify", "--suite", "ce-axioms", "--trials", "12", "--seed", "5", "--tol-abs=-1e-3"]
     code, report = run_json(capsys, argv)
@@ -596,7 +596,7 @@ def test_ce_axioms_checks_at_the_configured_tolerance(capsys):
             space = SampleSpace.uniform(dim)
         else:
             space = SampleSpace(stream.uniforms(dim, 0.05, 1.0))
-        op = ConditionalExpectationOp(_random_partition(stream, space))
+        op = ConditionalExpectationOp(random_partition(stream, space))
         expected.absorb(verify_axioms(op, 1, derive_seed(5, "ce-axioms-inner", t), tol), t, 5)
     assert code == 1 and report["failure_count"] == expected.failure_count > 0
     failures = [f.to_json_dict() for f in expected.failures]

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 import test_batched as loops
+from chains import refining_filtration
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ from rieszmart.lattice import MarginCheck, compare, require_finite
 from rieszmart.processes import _stage_groups, make_space, require_difference_sequence
 from rieszmart.reports import CheckSummary, VerificationReport, checkpoint_schedule, dump_json
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import RunConfig, _refining_filtration, run_suite
+from rieszmart.suites import RunConfig, run_suite
 
 NEGATIVE_SLACK = Tolerance(abs=-1e-3, rel=0.0)
 TOLS = pytest.mark.parametrize(
@@ -69,7 +70,7 @@ def mds_cases(count=60):
             steps=steps,
             weight_mode=("uniform", "random")[seed % 2],
         )
-        filt = None if seed % 3 else _refining_filtration(stream, make_space(cfg), steps)
+        filt = None if seed % 3 else refining_filtration(stream, make_space(cfg), steps)
         yield cfg, filt
 
 

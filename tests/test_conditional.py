@@ -25,7 +25,7 @@ from rieszmart import (
     verify_axioms,
 )
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 
 def block_average_oracle(space, blocks, values):
@@ -480,7 +480,7 @@ def test_split_largest_chains_share_the_singleton_operator():
     assert len(default_filtration(space, 3)) == 3
 
     for seed in range(20):
-        chain = _refining_filtration(SplitMix64(seed), space, 12)
+        chain = refining_filtration(SplitMix64(seed), space, 12)
         assert len(chain) == 12
         first = next(i for i, op in enumerate(chain) if op.is_identity)
         assert all(op is chain[first] for op in chain.ops[first:])

@@ -48,7 +48,7 @@ from rieszmart.reports import (
     dump_json,
 )
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 
 def single_block_op(n):
@@ -597,7 +597,7 @@ def generated_case(seed):
     if stream.next_float() < 0.5:
         n = 1 + stream.below(16)
         space = SampleSpace.uniform(n) if seed % 4 < 2 else SampleSpace(stream.uniforms(n, 0.05, 1.0))
-        filt = _refining_filtration(stream, space, steps)
+        filt = refining_filtration(stream, space, steps)
     proc = generate_submartingale(gen, ("positive-part", "drift")[seed % 2], filt)
     rates = np.arange(1, steps + 1, dtype=np.float64) ** (0.0, 0.5, 1.0)[seed % 3]
     part = proc.filtration[0].partition

@@ -43,7 +43,7 @@ from rieszmart.limits import DEFAULT_STOCHASTIC_EPSILON
 from rieszmart.processes import make_space, require_difference_sequence
 from rieszmart.reports import CheckSummary, ExperimentReport, dump_json
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 DIM1 = SampleSpace.uniform(1)
 
@@ -538,7 +538,7 @@ def test_slln_n_matches_the_all_alive_body_byte_for_byte(weight_mode):
                 slln_an_equals_n_all_alive(diffs, p)
             )
             # A random first stage, so T_1 is neither trivial nor the identity.
-            filt = _refining_filtration(SplitMix64(dim + steps), make_space(cfg), steps)
+            filt = refining_filtration(SplitMix64(dim + steps), make_space(cfg), steps)
             diffs = generate_mds(cfg, filt)
             assert report_bytes(slln_an_equals_n(diffs, p, 1e-3)) == report_bytes(
                 slln_an_equals_n_all_alive(diffs, p, 1e-3)

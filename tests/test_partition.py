@@ -23,7 +23,7 @@ from rieszmart import (
     default_filtration,
 )
 from rieszmart.rng import SplitMix64
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 
 class OldPartition:
@@ -202,7 +202,7 @@ def test_filtration_json_lists_every_stage():
     # Stages that repeat one operator share its list; the value is per stage.
     for seed in range(12):
         space = SampleSpace.uniform(1 + seed % 9)
-        filt = _refining_filtration(SplitMix64(seed), space, 3 * space.n)
+        filt = refining_filtration(SplitMix64(seed), space, 3 * space.n)
         expected = [OldPartition(space, op.partition.blocks).to_json_dict() for op in filt.ops]
         assert filt.to_json_dict() == expected
 

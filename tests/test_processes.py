@@ -35,7 +35,7 @@ from rieszmart.processes import (
 )
 from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
 from rieszmart.rng import SplitMix64, derive_seed
-from rieszmart.suites import _refining_filtration
+from chains import refining_filtration
 
 
 def constant_process(space, steps, value):
@@ -190,7 +190,7 @@ def test_classify_matches_full_matrix_reference():
         filt = None
         if seed % 3 == 0:
             space = generate_mds(cfg).space
-            filt = _refining_filtration(SplitMix64(seed), space, steps)
+            filt = refining_filtration(SplitMix64(seed), space, steps)
         sums = partial_sums(generate_mds(cfg, filt))
         drift = generate_submartingale(cfg, mode="drift", filtration=filt)
         stream = SplitMix64(1000 + seed)
@@ -340,7 +340,7 @@ def test_generate_mds_matches_per_stage_loop_bit_for_bit(weight_mode, dim, ampli
             assert got.tobytes() == generate_mds(cfg).values.tobytes()
         space = make_space(GeneratorConfig(seed, dim, 1, amplitude, weight_mode))
         for filt in (
-            _refining_filtration(SplitMix64(100 + seed), space, 2 * dim + 1),
+            refining_filtration(SplitMix64(100 + seed), space, 2 * dim + 1),
             equal_partitions_as_distinct_objects(space),
         ):
             cfg = GeneratorConfig(seed, dim, len(filt), amplitude, weight_mode)
@@ -353,7 +353,7 @@ def test_generate_mds_random_first_stages_match_per_stage_loop():
     for seed in range(40):
         stream = SplitMix64(derive_seed(seed, "first-stage"))
         space = SampleSpace(stream.uniforms(3 + seed % 14, 0.05, 1.0))
-        filt = _refining_filtration(stream, space, 1 + stream.below(40))
+        filt = refining_filtration(stream, space, 1 + stream.below(40))
         hit_random_first |= filt[0].partition.num_blocks > 1
         cfg = GeneratorConfig(seed, space.n, len(filt), 1.0 + seed % 3)
         got = generate_mds(cfg, filt).values
@@ -397,7 +397,7 @@ def test_blocked_generate_mds_matches_the_per_stage_loop(block_elements, dim, mo
                 cfg = GeneratorConfig(dim + steps, dim, steps, amplitude, weight_mode)
                 filt = default_filtration(make_space(cfg), steps)
                 assert np.array_equal(generate_mds(cfg).values, generate_mds_per_stage(cfg, filt))
-                filt = _refining_filtration(SplitMix64(steps), make_space(cfg), steps)
+                filt = refining_filtration(SplitMix64(steps), make_space(cfg), steps)
                 assert np.array_equal(
                     generate_mds(cfg, filt).values, generate_mds_per_stage(cfg, filt)
                 )
@@ -465,7 +465,7 @@ def singleton_grid(dims, amplitudes):
                 steps = singleton_horizons(dim)[-1]
                 cfg = GeneratorConfig(3 * dim + steps, dim, steps, amplitude, weight_mode)
                 stream = SplitMix64(derive_seed(cfg.seed, "first-stage"))
-                yield cfg, _refining_filtration(stream, make_space(cfg), steps)
+                yield cfg, refining_filtration(stream, make_space(cfg), steps)
 
 
 @pytest.mark.parametrize("block_elements", [1, 7, 64])
@@ -498,7 +498,7 @@ def test_singleton_rows_at_the_module_block_size_match_the_per_stage_loop():
         if label is None:
             filt = default_filtration(space, cfg.steps)
         else:
-            filt = _refining_filtration(SplitMix64(derive_seed(cfg.seed, label)), space, cfg.steps)
+            filt = refining_filtration(SplitMix64(derive_seed(cfg.seed, label)), space, cfg.steps)
         assert singleton_cut(filt) < rows8
         got = generate_mds(cfg, filt).values
         assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), cfg
@@ -575,7 +575,7 @@ def stored_index_filtrations():
             assert len(filt) == steps
             yield filt
         for seed in range(6):
-            yield _refining_filtration(SplitMix64(40 + seed), space, 1 + 2 * seed + dim)
+            yield refining_filtration(SplitMix64(40 + seed), space, 1 + 2 * seed + dim)
         yield equal_partitions_as_distinct_objects(space)
         yield interleaved_equal_operators(space)
     space = SampleSpace.uniform(4)
