@@ -316,11 +316,16 @@ def make_space(cfg: GeneratorConfig) -> SampleSpace:
 
 def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     """Single block first, then split the largest block per stage;
-    once singletons are reached the finest operator repeats."""
+    once singletons are reached the finest operator repeats.  Stage i's
+    block ids are cumsum(cut <= i) - 1 (split_cuts), built one stage at a
+    time: stage i opens a block at the atom whose cut is i."""
     n = space.n
     _, cut = split_cuts(np.array([n]), np.zeros(n, dtype=np.intp), np.ones(1, dtype=np.intp))
-    parts = (Partition(space, block_id=np.cumsum(cut <= i) - 1) for i in range(min(steps, n)))
-    ops = [ConditionalExpectationOp(part) for part in parts]
+    atoms, opens = np.arange(n), np.argsort(cut)
+    ids, ops = np.full(n, -1, dtype=np.intp), []
+    for i in range(min(steps, n)):
+        ids = ids + (atoms >= opens[i])
+        ops.append(ConditionalExpectationOp(Partition(space, block_id=ids)))
     return Filtration(ops, repeat_last=max(steps - len(ops), 0))
 
 

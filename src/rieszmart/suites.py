@@ -138,11 +138,10 @@ def _partition_words(n):
 
 
 def _partition_ids(floats: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A random partition of each trial's n[t] atoms, read from its
-    _partition_words(n[t]) floats laid end to end: the atoms shuffled, cut
-    into 1 + below(n[t]) blocks at the first cut points of a shuffle of
-    1..n[t] - 1.  Returns the ids of all trials concatenated, and each
-    trial's number of blocks."""
+    """A random partition of each trial's n[t] atoms from its
+    _partition_words(n[t]) floats laid end to end: the shuffled atoms cut
+    into 1 + below(n[t]) blocks at shuffled cut points.  Returns the ids of
+    all trials concatenated, and each trial's number of blocks."""
     counts = _partition_words(n)
     local = np.arange(len(floats)) - np.repeat(np.cumsum(counts) - counts, counts)
     size = np.repeat(n, counts)
@@ -179,10 +178,10 @@ def _partition_ids(floats: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _Batch:
-    """Trials of one suite drawn together, each from its own substream, as
-    the per-trial helpers above draw: a first pass takes words 1 and 2 of
-    every trial (its dimension and weight mode), a second pass every later
-    word the trial can use, words(n) of them on n atoms after its weights.
+    """Trials of one suite drawn together, each from its own substream: a
+    first pass takes words 1 and 2 of every trial (its dimension and weight
+    mode), a second pass every later word the trial can use, words(n) of
+    them on n atoms after its weights.
     Trial t's atoms are starts[t]:starts[t + 1] of every array over atoms."""
 
     def __init__(self, cfg: "RunConfig", suite: str, trials: range, words):
