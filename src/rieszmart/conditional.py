@@ -145,6 +145,17 @@ def averaging_matrix(
     return (block_id[:, None] == block_id) * (weights / block_weight[block_id])
 
 
+def average_rows(
+    weights: np.ndarray, block_id: np.ndarray, rows: np.ndarray, block_weight: np.ndarray | None = None
+) -> np.ndarray:
+    """The dense conditioning path: each row of a (k, n) array averaged
+    along block_id by one product with averaging_matrix, or rows itself for
+    singletons (block ids 0..n-1).  block_weight as averaging_matrix takes it."""
+    if block_id[-1] == len(block_id) - 1:
+        return rows
+    return rows @ averaging_matrix(weights, block_id, block_weight).T
+
+
 class ConditionalExpectationOp:
     """Weighted block averaging along a partition."""
 
@@ -178,11 +189,9 @@ class ConditionalExpectationOp:
         return means[:, part.block_id].reshape(np.shape(values))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to each row of a (k, n) array at once; the identity returns
-        rows itself."""
-        if self.is_identity:
-            return rows
-        return rows @ self.matrix().T
+        """Apply to each row of a (k, n) array at once (average_rows); the
+        identity returns rows itself."""
+        return average_rows(self.space.weights, self.partition.block_id, rows, self.block_weight)
 
     def matrix(self) -> np.ndarray:
         """The dense n x n operator, built on every call and never stored,

@@ -59,13 +59,13 @@ from .lattice import (
 )
 from .processes import (
     MARTINGALE,
+    NOT_ADAPTED,
     SUBMARTINGALE,
     ProcessSequence,
     StageRows,
     Stages,
-    _classify,
-    _difference_sequence,
     classify,
+    decide_gates,
     require_difference_sequence,
 )
 from .reports import VerificationReport
@@ -245,12 +245,9 @@ def exponent_error(p: float) -> BadExponent:
 def difference_check(stages: Stages, values: np.ndarray, tol: Tolerance):
     """The (bad, error) pair, for raise_first, of the first process of
     stages whose rows are not a difference sequence, the error of
-    require_difference_sequence; later processes are not checked."""
-    bad = np.zeros(len(stages.n), dtype=bool)
-    for k in range(len(bad)):
-        if not _difference_sequence(stages.values(values, k), *stages.table(k), tol):
-            bad[k] = True
-            break
+    require_difference_sequence; later processes are not decided
+    (processes.decide_gates)."""
+    bad, _, _ = decide_gates(stages, values, tol, labels=False)
     return bad, lambda k: NotDifferenceSequence(
         "sequence is not a martingale difference sequence for its filtration"
     )
@@ -260,21 +257,15 @@ def label_check(stages: Stages, values: np.ndarray, tol: Tolerance):
     """The (bad, error) pair, for raise_first, of the first process of
     stages that hrc_maximal refuses for its label: classify raises, or finds
     neither a martingale nor a submartingale.  Later processes are not
-    classified."""
-    bad = np.zeros(len(stages.n), dtype=bool)
-    errors = {}
-    for k in range(len(bad)):
-        try:
-            _require_submartingale(_classify(stages.values(values, k), *stages.table(k), tol))
-        except (NotAdapted, NotSubmartingale) as exc:
-            bad[k], errors[k] = True, exc
-            break
-    return bad, errors.get
+    decided (processes.decide_gates)."""
+    bad, label, _ = decide_gates(stages, values, tol)
+    if label is None:
+        return bad, lambda k: NotAdapted(NOT_ADAPTED)
+    return bad, lambda k: _submartingale_error(label)
 
 
-def _require_submartingale(label: str) -> None:
-    if label not in (MARTINGALE, SUBMARTINGALE):
-        raise NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
+def _submartingale_error(label: str) -> NotSubmartingale:
+    return NotSubmartingale(f"maximal inequality needs a (sub)martingale, got {label}")
 
 
 def burkholder_rows(diffs: np.ndarray, rows: StageRows, apply, p: float, tol: Tolerance):
@@ -434,7 +425,9 @@ def telescoping_rows(seq: np.ndarray, g: np.ndarray, rows: StageRows, tol: Toler
 
 def _check_maximal(process: ProcessSequence, a_values, g: LatticeElement, tol) -> np.ndarray:
     """hrc_maximal's preconditions, in order; the rates as an array."""
-    _require_submartingale(classify(process, tol))
+    label = classify(process, tol)
+    if label not in (MARTINGALE, SUBMARTINGALE):
+        raise _submartingale_error(label)
     a = np.asarray(a_values, dtype=np.float64)
     if a.shape != (len(process),):
         raise BadWeights(f"need {len(process)} rate values, got shape {a.shape}")

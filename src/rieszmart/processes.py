@@ -8,6 +8,8 @@ filtrations (a few distinct coarse stages, then singletons repeated).  The
 groups come from the filtration's stored stage index.  classify, is_adapted
 and is_difference_sequence are shells over cores on raw arrays: the values,
 the atom weights, the block ids of each distinct stage and the stage index.
+decide_gates decides classify and the difference check for a whole batch
+of processes from block means, with these cores only as fallback.
 
 Stages lays several processes and their filtrations end to end as block-id
 tables, read from each split-largest chain's cut array (split_cuts), and
@@ -31,7 +33,7 @@ from .conditional import (
     Filtration,
     Partition,
     RaggedOps,
-    averaging_matrix,
+    average_rows,
 )
 from .errors import (
     GeneratorResidual,
@@ -55,6 +57,7 @@ MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
 SUPERMARTINGALE = "supermartingale"
 NONE = "none"
+NOT_ADAPTED = "process value not fixed by its stage operator"
 
 
 class ProcessSequence:
@@ -141,14 +144,6 @@ def _max_abs(mat: np.ndarray) -> float:
     return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
 
 
-def _apply_rows(weights: np.ndarray, block_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """ConditionalExpectationOp.apply_rows on raw arrays: the rows
-    themselves for singletons (block ids 0..n-1), else the dense product."""
-    if block_id[-1] == len(block_id) - 1:
-        return rows
-    return rows @ averaging_matrix(weights, block_id).T
-
-
 def _slack(mat: np.ndarray, tol: Tolerance) -> float:
     return tol.abs + tol.rel * _max_abs(mat)
 
@@ -167,7 +162,7 @@ def _adapted(mat, weights, ids, stage, tol: Tolerance) -> bool:
         if ids[d, -1] == mat.shape[1] - 1:  # the identity fixes everything
             continue
         rows = mat[idx]
-        if np.max(np.abs(_apply_rows(weights, ids[d], rows) - rows)) > slack:
+        if np.max(np.abs(average_rows(weights, ids[d], rows) - rows)) > slack:
             return False
     return True
 
@@ -186,7 +181,7 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
 def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
     """classify on raw arrays, as _adapted takes them."""
     if not _adapted(mat, weights, ids, stage, tol):
-        raise NotAdapted("process value not fixed by its stage operator")
+        raise NotAdapted(NOT_ADAPTED)
     count = mat.shape[0]
     if count < 2:
         return MARTINGALE
@@ -195,7 +190,7 @@ def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
     is_super = True
     for d, idx in _groups(stage, count - 1):
         # Only stages after the operator's first use are ever compared.
-        transformed = _apply_rows(weights, ids[d], mat[idx[0] + 1 :])
+        transformed = average_rows(weights, ids[d], mat[idx[0] + 1 :])
         # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
         # row r standing for stage idx[0] + 1 + r
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
@@ -231,7 +226,7 @@ def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
         if ids[d, -1] == mat.shape[1] - 1:
             means = mat[idx[0] + 1 :]
         else:
-            means = _apply_rows(weights, ids[d], mat[idx + 1])
+            means = average_rows(weights, ids[d], mat[idx + 1])
         if _max_abs(means) > slack:
             return False
     return True
@@ -508,9 +503,10 @@ class Stages(StageRows):
         stage = first_group + np.minimum(step, np.repeat(depth - 1, steps))
         return cls(n, steps, weights, ids, id_starts, blocks, block_weight, stage)
 
-    def first_stage(self) -> RaggedOps:
-        """Each row's first-stage operator T_1, as RaggedOps over the rows."""
-        group = np.repeat(self.stage[self.first_row], self.steps)
+    def row_ops(self, first: bool = False) -> RaggedOps:
+        """Each row's stage operator T_i, or with first its process's
+        first-stage operator T_1, as RaggedOps over the rows."""
+        group = np.repeat(self.stage[self.first_row], self.steps) if first else self.stage
         atom = self.atom_index()
         local = atom - self.spread(np.repeat(self.atoms[:-1], self.steps))
         ids = self.ids[self.spread(self.id_starts[group]) + local]
@@ -519,7 +515,8 @@ class Stages(StageRows):
     def table(self, k: int) -> tuple:
         """Process k's (weights, (D, n) block ids, stage index), the
         arguments of the raw-array cores _adapted, _classify and
-        _difference_sequence."""
+        _difference_sequence, which decide_gates runs one process at a time
+        only for the processes its batched certificate leaves undecided."""
         rows = slice(int(self.first_row[k]), int(self.first_row[k] + self.steps[k]))
         stage = self.stage[rows]
         first, last = int(stage[0]), int(stage[-1])
@@ -527,6 +524,96 @@ class Stages(StageRows):
         start = int(self.id_starts[first])
         ids = self.ids[start : start + (last - first + 1) * n].reshape(-1, n)
         return self.weights[self.atoms[k] : self.atoms[k + 1]], ids, stage - first if first else stage
+
+
+# decide_gates leaves to the exact cores a process whose max|f| (but 0) or
+# some atom weight lies outside this range, where its rounding bound may fail.
+_SAFE = (2.0**-400, 2.0**400)
+
+
+def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: bool = True):
+    """classify (labels) or is_difference_sequence of every process of
+    stages, values its rows laid end to end, decided from block means for
+    the whole batch, with the exact cores _classify and _difference_sequence
+    as fallback.  Returns (bad, label, exact): bad marks the first process
+    that fails (classify raises NotAdapted or finds neither a martingale nor
+    a submartingale, or the difference check fails; later processes are not
+    decided), label is its label (None when not adapted), and exact marks
+    the processes sent to an exact core.
+
+    One bincount pass gives, on row i of a process (N rows, stage operator
+    T_i), a_i = T_i f_i - f_i and, but on row N, d_i = T_i f_{i+1} - f_i.  By
+    the tower rule T_i T_k = T_i (k >= i), T_i f_j - f_i = d_i +
+    sum_{k=i+1}^{j-1} T_i d_k for i < j, and T_i d_k >= min d_k as T_i is
+    positive with T_i e = e.  So no pair misses the sub-comparison when
+    sum_k max(0, -min d_k) + (N + 2) G <= slack, and the pair (k, k + 1),
+    which the exact scan compares too, misses it when min d_k < -(slack + G);
+    max for min decides the super side.  Adaptedness compares max|a_i| over
+    the non-identity stages (the exact scan skips the identity), and the
+    difference check max|T_i f_{i+1}|, with slack -+ G; the slack is
+    _slack's, bit for bit.
+
+    G bounds the rounding.  With u = 2^-53, gamma_m = m u / (1 - m u), M =
+    max|f| and n atoms, a block mean by bincount (n products, n - 1
+    additions each in sum(w x) and sum(w), a quotient) or by average_rows
+    (quotients w / W, an n-term dot product) is within gamma_{2n+2} M of the
+    exact one in any summation order, and subtracting f_i adds u 2M.  The
+    exact scan's product and its comparison with f_i - slack add
+    gamma_{2n+2} M + u (M + |slack|).  So G = gamma_{4n+8} M +
+    gamma_{N+4} |slack| covers both sides, its |slack| term also the N + 3
+    float operations of the certificate; gamma_m <= 1.02 m u at any size
+    that fits in memory.  A process with a non-finite slack, or M or a
+    weight outside _SAFE, goes to the exact core, as does every undecided
+    one, in process order up to the first that fails."""
+    ops, width = stages.row_ops(), np.repeat(stages.n, stages.steps)  # atoms of each row
+    heads, steps, rows = ops.starts[:-1], stages.steps, stages.first_row
+    last = np.zeros(len(width), dtype=bool)
+    last[rows + steps - 1] = True
+    with np.errstate(all="ignore"):
+        ahead = np.take(values, np.arange(values.size) + np.repeat(width, width), mode="clip")
+        own, following = ops.apply(values), ops.apply(ahead)
+        residual = np.maximum.reduceat(np.abs(own - values), heads)
+        identity = stages.num_blocks[stages.stage] == width
+        worst = np.maximum.reduceat(np.where(identity, -np.inf, residual), rows)
+        big = np.maximum.reduceat(np.abs(values), stages.elements[:-1])
+        slack = tol.abs + tol.rel * big
+        guard = 1.02 * 2.0**-53 * ((4 * stages.n + 8) * big + (steps + 4) * np.abs(slack))
+        lo, hi = slack - guard, slack + guard
+        adapted, unadapted = worst <= lo, worst > hi
+        safe = np.isfinite(slack) & (np.minimum.reduceat(stages.weights, stages.atoms[:-1]) >= _SAFE[0])
+        safe &= (big == 0.0) | ((big >= _SAFE[0]) & (big <= _SAFE[1]))
+        if labels:
+            d, sides = following - values, []
+            for ext, sign in ((np.minimum, -1.0), (np.maximum, 1.0)):
+                step = np.where(last, -sign * np.inf, ext.reduceat(d, heads))
+                spread = np.add.reduceat(np.maximum(sign * step, 0.0), rows)
+                sides.append(((steps < 2) | (spread + (steps + 2) * guard <= slack),
+                              sign * ext.reduceat(step, rows) > hi))
+            (sub, not_sub), (sup, not_sup) = sides
+            good = adapted & sub
+            failed = unadapted | (adapted & not_sub & (sup | not_sup))
+            label = np.where(unadapted, None, np.where(sup, SUPERMARTINGALE, NONE))
+        else:
+            means = np.where(last, -np.inf, np.maximum.reduceat(np.abs(following), heads))
+            peak = np.maximum.reduceat(means, rows)
+            good, failed = adapted & (peak <= lo), unadapted | (adapted & (peak > hi))
+            label = np.full(len(steps), None)
+    exact = np.zeros(len(steps), dtype=bool)
+    for k in np.flatnonzero(~(good & safe)).tolist():
+        if not (failed[k] and safe[k]):
+            exact[k] = True
+            table = (stages.values(values, k), *stages.table(k), tol)
+            if labels:
+                try:
+                    label[k] = _classify(*table)
+                except NotAdapted:
+                    label[k] = None
+                if label[k] in (MARTINGALE, SUBMARTINGALE):
+                    continue
+            elif _difference_sequence(*table):
+                continue
+        return np.arange(len(steps)) == k, label[k], exact
+    return np.zeros(len(steps), dtype=bool), None, exact
 
 
 def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> ProcessSequence:

@@ -21,9 +21,10 @@ every trial's split-largest chain is one cut array (processes.split_cuts),
 read out with no loop over stages as a block-id table (processes.Stages,
 not Partition and operator objects), one binned pass of processes._mds_rows
 draws and conditions every trial's rows, and the checkers run over the
-batch's (trial * stage, atoms) rows.  classify and the difference-sequence
-check run trial by trial on raw arrays, and so do burkholder's two dense
-products of the base operator.  holder keeps one holder_sums call per trial
+batch's (trial * stage, atoms) rows.  The label and difference-sequence
+gates are decided for the whole batch (processes.decide_gates), with the
+exact per-trial scan only as fallback; burkholder's two dense products of
+the base operator still run trial by trial.  holder keeps one holder_sums call per trial
 on the batch's draws, the checker span per trial that perfbench's tracer
 counts.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bands import exclusion_checks, inf_inequality_checks, sup_formula, sup_identity_checks
-from .conditional import ConditionalExpectationOp, Partition, RaggedOps, axiom_checks
+from .conditional import ConditionalExpectationOp, Partition, RaggedOps, average_rows, axiom_checks
 from .errors import RieszmartError
 from .inequalities import (
     burkholder_rows,
@@ -60,7 +61,7 @@ from .lattice import (
     raise_first,
     row_blocks,
 )
-from .processes import StageRows, Stages, _apply_rows, _mds_rows
+from .processes import StageRows, Stages, _mds_rows
 from .reports import VerificationReport
 from .rng import (
     Streams,
@@ -404,7 +405,7 @@ def _first_stage_rows(stages: Stages):
 
     def apply(k, rows):
         weights, ids, _ = stages.table(k)
-        return _apply_rows(weights, ids[0], rows)
+        return average_rows(weights, ids[0], rows)
 
     return apply
 
@@ -493,7 +494,7 @@ def _run_maximal(cfg: RunConfig, suite: str) -> VerificationReport:
                 rates[kind == k] = index[kind == k] ** s
         gates = label_check(stages, values, cfg.tol)
         bad, parts = maximal_rows(
-            values, rates, g, stages.first_stage(), stages, cfg.tol, suite == "doob"
+            values, rates, g, stages.row_ops(first=True), stages, cfg.tol, suite == "doob"
         )
         raise_first(failed, gates, *bad)
         record_stages(report, parts, stages, t, cfg.seed)

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rieszmart import DEFAULT_TOL, inequalities, limits
-from rieszmart.processes import (
-    _classify,
-    _difference_sequence,
-    classify,
-    require_difference_sequence,
-)
+from rieszmart.processes import classify, decide_gates, require_difference_sequence
 
 settings.register_profile(
     "deterministic",
@@ -29,6 +24,9 @@ def lenient_gates(monkeypatch):
     for module in (inequalities, limits):
         for name, gate in gates.items():
             monkeypatch.setattr(module, name, lambda proc, tol=None, gate=gate: gate(proc, DEFAULT_TOL))
-    # The batched suites gate each process through the raw-array cores.
-    for name, gate in {"_classify": _classify, "_difference_sequence": _difference_sequence}.items():
-        monkeypatch.setattr(inequalities, name, lambda *table, gate=gate: gate(*table[:4], DEFAULT_TOL))
+    # The batched suites decide every gate, exact fallback included, in decide_gates.
+    monkeypatch.setattr(
+        inequalities,
+        "decide_gates",
+        lambda stages, values, tol, labels=True: decide_gates(stages, values, DEFAULT_TOL, labels),
+    )
