@@ -207,10 +207,9 @@ def borderline(stages, values, kind):
             mat[mid] += SLACK + ulps
         else:
             weights, ids, stage = stages.table(k)
-            block = ids[stage[mid]]
-            atom = k % n
-            share = np.where(block == block[atom], weights / weights[block == block[atom]].sum(), 0.0)
-            unit = (np.arange(n) == atom) - share[atom] * (block == block[atom])
+            block, atom = ids[stage[mid]], k % n
+            same = block == block[atom]
+            unit = (np.arange(n) == atom) - same * weights[atom] / weights[same].sum()
             if np.abs(unit).max() > 0:
                 mat[mid] += (SLACK + ulps) * unit / np.abs(unit).max()
     return out
