@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     command = cmd_verify if args.command == "verify" else cmd_simulate
     try:
         return command(args)
-    except (RieszmartError, ValueError) as exc:
+    except (RieszmartError, ValueError, OSError) as exc:  # OSError: an unwritable output path
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -157,20 +157,27 @@ def average_rows(
 
 
 class ConditionalExpectationOp:
-    """Weighted block averaging along a partition."""
+    """Weighted block averaging along a partition: the one-trial case of
+    RaggedOps, which it holds as ragged."""
 
-    __slots__ = ("space", "partition", "block_weight", "_matrix")
+    __slots__ = ("space", "partition", "ragged", "_matrix")
 
     def __init__(self, partition: Partition):
         self.space = partition.space
         self.partition = partition
-        self.block_weight = np.bincount(
-            partition.block_id,
-            weights=self.space.weights,
-            minlength=partition.num_blocks,
-        )
+        ends = np.array([0, self.space.n])
+        self.ragged = RaggedOps(ends, self.space.weights, partition.block_id, partition.num_blocks)
         # Always None: perfbench/spans.py reads it to count matrix() builds.
         self._matrix = None
+
+    @property
+    def block_weight(self) -> np.ndarray:
+        """Each block's weight, the sum of its atoms' weights."""
+        return self.ragged.block_weight
+
+    @block_weight.setter
+    def block_weight(self, value: np.ndarray) -> None:
+        self.ragged.block_weight = value
 
     def apply(self, f: LatticeElement) -> LatticeElement:
         if f.space != self.space:
@@ -179,14 +186,8 @@ class ConditionalExpectationOp:
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """Block averages of raw coordinates, one row or each row of a (k, n)
-        stack: one bincount over block ids offset per row."""
-        part, rows = self.partition, np.atleast_2d(values)
-        size = len(rows) * part.num_blocks
-        bins = part.block_id + np.arange(0, size, part.num_blocks)[:, None]
-        weighted = (rows * self.space.weights).ravel()
-        sums = np.bincount(bins.ravel(), weights=weighted, minlength=size)
-        means = sums.reshape(len(rows), part.num_blocks) / self.block_weight
-        return means[:, part.block_id].reshape(np.shape(values))
+        stack (RaggedOps.apply)."""
+        return self.ragged.apply(values)
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply to each row of a (k, n) array at once (average_rows); the
@@ -211,17 +212,9 @@ class ConditionalExpectationOp:
         return self.partition.is_constant_on_blocks(f.coords)
 
     def block_max(self, f: LatticeElement) -> LatticeElement:
-        """Blockwise maximum, broadcast back to a block-constant element (on
-        a tie of -0.0 and 0.0, NumPy's loop order picks the sign)."""
-        return LatticeElement(self.space, self.block_max_array(f.coords))
-
-    def block_max_array(self, values: np.ndarray) -> np.ndarray:
-        """block_max of raw coordinates; of a (k, n) stack, each block's
-        maximum over all k rows."""
-        part, rows = self.partition, np.atleast_2d(values)
-        maxima = np.full(part.num_blocks, -np.inf)
-        np.maximum.at(maxima, np.tile(part.block_id, len(rows)), rows.ravel())
-        return maxima[part.block_id]
+        """Blockwise maximum, broadcast back to a block-constant element
+        (RaggedOps.block_max)."""
+        return LatticeElement(self.space, self.ragged.block_max(f.coords))
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,33 +232,40 @@ class ConditionalExpectationOp:
 class RaggedOps:
     """Averaging operators of several trials laid end to end: trial t owns
     atoms starts[t]:starts[t + 1], with their weights and block ids, and its
-    blocks are numbered after those of the trials before it.  Each block sums
-    the same terms in the same order as ConditionalExpectationOp.apply_array
-    does for that trial alone, so every bit agrees with it."""
+    blocks are numbered after those of the trials before it (num_blocks is
+    one int for one trial).  The one bincount operator: every bin sums the
+    terms of one block of one row in atom order, so no trial or row changes
+    a bit of another, and ConditionalExpectationOp is the one-trial case."""
 
     __slots__ = ("starts", "weights", "bins", "block_weight")
 
     def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks):
         self.starts = starts
         self.weights = weights
-        self.bins = block_id + np.repeat(np.cumsum(num_blocks) - num_blocks, np.diff(starts))
-        self.block_weight = np.bincount(self.bins, weights=weights, minlength=np.sum(num_blocks))
-
-    @classmethod
-    def tiled(cls, op: ConditionalExpectationOp, trials: int = 1) -> "RaggedOps":
-        """trials copies of op."""
-        n = op.space.n
-        return cls(
-            np.arange(0, (trials + 1) * n, n),
-            np.tile(op.space.weights, trials),
-            np.tile(op.partition.block_id, trials),
-            np.full(trials, op.partition.num_blocks),
-        )
+        if not isinstance(num_blocks, int):
+            block_id = block_id + np.repeat(np.cumsum(num_blocks) - num_blocks, np.diff(starts))
+            num_blocks = int(np.sum(num_blocks))
+        self.bins = block_id
+        self.block_weight = np.bincount(block_id, weights=weights, minlength=num_blocks)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        weighted = values * self.weights
-        sums = np.bincount(self.bins, weights=weighted, minlength=len(self.block_weight))
-        return (sums / self.block_weight)[self.bins]
+        """Block averages of values over the atoms, one row or each row of a
+        (..., atoms) stack: one bincount over the bins offset per row."""
+        values, atoms = np.asarray(values), len(self.bins)
+        count, size, bins = values.size // atoms, len(self.block_weight), self.bins
+        if count != 1:
+            bins = (bins + np.arange(0, count * size, size)[:, None]).ravel()
+        weighted = (values.reshape(count, atoms) * self.weights).ravel()
+        sums = np.bincount(bins, weights=weighted, minlength=count * size)
+        means = sums.reshape(count, size) / self.block_weight
+        return means.ravel()[bins].reshape(values.shape)
+
+    def block_max(self, values: np.ndarray) -> np.ndarray:
+        """Each block's maximum over all rows of a (..., atoms) stack, at its
+        atoms; on a tie of -0.0 and 0.0, NumPy's loop order picks the sign."""
+        maxima = np.full(len(self.block_weight), -np.inf)
+        np.maximum.at(maxima, np.broadcast_to(self.bins, np.shape(values)).ravel(), np.ravel(values))
+        return maxima[self.bins]
 
 
 def _eq_segments(a: np.ndarray, b: np.ndarray, tol: Tolerance, starts: np.ndarray):
@@ -420,7 +420,14 @@ def verify_axioms(
     for rows in row_blocks(trials, op.space.n):
         labels = np.arange(rows.start, rows.stop)
         seeds = substream_seeds(len(labels), seed, "ce-axioms", first=rows.start)
-        checks = axiom_checks(RaggedOps.tiled(op, len(labels)), seeds, labels, tol)
+        k, n, part = len(labels), op.space.n, op.partition
+        ops = RaggedOps(
+            np.arange(0, (k + 1) * n, n),
+            np.tile(op.space.weights, k),
+            np.tile(part.block_id, k),
+            np.full(k, part.num_blocks),
+        )
+        checks = axiom_checks(ops, seeds, labels, tol)
         report.record_trials(checks, labels, seed)
     return report
 

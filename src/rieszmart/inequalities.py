@@ -94,7 +94,8 @@ def holder_sums(
 
     The right side multiplies (sum_i T|x_i|^p)^(1/p) by the same factor of
     the y_i at q; a factor at exponent inf is the join of the blockwise
-    maxima.  One block sum conditions every row of both sides."""
+    maxima.  One bincount of the operator's RaggedOps conditions every row
+    of both sides, and its block maximum gives a factor at inf."""
     x_list, y_list = list(x_list), list(y_list)
     if len(x_list) != len(y_list) or not x_list:
         raise ValueError("need equally many x and y elements, at least one pair")
@@ -107,7 +108,7 @@ def holder_sums(
         stacks = [np.abs(xs * ys)] + [
             power_array(np.abs(zs), r) for zs, r in ((xs, p), (ys, q)) if r != math.inf
         ]
-        conditioned = op.apply_array(np.concatenate(stacks)).reshape(len(stacks), *xs.shape)
+        conditioned = op.apply_array(np.stack(stacks))
         sums = conditioned[:, 0]
         for i in range(1, len(xs)):  # pair by pair, in order
             sums = sums + conditioned[:, i]
@@ -115,7 +116,7 @@ def holder_sums(
 
         def factor(rows: np.ndarray, r: float) -> np.ndarray:
             if r == math.inf:
-                return op.block_max_array(np.abs(rows))
+                return op.ragged.block_max(np.abs(rows))
             return power_array(next(moments), 1.0 / r)
 
         rhs = factor(xs, p) * factor(ys, q)
@@ -189,7 +190,7 @@ def jensen_power(
     raise_first(_jensen_range(p))
     if f.space != op.space:
         raise SpaceMismatch("element on a different space than the operator")
-    return _one_trial("jensen", tol, jensen_checks(f.coords, p, RaggedOps.tiled(op), tol))
+    return _one_trial("jensen", tol, jensen_checks(f.coords, p, op.ragged, tol))
 
 
 def jensen_checks(f, p, ops: RaggedOps, tol: Tolerance):
@@ -481,7 +482,7 @@ def _maximal(process, a_values, g, tol, suite: str, doob: bool) -> VerificationR
     a = _check_maximal(process, a_values, g, tol)
     n, count = process.space.n, len(process)
     rows = StageRows(np.array([n]), np.array([count]))
-    t1 = RaggedOps.tiled(process.filtration[0], count)
+    t1 = process.filtration[0].ragged  # applied row by row
     bad, parts = maximal_rows(process.values.ravel(), a, g.coords, t1, rows, tol, doob)
     raise_first(*bad)
     report = VerificationReport(suite=suite, trials=1, tol=tol)

@@ -496,12 +496,11 @@ class Stages(StageRows):
         ids = np.empty(len(index), dtype=np.intp)
         ids[slot] = rank[slot[head]] - rank[np.repeat(id_starts, width)]
         blocks = num_blocks[owner] + level
-        bins = ids + np.repeat(np.cumsum(blocks) - blocks, width)
-        block_weight = np.bincount(bins, weights=weights[atom], minlength=int(blocks.sum()))
+        ops = RaggedOps(np.append(id_starts, index.size), weights[atom], ids, blocks)
         step = np.arange(int(steps.sum())) - np.repeat(np.cumsum(steps) - steps, steps)
         first_group = np.repeat(np.cumsum(depth) - depth, steps)
         stage = first_group + np.minimum(step, np.repeat(depth - 1, steps))
-        return cls(n, steps, weights, ids, id_starts, blocks, block_weight, stage)
+        return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
 
     def row_ops(self, first: bool = False) -> RaggedOps:
         """Each row's stage operator T_i, or with first its process's

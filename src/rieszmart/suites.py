@@ -24,9 +24,9 @@ draws and conditions every trial's rows, and the checkers run over the
 batch's (trial * stage, atoms) rows.  The label and difference-sequence
 gates are decided for the whole batch (processes.decide_gates), with the
 exact per-trial scan only as fallback; burkholder's two dense products of
-the base operator still run trial by trial.  holder keeps one holder_sums call per trial
-on the batch's draws, the checker span per trial that perfbench's tracer
-counts.
+the base operator still run trial by trial.  holder draws its batch the
+same way but checks each trial with one holder_sums call, the checker span
+per trial that perfbench's tracer self-test counts.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from rieszmart import (
     check_inf_inequality,
     check_sup_identity,
     clarkson,
+    holder_sums,
     jensen_power,
     lattice,
     verify_axioms,
@@ -825,6 +826,60 @@ def test_single_instance_checkers_match_their_old_bodies(tol):
         same(check_inf_inequality(family), old_inf_inequality(family))
         signed = [old_sparse(stream, space, -2.0, 2.0, 0.7) for _ in range(1 + trial % 4)]
         same(check_exclusion_inequality(signed), old_exclusion(signed))
+
+
+def holder_grid(stream, count):
+    """(x_list, y_list, p, q, op) instances: 1-4 pairs on 1-32 atoms, p drawn
+    with its conjugate, integer p and the pairs (1, inf) and (inf, 1)."""
+    for trial in range(count):
+        space = old_random_space(stream, 32)
+        op = ConditionalExpectationOp(old_random_partition(stream, space))
+        pairs = 1 + trial % 4
+        xs = [old_random_element(stream, space) for _ in range(pairs)]
+        ys = [old_random_element(stream, space) for _ in range(pairs)]
+        p = (stream.uniform(1.01, 10.0), 1.0, math.inf, 2.0, 3.0)[trial % 5]
+        q = {1.0: math.inf, math.inf: 1.0}[p] if p in (1.0, math.inf) else p / (p - 1.0)
+        yield xs, ys, p, q, op
+
+
+def raised(call, *args):
+    """The type and message call raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, FAILING], ids=["default", "failing"])
+def test_holder_sums_matches_its_old_body(tol):
+    failures = 0
+    for xs, ys, p, q, op in holder_grid(SplitMix64(19), 300):
+        old = old_holder_sums(xs, ys, p, q, op, tol)
+        same(holder_sums(xs, ys, p, q, op, tol), old)
+        failures += old.failure_count
+    assert (failures > 0) == (tol is FAILING)
+
+
+def test_holder_sums_raises_what_it_raised():
+    space = SampleSpace.uniform(3)
+    op = ConditionalExpectationOp(Partition(space, [[0, 2], [1]]))
+    e, big = space.unit(), LatticeElement(space, [1e200, 1.0, 2.0])
+    other = SampleSpace.uniform(4).unit()
+    lists = ValueError, "need equally many x and y elements, at least one pair"
+    assert raised(holder_sums, [], [], 2.0, 2.0, op) == lists
+    assert raised(holder_sums, [e], [e, e], 2.0, 2.0, op) == lists
+    space_error = SpaceMismatch, "element on a different space than the operator"
+    assert raised(holder_sums, [e], [other], 2.0, 2.0, op) == space_error
+    for p, q in ((2.0, 3.0), (0.5, -1.0), (2.0, 0.5), (math.inf, math.inf), (1.0, 1.0)):
+        expected = raised(old_check_conjugate, p, q)
+        assert expected is not None and raised(holder_sums, [e], [e], p, q, op) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the old body overflowed with warnings
+        old = raised(old_holder_sums, [big], [big], 2.0, 2.0, op)
+    assert raised(holder_sums, [big], [big], 2.0, 2.0, op) == old == (
+        ValueError, "coordinates must be finite"
+    )
 
 
 def test_verify_axioms_over_several_blocks_matches_its_old_body(monkeypatch):

@@ -632,3 +632,21 @@ def test_a_failing_generator_guard_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert re.search(r"^error: difference residual \S+ exceeds 1e-12 at step \d+\n\Z", err, re.M)
     assert not any(tmp_path.iterdir())
     assert issubclass(GeneratorResidual, AssertionError)  # what the guard raised before
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--suite", "jensen", "--trials", "2", "--output"], "dir"),
+        (["simulate", "slln-n", "--n", "4", "--dim", "4", "--output-dir"], "file"),
+        (["verify", "--suite", "jensen", "--trials", "2", "--output"], "file/x.json"),
+    ],
+)
+def test_an_unwritable_output_path_is_a_usage_error(argv, target, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    assert main(argv + [str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "kept"

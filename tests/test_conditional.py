@@ -24,8 +24,9 @@ from rieszmart import (
     multiply,
     verify_axioms,
 )
+from rieszmart.conditional import RaggedOps
 from rieszmart.rng import SplitMix64
-from chains import refining_filtration
+from chains import random_partition, refining_filtration
 
 
 def block_average_oracle(space, blocks, values):
@@ -158,6 +159,74 @@ def test_apply_array_and_rows_match_apply():
         assert np.array_equal(stacked[i], single)
         assert np.allclose(via_rows[i], single, rtol=1e-12, atol=1e-14)
     assert op.apply_array(rows[:0]).shape == (0, 4)
+
+
+def old_apply_array(op, values):
+    """ConditionalExpectationOp.apply_array as it had its own bincount."""
+    part, rows = op.partition, np.atleast_2d(values)
+    size = len(rows) * part.num_blocks
+    bins = part.block_id + np.arange(0, size, part.num_blocks)[:, None]
+    weighted = (rows * op.space.weights).ravel()
+    sums = np.bincount(bins.ravel(), weights=weighted, minlength=size)
+    means = sums.reshape(len(rows), part.num_blocks) / op.block_weight
+    return means[:, part.block_id].reshape(np.shape(values))
+
+
+def old_block_max_array(op, values):
+    """ConditionalExpectationOp.block_max_array as it had its own maximum.at."""
+    part, rows = op.partition, np.atleast_2d(values)
+    maxima = np.full(part.num_blocks, -np.inf)
+    np.maximum.at(maxima, np.tile(part.block_id, len(rows)), rows.ravel())
+    return maxima[part.block_id]
+
+
+def old_ragged_apply(ops, values):
+    """RaggedOps.apply as it took one row of all trials' atoms."""
+    sums = np.bincount(ops.bins, weights=values * ops.weights, minlength=len(ops.block_weight))
+    return (sums / ops.block_weight)[ops.bins]
+
+
+def signed_values(stream, shape):
+    """Uniforms with zeros of both signs and tiny values mixed in."""
+    values = stream.uniforms(int(np.prod(shape)), -2.0, 2.0)
+    pick = stream.floats(values.size)
+    values = np.where(pick < 0.1, 0.0, np.where(pick < 0.2, -0.0, values))
+    return np.where((0.2 <= pick) & (pick < 0.25), values * 1e-300, values).reshape(shape)
+
+
+def test_one_operator_path_matches_the_bodies_it_replaced():
+    stream = SplitMix64(41)
+    for _ in range(200):
+        dim = 1 + stream.below(32)
+        space = SampleSpace(stream.uniforms(dim, 0.05, 1.0))
+        op = ConditionalExpectationOp(random_partition(stream, space))
+        for shape in ((dim,), (1, dim), (1 + stream.below(4), dim), (0, dim), (3, 2, dim)):
+            values = signed_values(stream, shape)
+            rows = values.reshape(-1, dim)  # the old bodies took one row or a 2-d stack
+            want = old_apply_array(op, values if len(shape) < 3 else rows).reshape(shape)
+            assert op.apply_array(values).tobytes() == want.tobytes()
+            assert op.apply_array(values).shape == shape
+            if values.size:
+                got = op.ragged.block_max(values)
+                assert got.tobytes() == old_block_max_array(op, rows).tobytes()
+
+
+def test_ragged_rows_match_the_one_row_body_it_replaced():
+    stream = SplitMix64(43)
+    for _ in range(100):
+        n = np.array([1 + stream.below(16) for _ in range(1 + stream.below(6))])
+        starts = np.concatenate(([0], np.cumsum(n)))
+        parts = [random_partition(stream, SampleSpace.uniform(m)) for m in n.tolist()]
+        ops = RaggedOps(
+            starts,
+            stream.uniforms(int(n.sum()), 0.05, 1.0),
+            np.concatenate([p.block_id for p in parts]),
+            np.array([p.num_blocks for p in parts]),
+        )
+        rows = signed_values(stream, (3, int(n.sum())))
+        stacked = ops.apply(rows)
+        for row, got in zip(rows, stacked):
+            assert ops.apply(row).tobytes() == got.tobytes() == old_ragged_apply(ops, row).tobytes()
 
 
 def test_apply_rows_returns_the_rows_for_the_identity():

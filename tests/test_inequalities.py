@@ -48,7 +48,7 @@ from rieszmart.reports import (
     dump_json,
 )
 from rieszmart.rng import SplitMix64
-from chains import refining_filtration
+from chains import random_partition, refining_filtration
 
 
 def single_block_op(n):
@@ -131,6 +131,55 @@ def test_holder_conjugate_pair_with_infinity():
     e = op.space.unit()
     assert holder_sums([e], [e], 1.0, math.inf, op).passed
     assert holder_sums([e], [e], math.inf, 1.0, op).passed
+
+
+def holder_scaling_case(stream, p, q):
+    """Pair lists on a random space and partition; about half the cases are
+    tight: y a multiple of x at p = q = 2, else the side with the infinite
+    exponent constant."""
+    dim = 1 + stream.below(12)
+    space = SampleSpace(stream.uniforms(dim, 0.05, 1.0))
+    op = ConditionalExpectationOp(random_partition(stream, space))
+    pairs = 1 + stream.below(4)
+    xs = [stream.uniforms(dim, -2.0, 2.0) for _ in range(pairs)]
+    ys = [stream.uniforms(dim, -2.0, 2.0) for _ in range(pairs)]
+    if stream.next_float() < 0.5:
+        c = stream.uniform(0.5, 2.0)
+        if p == q:
+            ys = [c * x for x in xs]
+        else:
+            flat = [np.full(dim, c * (-1.0) ** j) for j in range(pairs)]
+            xs, ys = (flat, ys) if p == math.inf else (xs, flat)
+    return [space.element(x) for x in xs], [space.element(y) for y in ys], op
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.0, math.inf), (math.inf, 1.0)])
+@pytest.mark.parametrize("rel", [1e-9, -1e-9])
+def test_holder_scales_exactly_by_powers_of_two(p, q, rel):
+    """Scaling x by 2^a and y by 2^b scales both sides, and a purely relative
+    slack, by exactly 2^(a + b): the same failures and witnesses, and every
+    margin exactly 2^(a + b) times the old one.  A negative rel makes the
+    tight cases fail."""
+    tol = Tolerance(abs=0.0, rel=rel)
+    stream = SplitMix64(23)
+    failures = 0
+    for _ in range(150):
+        xs, ys, op = holder_scaling_case(stream, p, q)
+        a, b = stream.below(61) - 30, stream.below(61) - 30
+        base = holder_sums(xs, ys, p, q, op, tol)
+        scaled = holder_sums(
+            [x.space.element(np.ldexp(x.coords, a)) for x in xs],
+            [y.space.element(np.ldexp(y.coords, b)) for y in ys],
+            p, q, op, tol,
+        )
+        assert scaled.failure_count == base.failure_count
+        assert [f.witness for f in scaled.failures] == [f.witness for f in base.failures]
+        margins = [base.min_margin] + [f.margin for f in base.failures]
+        assert [scaled.min_margin] + [f.margin for f in scaled.failures] == [
+            math.ldexp(m, a + b) for m in margins
+        ]
+        failures += base.failure_count
+    assert (failures > 0) == (rel < 0)
 
 
 # --- Clarkson --------------------------------------------------------------------
