@@ -239,8 +239,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a word that float() reads, such as -1e-3 or -inf, as a value,
+    where argparse's negative-number pattern would take it for an option."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszmart",
         description="Verify vector-lattice inequalities and run limit-theorem experiments.",
     )

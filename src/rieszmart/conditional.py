@@ -232,33 +232,49 @@ class ConditionalExpectationOp:
 class RaggedOps:
     """Averaging operators of several trials laid end to end: trial t owns
     atoms starts[t]:starts[t + 1], with their weights and block ids, and its
-    blocks are numbered after those of the trials before it (num_blocks is
-    one int for one trial).  The one bincount operator: every bin sums the
-    terms of one block of one row in atom order, so no trial or row changes
-    a bit of another, and ConditionalExpectationOp is the one-trial case."""
+    blocks are numbered after those of the trials before it, here from one
+    num_blocks per trial, or already when num_blocks is one int for all.
+    block_weight defaults to the blocks' bincount.  The one bincount
+    operator: every bin sums the terms of one block of one row in atom
+    order, so no trial or row changes a bit of another.  Its one-trial case
+    is ConditionalExpectationOp's, and Stages.row_ops builds it over rows."""
 
     __slots__ = ("starts", "weights", "bins", "block_weight")
 
-    def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks):
+    def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks,
+                 block_weight: np.ndarray | None = None):
         self.starts = starts
         self.weights = weights
         if not isinstance(num_blocks, int):
             block_id = block_id + np.repeat(np.cumsum(num_blocks) - num_blocks, np.diff(starts))
             num_blocks = int(np.sum(num_blocks))
         self.bins = block_id
-        self.block_weight = np.bincount(block_id, weights=weights, minlength=num_blocks)
+        if block_weight is None:
+            block_weight = np.bincount(block_id, weights=weights, minlength=num_blocks)
+        self.block_weight = block_weight
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Each block's weighted mean of values over its atoms, in each row
+        of a (..., atoms) stack in turn: the bins' means, flat."""
+        return self._means(np.asarray(values))[1].ravel()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Block averages of values over the atoms, one row or each row of a
-        (..., atoms) stack: one bincount over the bins offset per row."""
-        values, atoms = np.asarray(values), len(self.bins)
+        (..., atoms) stack: the means broadcast back to their atoms."""
+        values = np.asarray(values)
+        bins, means, scratch = self._means(values)
+        return means.take(bins, out=scratch, mode="clip").reshape(values.shape)
+
+    def _means(self, values: np.ndarray) -> tuple:
+        """(bins, means, scratch): one bincount over the bins offset per row,
+        its (rows, blocks) quotients, and the weighted terms, free for reuse."""
+        atoms = len(self.bins)
         count, size, bins = values.size // atoms, len(self.block_weight), self.bins
         if count != 1:
             bins = (bins + np.arange(0, count * size, size)[:, None]).ravel()
         weighted = (values.reshape(count, atoms) * self.weights).ravel()
         sums = np.bincount(bins, weights=weighted, minlength=count * size)
-        means = sums.reshape(count, size) / self.block_weight
-        return means.ravel()[bins].reshape(values.shape)
+        return bins, sums.reshape(count, size) / self.block_weight, weighted
 
     def block_max(self, values: np.ndarray) -> np.ndarray:
         """Each block's maximum over all rows of a (..., atoms) stack, at its

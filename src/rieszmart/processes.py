@@ -13,12 +13,14 @@ of processes from block means, with these cores only as fallback.
 
 Stages lays several processes and their filtrations end to end as block-id
 tables, read from each split-largest chain's cut array (split_cuts), and
-_mds_rows generates all of their rows in one binned pass per row block;
-generate_mds is its one-process case.  Generators draw the stages in row
-blocks from the per-step SplitMix64 substreams (seed, "mds-step", i), so a
-fixed GeneratorConfig reproduces the same process bit for bit.  Step i
-draws a block-constant Z_i for the stage-i partition in [-amplitude,
-amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
+builds their per-row operators as one RaggedOps (Stages.row_ops): the
+gates', T_1's and the generator's.  _mds_rows generates all of their rows
+with one draw and one such operator per row block; generate_mds is its
+one-process case.  Generators draw the stages in row blocks from the
+per-step SplitMix64 substreams (seed, "mds-step", i), so a fixed
+GeneratorConfig reproduces the same process bit for bit.  Step i draws a
+block-constant Z_i for the stage-i partition in [-amplitude, amplitude]
+and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
 """
 
 from __future__ import annotations
@@ -502,14 +504,21 @@ class Stages(StageRows):
         stage = first_group + np.minimum(step, np.repeat(depth - 1, steps))
         return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
 
-    def row_ops(self, first: bool = False) -> RaggedOps:
-        """Each row's stage operator T_i, or with first its process's
-        first-stage operator T_1, as RaggedOps over the rows."""
-        group = np.repeat(self.stage[self.first_row], self.steps) if first else self.stage
-        atom = self.atom_index()
-        local = atom - self.spread(np.repeat(self.atoms[:-1], self.steps))
-        ids = self.ids[self.spread(self.id_starts[group]) + local]
-        return RaggedOps(self.row_starts(), self.weights[atom], ids, self.num_blocks[group])
+    def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None) -> RaggedOps:
+        """RaggedOps over rows laid end to end with the table's block weights,
+        row j conditioned on partition stage[j]: every row of the table in
+        turn, or rows of processes process[j].  Array methods (x.repeat)
+        skip NumPy's wrappers, whose cost shows on small rows."""
+        if process is None:
+            process = np.repeat(np.arange(len(self.n)), self.steps)
+        width, sizes = self.n[process], self.num_blocks[stage]
+        starts, first = np.concatenate(([0], width.cumsum())), sizes.cumsum() - sizes
+        head, element = starts[:-1], np.arange(starts[-1])
+        bins = self.ids[(self.id_starts[stage] - head).repeat(width) + element] + first.repeat(width)
+        weights = self.weights[(self.atoms[process] - head).repeat(width) + element]
+        shift = (self.weight_starts[stage] - first).repeat(sizes)  # bin to block_weight index
+        block_weight = self.block_weight[shift + np.arange(len(shift))]
+        return RaggedOps(starts, weights, bins, len(shift), block_weight)
 
     def table(self, k: int) -> tuple:
         """Process k's (weights, (D, n) block ids, stage index), the
@@ -564,7 +573,7 @@ def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: boo
     that fits in memory.  A process with a non-finite slack, or M or a
     weight outside _SAFE, goes to the exact core, as does every undecided
     one, in process order up to the first that fails."""
-    ops, width = stages.row_ops(), np.repeat(stages.n, stages.steps)  # atoms of each row
+    ops, width = stages.row_ops(stages.stage), np.repeat(stages.n, stages.steps)  # atoms of each row
     heads, steps, rows = ops.starts[:-1], stages.steps, stages.first_row
     last = np.zeros(len(width), dtype=bool)
     last[rows + steps - 1] = True
@@ -649,10 +658,9 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
     lattice.raise_first.
 
     Rows are generated in consecutive row blocks of about BLOCK_ELEMENTS
-    values.  A block draws every row's block values in one SplitMix64 pass,
-    and one bincount over per-row block ids conditions its rows, row i of a
-    process binned by the blocks of its stage i - 1.  Every bin holds the
-    terms of one row, added in the order a per-row apply_array adds them, so
+    values.  A block draws every row's block values in one SplitMix64 pass
+    and conditions its rows with one RaggedOps (Stages.row_ops), row i of a
+    process on its stage i - 1.  Each bin holds one block of one row, so
     neither the blocks nor the other processes change a bit.
 
     Only singletons refine singletons, so the rows of one process whose
@@ -687,11 +695,9 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
             process, step = np.zeros(len(block), dtype=np.intp), np.arange(rows.start, rows.stop)
         else:
             residuals, process, step = _binned_rows(stages, rows, prefix, amplitude, out)
-        over = np.flatnonzero(residuals > check_slack)
-        hit, first = np.unique(process[over], return_index=True)
-        new = failed_at[hit] < 0
-        failed_at[hit[new]] = step[over[first[new]]]
-        residual[hit[new]] = residuals[over[first[new]]]
+        for r in np.flatnonzero(residuals > check_slack).tolist():  # rows in order
+            if failed_at[process[r]] < 0:
+                failed_at[process[r]], residual[process[r]] = step[r], residuals[r]
 
     def error(k):
         return GeneratorResidual(
@@ -707,44 +713,32 @@ def _binned_rows(stages: Stages, rows: slice, prefix, amplitude: float, out: np.
     its process and step."""
     process, step, width = stages.rows(rows)
     group = stages.stage[rows]
-    starts = np.cumsum(width) - width
-    local = np.arange(int(width.sum())) - np.repeat(starts, width)
+    starts = width.cumsum() - width
     counts = stages.num_blocks[group]
-    first = np.cumsum(counts) - counts  # first drawn value of each row
+    first = counts.cumsum() - counts  # first drawn value of each row
     # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
     vals = stream_floats(seeds_at(prefix[process], step), counts)
     vals = -amplitude + 2 * amplitude * vals
-    block = out[stages.elements[process[0]] + step[0] * width[0] :][: local.size]
-    ids = stages.ids[np.repeat(stages.id_starts[group], width) + local]
+    size = int(starts[-1] + width[-1])
+    block = out[stages.elements[process[0]] + step[0] * width[0] :][:size]
+    drawn = stages.ids[(stages.id_starts[group] - starts).repeat(width) + np.arange(size)]
     # mode="clip" writes straight into out (every index is in range).
-    np.take(vals, ids + np.repeat(first, width), out=block, mode="clip")
+    np.take(vals, drawn + first.repeat(width), out=block, mode="clip")
     later = step > 0
     if not later.any():
         return np.zeros(0), process[later], step[later]
-    # Row i is binned by the blocks of stage i - 1, read from the row before.
-    prev = stages.stage[np.flatnonzero(later) + rows.start - 1]
+    # Row i is conditioned on stage i - 1, read from the row before.
+    process, step = process[later], step[later]
+    ops = stages.row_ops(stages.stage[np.flatnonzero(later) + (rows.start - 1)], process)
     # A batch interleaves first stages with later ones; the block of one
     # process holds at most one, its first row, so its later rows are a view.
-    skip = int(np.argmax(later))
-    at = slice(int(starts[skip]), None) if later[skip:].all() else np.repeat(later, width)
-    width = width[later]
-    sizes = stages.num_blocks[prev]
-    first = np.cumsum(sizes) - sizes
-    bins = stages.ids[np.repeat(stages.id_starts[prev], width) + local[at]]
-    bins += np.repeat(first, width)
-    shift = np.repeat(stages.weight_starts[prev] - first, sizes)  # bin to block_weight index
-    weight = stages.block_weight[shift + np.arange(shift.size)]
-    atom_weight = stages.weights[np.repeat(stages.atoms[process[later]], width) + local[at]]
+    skip = int(later.argmax())
+    at = slice(int(starts[skip]), None) if later[skip:].all() else later.repeat(width)
     cond = block[at]
-    scratch = cond * atom_weight
-    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
-    np.take(means, bins, out=scratch, mode="clip")
-    cond -= scratch
-    np.multiply(cond, atom_weight, out=scratch)
-    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
+    cond -= ops.apply(cond)
     if not isinstance(at, slice):
         block[at] = cond
-    return np.maximum.reduceat(np.abs(means), first), process[later], step[later]
+    return np.maximum.reduceat(np.abs(ops.means(cond)), ops.bins[ops.starts[:-1]]), process, step
 
 
 def _singleton_rows(amplitude, prefix, tiles, work, block, first):

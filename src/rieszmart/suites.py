@@ -19,9 +19,9 @@ trial by trial.  A raising batch raises what its first failing trial raises.
 burkholder, telescoping, hrc and doob generate their processes together:
 every trial's split-largest chain is one cut array (processes.split_cuts),
 read out with no loop over stages as a block-id table (processes.Stages,
-not Partition and operator objects), one binned pass of processes._mds_rows
-draws and conditions every trial's rows, and the checkers run over the
-batch's (trial * stage, atoms) rows.  The label and difference-sequence
+not Partition and operator objects), one pass of processes._mds_rows draws
+every trial's rows and conditions them through Stages.row_ops, and the
+checkers run over the batch's (trial * stage, atoms) rows.  The label and difference-sequence
 gates are decided for the whole batch (processes.decide_gates), with the
 exact per-trial scan only as fallback; burkholder's two dense products of
 the base operator still run trial by trial.  holder draws its batch the
@@ -493,9 +493,8 @@ def _run_maximal(cfg: RunConfig, suite: str) -> VerificationReport:
             for k, s in enumerate((0.0, 0.5, 1.0)):
                 rates[kind == k] = index[kind == k] ** s
         gates = label_check(stages, values, cfg.tol)
-        bad, parts = maximal_rows(
-            values, rates, g, stages.row_ops(first=True), stages, cfg.tol, suite == "doob"
-        )
+        t1 = stages.row_ops(np.repeat(stages.stage[stages.first_row], stages.steps))
+        bad, parts = maximal_rows(values, rates, g, t1, stages, cfg.tol, suite == "doob")
         raise_first(failed, gates, *bad)
         record_stages(report, parts, stages, t, cfg.seed)
     return report

@@ -12,6 +12,7 @@ default and a failing tolerance, exponents pinned at NumPy's sqrt and
 square paths, and powers that overflow.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -1034,6 +1035,104 @@ def test_the_batched_generator_raises_what_the_per_trial_one_raises(block, monke
                 assert not failed[k]
                 assert stages.values(values, k).tobytes() == expected.tobytes()
     assert raised > 10
+
+
+def old_binned_rows(stages, rows, prefix, amplitude, out):
+    """processes._binned_rows as it conditioned its rows with bincounts of
+    its own, row i binned by the blocks of stage i - 1: per-row bin
+    offsets, the block weights read through a shifted index."""
+    from rieszmart.rng import seeds_at, stream_floats
+
+    process, step, width = stages.rows(rows)
+    group = stages.stage[rows]
+    starts = np.cumsum(width) - width
+    local = np.arange(int(width.sum())) - np.repeat(starts, width)
+    counts = stages.num_blocks[group]
+    first = np.cumsum(counts) - counts
+    vals = stream_floats(seeds_at(prefix[process], step), counts)
+    vals = -amplitude + 2 * amplitude * vals
+    block = out[stages.elements[process[0]] + step[0] * width[0] :][: local.size]
+    ids = stages.ids[np.repeat(stages.id_starts[group], width) + local]
+    np.take(vals, ids + np.repeat(first, width), out=block, mode="clip")
+    later = step > 0
+    if not later.any():
+        return np.zeros(0), process[later], step[later]
+    prev = stages.stage[np.flatnonzero(later) + rows.start - 1]
+    skip = int(np.argmax(later))
+    at = slice(int(starts[skip]), None) if later[skip:].all() else np.repeat(later, width)
+    width = width[later]
+    sizes = stages.num_blocks[prev]
+    first = np.cumsum(sizes) - sizes
+    bins = stages.ids[np.repeat(stages.id_starts[prev], width) + local[at]]
+    bins += np.repeat(first, width)
+    shift = np.repeat(stages.weight_starts[prev] - first, sizes)
+    weight = stages.block_weight[shift + np.arange(shift.size)]
+    atom_weight = stages.weights[np.repeat(stages.atoms[process[later]], width) + local[at]]
+    cond = block[at]
+    scratch = cond * atom_weight
+    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
+    np.take(means, bins, out=scratch, mode="clip")
+    cond -= scratch
+    np.multiply(cond, atom_weight, out=scratch)
+    means = np.bincount(bins, weights=scratch, minlength=weight.size) / weight
+    if not isinstance(at, slice):
+        block[at] = cond
+    return np.maximum.reduceat(np.abs(means), first), process[later], step[later]
+
+
+@functools.cache
+def maximal_batches():
+    """The Stages and prefixes of hrc and doob batches (split-largest chains
+    from single-block and random first partitions, uniform and random
+    weights), as the suites generate them at the module block size, and
+    each with one partition's block weights tampered by x1.01."""
+    from rieszmart import suites
+    from rieszmart.processes import Stages
+
+    batches, real = [], suites._mds_rows
+
+    def capture(stages, prefix, amplitude):
+        batches.append((stages, prefix))
+        return real(stages, prefix, amplitude)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "_mds_rows", capture)
+        for seed, trials in ((0, 8), (1, 8), (2, 300), (3, 2), (4, 1)):
+            for suite in ("hrc", "doob"):
+                run_suite(RunConfig(suite=suite, trials=trials, seed=seed, dim_max=12, steps_max=15))
+    stream = SplitMix64(2024)
+    for s, prefix in list(batches):
+        weight = s.block_weight.copy()
+        g = stream.below(len(s.num_blocks))
+        weight[s.weight_starts[g] : s.weight_starts[g] + s.num_blocks[g]] *= 1.01
+        tampered = Stages(s.n, s.steps, s.weights, s.ids, s.id_starts, s.num_blocks, weight, s.stage)
+        batches.append((tampered, prefix))
+    return batches
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 65536])
+def test_the_generator_matches_the_bincounts_it_replaced(block, monkeypatch):
+    from rieszmart import processes
+
+    batches = maximal_batches()
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block)
+    interleaved = raised = 0
+    for stages, prefix in batches:
+        values, (failed, error) = processes._mds_rows(stages, prefix, 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(processes, "_binned_rows", old_binned_rows)
+            old_values, (old_failed, old_error) = processes._mds_rows(stages, prefix, 1.0)
+        assert values.tobytes() == old_values.tobytes()
+        assert failed.tolist() == old_failed.tolist()
+        assert [str(error(k)) for k in np.flatnonzero(failed)] == [
+            str(old_error(k)) for k in np.flatnonzero(failed)
+        ]
+        raised += int(failed.sum())
+        for rows in row_blocks(len(stages.stage), int(stages.n.max())):
+            interleaved += bool((stages.rows(rows)[1][1:] == 0).any())
+    # Tampered weights trip the guard, and with room for several rows a row
+    # block interleaves first stages with later rows (the masked path).
+    assert raised > 0 and (interleaved > 0 or block < 64)
 
 
 def single_instances(count=80):

@@ -481,6 +481,34 @@ def test_every_float_option_must_be_finite(command, name, form, tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command in TABLES for name in float_options(command)],
+)
+def test_a_negative_float_value_may_follow_its_flag_as_a_word(command, name, value, tmp_path, capsys):
+    # argparse's own negative-number pattern has no exponent and no inf, so
+    # "--tol-abs -1e-3" once exited 2 with "expected one argument".
+    def run(words):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        out.mkdir()
+        if command == "verify":
+            argv = ["verify", "--suite", "jensen", "--trials", "2", "--output", str(out / "r.json")]
+        else:
+            argv = ["simulate", "submartingale", "--n", "4", "--dim", "2", "--output-dir", str(out)]
+        code = main(argv + words)
+        files = {
+            f.name: strip_elapsed(json.loads(f.read_text())) if f.suffix == ".json" else f.read_text()
+            for f in out.iterdir()
+        }
+        return code, *capsys.readouterr(), files
+
+    flag = "--" + name.replace("_", "-")
+    word, joined = run([flag, value]), run([f"{flag}={value}"])
+    assert word == joined
+    assert "expected one argument" not in word[2]
+
+
 def test_config_file_integers_for_float_options_echo_as_given(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"p_min": 2, "p_max": 3, "tol_abs": 0}))

@@ -18,16 +18,25 @@ from rieszmart import DEFAULT_TOL, Tolerance, inequalities, suites
 from rieszmart.errors import NotAdapted, NotDifferenceSequence, NotSubmartingale
 from rieszmart.inequalities import difference_check, label_check
 from rieszmart.lattice import raise_first
+from rieszmart.conditional import Filtration
 from rieszmart.processes import (
     MARTINGALE,
     SUBMARTINGALE,
+    GeneratorConfig,
+    ProcessSequence,
     Stages,
     _classify,
     _difference_sequence,
     _mds_rows,
+    classify,
     decide_gates,
+    default_filtration,
+    generate_mds,
+    generate_submartingale,
+    is_difference_sequence,
+    make_space,
 )
-from rieszmart.rng import derive_seeds
+from rieszmart.rng import SplitMix64, derive_seed, derive_seeds
 from rieszmart.suites import RunConfig, run_suite
 
 TOLS = [
@@ -251,3 +260,68 @@ def test_default_verify_runs_send_no_process_to_the_exact_cores(suite, monkeypat
     for seed in (7, 42):
         run_suite(RunConfig(suite=suite, trials=200, seed=seed))
     assert sent and sum(sent) == 0
+
+
+# --- a repeated stage moves no gate ---------------------------------------------
+#
+# Inserting right after stage i a copy of it (the same operator) with the
+# same value leaves every comparison T_i f_j >= f_i of a process as it was,
+# and with a zero increment every T_{i-1} Y_i of a difference sequence.
+
+
+def repeated(filtration, values, at, zero):
+    """filtration and values with stage at repeated right after itself: the
+    same operator object, and the same value, or with zero a zero increment."""
+    ops = filtration.ops[: at + 1] + [filtration.ops[at]] + filtration.ops[at + 1 :]
+    row = np.zeros(values.shape[1]) if zero else values[at]
+    return Filtration(ops), np.insert(values, at + 1, row, axis=0)
+
+
+def label_of(filtration, values):
+    try:
+        return classify(ProcessSequence(filtration, values))
+    except NotAdapted:
+        return None
+
+
+def gates_of(filtration, values, labels):
+    bad, label, _ = decide_gates(Stages.of(filtration), values.ravel(), DEFAULT_TOL, labels)
+    return bad.tolist(), label
+
+
+def repeated_stage_cases():
+    """(filtration, process values, difference values) on a grid fixed before
+    comparing: dims 1-16, steps 1-20, both weight modes; martingales,
+    submartingales of both modes, and non-adapted processes, whose
+    differences are not difference sequences either."""
+    for seed in range(48):
+        cfg = GeneratorConfig(seed, 1 + seed % 16, 1 + (7 * seed) % 20, 1.0, ("uniform", "random")[seed % 2])
+        filt = default_filtration(make_space(cfg), cfg.steps)
+        diffs = generate_mds(cfg, filt).values
+        stream = SplitMix64(derive_seed(seed, "repeated-stage"))
+        noisy = np.cumsum(diffs, axis=0) + stream.uniforms(cfg.steps * cfg.dim, -0.5, 0.5).reshape(cfg.steps, -1)
+        kinds = [
+            np.cumsum(diffs, axis=0),
+            generate_submartingale(cfg, ("positive-part", "drift")[seed // 2 % 2], filt).values,
+            noisy,
+        ]
+        for values in kinds:
+            yield filt, values, np.diff(values, axis=0, prepend=0.0), stream.below(cfg.steps)
+        yield filt, kinds[0], diffs, stream.below(cfg.steps)
+
+
+def test_a_repeated_stage_moves_no_gate():
+    labels, differences = set(), set()
+    for filt, values, diffs, at in repeated_stage_cases():
+        longer, inserted = repeated(filt, values, at, zero=False)
+        assert label_of(longer, inserted) == label_of(filt, values)
+        assert gates_of(longer, inserted, True) == gates_of(filt, values, True)
+        longer, inserted = repeated(filt, diffs, at, zero=True)
+        verdict = is_difference_sequence(ProcessSequence(filt, diffs))
+        assert is_difference_sequence(ProcessSequence(longer, inserted)) == verdict
+        assert gates_of(longer, inserted, False) == gates_of(filt, diffs, False)
+        labels.add(label_of(filt, values))
+        differences.add(verdict)
+    # The grid holds martingales, strict submartingales and unadapted
+    # processes, and sequences on both sides of the difference check.
+    assert {MARTINGALE, SUBMARTINGALE, None} <= labels and differences == {True, False}
