@@ -176,38 +176,63 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     is both a sub- and a supermartingale), otherwise "submartingale",
     "supermartingale", or "none".  Raises NotAdapted first if any stage value
     is not fixed by its operator.
+
+    Stages from the singleton cut on condition on the identity, so they
+    cost one pass over the values with no product (_classify).
     """
     return _classify(process.values, *Stages.of(process.filtration).table(0), tol)
 
 
 def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
-    """classify on raw arrays, as _adapted takes them."""
+    """classify on raw arrays, as _adapted takes them: stage i against the
+    per-atom min (sub side) and max (super side) of T_i f_j over j > i.
+
+    Only singletons refine singletons, so the identity stages are a suffix
+    cut..N-1 of the sorted stage index, where T_i f_j = f_j: the values' own
+    extremes, carried back one row block at a time.  An earlier operator
+    keeps its one product, whose rows past the cut's enter as one extreme.
+    A min or max is exact in any order, NaN included, so each comparison
+    sees the operands of a whole suffix envelope.  A refuted side stops."""
     if not _adapted(mat, weights, ids, stage, tol):
         raise NotAdapted(NOT_ADAPTED)
-    count = mat.shape[0]
+    count, n = mat.shape
     if count < 2:
         return MARTINGALE
     slack = _slack(mat, tol)
-    is_sub = True
-    is_super = True
-    for d, idx in _groups(stage, count - 1):
+    cut = int(stage.searchsorted(len(ids) - 1)) if ids[-1, -1] == n - 1 else count
+    live = [True, True]  # the sub and the super side
+    for d, idx in _groups(stage, min(cut, count - 1)):
         # Only stages after the operator's first use are ever compared.
         transformed = average_rows(weights, ids[d], mat[idx[0] + 1 :])
-        # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
-        # row r standing for stage idx[0] + 1 + r
-        suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
-        suff_max = np.maximum.accumulate(transformed[::-1], axis=0)[::-1]
-        here = mat[idx]
-        after = idx - idx[0]
-        if is_sub and np.any(suff_min[after] < here - slack):
-            is_sub = False
-        if is_super and np.any(suff_max[after] > here + slack):
-            is_super = False
-        if not (is_sub or is_super):
+        # Row r is stage idx[0] + 1 + r; the rows past the cut's enter as one extreme.
+        m = min(cut - idx[0], len(transformed))
+        at, here = m - 1 - (idx - idx[0]), mat[idx]
+        for s, (ext, worse, shift) in enumerate(_SIDES):
+            if live[s]:
+                env = ext.accumulate(transformed[:m][::-1], axis=0)[at]
+                if m < len(transformed):
+                    ext(env, halving_fold(ext, transformed[m:], 0), out=env)
+                live[s] = not worse(env, shift(here, slack)).any()
+        if not any(live):
             return NONE
-    if is_sub and is_super:
+    for s, (ext, worse, shift) in enumerate(_SIDES):
+        carry = mat[-1]  # the extreme of the rows past each block's accumulate
+        for rows in reversed(row_blocks(count - 1, n, start=cut)) if live[s] else ():
+            # env[q] is the extreme of the rows after stage rows.stop - 1 - q.
+            env = ext.accumulate(mat[rows.stop : rows.start : -1], axis=0)
+            if worse(ext(env, carry, out=env), shift(mat[rows][::-1], slack)).any():
+                live[s] = False
+                break
+            carry = env[-1]
+    if not any(live):
+        return NONE
+    if all(live):
         return MARTINGALE
-    return SUBMARTINGALE if is_sub else SUPERMARTINGALE
+    return SUBMARTINGALE if live[0] else SUPERMARTINGALE
+
+
+# classify's sides: the extreme, the comparison that refutes, the slack's move.
+_SIDES = ((np.minimum, np.less, np.subtract), (np.maximum, np.greater, np.add))
 
 
 def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -337,10 +362,10 @@ def split_cuts(n: np.ndarray, first: np.ndarray, num_blocks: np.ndarray) -> tupl
     position, and the stage at which a block boundary opens before each
     position, 0 where a first block starts; stage i's blocks start where
     cut <= i.  O(atoms) memory: about log2(max n) passes and one lexsort."""
-    bins = first + np.repeat(np.cumsum(num_blocks) - num_blocks, n)
-    order = np.argsort(bins, kind="stable")
+    bins = first + (num_blocks.cumsum() - num_blocks).repeat(n)
+    order = bins.argsort(kind="stable")
     size = np.bincount(bins)
-    lo = np.cumsum(size) - size
+    lo = size.cumsum() - size
     levels = []
     while len(size):
         inner = size > 1
@@ -349,10 +374,10 @@ def split_cuts(n: np.ndarray, first: np.ndarray, num_blocks: np.ndarray) -> tupl
         half = (size + 1) // 2
         lo, size = np.concatenate((lo, lo + half)), np.concatenate((half, size - half))
     lo, size = (np.concatenate(nodes) for nodes in zip(*levels))
-    chain = np.searchsorted(np.cumsum(n), lo, side="right")
+    chain = n.cumsum().searchsorted(lo, side="right")
     split = np.lexsort((order[lo], -size, chain))
     count = np.bincount(chain, minlength=len(n))
-    stage = np.arange(1, len(split) + 1) - np.repeat(np.cumsum(count) - count, count)
+    stage = np.arange(1, len(split) + 1) - (count.cumsum() - count).repeat(count)
     cut = np.zeros(len(order), dtype=np.intp)
     cut[(lo + (size + 1) // 2)[split]] = stage
     return order, cut
@@ -369,9 +394,9 @@ class StageRows:
 
     def __init__(self, n: np.ndarray, steps: np.ndarray):
         self.n, self.steps = n, steps
-        self.atoms = np.concatenate(([0], np.cumsum(n)))
-        self.elements = np.concatenate(([0], np.cumsum(n * steps)))
-        self.first_row = np.cumsum(steps) - steps
+        self.atoms = np.concatenate(([0], n.cumsum()))
+        self.elements = np.concatenate(([0], (n * steps).cumsum()))
+        self.first_row = steps.cumsum() - steps
 
     @property
     def size(self) -> int:
@@ -380,7 +405,7 @@ class StageRows:
     def rows(self, rows: slice) -> tuple:
         """(process, step, n) of each row in rows."""
         index = np.arange(rows.start, rows.stop)
-        process = np.searchsorted(self.first_row, index, side="right") - 1
+        process = self.first_row.searchsorted(index, side="right") - 1
         return process, index - self.first_row[process], self.n[process]
 
     def values(self, flat: np.ndarray, k: int) -> np.ndarray:
@@ -389,13 +414,13 @@ class StageRows:
 
     def spread(self, per_row: np.ndarray) -> np.ndarray:
         """One value per row, repeated over the row's atoms."""
-        return np.repeat(per_row, np.repeat(self.n, self.steps))
+        return per_row.repeat(self.n.repeat(self.steps))
 
     def atom_index(self) -> np.ndarray:
         """Each element's atom, as an index into an array over all atoms."""
-        width = np.repeat(self.n, self.steps)
-        heads = np.repeat(self.atoms[:-1], self.steps)
-        return np.arange(self.size) - np.repeat(np.cumsum(width) - width - heads, width)
+        width = self.n.repeat(self.steps)
+        heads = self.atoms[:-1].repeat(self.steps)
+        return np.arange(self.size) - (width.cumsum() - width - heads).repeat(width)
 
     def accumulate(self, ufunc, flat: np.ndarray) -> np.ndarray:
         """ufunc.accumulate of every process's values along its stages, as
@@ -417,22 +442,22 @@ class StageRows:
         process's stages and atoms, and the index of each element in it
         (None when no process is padded, and the array is a view)."""
         shape = (len(self.n), int(self.steps.max()), int(self.n.max()))
-        if self.size == np.prod(shape):
+        if self.size == math.prod(shape):
             return flat.reshape(shape), None
         process, step, width = self.rows(slice(0, int(self.steps.sum())))
-        at = self.atom_index() - np.repeat(self.atoms[process], width)
-        at += np.repeat((process * shape[1] + step) * shape[2], width)
+        at = self.atom_index() - self.atoms[process].repeat(width)
+        at += ((process * shape[1] + step) * shape[2]).repeat(width)
         padded = np.zeros(shape, dtype=flat.dtype)
         padded.reshape(-1)[at] = flat
         return padded, at
 
     def row_starts(self) -> np.ndarray:
         """Each row's first element, and the end of the last row."""
-        return np.concatenate(([0], np.cumsum(np.repeat(self.n, self.steps))))
+        return np.concatenate(([0], self.n.repeat(self.steps).cumsum()))
 
     def stage_of_rows(self) -> np.ndarray:
         """Each row's stage within its process."""
-        return np.arange(int(self.steps.sum())) - np.repeat(self.first_row, self.steps)
+        return np.arange(int(self.steps.sum())) - self.first_row.repeat(self.steps)
 
 
 class Stages(StageRows):
@@ -479,29 +504,29 @@ class Stages(StageRows):
         singletons.  Stage i's blocks start where cut <= i (split_cuts),
         numbered by the rank of their first atom."""
         order, cut = split_cuts(n, first, num_blocks)
-        atoms = np.concatenate(([0], np.cumsum(n)))
+        atoms = np.concatenate(([0], n.cumsum()))
         depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
-        owner = np.repeat(np.arange(len(n)), depth)  # process of each partition
-        level = np.arange(len(owner)) - np.repeat(np.cumsum(depth) - depth, depth)
+        owner = np.arange(len(n)).repeat(depth)  # process of each partition
+        level = np.arange(len(owner)) - (depth.cumsum() - depth).repeat(depth)
         width = n[owner]
-        id_starts = np.cumsum(width) - width
+        id_starts = width.cumsum() - width
         index = np.arange(int(width.sum()))
         # Read in position order, entry e is position atom[e]: it holds atom
         # order[atom[e]], whose id goes to entry slot[e].
-        atom = index + np.repeat(atoms[owner] - id_starts, width)
-        opens = cut[atom] <= np.repeat(level, width)
+        atom = index + (atoms[owner] - id_starts).repeat(width)
+        opens = cut[atom] <= level.repeat(width)
         slot = index + order[atom] - atom
         marked = np.zeros(len(index), dtype=bool)
         marked[slot] = opens
-        rank = np.cumsum(marked)
+        rank = marked.cumsum()
         head = np.maximum.accumulate(np.where(opens, index, 0))
         ids = np.empty(len(index), dtype=np.intp)
-        ids[slot] = rank[slot[head]] - rank[np.repeat(id_starts, width)]
+        ids[slot] = rank[slot[head]] - rank[id_starts.repeat(width)]
         blocks = num_blocks[owner] + level
         ops = RaggedOps(np.append(id_starts, index.size), weights[atom], ids, blocks)
-        step = np.arange(int(steps.sum())) - np.repeat(np.cumsum(steps) - steps, steps)
-        first_group = np.repeat(np.cumsum(depth) - depth, steps)
-        stage = first_group + np.minimum(step, np.repeat(depth - 1, steps))
+        step = np.arange(int(steps.sum())) - (steps.cumsum() - steps).repeat(steps)
+        first_group = (depth.cumsum() - depth).repeat(steps)
+        stage = first_group + np.minimum(step, (depth - 1).repeat(steps))
         return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
 
     def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None) -> RaggedOps:
@@ -695,7 +720,7 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
             process, step = np.zeros(len(block), dtype=np.intp), np.arange(rows.start, rows.stop)
         else:
             residuals, process, step = _binned_rows(stages, rows, prefix, amplitude, out)
-        for r in np.flatnonzero(residuals > check_slack).tolist():  # rows in order
+        for r in np.flatnonzero(~(residuals <= check_slack)).tolist():  # rows in order, NaN too
             if failed_at[process[r]] < 0:
                 failed_at[process[r]], residual[process[r]] = step[r], residuals[r]
 

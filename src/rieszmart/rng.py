@@ -80,9 +80,9 @@ def stream_floats(seeds: np.ndarray, counts: np.ndarray, offsets=0) -> np.ndarra
     of the whole."""
     golden = np.uint64(_GOLDEN)
     counts = np.asarray(counts, dtype=np.int64)
-    shift = (np.asarray(offsets, dtype=np.int64) - (np.cumsum(counts) - counts)).astype(np.uint64)
-    words = np.arange(1, int(np.sum(counts)) + 1, dtype=np.uint64) * golden
-    words += np.repeat(seeds + shift * golden, counts)
+    shift = (np.asarray(offsets, dtype=np.int64) - (counts.cumsum() - counts)).astype(np.uint64)
+    words = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64) * golden
+    words += (seeds + shift * golden).repeat(counts)
     return (_mix64_in_place(words) >> np.uint64(11)) * 2.0**-53
 
 

@@ -22,6 +22,7 @@ from rieszmart.conditional import Filtration
 from rieszmart.processes import (
     MARTINGALE,
     SUBMARTINGALE,
+    SUPERMARTINGALE,
     GeneratorConfig,
     ProcessSequence,
     Stages,
@@ -33,6 +34,7 @@ from rieszmart.processes import (
     default_filtration,
     generate_mds,
     generate_submartingale,
+    is_adapted,
     is_difference_sequence,
     make_space,
 )
@@ -325,3 +327,63 @@ def test_a_repeated_stage_moves_no_gate():
     # The grid holds martingales, strict submartingales and unadapted
     # processes, and sequences on both sides of the difference check.
     assert {MARTINGALE, SUBMARTINGALE, None} <= labels and differences == {True, False}
+
+
+# --- exact 2^k scaling moves no gate ------------------------------------------
+#
+# Multiplying every value by 2^k multiplies every block mean, difference, sum
+# and max|f| by 2^k without rounding, as long as nothing overflows or becomes
+# subnormal, and at tol.abs = 0 the slack tol.rel * max|f| too.  So every
+# comparison of the exact cores keeps its outcome.  decide_gates' rounding
+# bound scales the same way, and max|f| stays inside its safe range, so its
+# bad mask, label and exact mask must not move either.
+
+SCALE_EXPONENTS = [-300, -37, 1, 300]
+SCALE_TOLS = [Tolerance(abs=0.0, rel=1e-9), Tolerance(abs=0.0, rel=0.0), Tolerance(abs=0.0, rel=-1e-12)]
+
+
+def scaling_cases():
+    """(filtration, process values, difference values) on a grid fixed before
+    comparing: the repeated-stage grid, and dim 8 at N = 10^4 on both weight
+    modes, where the identity suffix runs from stage 7."""
+    for filt, values, diffs, _ in repeated_stage_cases():
+        yield filt, values, diffs
+    for seed, mode in ((0, "uniform"), (1, "random")):
+        cfg = GeneratorConfig(seed, 8, 10**4, 1.0, mode)
+        filt = default_filtration(make_space(cfg), cfg.steps)
+        diffs = generate_mds(cfg, filt).values
+        sums = np.cumsum(diffs, axis=0)
+        moved = sums.copy()
+        moved[3, 0] += 0.25  # not adapted
+        for values in (sums, np.maximum(sums, 0.0), -np.maximum(sums, 0.0), moved):
+            yield filt, values, np.diff(values, axis=0, prepend=0.0)
+
+
+def gates_at(filt, values, diffs, tol):
+    """classify's label (or "NotAdapted"), is_adapted, is_difference_sequence,
+    and decide_gates' (bad, label, exact) on the values and the differences."""
+    stages = Stages.of(filt)
+    process, differences = ProcessSequence(filt, values), ProcessSequence(filt, diffs)
+    try:
+        out = [classify(process, tol)]
+    except NotAdapted:
+        out = ["NotAdapted"]
+    out += [is_adapted(process, tol), is_difference_sequence(differences, tol)]
+    for vals, labels in ((values, True), (diffs, False)):
+        bad, label, exact = decide_gates(stages, vals.ravel(), tol, labels)
+        out.append((bad.tolist(), label, exact.tolist()))
+    return out
+
+
+def test_exact_power_of_two_scaling_moves_no_gate():
+    seen = set()
+    for filt, values, diffs in scaling_cases():
+        for tol in SCALE_TOLS:
+            base = gates_at(filt, values, diffs, tol)
+            for k in SCALE_EXPONENTS:
+                assert gates_at(filt, values * 2.0**k, diffs * 2.0**k, tol) == base, k
+            seen.add((base[0], base[2], any(base[3][2] + base[4][2])))
+    labels = {label for label, _, _ in seen}
+    assert {MARTINGALE, SUBMARTINGALE, SUPERMARTINGALE, "NotAdapted"} <= labels
+    assert {difference for _, difference, _ in seen} == {True, False}
+    assert {exact for _, _, exact in seen} == {True, False}  # both paths of decide_gates

@@ -34,6 +34,7 @@ from rieszmart.processes import (
     make_space,
 )
 from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
+from rieszmart.errors import GeneratorResidual
 from rieszmart.rng import SplitMix64, derive_seed
 from chains import refining_filtration
 
@@ -541,6 +542,29 @@ def test_tampered_singleton_weight_fails_at_the_oracle_step(
         steps.add(int(str(oracle.value).rsplit(" ", 1)[1]) - singleton_cut(filt))
     if factor != 1.01:
         assert max(steps) > 0  # some first failure lies past the cut's row
+
+
+@pytest.mark.parametrize(
+    "cfg, stage, step",
+    [
+        # the binned path: stage 2 conditions row 3
+        (GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random"), 2, 3),
+        # the singleton path: a horizon of many row blocks, whose rows from
+        # the cut (row 8 on dim 8) skip the bins
+        (GeneratorConfig(seed=4, dim=8, steps=20_000, weight_mode="random"), -1, 8),
+        (GeneratorConfig(seed=5, dim=8, steps=20_000), -1, 8),
+    ],
+)
+def test_a_nan_block_weight_fails_the_guard_at_its_first_step(cfg, stage, step):
+    # A NaN residual compares False with the slack, so the guard must not
+    # test residual > slack; it used to let the NaN through to ProcessSequence.
+    filt = default_filtration(make_space(cfg), cfg.steps)
+    assert singleton_cut(filt) == 8
+    op = filt[stage]
+    op.block_weight = op.block_weight.copy()
+    op.block_weight[0] = np.nan
+    with pytest.raises(GeneratorResidual, match=f"residual nan exceeds 1e-12 at step {step}$"):
+        generate_mds(cfg, filt)
 
 
 def stage_index_by_rescan(ops):
