@@ -6,6 +6,10 @@ operators are exactly the linear, positive, idempotent maps fixing the unit
 that admit the averaging identity T(Tf * g) = Tf * Tg; their ranges are the
 block-constant elements.  verify_axioms exercises all of that on random
 draws, and Filtration/CompatibleTriple package refining families of them.
+
+Stages holds families of stages as block-id tables, laid end to end, and
+builds their per-row operators as one RaggedOps.  A Filtration is the
+one-process table; it builds an operator only for a stage that is indexed.
 """
 
 from __future__ import annotations
@@ -100,23 +104,6 @@ class Partition:
             raise SpaceMismatch("partitions on different spaces")
         return self.is_constant_on_blocks(coarser.block_id)
 
-    def split_largest(self) -> "Partition":
-        """Split the largest block in half (ties: block with the lowest atom).
-        The upper half takes the label after those of the blocks starting
-        below it, and every later label moves up by one.  The chains that
-        repeat this step are built whole by processes.split_cuts."""
-        bid = self.block_id
-        sizes = np.bincount(bid)
-        largest = sizes.argmax()  # first maximum: the lowest first atom
-        if sizes[largest] == 1:
-            return self
-        members = np.flatnonzero(bid == largest)
-        upper = members[(members.size + 1) // 2 :]
-        label = bid[: upper[0]].max() + 1
-        child = bid + (bid >= label)
-        child[upper] = label
-        return Partition(self.space, block_id=child)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)
@@ -160,24 +147,22 @@ class ConditionalExpectationOp:
     """Weighted block averaging along a partition: the one-trial case of
     RaggedOps, which it holds as ragged."""
 
-    __slots__ = ("space", "partition", "ragged", "_matrix")
+    __slots__ = ("space", "partition", "ragged")
 
     def __init__(self, partition: Partition):
         self.space = partition.space
         self.partition = partition
         ends = np.array([0, self.space.n])
         self.ragged = RaggedOps(ends, self.space.weights, partition.block_id, partition.num_blocks)
-        # Always None: perfbench/spans.py reads it to count matrix() builds.
-        self._matrix = None
 
     @property
     def block_weight(self) -> np.ndarray:
-        """Each block's weight, the sum of its atoms' weights."""
+        """Each block's weight, the sum of its atoms' weights; set in place."""
         return self.ragged.block_weight
 
     @block_weight.setter
     def block_weight(self, value: np.ndarray) -> None:
-        self.ragged.block_weight = value
+        self.ragged.block_weight[...] = value
 
     def apply(self, f: LatticeElement) -> LatticeElement:
         if f.space != self.space:
@@ -193,11 +178,6 @@ class ConditionalExpectationOp:
         """Apply to each row of a (k, n) array at once (average_rows); the
         identity returns rows itself."""
         return average_rows(self.space.weights, self.partition.block_id, rows, self.block_weight)
-
-    def matrix(self) -> np.ndarray:
-        """The dense n x n operator, built on every call and never stored,
-        so no operator keeps n^2 floats alive between calls."""
-        return averaging_matrix(self.space.weights, self.partition.block_id, self.block_weight)
 
     @property
     def is_identity(self) -> bool:
@@ -284,6 +264,198 @@ class RaggedOps:
         return maxima[self.bins]
 
 
+def split_cuts(n: np.ndarray, first: np.ndarray, num_blocks: np.ndarray) -> tuple:
+    """The split-largest chains (the largest block split in half until
+    singletons; tests/chains.py's split_largest is the reference) from first
+    partitions laid end to end: n[k] atoms with num_blocks[k] blocks in
+    chain k.  In the order of (chain, first block, atom), every block a
+    chain creates is a run of positions whose lower half keeps ceil(s/2) of
+    its s atoms, and a child is smaller than its parent, so the chain splits
+    the nodes of this fixed halving tree by size descending, then lowest
+    atom.  Returns (order, cut): the atom at each position, and the stage at
+    which a block boundary opens before each position, 0 where a first
+    block starts; stage i's blocks start where cut <= i.  O(atoms) memory:
+    about log2(max n) passes and one lexsort."""
+    bins = first + (num_blocks.cumsum() - num_blocks).repeat(n)
+    order = bins.argsort(kind="stable")
+    size = np.bincount(bins)
+    lo = size.cumsum() - size
+    levels = []
+    while len(size):
+        inner = size > 1
+        lo, size = lo[inner], size[inner]
+        levels.append((lo, size))
+        half = (size + 1) // 2
+        lo, size = np.concatenate((lo, lo + half)), np.concatenate((half, size - half))
+    lo, size = (np.concatenate(nodes) for nodes in zip(*levels))
+    chain = n.cumsum().searchsorted(lo, side="right")
+    split = np.lexsort((order[lo], -size, chain))
+    count = np.bincount(chain, minlength=len(n))
+    stage = np.arange(1, len(split) + 1) - (count.cumsum() - count).repeat(count)
+    cut = np.zeros(len(order), dtype=np.intp)
+    cut[(lo + (size + 1) // 2)[split]] = stage
+    return order, cut
+
+
+class StageRows:
+    """Several processes laid end to end in one flat array: process k has
+    steps[k] stages on n[k] atoms, and its values are the C order of a
+    (steps[k], n[k]) array at elements[k]:elements[k + 1].  Row r is one
+    stage of one process, the processes in turn; a process's atoms are
+    atoms[k]:atoms[k + 1] of an array over the atoms of all of them."""
+
+    __slots__ = ("n", "steps", "atoms", "elements", "first_row")
+
+    def __init__(self, n: np.ndarray, steps: np.ndarray):
+        self.n, self.steps = n, steps
+        self.atoms = np.concatenate(([0], n.cumsum()))
+        self.elements = np.concatenate(([0], (n * steps).cumsum()))
+        self.first_row = steps.cumsum() - steps
+
+    @property
+    def size(self) -> int:
+        return int(self.elements[-1])
+
+    def rows(self, rows: slice) -> tuple:
+        """(process, step, n) of each row in rows."""
+        index = np.arange(rows.start, rows.stop)
+        process = self.first_row.searchsorted(index, side="right") - 1
+        return process, index - self.first_row[process], self.n[process]
+
+    def values(self, flat: np.ndarray, k: int) -> np.ndarray:
+        """Process k's (steps, n) view of a flat array over the elements."""
+        return flat[self.elements[k] : self.elements[k + 1]].reshape(-1, int(self.n[k]))
+
+    def spread(self, per_row: np.ndarray) -> np.ndarray:
+        """One value per row, repeated over the row's atoms."""
+        return per_row.repeat(self.n.repeat(self.steps))
+
+    def atom_index(self) -> np.ndarray:
+        """Each element's atom, as an index into an array over all atoms."""
+        width = self.n.repeat(self.steps)
+        heads = self.atoms[:-1].repeat(self.steps)
+        return np.arange(self.size) - (width.cumsum() - width - heads).repeat(width)
+
+    def accumulate(self, ufunc, flat: np.ndarray) -> np.ndarray:
+        """ufunc.accumulate of every process's values along its stages, as
+        on its own (steps, n) array: one call on the processes padded to a
+        (processes, max steps, max n) array, which moves no bit."""
+        padded, at = self._padded(flat)
+        out = ufunc.accumulate(padded, axis=1).reshape(-1)
+        return out if at is None else out[at]
+
+    def previous(self, flat: np.ndarray) -> np.ndarray:
+        """Each element's value one stage earlier, 0 on first stages."""
+        padded, at = self._padded(flat)
+        out = np.zeros_like(padded)
+        out[:, 1:] = padded[:, :-1]
+        return out.reshape(-1) if at is None else out.reshape(-1)[at]
+
+    def _padded(self, flat: np.ndarray) -> tuple:
+        """flat as a (processes, max steps, max n) array, zero past each
+        process's stages and atoms, and the index of each element in it
+        (None when no process is padded, and the array is a view)."""
+        shape = (len(self.n), int(self.steps.max()), int(self.n.max()))
+        if self.size == math.prod(shape):
+            return flat.reshape(shape), None
+        process, step, width = self.rows(slice(0, int(self.steps.sum())))
+        at = self.atom_index() - self.atoms[process].repeat(width)
+        at += ((process * shape[1] + step) * shape[2]).repeat(width)
+        padded = np.zeros(shape, dtype=flat.dtype)
+        padded.reshape(-1)[at] = flat
+        return padded, at
+
+    def row_starts(self) -> np.ndarray:
+        """Each row's first element, and the end of the last row."""
+        return np.concatenate(([0], self.n.repeat(self.steps).cumsum()))
+
+    def stage_of_rows(self) -> np.ndarray:
+        """Each row's stage within its process."""
+        return np.arange(int(self.steps.sum())) - self.first_row.repeat(self.steps)
+
+
+class Stages(StageRows):
+    """Processes laid end to end as in StageRows, with their filtrations as
+    block-id tables rather than Partition and operator objects; a
+    Filtration is the one-process table, its stages.
+
+    Row r conditions on partition stage[r] of a table of distinct
+    partitions.  The partitions of a process are consecutive and first seen
+    first; partition g of process k holds the block ids
+    ids[id_starts[g]:id_starts[g] + n[k]], numbered by lowest atom, and the
+    weights of its num_blocks[g] blocks from block_weight[weight_starts[g]].
+    Atom weights are in weights, over the atoms of all processes."""
+
+    __slots__ = ("weights", "ids", "id_starts", "num_blocks", "block_weight", "weight_starts", "stage")
+
+    def __init__(self, n, steps, weights, ids, id_starts, num_blocks, block_weight, stage):
+        super().__init__(n, steps)
+        self.weights, self.ids, self.id_starts = weights, ids, id_starts
+        self.num_blocks, self.block_weight = num_blocks, block_weight
+        self.weight_starts = np.cumsum(num_blocks) - num_blocks
+        self.stage = stage
+
+    @classmethod
+    def split_chains(cls, n, steps, weights, first, num_blocks) -> "Stages":
+        """Each process on the split-largest chain of its first partition,
+        whose block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k]
+        blocks, for steps[k] stages: the chain stops changing at
+        singletons.  Stage i's blocks start where cut <= i (split_cuts),
+        numbered by the rank of their first atom."""
+        order, cut = split_cuts(n, first, num_blocks)
+        atoms = np.concatenate(([0], n.cumsum()))
+        depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
+        owner = np.arange(len(n)).repeat(depth)  # process of each partition
+        level = np.arange(len(owner)) - (depth.cumsum() - depth).repeat(depth)
+        width = n[owner]
+        id_starts = width.cumsum() - width
+        index = np.arange(int(width.sum()))
+        # Read in position order, entry e is position atom[e]: it holds atom
+        # order[atom[e]], whose id goes to entry slot[e].
+        atom = index + (atoms[owner] - id_starts).repeat(width)
+        opens = cut[atom] <= level.repeat(width)
+        slot = index + order[atom] - atom
+        marked = np.zeros(len(index), dtype=bool)
+        marked[slot] = opens
+        rank = marked.cumsum()
+        head = np.maximum.accumulate(np.where(opens, index, 0))
+        ids = np.empty(len(index), dtype=np.intp)
+        ids[slot] = rank[slot[head]] - rank[id_starts.repeat(width)]
+        blocks = num_blocks[owner] + level
+        ops = RaggedOps(np.append(id_starts, index.size), weights[atom], ids, blocks)
+        step = np.arange(int(steps.sum())) - (steps.cumsum() - steps).repeat(steps)
+        first_group = (depth.cumsum() - depth).repeat(steps)
+        stage = first_group + np.minimum(step, (depth - 1).repeat(steps))
+        return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
+
+    def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None) -> RaggedOps:
+        """RaggedOps over rows laid end to end with the table's block weights,
+        row j conditioned on partition stage[j]: every row of the table in
+        turn, or rows of processes process[j].  Array methods (x.repeat)
+        skip NumPy's wrappers, whose cost shows on small rows."""
+        if process is None:
+            process = np.repeat(np.arange(len(self.n)), self.steps)
+        width, sizes = self.n[process], self.num_blocks[stage]
+        starts, first = np.concatenate(([0], width.cumsum())), sizes.cumsum() - sizes
+        head, element = starts[:-1], np.arange(starts[-1])
+        bins = self.ids[(self.id_starts[stage] - head).repeat(width) + element] + first.repeat(width)
+        weights = self.weights[(self.atoms[process] - head).repeat(width) + element]
+        shift = (self.weight_starts[stage] - first).repeat(sizes)  # bin to block_weight index
+        block_weight = self.block_weight[shift + np.arange(len(shift))]
+        return RaggedOps(starts, weights, bins, len(shift), block_weight)
+
+    def table(self, k: int) -> tuple:
+        """Process k's (weights, (D, n) block ids, stage index), the
+        arguments of the raw-array cores of processes.classify and its kin."""
+        rows = slice(int(self.first_row[k]), int(self.first_row[k] + self.steps[k]))
+        stage = self.stage[rows]
+        first, last = int(stage[0]), int(stage[-1])
+        n = int(self.n[k])
+        start = int(self.id_starts[first])
+        ids = self.ids[start : start + (last - first + 1) * n].reshape(-1, n)
+        return self.weights[self.atoms[k] : self.atoms[k + 1]], ids, stage - first if first else stage
+
+
 def _eq_segments(a: np.ndarray, b: np.ndarray, tol: Tolerance, starts: np.ndarray):
     """Two-sided comparison per trial of atoms laid end to end: (ok, margin,
     atom), the margin -max|a-b| (0 when exactly equal).  Rows a <= b and
@@ -323,65 +495,88 @@ def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> Lattic
     return LatticeElement(f.space, np.power(moment.coords, 1.0 / p))
 
 
-def _stage_index(ops: list) -> tuple[np.ndarray, list, np.ndarray]:
-    """Run starts (stages whose operator object differs from the previous
-    stage's), the distinct operators (equal partitions, first seen first)
-    and each stage's index among them, with one dict lookup per run."""
-    ids = np.fromiter(map(id, ops), dtype=np.intp, count=len(ops))
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    first: dict = {}
-    runs = [
-        first.setdefault(ops[k].partition, (len(first), ops[k]))[0] for k in starts.tolist()
-    ]
-    stage = np.repeat(np.asarray(runs, dtype=np.intp), np.diff(starts, append=len(ops)))
-    return starts, [op for _, op in first.values()], stage
-
-
 class Filtration:
-    """A refining sequence of averaging operators on one space.
+    """A refining sequence of averaging operators on one space, stored as its
+    stage table: stages, the one-process Stages of its distinct partitions
+    (first seen first), their block weights and the stage index.
 
-    Consecutive stages must refine (equal partitions are allowed); a stage
-    may repeat the previous operator object.  Refinement is tested exactly
-    and gives T_i T_j = T_j T_i = T_i for i < j: if F refines C, T_C e_j is
-    constant on F-blocks, so T_F T_C = T_C, and T_C T_F = T_C by
-    self-adjointness in L2(mu).  Transitivity extends this to all pairs.
-
-    The stage structure is indexed once: distinct holds the first-seen
-    operator of each distinct partition, and stage[i] is the index in
-    distinct of stage i's partition.  Space and refinement are checked once
-    per change of operator object.  repeat_last appends that many repeats
-    of the last operator, so a long chain costs O(distinct) Python.
+    Consecutive stages must refine (equal partitions are allowed).
+    Refinement is tested exactly and gives T_i T_j = T_j T_i = T_i for
+    i < j: if F refines C, T_C e_j is constant on F-blocks, so T_F T_C =
+    T_C, and T_C T_F = T_C by self-adjointness in L2(mu).  Transitivity
+    extends this to all pairs.  Filtration(ops) checks the space once per
+    run of one operator object, and refinement on the table at every change
+    of partition: each block of the finer keeps the coarser id of one of its
+    atoms, which every atom's must equal.  default_filtration's chain
+    refines by construction.  filtration[i] builds stage i's operator on
+    first use, its block weights a view of the table's, and keeps it.
     """
 
-    __slots__ = ("space", "ops", "distinct", "stage")
+    __slots__ = ("space", "stages", "stage", "_ops")
 
-    def __init__(self, ops, repeat_last: int = 0):
+    def __init__(self, ops):
         ops = list(ops)
         if not ops:
             raise ValueError("filtration needs at least one stage")
-        starts, distinct, stage = _stage_index(ops)
-        starts = starts.tolist()
+        objects = np.fromiter(map(id, ops), dtype=np.intp, count=len(ops))
+        starts = np.flatnonzero(np.diff(objects, prepend=-1))
         space = ops[0].space
-        for k in starts:
+        for k in starts.tolist():
             if ops[k].space != space:
                 raise SpaceMismatch(f"stage {k} lives on a different space")
-        for k in starts[1:]:
-            if not ops[k].partition.refines(ops[k - 1].partition):
+        first: dict = {}
+        runs = np.array([first.setdefault(ops[k].partition, (len(first), ops[k]))[0] for k in starts])
+        distinct = [op for _, op in first.values()]
+        ids = np.array([op.partition.block_id for op in distinct])
+        changes = np.flatnonzero(runs[1:] != runs[:-1])
+        for rows in row_blocks(len(changes), space.n):
+            fine, coarse = ids[runs[changes[rows] + 1]], ids[runs[changes[rows]]]
+            bins = fine + np.arange(0, fine.size, space.n)[:, None]
+            kept = np.empty(fine.size, dtype=np.intp)
+            kept[bins] = coarse
+            bad = (kept[bins] != coarse).any(axis=1)
+            if bad.any():
+                k = int(starts[changes[rows][bad.argmax()] + 1])
                 raise NotRefining(f"stage {k} does not refine stage {k - 1}")
-        self.space = space
-        self.ops = ops + [ops[-1]] * repeat_last
-        self.distinct = distinct
-        self.stage = np.concatenate((stage, np.full(repeat_last, stage[-1])))
-        self.stage.flags.writeable = False
+        num_blocks = np.array([op.partition.num_blocks for op in distinct])
+        block_weight = np.concatenate([op.block_weight for op in distinct])
+        self._fill(space, ids, num_blocks, block_weight, runs.repeat(np.diff(starts, append=len(ops))))
+
+    @classmethod
+    def _of_table(cls, space: SampleSpace, ids, num_blocks, block_weight, stage) -> "Filtration":
+        """The filtration with this table, (D, n) block ids, taken unchecked."""
+        filtration = cls.__new__(cls)
+        filtration._fill(space, ids, num_blocks, block_weight, stage)
+        return filtration
+
+    def _fill(self, space, ids, num_blocks, block_weight, stage) -> None:
+        count, n = ids.shape
+        stage.flags.writeable = False
+        self.space, self.stage, self._ops = space, stage, [None] * count
+        self.stages = Stages(np.array([n]), np.array([len(stage)]), space.weights, ids.ravel(),
+                             np.arange(0, count * n, n), num_blocks, block_weight, stage)
+
+    @property
+    def distinct(self) -> list:
+        """The operator of each distinct partition, first seen first."""
+        return [self._op(d) for d in range(len(self._ops))]
+
+    def _op(self, d: int) -> ConditionalExpectationOp:
+        """The operator of distinct partition d, built on first use."""
+        if self._ops[d] is None:
+            s = self.stages
+            ids = s.ids[s.id_starts[d] :][: self.space.n]
+            op = ConditionalExpectationOp(Partition(self.space, block_id=ids))
+            op.ragged.block_weight = s.block_weight[s.weight_starts[d] :][: s.num_blocks[d]]
+            self._ops[d] = op
+        return self._ops[d]
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.stage)
 
     def __getitem__(self, i: int) -> ConditionalExpectationOp:
-        return self.ops[i]
-
-    def __iter__(self):
-        return iter(self.ops)
+        """Stage i's operator; IndexError past the end also ends iteration."""
+        return self._op(int(self.stage[i]))
 
     def to_json_dict(self) -> list:
         """Each stage's blocks; stages with one partition share one list."""

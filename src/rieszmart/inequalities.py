@@ -16,7 +16,7 @@ Covered here:
   * the telescoped band-projection bound and the Hajek-Renyi-Chow maximal
     inequality, including Doob's special case a = 1, each checked in array
     passes over the stages of one process or of many laid end to end
-    (processes.StageRows), with projections as masks.
+    (conditional.StageRows), with projections as masks.
 
 burkholder_ratio, telescoping_bound, hrc_maximal and doob_maximal are the
 one-process case of burkholder_rows, telescoping_rows and maximal_rows,
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .conditional import CompatibleTriple, ConditionalExpectationOp, RaggedOps
+from .conditional import CompatibleTriple, ConditionalExpectationOp, RaggedOps, StageRows, Stages
 from .errors import (
     BadExponent,
     BadWeights,
@@ -62,8 +62,6 @@ from .processes import (
     NOT_ADAPTED,
     SUBMARTINGALE,
     ProcessSequence,
-    StageRows,
-    Stages,
     classify,
     decide_gates,
     require_difference_sequence,
@@ -226,7 +224,7 @@ def burkholder_ratio(
         raise exponent_error(p)
     require_difference_sequence(diffs, tol)
     CompatibleTriple(base, diffs.filtration)  # raises Incompatible
-    rows = StageRows(np.array([diffs.space.n]), np.array([len(diffs)]))
+    rows = diffs.filtration.stages
     bad, records, (low, high) = burkholder_rows(
         diffs.values.ravel(), rows, lambda k, mat: base.apply_rows(mat), p, tol
     )
@@ -480,8 +478,7 @@ def maximal_rows(values, rates, g, t1: RaggedOps, rows: StageRows, tol: Toleranc
 def _maximal(process, a_values, g, tol, suite: str, doob: bool) -> VerificationReport:
     """hrc_maximal, or with doob doob_maximal, of one process."""
     a = _check_maximal(process, a_values, g, tol)
-    n, count = process.space.n, len(process)
-    rows = StageRows(np.array([n]), np.array([count]))
+    rows = process.filtration.stages
     t1 = process.filtration[0].ragged  # applied row by row
     bad, parts = maximal_rows(process.values.ravel(), a, g.coords, t1, rows, tol, doob)
     raise_first(*bad)

@@ -5,22 +5,22 @@ compares apply(T_i, f_j) against f_i over every ordered pair i < j, not just
 consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).  The
-groups come from the filtration's stored stage index.  classify, is_adapted
-and is_difference_sequence are shells over cores on raw arrays: the values,
-the atom weights, the block ids of each distinct stage and the stage index.
-decide_gates decides classify and the difference check for a whole batch
-of processes from block means, with these cores only as fallback.
+groups come from the filtration's stage index: a filtration is its stage
+table (conditional.Stages), and classify, is_adapted and
+is_difference_sequence are shells over cores on the table's raw arrays:
+the values, the atom weights, the block ids of each distinct stage and the
+stage index.  decide_gates decides classify and the difference check for a
+whole batch of processes from block means, with these cores only as
+fallback.
 
-Stages lays several processes and their filtrations end to end as block-id
-tables, read from each split-largest chain's cut array (split_cuts), and
-builds their per-row operators as one RaggedOps (Stages.row_ops): the
-gates', T_1's and the generator's.  _mds_rows generates all of their rows
-with one draw and one such operator per row block; generate_mds is its
-one-process case.  Generators draw the stages in row blocks from the
-per-step SplitMix64 substreams (seed, "mds-step", i), so a fixed
-GeneratorConfig reproduces the same process bit for bit.  Step i draws a
-block-constant Z_i for the stage-i partition in [-amplitude, amplitude]
-and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
+default_filtration fills its table from the split-largest cut array
+(split_cuts).  _mds_rows generates the rows of every process of a Stages
+with one draw and one RaggedOps (Stages.row_ops) per row block;
+generate_mds is its one-process case.  Generators draw the stages in row
+blocks from the per-step SplitMix64 substreams (seed, "mds-step", i), so
+a fixed GeneratorConfig reproduces the same process bit for bit.  Step i
+draws a block-constant Z_i for the stage-i partition in [-amplitude,
+amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import (
-    ConditionalExpectationOp,
-    Filtration,
-    Partition,
-    RaggedOps,
-    average_rows,
-)
+from .conditional import Filtration, Stages, average_rows, split_cuts
 from .errors import (
     GeneratorResidual,
     NotAdapted,
@@ -124,7 +118,7 @@ class ProcessSequence:
 
 def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
     """Stages [:stop] grouped by distinct operator, first seen first."""
-    return [(filtration.distinct[d], idx) for d, idx in _groups(filtration.stage, stop)]
+    return [(filtration[int(idx[0])], idx) for _, idx in _groups(filtration.stage, stop)]
 
 
 def _groups(stage: np.ndarray, stop: int | None = None) -> list:
@@ -152,7 +146,7 @@ def _slack(mat: np.ndarray, tol: Tolerance) -> float:
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
-    return _adapted(process.values, *Stages.of(process.filtration).table(0), tol)
+    return _adapted(process.values, *process.filtration.stages.table(0), tol)
 
 
 def _adapted(mat, weights, ids, stage, tol: Tolerance) -> bool:
@@ -180,7 +174,7 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
     Stages from the singleton cut on condition on the identity, so they
     cost one pass over the values with no product (_classify).
     """
-    return _classify(process.values, *Stages.of(process.filtration).table(0), tol)
+    return _classify(process.values, *process.filtration.stages.table(0), tol)
 
 
 def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
@@ -237,7 +231,7 @@ _SIDES = ((np.minimum, np.less, np.subtract), (np.maximum, np.greater, np.add))
 
 def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Martingale difference property: apply(T_{i-1}, Y_i) = 0 for i >= 2."""
-    return _difference_sequence(process.values, *Stages.of(process.filtration).table(0), tol)
+    return _difference_sequence(process.values, *process.filtration.stages.table(0), tol)
 
 
 def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
@@ -338,225 +332,27 @@ def make_space(cfg: GeneratorConfig) -> SampleSpace:
 
 def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     """Single block first, then split the largest block per stage;
-    once singletons are reached the finest operator repeats.  Stage i's
-    block ids are cumsum(cut <= i) - 1 (split_cuts), built one stage at a
-    time: stage i opens a block at the atom whose cut is i."""
+    once singletons are reached the finest partition repeats.  Stage i's
+    block ids are cumsum(cut <= i) - 1 (split_cuts), filled in one row block
+    at a time with one bincount of block weights, and nothing is checked."""
+    if steps < 1:
+        raise ValueError("filtration needs at least one stage")
     n = space.n
     _, cut = split_cuts(np.array([n]), np.zeros(n, dtype=np.intp), np.ones(1, dtype=np.intp))
-    atoms, opens = np.arange(n), np.argsort(cut)
-    ids, ops = np.full(n, -1, dtype=np.intp), []
-    for i in range(min(steps, n)):
-        ids = ids + (atoms >= opens[i])
-        ops.append(ConditionalExpectationOp(Partition(space, block_id=ids)))
-    return Filtration(ops, repeat_last=max(steps - len(ops), 0))
-
-
-def split_cuts(n: np.ndarray, first: np.ndarray, num_blocks: np.ndarray) -> tuple:
-    """The split-largest chains (Partition.split_largest until singletons)
-    from first partitions laid end to end: n[k] atoms with num_blocks[k]
-    blocks in chain k.  In the order of (chain, first block, atom), every
-    block a chain creates is a run of positions whose lower half keeps
-    ceil(s/2) of its s atoms, and a child is smaller than its parent, so
-    the chain splits the nodes of this fixed halving tree by size
-    descending, then lowest atom.  Returns (order, cut): the atom at each
-    position, and the stage at which a block boundary opens before each
-    position, 0 where a first block starts; stage i's blocks start where
-    cut <= i.  O(atoms) memory: about log2(max n) passes and one lexsort."""
-    bins = first + (num_blocks.cumsum() - num_blocks).repeat(n)
-    order = bins.argsort(kind="stable")
-    size = np.bincount(bins)
-    lo = size.cumsum() - size
-    levels = []
-    while len(size):
-        inner = size > 1
-        lo, size = lo[inner], size[inner]
-        levels.append((lo, size))
-        half = (size + 1) // 2
-        lo, size = np.concatenate((lo, lo + half)), np.concatenate((half, size - half))
-    lo, size = (np.concatenate(nodes) for nodes in zip(*levels))
-    chain = n.cumsum().searchsorted(lo, side="right")
-    split = np.lexsort((order[lo], -size, chain))
-    count = np.bincount(chain, minlength=len(n))
-    stage = np.arange(1, len(split) + 1) - (count.cumsum() - count).repeat(count)
-    cut = np.zeros(len(order), dtype=np.intp)
-    cut[(lo + (size + 1) // 2)[split]] = stage
-    return order, cut
-
-
-class StageRows:
-    """Several processes laid end to end in one flat array: process k has
-    steps[k] stages on n[k] atoms, and its values are the C order of a
-    (steps[k], n[k]) array at elements[k]:elements[k + 1].  Row r is one
-    stage of one process, the processes in turn; a process's atoms are
-    atoms[k]:atoms[k + 1] of an array over the atoms of all of them."""
-
-    __slots__ = ("n", "steps", "atoms", "elements", "first_row")
-
-    def __init__(self, n: np.ndarray, steps: np.ndarray):
-        self.n, self.steps = n, steps
-        self.atoms = np.concatenate(([0], n.cumsum()))
-        self.elements = np.concatenate(([0], (n * steps).cumsum()))
-        self.first_row = steps.cumsum() - steps
-
-    @property
-    def size(self) -> int:
-        return int(self.elements[-1])
-
-    def rows(self, rows: slice) -> tuple:
-        """(process, step, n) of each row in rows."""
-        index = np.arange(rows.start, rows.stop)
-        process = self.first_row.searchsorted(index, side="right") - 1
-        return process, index - self.first_row[process], self.n[process]
-
-    def values(self, flat: np.ndarray, k: int) -> np.ndarray:
-        """Process k's (steps, n) view of a flat array over the elements."""
-        return flat[self.elements[k] : self.elements[k + 1]].reshape(-1, int(self.n[k]))
-
-    def spread(self, per_row: np.ndarray) -> np.ndarray:
-        """One value per row, repeated over the row's atoms."""
-        return per_row.repeat(self.n.repeat(self.steps))
-
-    def atom_index(self) -> np.ndarray:
-        """Each element's atom, as an index into an array over all atoms."""
-        width = self.n.repeat(self.steps)
-        heads = self.atoms[:-1].repeat(self.steps)
-        return np.arange(self.size) - (width.cumsum() - width - heads).repeat(width)
-
-    def accumulate(self, ufunc, flat: np.ndarray) -> np.ndarray:
-        """ufunc.accumulate of every process's values along its stages, as
-        on its own (steps, n) array: one call on the processes padded to a
-        (processes, max steps, max n) array, which moves no bit."""
-        padded, at = self._padded(flat)
-        out = ufunc.accumulate(padded, axis=1).reshape(-1)
-        return out if at is None else out[at]
-
-    def previous(self, flat: np.ndarray) -> np.ndarray:
-        """Each element's value one stage earlier, 0 on first stages."""
-        padded, at = self._padded(flat)
-        out = np.zeros_like(padded)
-        out[:, 1:] = padded[:, :-1]
-        return out.reshape(-1) if at is None else out.reshape(-1)[at]
-
-    def _padded(self, flat: np.ndarray) -> tuple:
-        """flat as a (processes, max steps, max n) array, zero past each
-        process's stages and atoms, and the index of each element in it
-        (None when no process is padded, and the array is a view)."""
-        shape = (len(self.n), int(self.steps.max()), int(self.n.max()))
-        if self.size == math.prod(shape):
-            return flat.reshape(shape), None
-        process, step, width = self.rows(slice(0, int(self.steps.sum())))
-        at = self.atom_index() - self.atoms[process].repeat(width)
-        at += ((process * shape[1] + step) * shape[2]).repeat(width)
-        padded = np.zeros(shape, dtype=flat.dtype)
-        padded.reshape(-1)[at] = flat
-        return padded, at
-
-    def row_starts(self) -> np.ndarray:
-        """Each row's first element, and the end of the last row."""
-        return np.concatenate(([0], self.n.repeat(self.steps).cumsum()))
-
-    def stage_of_rows(self) -> np.ndarray:
-        """Each row's stage within its process."""
-        return np.arange(int(self.steps.sum())) - self.first_row.repeat(self.steps)
-
-
-class Stages(StageRows):
-    """Processes laid end to end as in StageRows, with their filtrations as
-    block-id tables rather than Partition and operator objects.
-
-    Row r conditions on partition stage[r] of a table of distinct
-    partitions.  The partitions of a process are consecutive and first seen
-    first, as in Filtration.distinct; partition g of process k holds the
-    block ids ids[id_starts[g]:id_starts[g] + n[k]], numbered by lowest
-    atom, and the weights of its num_blocks[g] blocks from
-    block_weight[weight_starts[g]].  Atom weights are in weights, over the
-    atoms of all processes."""
-
-    __slots__ = ("weights", "ids", "id_starts", "num_blocks", "block_weight", "weight_starts", "stage")
-
-    def __init__(self, n, steps, weights, ids, id_starts, num_blocks, block_weight, stage):
-        super().__init__(n, steps)
-        self.weights, self.ids, self.id_starts = weights, ids, id_starts
-        self.num_blocks, self.block_weight = num_blocks, block_weight
-        self.weight_starts = np.cumsum(num_blocks) - num_blocks
-        self.stage = stage
-
-    @classmethod
-    def of(cls, filtration: Filtration) -> "Stages":
-        """One process on filtration, with its operators' block weights."""
-        n, distinct = filtration.space.n, filtration.distinct
-        return cls(
-            np.array([n]),
-            np.array([len(filtration)]),
-            filtration.space.weights,
-            np.concatenate([op.partition.block_id for op in distinct]),
-            np.arange(len(distinct)) * n,
-            np.array([op.partition.num_blocks for op in distinct]),
-            np.concatenate([op.block_weight for op in distinct]),
-            filtration.stage,
-        )
-
-    @classmethod
-    def split_chains(cls, n, steps, weights, first, num_blocks) -> "Stages":
-        """Each process on the split-largest chain of its first partition,
-        whose block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k]
-        blocks, for steps[k] stages: the chain stops changing at
-        singletons.  Stage i's blocks start where cut <= i (split_cuts),
-        numbered by the rank of their first atom."""
-        order, cut = split_cuts(n, first, num_blocks)
-        atoms = np.concatenate(([0], n.cumsum()))
-        depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
-        owner = np.arange(len(n)).repeat(depth)  # process of each partition
-        level = np.arange(len(owner)) - (depth.cumsum() - depth).repeat(depth)
-        width = n[owner]
-        id_starts = width.cumsum() - width
-        index = np.arange(int(width.sum()))
-        # Read in position order, entry e is position atom[e]: it holds atom
-        # order[atom[e]], whose id goes to entry slot[e].
-        atom = index + (atoms[owner] - id_starts).repeat(width)
-        opens = cut[atom] <= level.repeat(width)
-        slot = index + order[atom] - atom
-        marked = np.zeros(len(index), dtype=bool)
-        marked[slot] = opens
-        rank = marked.cumsum()
-        head = np.maximum.accumulate(np.where(opens, index, 0))
-        ids = np.empty(len(index), dtype=np.intp)
-        ids[slot] = rank[slot[head]] - rank[id_starts.repeat(width)]
-        blocks = num_blocks[owner] + level
-        ops = RaggedOps(np.append(id_starts, index.size), weights[atom], ids, blocks)
-        step = np.arange(int(steps.sum())) - (steps.cumsum() - steps).repeat(steps)
-        first_group = (depth.cumsum() - depth).repeat(steps)
-        stage = first_group + np.minimum(step, (depth - 1).repeat(steps))
-        return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
-
-    def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None) -> RaggedOps:
-        """RaggedOps over rows laid end to end with the table's block weights,
-        row j conditioned on partition stage[j]: every row of the table in
-        turn, or rows of processes process[j].  Array methods (x.repeat)
-        skip NumPy's wrappers, whose cost shows on small rows."""
-        if process is None:
-            process = np.repeat(np.arange(len(self.n)), self.steps)
-        width, sizes = self.n[process], self.num_blocks[stage]
-        starts, first = np.concatenate(([0], width.cumsum())), sizes.cumsum() - sizes
-        head, element = starts[:-1], np.arange(starts[-1])
-        bins = self.ids[(self.id_starts[stage] - head).repeat(width) + element] + first.repeat(width)
-        weights = self.weights[(self.atoms[process] - head).repeat(width) + element]
-        shift = (self.weight_starts[stage] - first).repeat(sizes)  # bin to block_weight index
-        block_weight = self.block_weight[shift + np.arange(len(shift))]
-        return RaggedOps(starts, weights, bins, len(shift), block_weight)
-
-    def table(self, k: int) -> tuple:
-        """Process k's (weights, (D, n) block ids, stage index), the
-        arguments of the raw-array cores _adapted, _classify and
-        _difference_sequence, which decide_gates runs one process at a time
-        only for the processes its batched certificate leaves undecided."""
-        rows = slice(int(self.first_row[k]), int(self.first_row[k] + self.steps[k]))
-        stage = self.stage[rows]
-        first, last = int(stage[0]), int(stage[-1])
-        n = int(self.n[k])
-        start = int(self.id_starts[first])
-        ids = self.ids[start : start + (last - first + 1) * n].reshape(-1, n)
-        return self.weights[self.atoms[k] : self.atoms[k + 1]], ids, stage - first if first else stage
+    depth = min(steps, n)  # distinct partitions: stage i has i + 1 blocks
+    num_blocks = np.arange(1, depth + 1)
+    first = num_blocks.cumsum() - num_blocks
+    ids = np.empty((depth, n), dtype=np.intp)
+    block_weight = np.empty(int(first[-1] + depth))
+    for rows in row_blocks(depth, n):
+        block = ids[rows]
+        np.cumsum(cut <= np.arange(rows.start, rows.stop)[:, None], axis=1, out=block)
+        block -= 1
+        lo, hi = first[rows.start], first[rows.stop - 1] + rows.stop
+        bins = block + (first[rows] - lo)[:, None]
+        block_weight[lo:hi] = np.bincount(bins.ravel(), np.tile(space.weights, len(block)))
+    stage = np.minimum(np.arange(steps), depth - 1)
+    return Filtration._of_table(space, ids, num_blocks, block_weight, stage)
 
 
 # decide_gates leaves to the exact cores a process whose max|f| (but 0) or
@@ -657,6 +453,8 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     draws its own substream (seed, "mds-step", i).  Raises GeneratorResidual
     (an AssertionError) when the guard T_{i-1} Y_i = 0 fails, which a
     filtration whose block weights disagree with its atom weights can do.
+    A given filtration fixes the space, so cfg.dim and cfg.weight_mode are
+    then unused; its length must be cfg.steps.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
@@ -669,7 +467,7 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     elif len(filtration) != cfg.steps:
         raise ValueError("filtration length does not match steps")
     prefix = np.array([derive_seed(cfg.seed, "mds-step")], dtype=np.uint64)
-    values, failed = _mds_rows(Stages.of(filtration), prefix, cfg.amplitude)
+    values, failed = _mds_rows(filtration.stages, prefix, cfg.amplitude)
     raise_first(failed)
     # The blocks' temporaries are freed before ProcessSequence copies the rows.
     return ProcessSequence(filtration, values.reshape(cfg.steps, -1))

@@ -17,8 +17,8 @@ offset per trial, and per-trial outcomes from segment reductions, recorded
 trial by trial.  A raising batch raises what its first failing trial raises.
 
 burkholder, telescoping, hrc and doob generate their processes together:
-every trial's split-largest chain is one cut array (processes.split_cuts),
-read out with no loop over stages as a block-id table (processes.Stages,
+every trial's split-largest chain is one cut array (conditional.split_cuts),
+read out with no loop over stages as a block-id table (conditional.Stages,
 not Partition and operator objects), one pass of processes._mds_rows draws
 every trial's rows and conditions them through Stages.row_ops, and the
 checkers run over the batch's (trial * stage, atoms) rows.  The label and difference-sequence
@@ -38,7 +38,15 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bands import exclusion_checks, inf_inequality_checks, sup_formula, sup_identity_checks
-from .conditional import ConditionalExpectationOp, Partition, RaggedOps, average_rows, axiom_checks
+from .conditional import (
+    ConditionalExpectationOp,
+    Partition,
+    RaggedOps,
+    StageRows,
+    Stages,
+    average_rows,
+    axiom_checks,
+)
 from .errors import RieszmartError
 from .inequalities import (
     burkholder_rows,
@@ -61,7 +69,7 @@ from .lattice import (
     raise_first,
     row_blocks,
 )
-from .processes import StageRows, Stages, _mds_rows
+from .processes import _mds_rows
 from .reports import VerificationReport
 from .rng import (
     Streams,

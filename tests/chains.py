@@ -1,8 +1,9 @@
 """Test inputs: random first partitions and split-largest chains.
 
-split_largest_chain repeats Partition.split_largest one stage at a time, so
-it shares no code with processes.split_cuts, which builds every chain
-whole; it is the reference the chain tests compare against.
+split_largest splits one partition's largest block, and split_largest_chain
+repeats it one stage at a time, so they share no code with
+conditional.split_cuts, which builds every chain whole; they are the
+reference the chain tests compare against.
 """
 
 import numpy as np
@@ -11,13 +12,31 @@ from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partitio
 from rieszmart.suites import _partition_ids, _partition_words
 
 
+def split_largest(part: Partition) -> Partition:
+    """Split the largest block in half (ties: block with the lowest atom).
+    The upper half takes the label after those of the blocks starting
+    below it, and every later label moves up by one; singletons are
+    returned as they are."""
+    bid = part.block_id
+    sizes = np.bincount(bid)
+    largest = sizes.argmax()  # first maximum: the lowest first atom
+    if sizes[largest] == 1:
+        return part
+    members = np.flatnonzero(bid == largest)
+    upper = members[(members.size + 1) // 2 :]
+    label = bid[: upper[0]].max() + 1
+    child = bid + (bid >= label)
+    child[upper] = label
+    return Partition(part.space, block_id=child)
+
+
 def split_largest_chain(first: Partition, steps: int) -> Filtration:
     """first, then split the largest block per stage: one operator per
     distinct partition, the singleton operator repeated by reference."""
     ops = [ConditionalExpectationOp(first)]
     while len(ops) < steps and not ops[-1].is_identity:
-        ops.append(ConditionalExpectationOp(ops[-1].partition.split_largest()))
-    return Filtration(ops[:steps], repeat_last=max(steps - len(ops), 0))
+        ops.append(ConditionalExpectationOp(split_largest(ops[-1].partition)))
+    return Filtration(ops[:steps] + [ops[-1]] * (steps - len(ops)))
 
 
 def random_partition(stream, space) -> Partition:

@@ -990,10 +990,10 @@ def tampered_filtrations(seed):
 
 
 def stages_of(*filtrations):
-    """Stages.of for several filtrations: their tables laid end to end."""
-    from rieszmart.processes import Stages
+    """The stage tables of several filtrations laid end to end."""
+    from rieszmart.conditional import Stages
 
-    one = [Stages.of(f) for f in filtrations]
+    one = [f.stages for f in filtrations]
     groups = np.array([len(s.num_blocks) for s in one])
     width = np.repeat([s.n[0] for s in one], groups)
     return Stages(
@@ -1087,7 +1087,7 @@ def maximal_batches():
     weights), as the suites generate them at the module block size, and
     each with one partition's block weights tampered by x1.01."""
     from rieszmart import suites
-    from rieszmart.processes import Stages
+    from rieszmart.conditional import Stages
 
     batches, real = [], suites._mds_rows
 

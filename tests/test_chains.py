@@ -1,9 +1,10 @@
 """Split-largest chains from the cut array against repeated split_largest.
 
 Stages.split_chains and default_filtration read every chain from
-processes.split_cuts.  Every stage of both must match
-chains.split_largest_chain, which repeats Partition.split_largest: block
-ids, block counts, block weights bit for bit, and the stage index.  The
+conditional.split_cuts.  Every stage of both must match
+chains.split_largest_chain, which repeats chains.split_largest: block
+ids, block counts, block weights bit for bit, the stage index, and for
+default_filtration every stage's blocks in to_json_dict.  The
 grid is fixed before comparing: dims 1 to 257; single-block first
 partitions, random ones drawn by suites._partition_ids, and singletons on
 dims 1, 17, ..., 257; uniform and random weights; horizons below, at and
@@ -16,9 +17,9 @@ import tracemalloc
 import numpy as np
 from chains import split_largest_chain
 
-from rieszmart.conditional import Partition
+from rieszmart.conditional import Partition, Stages, split_cuts
 from rieszmart.lattice import SampleSpace
-from rieszmart.processes import Stages, default_filtration, split_cuts
+from rieszmart.processes import default_filtration
 from rieszmart.rng import SplitMix64
 from rieszmart.suites import _partition_ids, _partition_words
 
@@ -99,6 +100,7 @@ def test_default_filtration_matches_repeated_split_largest():
             assert np.array_equal(op.partition.block_id, want.partition.block_id)
             assert op.partition.num_blocks == want.partition.num_blocks
             assert op.block_weight.tobytes() == want.block_weight.tobytes()
+        assert filtration.to_json_dict() == expected.to_json_dict()
 
 
 def test_a_chain_on_a_million_atoms_is_linear():

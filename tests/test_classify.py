@@ -38,7 +38,6 @@ from rieszmart.processes import (
     GeneratorConfig,
     NotAdapted,
     ProcessSequence,
-    Stages,
     _adapted,
     _classify,
     _groups,
@@ -95,7 +94,7 @@ def same_label(filtration, values, tol, full=True):
     """The outcome of _classify, asserted equal to old_classify's and, with
     full, to classify_full_matrix's."""
     process = ProcessSequence(filtration, values)
-    table = (process.values, *Stages.of(filtration).table(0), tol)
+    table = (process.values, *filtration.stages.table(0), tol)
     label = outcome(_classify, *table)
     assert label == outcome(old_classify, *table)
     if full:

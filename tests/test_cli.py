@@ -647,13 +647,18 @@ def tamper_block_weights(stages):
 )
 def test_a_failing_generator_guard_exits_2(argv, tmp_path, monkeypatch, capsys):
     from rieszmart import processes
+    from rieszmart.conditional import Stages
     from rieszmart.errors import GeneratorResidual
 
-    stages_of, split_chains = processes.Stages.of, processes.Stages.split_chains
-    monkeypatch.setattr(processes.Stages, "of", lambda f: tamper_block_weights(stages_of(f)))
-    monkeypatch.setattr(
-        processes.Stages, "split_chains", lambda *a: tamper_block_weights(split_chains(*a))
-    )
+    made, split_chains = processes.default_filtration, Stages.split_chains
+
+    def tampered_filtration(*args):
+        filtration = made(*args)
+        tamper_block_weights(filtration.stages)
+        return filtration
+
+    monkeypatch.setattr(processes, "default_filtration", tampered_filtration)
+    monkeypatch.setattr(Stages, "split_chains", lambda *a: tamper_block_weights(split_chains(*a)))
     out = ["--output-dir", str(tmp_path)] if argv[0] == "simulate" else ["--output", str(tmp_path / "r.json")]
     assert main(argv + out) == 2
     err = capsys.readouterr().err

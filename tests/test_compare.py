@@ -42,6 +42,7 @@ from rieszmart import (
     submartingale_convergence_experiment,
 )
 from rieszmart.cli import main
+from rieszmart.conditional import averaging_matrix
 from rieszmart.lattice import MarginCheck, compare, require_finite
 from rieszmart.processes import _stage_groups, make_space, require_difference_sequence
 from rieszmart.reports import CheckSummary, VerificationReport, checkpoint_schedule, dump_json
@@ -97,8 +98,9 @@ def old_burkholder_p2(diffs, base, tol):
     require_difference_sequence(diffs, DEFAULT_TOL)
     report = VerificationReport(suite="burkholder", trials=1, tol=tol)
     sums = partial_sums(diffs)
-    a_side = np.abs(sums.values) ** 2.0 @ base.matrix().T
-    b_side = square_function(sums).values ** 1.0 @ base.matrix().T
+    matrix = averaging_matrix(base.space.weights, base.partition.block_id)
+    a_side = np.abs(sums.values) ** 2.0 @ matrix.T
+    b_side = square_function(sums).values ** 1.0 @ matrix.T
     gap = np.abs(a_side - b_side)
     slack = tol.slack(a_side, b_side)
     worst = int(np.argmax(gap - slack))
@@ -144,7 +146,7 @@ def old_slacked_min(summary, gaps, slack, witness):
 
 
 def old_condition(op, mat):
-    return mat if op.is_identity else mat @ op.matrix().T
+    return mat if op.is_identity else mat @ averaging_matrix(op.space.weights, op.partition.block_id).T
 
 
 def old_term_checks(process, a, p, tol):

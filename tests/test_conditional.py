@@ -24,9 +24,9 @@ from rieszmart import (
     multiply,
     verify_axioms,
 )
-from rieszmart.conditional import RaggedOps
+from rieszmart.conditional import RaggedOps, averaging_matrix
 from rieszmart.rng import SplitMix64
-from chains import random_partition, refining_filtration
+from chains import random_partition, refining_filtration, split_largest
 
 
 def block_average_oracle(space, blocks, values):
@@ -94,13 +94,13 @@ def test_singletons_and_single_block():
 def test_split_largest_halves_top_block():
     space = SampleSpace.uniform(5)
     part = Partition.single_block(space)
-    once = part.split_largest()
+    once = split_largest(part)
     assert once.blocks == ((0, 1, 2), (3, 4))
-    twice = once.split_largest()
+    twice = split_largest(once)
     assert twice.blocks == ((0, 1), (2,), (3, 4))
     # Splitting singletons is a fixed point.
     fine = Partition.singletons(space)
-    assert fine.split_largest() is fine
+    assert split_largest(fine) is fine
 
 
 # --- the operator vs the loop oracle ------------------------------------------
@@ -235,13 +235,13 @@ def test_apply_rows_returns_the_rows_for_the_identity():
     rows = np.array([[1.5, -2.0, 0.0, 3.25], [0.0, 1e-300, -7.0, 2.0]])
     assert op.apply_rows(rows) is rows
     # The dense product it skips gives the same values.
-    assert np.array_equal(rows @ op.matrix().T, rows)
+    assert np.array_equal(rows @ averaging_matrix(space.weights, op.partition.block_id).T, rows)
 
 
 def test_matrix_is_stochastic_and_idempotent():
     space = SampleSpace([0.1, 0.2, 0.3, 0.4])
     op = ConditionalExpectationOp(Partition(space, [[0, 1, 2], [3]]))
-    m = op.matrix()
+    m = averaging_matrix(space.weights, op.partition.block_id)
     assert np.allclose(m.sum(axis=1), 1.0)
     assert np.allclose(m @ m, m, atol=1e-14)
     f = space.element([1.0, -1.0, 2.0, 0.5])
@@ -434,6 +434,9 @@ def test_filtration_tower_property_on_random_elements():
 def test_filtration_needs_a_stage_and_one_space():
     with pytest.raises(ValueError):
         make_filtration(SampleSpace.uniform(2), [])
+    for steps in (0, -2):
+        with pytest.raises(ValueError, match="^filtration needs at least one stage$"):
+            default_filtration(SampleSpace.uniform(2), steps)
     a = ConditionalExpectationOp(Partition.single_block(SampleSpace.uniform(2)))
     b = ConditionalExpectationOp(Partition.single_block(SampleSpace.uniform(3)))
     with pytest.raises(SpaceMismatch):
@@ -539,12 +542,12 @@ def test_split_largest_chains_share_the_singleton_operator():
     # Same stages as one fresh operator per split-largest partition.
     parts = [Partition.single_block(space)]
     while len(parts) < 9:
-        parts.append(parts[-1].split_largest())
+        parts.append(split_largest(parts[-1]))
     assert len(filt) == 9
     assert filt.to_json_dict() == [p.to_json_dict() for p in parts]
     assert [filt[i].partition for i in range(9)] == parts
-    assert len({id(op) for op in filt.ops[:5]}) == 5
-    assert all(op is filt[4] for op in filt.ops[4:])
+    assert len({id(op) for op in list(filt)[:5]}) == 5
+    assert all(op is filt[4] for op in list(filt)[4:])
     assert filt[4].is_identity and not filt[3].is_identity
     assert len(default_filtration(space, 3)) == 3
 
@@ -552,7 +555,8 @@ def test_split_largest_chains_share_the_singleton_operator():
         chain = refining_filtration(SplitMix64(seed), space, 12)
         assert len(chain) == 12
         first = next(i for i, op in enumerate(chain) if op.is_identity)
-        assert all(op is chain[first] for op in chain.ops[first:])
-        assert len({id(op) for op in chain.ops[: first + 1]}) == first + 1
-        for coarse, fine in zip(chain.ops[:first], chain.ops[1 : first + 1]):
-            assert fine.partition == coarse.partition.split_largest()
+        ops = list(chain)
+        assert all(op is chain[first] for op in ops[first:])
+        assert len({id(op) for op in ops[: first + 1]}) == first + 1
+        for coarse, fine in zip(ops[:first], ops[1 : first + 1]):
+            assert fine.partition == split_largest(coarse.partition)

@@ -13,19 +13,19 @@ and values scaled by 2^900 and 2^-900, which only the exact cores decide.
 
 import numpy as np
 import pytest
+from chains import refining_filtration
 
 from rieszmart import DEFAULT_TOL, Tolerance, inequalities, suites
 from rieszmart.errors import NotAdapted, NotDifferenceSequence, NotSubmartingale
 from rieszmart.inequalities import difference_check, label_check
-from rieszmart.lattice import raise_first
-from rieszmart.conditional import Filtration
+from rieszmart.lattice import SampleSpace, raise_first
+from rieszmart.conditional import Filtration, Partition, Stages, make_filtration
 from rieszmart.processes import (
     MARTINGALE,
     SUBMARTINGALE,
     SUPERMARTINGALE,
     GeneratorConfig,
     ProcessSequence,
-    Stages,
     _classify,
     _difference_sequence,
     _mds_rows,
@@ -274,7 +274,8 @@ def test_default_verify_runs_send_no_process_to_the_exact_cores(suite, monkeypat
 def repeated(filtration, values, at, zero):
     """filtration and values with stage at repeated right after itself: the
     same operator object, and the same value, or with zero a zero increment."""
-    ops = filtration.ops[: at + 1] + [filtration.ops[at]] + filtration.ops[at + 1 :]
+    ops = list(filtration)
+    ops = ops[: at + 1] + [ops[at]] + ops[at + 1 :]
     row = np.zeros(values.shape[1]) if zero else values[at]
     return Filtration(ops), np.insert(values, at + 1, row, axis=0)
 
@@ -287,7 +288,7 @@ def label_of(filtration, values):
 
 
 def gates_of(filtration, values, labels):
-    bad, label, _ = decide_gates(Stages.of(filtration), values.ravel(), DEFAULT_TOL, labels)
+    bad, label, _ = decide_gates(filtration.stages, values.ravel(), DEFAULT_TOL, labels)
     return bad.tolist(), label
 
 
@@ -362,7 +363,7 @@ def scaling_cases():
 def gates_at(filt, values, diffs, tol):
     """classify's label (or "NotAdapted"), is_adapted, is_difference_sequence,
     and decide_gates' (bad, label, exact) on the values and the differences."""
-    stages = Stages.of(filt)
+    stages = filt.stages
     process, differences = ProcessSequence(filt, values), ProcessSequence(filt, diffs)
     try:
         out = [classify(process, tol)]
@@ -387,3 +388,73 @@ def test_exact_power_of_two_scaling_moves_no_gate():
     assert {MARTINGALE, SUBMARTINGALE, SUPERMARTINGALE, "NotAdapted"} <= labels
     assert {difference for _, difference, _ in seen} == {True, False}
     assert {exact for _, _, exact in seen} == {True, False}  # both paths of decide_gates
+
+
+# --- splitting an atom moves no gate ----------------------------------------------
+#
+# Splitting atom a into two atoms of half its weight that carry its value, and
+# lifting every partition so that both halves share a's block, keeps every
+# block's weight and every block mean; only the rounding of the sums, which
+# take one term more, can move.  So classify, is_adapted and
+# is_difference_sequence must give the unsplit verdicts wherever no margin lies
+# within rounding of the slack.  The lifted filtration is built from one
+# operator per stage (make_filtration), the operators-to-table path.
+
+
+def split_atom(filtration, atom):
+    """filtration with atom split in two, the copy right after it, both of
+    half its weight, and the atom map that carries the values over."""
+    lift = np.insert(np.arange(filtration.space.n), atom + 1, atom)
+    weights = filtration.space.weights[lift]
+    weights[atom : atom + 2] /= 2.0
+    space = SampleSpace(weights)
+    parts = [Partition(space, block_id=op.partition.block_id[lift]) for op in filtration]
+    return make_filtration(space, parts), lift
+
+
+def verdicts(filtration, values, diffs):
+    """classify's label (or None when not adapted), is_adapted, and
+    is_difference_sequence of the differences."""
+    process = ProcessSequence(filtration, values)
+    return (
+        label_of(filtration, values),
+        is_adapted(process),
+        is_difference_sequence(ProcessSequence(filtration, diffs)),
+    )
+
+
+def splitting_cases():
+    """(filtration, process values, difference values, atom) on a grid fixed
+    before comparing: dims 2-16, horizons 1 to 3 dim, both weight modes,
+    split-largest chains from a single block and from random first
+    partitions; martingales, positive-part and drift submartingales, and a
+    non-adapted process."""
+    for seed in range(60):
+        dim = 2 + seed % 15
+        cfg = GeneratorConfig(seed, dim, 1 + (5 * seed) % (3 * dim), 1.0, ("uniform", "random")[seed % 2])
+        space = make_space(cfg)
+        if seed % 3:
+            filt = default_filtration(space, cfg.steps)
+        else:
+            filt = refining_filtration(SplitMix64(derive_seed(seed, "split-atom")), space, cfg.steps)
+        diffs = generate_mds(cfg, filt).values
+        sums = np.cumsum(diffs, axis=0)
+        moved = sums.copy()
+        moved[0, 0] += 0.25  # not adapted where stage 1 joins atom 0 to another
+        kinds = [sums, moved]
+        kinds += [generate_submartingale(cfg, mode, filt).values for mode in ("positive-part", "drift")]
+        for values in kinds:
+            yield filt, values, np.diff(values, axis=0, prepend=0.0), (3 * seed) % dim
+        yield filt, sums, diffs, (3 * seed) % dim
+
+
+def test_splitting_an_atom_moves_no_gate():
+    seen = set()
+    for filt, values, diffs, atom in splitting_cases():
+        expected = verdicts(filt, values, diffs)
+        lifted, lift = split_atom(filt, atom)
+        assert len(lifted) == len(filt) and len(lifted.distinct) == len(filt.distinct)
+        assert verdicts(lifted, values[:, lift], diffs[:, lift]) == expected
+        seen.add(expected)
+    assert {MARTINGALE, SUBMARTINGALE, None} <= {label for label, _, _ in seen}
+    assert {difference for _, _, difference in seen} == {True, False}

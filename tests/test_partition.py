@@ -23,7 +23,7 @@ from rieszmart import (
     default_filtration,
 )
 from rieszmart.rng import SplitMix64
-from chains import refining_filtration
+from chains import refining_filtration, split_largest
 
 
 class OldPartition:
@@ -119,10 +119,10 @@ def chains():
         blocks = random_blocks(stream, n) if stream.next_float() < 0.7 else [range(n)]
         new, old = [Partition(space, blocks)], [OldPartition(space, blocks)]
         while not new[-1].is_singletons:
-            new.append(new[-1].split_largest())
+            new.append(split_largest(new[-1]))
             old.append(old[-1].split_largest())
         assert old[-1].split_largest() is old[-1]
-        assert new[-1].split_largest() is new[-1]
+        assert split_largest(new[-1]) is new[-1]
         yield new, old
 
 
@@ -203,7 +203,7 @@ def test_filtration_json_lists_every_stage():
     for seed in range(12):
         space = SampleSpace.uniform(1 + seed % 9)
         filt = refining_filtration(SplitMix64(seed), space, 3 * space.n)
-        expected = [OldPartition(space, op.partition.blocks).to_json_dict() for op in filt.ops]
+        expected = [OldPartition(space, op.partition.blocks).to_json_dict() for op in filt]
         assert filt.to_json_dict() == expected
 
 
@@ -229,7 +229,9 @@ def test_every_split_goes_through_the_constructor(monkeypatch):
 
     monkeypatch.setattr(Partition, "__init__", counting)
     filt = default_filtration(SampleSpace.uniform(8), 12)
-    assert len(built) == len(filt.distinct) == 8
+    assert not built  # the stage table holds no Partition until one is indexed
+    assert len(filt.distinct) == len(built) == 8
+    assert filt[11] is filt.distinct[-1] and len(built) == 8
 
 
 @pytest.mark.parametrize(

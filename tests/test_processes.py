@@ -56,7 +56,7 @@ def classify_full_matrix(process, tol=DEFAULT_TOL):
     slack = tol.abs + tol.rel * float(np.max(np.abs(mat)))
     is_sub = True
     is_super = True
-    for op, idx in op_groups_by_dict(process.filtration.ops[: count - 1]):
+    for op, idx in op_groups_by_dict(list(process.filtration)[: count - 1]):
         idx = np.asarray(idx)
         transformed = mat if op.is_identity else op.apply_rows(mat)
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]
@@ -294,14 +294,15 @@ def generate_mds_per_stage(cfg, filtration):
     apply_array calls per stage, the loop the stacked draw replaced."""
     rows = np.empty((cfg.steps, filtration.space.n))
     check_slack = 1e-12 * max(1.0, cfg.amplitude)
-    for i, op in enumerate(filtration.ops):
+    ops = list(filtration)
+    for i, op in enumerate(ops):
         stream = SplitMix64(derive_seed(cfg.seed, "mds-step", i))
         vals = stream.uniforms(op.partition.num_blocks, -cfg.amplitude, cfg.amplitude)
         z = vals[op.partition.block_id]
         if i == 0:
             rows[i] = z
         else:
-            prev = filtration.ops[i - 1]
+            prev = ops[i - 1]
             rows[i] = z - prev.apply_array(z)
             residual = np.max(np.abs(prev.apply_array(rows[i])))
             if residual > check_slack:
@@ -375,8 +376,22 @@ def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
     with pytest.raises(AssertionError) as stacked:
         generate_mds(cfg, filt)
     assert str(stacked.value) == str(oracle.value)
-    first = filt.ops.index(op) + 1
+    first = list(filt).index(op) + 1
     assert str(stacked.value).endswith(f"at step {first}")
+
+
+
+def test_a_filtration_takes_its_operators_block_weights():
+    # Filtration(ops) copies each distinct partition's block weights from its
+    # first operator, so one tampered before the build still trips the guard.
+    cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
+    ops = list(default_filtration(make_space(cfg), cfg.steps))
+    op = ConditionalExpectationOp(ops[2].partition)
+    op.block_weight = op.block_weight * 1.01
+    filt = Filtration(ops[:2] + [op] + ops[3:])
+    assert filt[2] is not op and filt[2].block_weight.tobytes() == op.block_weight.tobytes()
+    with pytest.raises(GeneratorResidual, match="at step 3$"):
+        generate_mds(cfg, filt)
 
 
 BLOCK_DIMS = (1, 3, 8)
@@ -426,7 +441,7 @@ def test_blocked_residual_guard_names_the_oracle_step(block_elements, tampered, 
     with pytest.raises(AssertionError) as blocked:
         generate_mds(cfg, filt)
     assert str(blocked.value) == str(oracle.value)
-    assert str(blocked.value).endswith(f"at step {filt.ops.index(op) + 1}")
+    assert str(blocked.value).endswith(f"at step {list(filt).index(op) + 1}")
 
 
 # --- the singleton suffix -------------------------------------------------------
@@ -609,20 +624,26 @@ def stored_index_filtrations():
 
 
 def test_stored_stage_index_matches_per_stage_rescan():
-    for filt in stored_index_filtrations():
-        distinct, stage = stage_index_by_rescan(filt.ops)
-        assert len(filt.distinct) == len(distinct)
-        assert all(a is b for a, b in zip(filt.distinct, distinct))
-        assert filt.stage.dtype == np.intp and not filt.stage.flags.writeable
-        assert filt.stage.tolist() == stage.tolist()
-        # The prefixes the consumers read: [:count - 1], [:-1] and the whole.
-        for stop in (None, len(filt) - 1, -1):
-            got = _stage_groups(filt, stop)
-            expected = op_groups_by_dict(filt.ops[:stop])
-            assert [op for op, _ in got] == [op for op, _ in expected]
-            assert all(a is b for (a, _), (b, _) in zip(got, expected))
-            assert [idx.tolist() for _, idx in got] == [idx for _, idx in expected]
-            assert all(idx.dtype == np.intp for _, idx in got)
+    for built in stored_index_filtrations():
+        ops = list(built)
+        # The stage operators handed to a new filtration, which owns its own.
+        for filt in (built, Filtration(ops)):
+            distinct, stage = stage_index_by_rescan(ops)
+            assert len(filt.distinct) == len(distinct)
+            assert all(a == b for a, b in zip(filt.distinct, distinct))
+            assert all(
+                a.block_weight.tobytes() == b.block_weight.tobytes()
+                for a, b in zip(filt.distinct, distinct)
+            )
+            assert filt.stage.dtype == np.intp and not filt.stage.flags.writeable
+            assert filt.stage.tolist() == stage.tolist()
+            # The prefixes the consumers read: [:count - 1], [:-1] and the whole.
+            for stop in (None, len(filt) - 1, -1):
+                got = _stage_groups(filt, stop)
+                expected = op_groups_by_dict(ops[:stop])
+                assert [op for op, _ in got] == [op for op, _ in expected]
+                assert [idx.tolist() for _, idx in got] == [idx for _, idx in expected]
+                assert all(idx.dtype == np.intp for _, idx in got)
 
 
 def test_interleaved_equal_operators_form_one_group():
@@ -632,18 +653,8 @@ def test_interleaved_equal_operators_form_one_group():
     assert filt.distinct[0] is filt[0]
 
 
-def test_repeat_last_matches_the_expanded_list():
-    space = SampleSpace(np.linspace(0.2, 1.0, 6))
-    ops = default_filtration(space, 6).ops
-    for k in (0, 1, 5, 1000):
-        short = Filtration(ops, repeat_last=k)
-        full = Filtration(ops + [ops[-1]] * k)
-        assert len(short) == len(full) == len(ops) + k
-        assert all(a is b for a, b in zip(short.ops, full.ops))
-        assert all(a is b for a, b in zip(short.distinct, full.distinct))
-        assert short.stage.tolist() == full.stage.tolist()
-        assert short.to_json_dict() == full.to_json_dict()
-    # A short chain, repeated or not, stops at the requested step count.
+def test_a_short_chain_repeats_its_last_stage_to_the_horizon():
+    # A short chain stops at the requested step count.
     assert len(default_filtration(SampleSpace.uniform(2), 100_000)) == 100_000
     assert default_filtration(SampleSpace.uniform(2), 100_000).stage[-3:].tolist() == [1, 1, 1]
 
