@@ -11,6 +11,14 @@ Order convergence is replaced by two desk-scale surrogates:
     below is set so genuinely summable desk cases pass (inverse squares at
     N = 10^4 have tail about 1e-4) while divergent ones miss by orders of
     magnitude (the harmonic tail over the same window is ln 2).
+
+Tall (N, n) stacks run at array speed with every output bit of the plain
+NumPy calls.  Running sums add two columns per complex add (_running_sum).
+Powers of |Y_i| skip zero bases, which past the singleton cut are almost all
+of them (_raise_nonzero).  slln-n checks its three relations in one pass over
+row blocks.  T_1's dense products keep whole operands: rows @ M.T may round a
+row differently with the number of rows that share the product, so splitting
+it into row blocks would move output bits.
 """
 
 from __future__ import annotations
@@ -140,6 +148,34 @@ def decay_report(
     )
 
 
+def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.cumsum(x, axis=0, out=out) of a 2-d float64 stack.  When a row
+    holds an even number of values and the rows are C-contiguous, each pair
+    of columns is viewed as one complex128: a complex add is two double
+    adds, so every column gets the adds of np.cumsum in the same order, and
+    the two chains of a pair run side by side instead of one after the
+    other."""
+    if (
+        x.dtype != np.float64
+        or x.shape[1] % 2
+        or not x.flags.c_contiguous
+        or (out is not None and not out.flags.c_contiguous)
+    ):
+        return np.cumsum(x, axis=0, out=out)
+    pairs = None if out is None else out.view(np.complex128)
+    return np.cumsum(x.view(np.complex128), axis=0, out=pairs).view(np.float64)
+
+
+def _raise_nonzero(x: np.ndarray, p: float) -> None:
+    """x **= p in place for bases that are np.abs values and p > 0, one row
+    block at a time.  A zero base keeps its +0.0, which is pow(+0.0, p),
+    without the call to pow: its zero path costs several times a positive
+    base's, and past the singleton cut almost every base is zero."""
+    for rows in row_blocks(*x.shape):
+        block = x[rows]
+        np.power(block, p, out=block, where=block != 0.0)
+
+
 def _cumsum_blocks(terms: np.ndarray, start: np.ndarray | None = None):
     """(rows, partial sums) of cumsum(terms, axis=0) one row block at a time,
     added to start if given.  Each block's first row adds the last partial
@@ -149,7 +185,7 @@ def _cumsum_blocks(terms: np.ndarray, start: np.ndarray | None = None):
         block = np.array(terms[rows])
         if carry is not None:
             block[0] += carry
-        np.cumsum(block, axis=0, out=block)
+        _running_sum(block, out=block)
         carry = block[-1]
         yield rows, block
 
@@ -229,7 +265,7 @@ def cesaro_weighted_mean(
     b = rates.values(count)
     z = np.zeros_like(mat)
     if count > 1:
-        weighted = np.cumsum(np.diff(b)[:, None] * mat[:-1], axis=0)
+        weighted = _running_sum(np.diff(b)[:, None] * mat[:-1])
         z[1:] = weighted / b[1:, None]
     return decay_report(z, epsilon)
 
@@ -250,21 +286,21 @@ def kronecker_transform(
         )
     rates.require_divergent()
     b = rates.values(mat.shape[0])
-    z = np.cumsum(b[:, None] * mat, axis=0) / b[:, None]
+    z = _running_sum(b[:, None] * mat) / b[:, None]
     return decay_report(z, epsilon)
 
 
 class _Fold:
-    """One check lhs <= rhs + slack fed a stack in consecutive row blocks.
-    The misses add up, the margin is the least, and the witness is the first
-    worst component: what one compare over the ravelled stack gives."""
+    """One check lhs <= rhs + slack fed finite stacks in consecutive row
+    blocks.  The misses add up, the margin is the least, and the witness is
+    the first worst component: what one compare over the ravelled stack
+    gives."""
 
     def __init__(self):
         self.misses, self.margin, self.rows = 0, math.inf, 0
         self.worst = self.where = None
 
     def add(self, lhs, rhs, slack) -> None:
-        require_finite(lhs, rhs)
         shape = np.broadcast(lhs, rhs).shape
         misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
         pos = np.unravel_index(at, shape)
@@ -289,6 +325,7 @@ def _check(summary: CheckSummary, lhs, rhs, slack, witness: str) -> None:
     fold = _Fold()
     for rows in row_blocks(*np.broadcast(lhs, rhs).shape):
         low, high = (x if np.ndim(x) == 0 else x[rows] for x in (lhs, rhs))
+        require_finite(low, high)
         fold.add(low, high, slack(low, high))
     fold.record(summary, witness)
 
@@ -371,7 +408,7 @@ def slln_p_le_2(
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         absy_p **= p
         series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
-        absx_p = np.cumsum(diffs.values, axis=0)
+        absx_p = _running_sum(diffs.values)
         decay = decay_report(absx_p / a[:, None], epsilon)
         np.abs(absx_p, out=absx_p)
         absx_p **= p
@@ -382,21 +419,25 @@ def slln_p_le_2(
     scale = float(np.max(absx_p)) if absx_p.size else 1.0
     if count > 1:
         slack = tol.abs + tol.rel * scale
-        for op, idx in _stage_groups(diffs.filtration, count - 1):
-            lower, upper = _Fold(), _Fold()
-            # The identity group, most stages of a long horizon, is gathered
-            # one row block at a time; a dense product keeps whole operands.
-            if op.is_identity:
-                parts = [idx[rows] for rows in row_blocks(len(idx), absx_p.shape[1])]
-            else:
-                parts = [idx]
-            for rows in parts:
-                nxt, here = op.apply_rows(absx_p[rows + 1]), op.apply_rows(absx_p[rows])
-                dom = op.apply_rows(2.0 * absy_p[rows + 1])
-                lower.add(here, nxt, slack)
-                upper.add(nxt - here, dom, slack)
-            lower.record(checks["power-diff-nonneg"], "lower bound")
-            upper.record(checks["power-diff-dominated"], "upper bound")
+        # A non-finite product is raised on, not warned about; the powers are
+        # >= 0, so nxt - here is finite when both are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op, idx in _stage_groups(diffs.filtration, count - 1):
+                lower, upper = _Fold(), _Fold()
+                # The identity group, most stages of a long horizon, is gathered
+                # one row block at a time; a dense product keeps whole operands.
+                if op.is_identity:
+                    parts = [idx[rows] for rows in row_blocks(len(idx), absx_p.shape[1])]
+                else:
+                    parts = [idx]
+                for rows in parts:
+                    nxt, here = op.apply_rows(absx_p[rows + 1]), op.apply_rows(absx_p[rows])
+                    dom = op.apply_rows(2.0 * absy_p[rows + 1])
+                    require_finite(here, nxt, dom)
+                    lower.add(here, nxt, slack)
+                    upper.add(nxt - here, dom, slack)
+                lower.record(checks["power-diff-nonneg"], "lower bound")
+                upper.record(checks["power-diff-dominated"], "upper bound")
     else:
         for summary in checks.values():
             summary.record(True, 0.0, "single stage")
@@ -443,7 +484,8 @@ def slln_p_gt_2(
     count = len(diffs)
     rates.require_divergent()
     a = rates.values(count)
-    inv_k = (1.0 / a**k)[:, None]
+    with np.errstate(over="ignore"):  # an overflowing a_i^k stands for a zero term
+        inv_k = (1.0 / a**k)[:, None]
     gate = series_report(inv_k)
     if not gate.converged:
         raise BadWeights(
@@ -456,28 +498,29 @@ def slln_p_gt_2(
     # Prefix sums from a zero row, so segment m..n is prefix[n] - prefix[m - 1];
     # only the rows at n (first) and m - 1 (second) are kept.
     ends = np.concatenate((n, m - 1))
-    hyp_terms = np.abs(diffs.values)
-    hyp_terms **= p
-    hyp_terms /= (a**gamma)[:, None]
-    hyp_terms = t1.apply_rows(hyp_terms)
-    series = series_report(hyp_terms)
-    pre_hyp = _prefix_rows(hyp_terms, ends)
-    del hyp_terms
-    sums = np.cumsum(diffs.values, axis=0)
-    sums /= a[:, None]
-    decay = decay_report(sums, epsilon)
-    del sums
-    sq_terms = diffs.values**2
-    sq_terms /= (a**2)[:, None]
-    pre_sq = _prefix_rows(t1.apply_rows(sq_terms), ends)
-    del sq_terms
-    pre_delta = _prefix_rows((1.0 / a**delta)[:, None], ends)[:, 0]
-    pairs = len(m)
-    lhs = pre_sq[:pairs] - pre_sq[pairs:]
-    # One scalar power per pair for the delta factor: numpy's array power
-    # may round it differently.
-    delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[:pairs] - pre_delta[pairs:]]
-    rhs = (pre_hyp[:pairs] - pre_hyp[pairs:]) ** (2.0 / p) * np.array(delta_factor)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        hyp_terms = np.abs(diffs.values)
+        _raise_nonzero(hyp_terms, p)
+        hyp_terms /= (a**gamma)[:, None]
+        hyp_terms = t1.apply_rows(hyp_terms)
+        series = series_report(hyp_terms)
+        pre_hyp = _prefix_rows(hyp_terms, ends)
+        del hyp_terms
+        sums = _running_sum(diffs.values)
+        sums /= a[:, None]
+        decay = decay_report(sums, epsilon)
+        del sums
+        sq_terms = diffs.values**2
+        sq_terms /= (a**2)[:, None]
+        pre_sq = _prefix_rows(t1.apply_rows(sq_terms), ends)
+        del sq_terms
+        pre_delta = _prefix_rows((1.0 / a**delta)[:, None], ends)[:, 0]
+        pairs = len(m)
+        lhs = pre_sq[:pairs] - pre_sq[pairs:]
+        # One scalar power per pair for the delta factor: numpy's array power
+        # may round it differently.
+        delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[:pairs] - pre_delta[pairs:]]
+        rhs = (pre_hyp[:pairs] - pre_hyp[pairs:]) ** (2.0 / p) * np.array(delta_factor)[:, None]
     require_finite(lhs, rhs)
     misses, margin, at = compare(lhs, rhs, tol.slack(lhs, rhs))
     checks = {"holder-reduction": CheckSummary()}
@@ -539,41 +582,50 @@ def slln_an_equals_n(
 
     # Each (N, n) stack is built once, in place where the ufunc allows, and
     # dropped after its last use; T_1's dense products keep whole operands.
-    sums = np.cumsum(diffs.values, axis=0)
-    sums /= steps[:, None]
-    decay = decay_report(sums, epsilon)
-    del sums
-    absy_p = np.abs(diffs.values)
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-        absy_p **= p
+        sums = _running_sum(diffs.values)
+        sums /= steps[:, None]
+        decay = decay_report(sums, epsilon)
+        del sums
+        absy_p = np.abs(diffs.values)
+        _raise_nonzero(absy_p, p)
         series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
         bound_rhs = t1.apply_rows(absy_p)
         del absy_p
-        np.cumsum(bound_rhs, axis=0, out=bound_rhs)
+        _running_sum(bound_rhs, out=bound_rhs)
         bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
         del steps
         absy_sq = np.abs(diffs.values)
         absy_sq **= 2
-        running = np.cumsum(absy_sq, axis=0)
+        running = _running_sum(absy_sq)
         running **= p / 2.0
         exchange_lhs = t1.apply_rows(running)
         del running
         exchange_rhs = t1.apply_rows(absy_sq)
         del absy_sq
-        np.cumsum(exchange_rhs, axis=0, out=exchange_rhs)
+        _running_sum(exchange_rhs, out=exchange_rhs)
         exchange_rhs **= p / 2.0
 
-    checks = {
-        "square-sum-exchange": CheckSummary(),
-        "moment-power-step": CheckSummary(),
-        "square-sum-power-bound": CheckSummary(),
+    # The three relations in one pass: each block of each stack is sliced,
+    # checked for finiteness and made absolute once, and each relation keeps
+    # its own fold, as three _check calls would.
+    stacks = (exchange_lhs, exchange_rhs, bound_rhs)
+    relations = {
+        "square-sum-exchange": (0, 1),
+        "moment-power-step": (1, 2),
+        "square-sum-power-bound": (0, 2),
     }
-    for name, lhs, rhs in (
-        ("square-sum-exchange", exchange_lhs, exchange_rhs),
-        ("moment-power-step", exchange_rhs, bound_rhs),
-        ("square-sum-power-bound", exchange_lhs, bound_rhs),
-    ):
-        _check(checks[name], lhs, rhs, tol.slack, name)
+    folds = {name: _Fold() for name in relations}
+    for rows in row_blocks(*exchange_lhs.shape):
+        blocks = [x[rows] for x in stacks]
+        require_finite(*blocks)
+        sizes = [np.abs(x) for x in blocks]
+        for name, (i, j) in relations.items():
+            slack = tol.abs + tol.rel * np.maximum(sizes[i], sizes[j])  # tol.slack
+            folds[name].add(blocks[i], blocks[j], slack)
+    checks = {name: CheckSummary() for name in relations}
+    for name, fold in folds.items():
+        fold.record(checks[name], name)
     return ExperimentReport(
         experiment="slln-n",
         config={"p": p, "rates": "power:1", "epsilon": epsilon},

@@ -262,7 +262,9 @@ def require_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAU
 
 def partial_sums(diffs: ProcessSequence) -> ProcessSequence:
     """X_n = Y_1 + ... + Y_n on the same filtration."""
-    return ProcessSequence._owning(diffs.filtration, np.cumsum(diffs.values, axis=0))
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected as not finite
+        sums = np.cumsum(diffs.values, axis=0)
+    return ProcessSequence._owning(diffs.filtration, sums)
 
 
 def increments(process: ProcessSequence) -> np.ndarray:

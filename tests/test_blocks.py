@@ -12,6 +12,7 @@ the long-horizon paths at N = 10^5 stages as multiples of the values array.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,70 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
                     tail = lattice.row_blocks(rows, width, start=start)
                     assert [i for s in tail for i in range(rows)[s]] == list(range(start, rows))
                     assert all(s.stop - s.start == max(1, block // width) for s in tail[:-1])
+
+
+# --- the running-sum and power kernels ----------------------------------------
+
+NAN_PAYLOADS = np.array([0x7FF8000000000123, 0xFFF80000000BEEF0, 0x7FF0000000000001], np.uint64)
+SPECIALS = np.concatenate(
+    (
+        NAN_PAYLOADS.view(np.float64),
+        [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308],
+    )
+)
+
+
+def special_stack(rng, rows, width):
+    """Normal draws, about a third of them replaced by NaNs with payloads,
+    infinities, signed zeros, subnormals and values near the largest double."""
+    x = rng.standard_normal((rows, width))
+    hit = rng.random((rows, width)) < 0.3
+    x[hit] = rng.choice(SPECIALS, int(hit.sum()))
+    return x
+
+
+def bits_and_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    # A kernel that works in row blocks warns once a block: compare the kinds.
+    return out.view(np.uint64).tobytes(), out.shape, {(w.category, str(w.message)) for w in caught}
+
+
+def layouts(x):
+    """x as a C-contiguous stack, as a column slice of a wider one, and in
+    Fortran order."""
+    wide = np.zeros((x.shape[0], x.shape[1] + 3))
+    wide[:, 1 : 1 + x.shape[1]] = x
+    return {"c": x, "columns": wide[:, 1 : 1 + x.shape[1]], "fortran": np.asfortranarray(x)}
+
+
+def test_running_sum_matches_cumsum_bit_for_bit():
+    rng = np.random.default_rng(23)
+    paired = 0
+    for width in (*range(1, 10), 16):
+        for rows in (0, 1, 2, 17, 10_000):
+            for how, x in layouts(special_stack(rng, rows, width)).items():
+                old = bits_and_warnings(lambda: np.cumsum(x, axis=0))
+                assert bits_and_warnings(lambda: limits._running_sum(x)) == old, (width, rows, how)
+                y = np.array(x, order="K")
+                assert bits_and_warnings(lambda: (limits._running_sum(y, out=y), y)[1]) == old
+                paired += how == "c" and width % 2 == 0 and rows > 2 and bool(old[2])
+    assert paired  # overflow and invalid warnings were raised on the paired path too
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0])
+def test_power_that_skips_zero_bases_matches_numpy_bit_for_bit(p, block_elements):
+    rng = np.random.default_rng(29)
+    for width in (1, 3, 8, 16):
+        for rows in (0, 1, 2, 17, 3000):
+            bases = np.abs(special_stack(rng, rows, width))
+            bases[rng.random((rows, width)) < 0.5] = 0.0  # mostly zero, as past the cut
+            with np.errstate(invalid="ignore"):  # a signalling NaN is quieted
+                bases[rows // 2 :] *= rng.choice([1e-300, 1e-120, 1.0], (rows - rows // 2, 1))
+            old = bits_and_warnings(lambda: np.power(bases, p))
+            y = bases.copy()
+            assert bits_and_warnings(lambda: (limits._raise_nonzero(y, p), y)[1]) == old
 
 
 # --- the difference-sequence check --------------------------------------------

@@ -24,6 +24,7 @@ from rieszmart import (
     ConditionalExpectationOp,
     GeneratorConfig,
     Partition,
+    RieszmartError,
     SampleSpace,
     SpaceMismatch,
     Tolerance,
@@ -431,3 +432,74 @@ def test_overflowing_experiments_exit_2_without_a_warning(experiment, amplitude,
         assert main(argv) == 2
     assert "error: coordinates must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# The grid is fixed in advance: tiny to overflowing amplitudes, a narrow and
+# the long_horizon width, a short and a long horizon, and every kind of p.
+# slln-p-gt-2 takes the rates i^3, whose sum 1/a_i^k passes its gate at 20
+# steps.
+GRID_AMPLITUDES = (1e-300, 1e-100, 1.0, 1e100, 1e200, 1e300, 8.9e307)
+GRID_P = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0)
+GRID_EXPERIMENTS = {
+    "submartingale": lambda seq, p: submartingale_convergence_experiment(
+        seq, WeightSequence.power(1.0), p
+    ),
+    "slln-p-le-2": lambda seq, p: slln_p_le_2(seq, WeightSequence.power(1.0), p),
+    "slln-p-gt-2": lambda seq, p: slln_p_gt_2(seq, WeightSequence.power(3.0), p, 1.5, 2.0),
+    "slln-n": lambda seq, p: limits.slln_an_equals_n(seq, p),
+}
+
+
+@pytest.mark.parametrize("steps", [20, 3000])
+@pytest.mark.parametrize("dim", [3, 8])
+def test_every_experiment_returns_or_raises_a_usage_error_on_the_amplitude_grid(dim, steps):
+    """No RuntimeWarning escapes at any amplitude: an experiment returns a
+    report or raises the error that simulate turns into exit 2."""
+    outcomes = set()
+    for amplitude in GRID_AMPLITUDES:
+        cfg = GeneratorConfig(seed=7, dim=dim, steps=steps, amplitude=amplitude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mds = generate_mds(cfg)
+            try:
+                sub = generate_submartingale(cfg)
+            except ValueError as exc:
+                assert str(exc) == "process values must be finite"
+                sub = None
+                outcomes.add(("submartingale", "ValueError"))
+            for name, run in GRID_EXPERIMENTS.items():
+                seq = sub if name == "submartingale" else mds
+                for p in GRID_P if seq is not None else ():
+                    try:
+                        run(seq, p)
+                        outcomes.add((name, "report"))
+                    except (ValueError, RieszmartError) as exc:
+                        outcomes.add((name, type(exc).__name__))
+    for name in GRID_EXPERIMENTS:
+        assert (name, "report") in outcomes
+        # On 3 atoms the positive part of the partial sums stays finite.
+        assert ((name, "ValueError") in outcomes) == (name != "submartingale" or dim == 8)
+
+
+@pytest.mark.parametrize(
+    "experiment, p",
+    [("slln-n", "3"), ("slln-p-le-2", "1"), ("submartingale", "2"), ("slln-p-gt-2", "3")],
+)
+def test_overflow_at_a_long_horizon_exits_2_without_a_warning(experiment, p, tmp_path, capsys):
+    argv = ["simulate", experiment, "--p", p, "--dim", "8", "--n", "3000", "--amplitude", "8.9e307",
+            "--seed", "7", "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rate_power_that_overflows_is_a_zero_term_not_a_warning():
+    # p = 2.01 and gamma = 0.01 admit k up to 400, and i^300 overflows at
+    # i = 11; 1 / a_i^k is then the 0.0 it rounds to.
+    diffs = generate_mds(GeneratorConfig(seed=1, dim=3, steps=100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = slln_p_gt_2(diffs, WeightSequence.power(1.0), 2.01, 0.01, 300.0)
+    assert report.experiment == "slln-p-gt-2"

@@ -23,14 +23,17 @@ from rieszmart import (
     ParameterViolation,
     ProcessSequence,
     SampleSpace,
+    Tolerance,
     WeightSequence,
     cesaro_weighted_mean,
     checkpoint_schedule,
+    classify,
     decay_report,
     default_filtration,
     generate_mds,
     generate_submartingale,
     kronecker_transform,
+    limits,
     make_filtration,
     series_report,
     slln_an_equals_n,
@@ -575,3 +578,47 @@ def test_slln_n_peak_memory_is_at_most_six_tenths_of_the_all_alive_body():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 0.6 * peaks[1], peaks
+
+
+# --- exact scaling by 2^k at p = 2 ----------------------------------------------
+
+
+@pytest.mark.parametrize("k", [-300, -37, 1, 300])
+def test_p2_checks_scale_exactly_by_a_power_of_two(k, monkeypatch):
+    """At p = 2 and zero absolute slack, every compared value of slln_p_le_2
+    and of the submartingale experiment is a sum of products of the values'
+    squares, so scaling the values by 2^k scales it by 2^(2k) with no extra
+    rounding: the same components miss, and every margin is 2^(2k) times the
+    old one.  The gates keep the default slack, so a negative relative one
+    fails comparisons only."""
+    monkeypatch.setattr(limits, "classify", lambda proc, tol=None: classify(proc))
+    gate = require_difference_sequence
+    monkeypatch.setattr(limits, "require_difference_sequence", lambda proc, tol=None: gate(proc))
+    power1 = WeightSequence.power(1.0)
+    failing = compared = 0
+    for seed in range(6):
+        cfg = GeneratorConfig(
+            seed=seed, dim=(3, 5, 8)[seed % 3], steps=(12, 40)[seed % 2],
+            weight_mode=("uniform", "random")[seed % 2],
+        )
+        filt = None
+        if seed % 3:
+            filt = refining_filtration(SplitMix64(seed), make_space(cfg), cfg.steps)
+        for rel in (1e-12, 0.0, -1e-3):
+            tol = Tolerance(abs=0.0, rel=rel)
+            for run, seq in (
+                (lambda s: slln_p_le_2(s, power1, 2.0, tol=tol), generate_mds(cfg, filt)),
+                (
+                    lambda s: submartingale_convergence_experiment(s, power1, 2.0, tol=tol),
+                    generate_submartingale(cfg, "positive-part", filt),
+                ),
+            ):
+                old = run(seq).checks
+                new = run(ProcessSequence(seq.filtration, seq.values * 2.0**k)).checks
+                for name, check in old.items():
+                    assert new[name].failures == check.failures, (seed, rel, name)
+                    assert new[name].first_witness == check.first_witness
+                    assert new[name].min_margin == check.min_margin * 2.0 ** (2 * k)
+                    failing += check.failures > 0
+                    compared += 1
+    assert 0 < failing < compared
