@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeArgument, NegativeGenerator, SpaceMismatch
-from .lattice import LatticeElement, SampleSpace, _same_space, atom_array, raise_first
+from .lattice import LatticeElement, SampleSpace, atom_array, fold_family, raise_first, stack_family
 from .reports import VerificationReport
 
 
@@ -176,15 +176,6 @@ def sup_formula(g: np.ndarray, f: np.ndarray, starts: np.ndarray):
         return stage(n), n, bound
 
 
-def _family(elements, empty: str) -> np.ndarray:
-    """The coordinates of a nonempty family on one space, one row each."""
-    if not elements:
-        raise ValueError(empty)
-    for g in elements[1:]:
-        _same_space(elements[0], g)
-    return np.array([g.coords for g in elements])
-
-
 def _atoms(mask: np.ndarray, starts: np.ndarray, t: int) -> list:
     return np.flatnonzero(mask[starts[t] : starts[t + 1]]).tolist()
 
@@ -196,9 +187,9 @@ def check_sup_identity(generators) -> VerificationReport:
         band_projection(g)  # rejects a negative generator
     report = VerificationReport(suite="bands-join", trials=1)
     checks, support_size = sup_identity_checks(
-        _family(generators, "join of an empty family"), np.array([0, generators[0].space.n])
+        stack_family(generators, "join of an empty family"), np.array([0, generators[0].space.n])
     )
-    report.record_trials(checks, [0])
+    report.record_parts([checks], [0])
     report.details["support_size"] = int(support_size[0])
     return report
 
@@ -230,9 +221,9 @@ def check_inf_inequality(generators) -> VerificationReport:
         band_projection(g)  # rejects a negative generator
     report = VerificationReport(suite="bands-meet", trials=1)
     checks, strict = inf_inequality_checks(
-        _family(generators, "meet of an empty family"), np.array([0, generators[0].space.n])
+        stack_family(generators, "meet of an empty family"), np.array([0, generators[0].space.n])
     )
-    report.record_trials(checks, [0])
+    report.record_parts([checks], [0])
     report.details["strict"] = bool(strict[0])
     return report
 
@@ -263,10 +254,9 @@ def check_exclusion_inequality(elements) -> VerificationReport:
     inf_n (g_n)-; equivalently the first projection is below the complement
     of the second.
     """
-    elements = list(elements)
-    family = _family(elements, "join of an empty family")
+    family = stack_family(elements, "join of an empty family")
     report = VerificationReport(suite="bands-exclusion", trials=1)
-    report.record_trials(exclusion_checks(family, np.array([0, elements[0].space.n])), [0])
+    report.record_parts([exclusion_checks(family, np.array([0, family.shape[1]]))], [0])
     return report
 
 
@@ -294,10 +284,4 @@ def exclusion_checks(family: np.ndarray, starts: np.ndarray):
 
 def compose_all(projections) -> BandProjection:
     """Product of a nonempty family of band projections."""
-    projections = list(projections)
-    if not projections:
-        raise ValueError("composition of an empty family")
-    out = projections[0]
-    for p in projections[1:]:
-        out = out.compose(p)
-    return out
+    return fold_family(projections, BandProjection.compose, "composition of an empty family")

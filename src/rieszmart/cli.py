@@ -72,7 +72,7 @@ VERIFY_OPTIONS = {
     "p_max": (None, RunConfig.p_max, {"type": float}),
     "tol_abs": (float, Tolerance.abs, {}),
     "tol_rel": (float, Tolerance.rel, {}),
-    "horizon": (int, RunConfig.horizon, {}),
+    "horizon": (int, RunConfig.horizon, {"help": "echoed as config.horizon; no suite reads it"}),
     "output": (None, RunConfig.output, {"help": "report file (stdout when omitted)"}),
     "format": (None, RunConfig.format, {"choices": ["json", "csv"]}),
 }
@@ -85,7 +85,7 @@ SIMULATE_OPTIONS = {
     "dim": (int, 4, {}),
     "amplitude": (float, 1.0, {}),
     "a": (str, "power:1", {"help": "rate sequence, e.g. power:1 for a_i = i"}),
-    "constant": (float, None, {"help": "use the constant process c*e instead of a generated one"}),
+    "constant": (float, None, {"help": "submartingale only: the constant process c*e"}),
     "epsilon": (float, DEFAULT_STOCHASTIC_EPSILON, {}),
     "seed": (int, STANDARD_SEED, {}),
     "output_dir": (str, ".", {}),
@@ -203,9 +203,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     epsilon = opt["epsilon"]
     if horizon < 1 or dim < 1:
         raise RieszmartError("n and dim must be >= 1")
+    if opt["constant"] is not None and experiment != "submartingale":
+        raise RieszmartError(f"--constant applies to the submartingale experiment, not {experiment}")
 
     start = time.perf_counter()
-    if experiment == "submartingale" and opt["constant"] is not None:
+    if opt["constant"] is not None:
         sequence = _constant_process(opt["constant"], dim, horizon)
     else:
         gen = GeneratorConfig(seed=seed, dim=dim, steps=horizon, amplitude=amplitude)

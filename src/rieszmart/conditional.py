@@ -505,11 +505,10 @@ class Filtration:
     i < j: if F refines C, T_C e_j is constant on F-blocks, so T_F T_C =
     T_C, and T_C T_F = T_C by self-adjointness in L2(mu).  Transitivity
     extends this to all pairs.  Filtration(ops) checks the space once per
-    run of one operator object, and refinement on the table at every change
-    of partition: each block of the finer keeps the coarser id of one of its
-    atoms, which every atom's must equal.  default_filtration's chain
-    refines by construction.  filtration[i] builds stage i's operator on
-    first use, its block weights a view of the table's, and keeps it.
+    run of one operator object, and Partition.refines at every change of
+    partition.  default_filtration's chain refines by construction.
+    filtration[i] builds stage i's operator on first use, its block weights
+    a view of the table's, and keeps it.
     """
 
     __slots__ = ("space", "stages", "stage", "_ops")
@@ -527,17 +526,11 @@ class Filtration:
         first: dict = {}
         runs = np.array([first.setdefault(ops[k].partition, (len(first), ops[k]))[0] for k in starts])
         distinct = [op for _, op in first.values()]
-        ids = np.array([op.partition.block_id for op in distinct])
-        changes = np.flatnonzero(runs[1:] != runs[:-1])
-        for rows in row_blocks(len(changes), space.n):
-            fine, coarse = ids[runs[changes[rows] + 1]], ids[runs[changes[rows]]]
-            bins = fine + np.arange(0, fine.size, space.n)[:, None]
-            kept = np.empty(fine.size, dtype=np.intp)
-            kept[bins] = coarse
-            bad = (kept[bins] != coarse).any(axis=1)
-            if bad.any():
-                k = int(starts[changes[rows][bad.argmax()] + 1])
+        for c in np.flatnonzero(runs[1:] != runs[:-1]).tolist():
+            if not distinct[runs[c + 1]].partition.refines(distinct[runs[c]].partition):
+                k = int(starts[c + 1])
                 raise NotRefining(f"stage {k} does not refine stage {k - 1}")
+        ids = np.array([op.partition.block_id for op in distinct])
         num_blocks = np.array([op.partition.num_blocks for op in distinct])
         block_weight = np.concatenate([op.block_weight for op in distinct])
         self._fill(space, ids, num_blocks, block_weight, runs.repeat(np.diff(starts, append=len(ops))))
@@ -639,7 +632,7 @@ def verify_axioms(
             np.full(k, part.num_blocks),
         )
         checks = axiom_checks(ops, seeds, labels, tol)
-        report.record_trials(checks, labels, seed)
+        report.record_parts([checks], labels, seed)
     return report
 
 

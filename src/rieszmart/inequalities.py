@@ -1,8 +1,9 @@
 """Componentwise verification of the operator inequalities.
 
 Each checker evaluates both sides of its inequality on concrete coordinates
-and reports margins through a VerificationReport: min_margin is the worst
-value of min_i (rhs_i - lhs_i) seen, and a failure is recorded whenever the
+and hands its outcomes to VerificationReport.record_parts, as parts of (ok,
+margin, witness) triples over its rows: min_margin is the worst value of
+min_i (rhs_i - lhs_i) seen, and a failure is recorded whenever the
 comparison misses by more than the tolerance slack.
 
 Covered here:
@@ -40,7 +41,6 @@ from .errors import (
     ExponentMismatch,
     GNotInRange,
     NotAdapted,
-    NotDifferenceSequence,
     NotSubmartingale,
     SpaceMismatch,
 )
@@ -49,13 +49,12 @@ from .lattice import (
     LatticeElement,
     Tolerance,
     _same_space,
-    _not_finite,
     compare_segments,
     leq_with_tolerance,
+    nonfinite_segments,
     power_array,
     ragged_power,
     raise_first,
-    require_finite_segments,
 )
 from .processes import (
     MARTINGALE,
@@ -64,6 +63,7 @@ from .processes import (
     ProcessSequence,
     classify,
     decide_gates,
+    difference_error,
     require_difference_sequence,
 )
 from .reports import VerificationReport
@@ -124,9 +124,10 @@ def holder_sums(
     return report
 
 
-def _one_trial(suite: str, tol: Tolerance, checks) -> VerificationReport:
+def _one_trial(suite: str, tol: Tolerance, parts, rows: int = 1) -> VerificationReport:
+    """The report of one trial whose checks come in parts over its rows."""
     report = VerificationReport(suite=suite, trials=1, tol=tol)
-    report.record_trials(checks, [0])
+    report.record_parts(parts, np.zeros(rows, dtype=np.intp))
     return report
 
 
@@ -148,7 +149,7 @@ def clarkson(
     raise_first(_clarkson_range(p))
     _same_space(x, y)
     checks = clarkson_checks(x.coords, y.coords, p, np.array([0, x.space.n]), tol)
-    return _one_trial("clarkson", tol, checks)
+    return _one_trial("clarkson", tol, [checks])
 
 
 def clarkson_checks(x, y, p, starts, tol: Tolerance):
@@ -162,7 +163,7 @@ def clarkson_checks(x, y, p, starts, tol: Tolerance):
         lhs = powers[0] + powers[1]
         plain = 2.0 * (powers[2] + powers[3])
         sharper = 2.0 * ragged_power(x * x + y * y, starts, p_or_1 / 2.0)
-    require_finite_segments(starts, lhs, plain, sharper, checks=[out_of_range])
+    raise_first(out_of_range, nonfinite_segments(starts, lhs, plain, sharper))
     main = compare_segments(lhs, plain, tol.slack(lhs, plain), starts)
     mid = compare_segments(lhs, sharper, tol.slack(lhs, sharper), starts)
     return [
@@ -188,7 +189,7 @@ def jensen_power(
     raise_first(_jensen_range(p))
     if f.space != op.space:
         raise SpaceMismatch("element on a different space than the operator")
-    return _one_trial("jensen", tol, jensen_checks(f.coords, p, op.ragged, tol))
+    return _one_trial("jensen", tol, [jensen_checks(f.coords, p, op.ragged, tol)])
 
 
 def jensen_checks(f, p, ops: RaggedOps, tol: Tolerance):
@@ -200,7 +201,7 @@ def jensen_checks(f, p, ops: RaggedOps, tol: Tolerance):
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = ragged_power(np.abs(ops.apply(f)), ops.starts, p_or_1)
         rhs = ops.apply(ragged_power(np.abs(f), ops.starts, p_or_1))
-    require_finite_segments(ops.starts, lhs, rhs, checks=[out_of_range])
+    raise_first(out_of_range, nonfinite_segments(ops.starts, lhs, rhs))
     misses, margin, atom = compare_segments(lhs, rhs, tol.slack(lhs, rhs), ops.starts)
     return [(misses == 0, margin, lambda t: f"p={float(p[t])} atom={atom[t]}")]
 
@@ -225,12 +226,11 @@ def burkholder_ratio(
     require_difference_sequence(diffs, tol)
     CompatibleTriple(base, diffs.filtration)  # raises Incompatible
     rows = diffs.filtration.stages
-    bad, records, (low, high) = burkholder_rows(
+    bad, parts, (low, high) = burkholder_rows(
         diffs.values.ravel(), rows, lambda k, mat: base.apply_rows(mat), p, tol
     )
     raise_first(bad)
-    report = VerificationReport(suite="burkholder", trials=1, tol=tol)
-    report.record_many(*records)
+    report = _one_trial("burkholder", tol, parts)
     some = not np.isnan(low[0])  # a positive left side somewhere
     report.details["ratio_min"] = float(low[0]) if some else None
     report.details["ratio_max"] = float(high[0]) if some else None
@@ -247,9 +247,7 @@ def difference_check(stages: Stages, values: np.ndarray, tol: Tolerance):
     require_difference_sequence; later processes are not decided
     (processes.decide_gates)."""
     bad, _, _ = decide_gates(stages, values, tol, labels=False)
-    return bad, lambda k: NotDifferenceSequence(
-        "sequence is not a martingale difference sequence for its filtration"
-    )
+    return bad, difference_error
 
 
 def label_check(stages: Stages, values: np.ndarray, tol: Tolerance):
@@ -271,10 +269,9 @@ def burkholder_rows(diffs: np.ndarray, rows: StageRows, apply, p: float, tol: To
     """burkholder_ratio of every process of rows, with diffs their flat
     difference rows and apply(k, mat) the base operator's apply_rows for
     process k, called once per process.  Returns the (bad, error) pair of
-    the processes whose sides are not finite, for raise_first; the records
-    of every process in turn (ok, margin, witness_at and process numbers,
-    as record_many takes them); and each process's smallest and largest
-    ratio (NaN without a positive left side)."""
+    the processes whose sides are not finite, for raise_first; the parts
+    for record_parts, one row per process; and each process's smallest and
+    largest ratio (NaN without a positive left side)."""
     sums = rows.accumulate(np.add, diffs)
     square = rows.accumulate(np.add, (sums - rows.previous(sums)) ** 2)
     sides = np.abs(sums) ** p, square ** (p / 2.0)
@@ -282,43 +279,31 @@ def burkholder_rows(diffs: np.ndarray, rows: StageRows, apply, p: float, tol: To
         for k in range(len(rows.n)):
             mat = rows.values(side, k)
             mat[:] = apply(k, mat)
-    heads = rows.elements[:-1]
-    bad = np.logical_or.reduceat(~(np.isfinite(sides[0]) & np.isfinite(sides[1])), heads)
+    bad = nonfinite_segments(rows.elements, *sides)
     # A process with a non-finite side raises before its records are made.
-    drop = np.repeat(bad, rows.n * rows.steps)
+    drop = np.repeat(bad[0], rows.n * rows.steps)
     a_side, b_side = (np.where(drop, 0.0, side) for side in sides)
     checks = []
     if p == 2.0:
-        a, b = a_side, b_side
-        misses, margin, worst = compare_segments(np.abs(a - b), -0.0, tol.slack(a, b), rows.elements)
+        agree, margin, worst = _rows_agree(a_side, b_side, rows.elements, tol)
         step, atom = divmod(worst, rows.n)
-        checks.append(
-            (np.ones(len(heads), dtype=bool), misses == 0, margin,
-             lambda k: f"p=2 identity n={step[k] + 1} atom={atom[k]}")
-        )
+        checks.append((agree, margin, lambda k: f"p=2 identity n={step[k] + 1} atom={atom[k]}"))
+    heads = rows.elements[:-1]
     positive = a_side > 0.0
     some = np.logical_or.reduceat(positive, heads)
     lows, highs = np.full(len(heads), np.nan), np.full(len(heads), np.nan)
+    ok = np.ones(len(heads), dtype=bool)
     if some.any():
         counts = np.add.reduceat(positive, heads)[some]
         ratios = b_side[positive] / a_side[positive]
         starts = np.cumsum(counts) - counts
         lows[some] = np.minimum.reduceat(ratios, starts)
         highs[some] = np.maximum.reduceat(ratios, starts)
-        finite = np.logical_and.reduceat(np.isfinite(ratios), starts)
-        ok = np.ones(len(heads), dtype=bool)
-        ok[some] = finite
-        checks.append((some, ok, np.where(ok, 0.0, -math.inf), lambda k: "ratio finiteness"))
-    kept = np.array([check[0] for check in checks]).T.ravel()  # process by process
-    which = np.flatnonzero(kept)
-    width = len(checks)
-    records = (
-        np.array([check[1] for check in checks]).T.ravel()[which],
-        np.array([check[2] for check in checks]).T.ravel()[which],
-        lambda i: checks[which[i] % width][3](which[i] // width),
-        which // max(width, 1),
-    )
-    return (bad, _not_finite), records, (lows, highs)
+        ok[some] = np.logical_and.reduceat(np.isfinite(ratios), starts)
+    # A process without a positive left side has no ratio to check.
+    room = np.where(some, np.where(ok, 0.0, -math.inf), math.inf)
+    checks.append((ok, room, lambda k: "ratio finiteness"))
+    return bad, [tuple(checks)], (lows, highs)
 
 
 def _same_masks(prod: np.ndarray, join: np.ndarray, rows: StageRows):
@@ -344,38 +329,12 @@ def _rows_leq(lhs: np.ndarray, rhs: np.ndarray, rows: StageRows, tol: Tolerance,
     return misses == 0, margin, lambda r: f"n={step[r] + 1} {label} atom={atom[r]}"
 
 
-def _rows_agree(a: np.ndarray, b: np.ndarray, rows: StageRows, tol: Tolerance):
-    """Per row: (ok, -max|a - b|, first argmax of |a - b| - slack) of the
-    two-sided comparison a = b within the slack.  The right side is -0.0 so
-    that the margin of an exact agreement is -0.0, as -max|a - b| gives."""
-    misses, margin, worst = compare_segments(np.abs(a - b), -0.0, tol.slack(a, b), rows.row_starts())
+def _rows_agree(a: np.ndarray, b: np.ndarray, starts: np.ndarray, tol: Tolerance):
+    """Per segment of starts: (ok, -max|a - b|, first argmax of |a - b| -
+    slack) of the two-sided comparison a = b within the slack.  The right
+    side is -0.0 so an exact agreement has margin -0.0, as -max|a - b|."""
+    misses, margin, worst = compare_segments(np.abs(a - b), -0.0, tol.slack(a, b), starts)
     return misses == 0, margin, worst
-
-
-def record_stages(report: VerificationReport, parts, rows: StageRows, trials=None, seed=None):
-    """Record the checks of every process of rows in turn: part by part,
-    each part's two checks at stage n = 1..N in turn.  parts are pairs of
-    (ok, margin, witness(r)) triples of arrays over the rows, witness(r)
-    naming a miss at row r; trials[k] numbers process k's records (0 when
-    None)."""
-    ok = np.array([[check[0] for check in part] for part in parts]).transpose(0, 2, 1)
-    margin = np.array([[check[1] for check in part] for part in parts]).transpose(0, 2, 1)
-    process = np.repeat(np.arange(len(rows.n)), rows.steps)
-    order = np.argsort(np.broadcast_to(process[:, None], ok.shape).ravel(), kind="stable")
-    count = ok.shape[1]
-
-    def witness_at(i):
-        part, rest = divmod(int(order[i]), 2 * count)
-        return parts[part][rest % 2][2](rest // 2)
-
-    owner = np.broadcast_to(process[:, None], ok.shape).ravel()[order]
-    report.record_many(
-        ok.ravel()[order],
-        margin.ravel()[order],
-        witness_at,
-        None if trials is None else np.asarray(trials)[owner],
-        seed,
-    )
 
 
 def telescoping_bound(
@@ -399,16 +358,14 @@ def telescoping_bound(
     rows = StageRows(np.array([g.space.n]), np.array([len(xs)]))
     bad, parts = telescoping_rows(np.concatenate([x.coords for x in xs]), g.coords, rows, tol)
     raise_first(bad)
-    report = VerificationReport(suite="telescoping", trials=1, tol=tol)
-    record_stages(report, parts, rows)
-    return report
+    return _one_trial("telescoping", tol, parts, len(xs))
 
 
 def telescoping_rows(seq: np.ndarray, g: np.ndarray, rows: StageRows, tol: Tolerance):
     """telescoping_bound of every process of rows: seq their X_1..X_N laid
     end to end, g each one's threshold over its atoms.  Returns the (bad,
     error) pair of the processes with a non-finite entry, for raise_first,
-    and the parts for record_stages."""
+    and the parts for record_parts."""
     g = g[rows.atom_index()]
     below, steps = g - seq, seq - rows.previous(seq)  # a first stage's step is X_1 itself
     prod = rows.accumulate(np.logical_and, np.maximum(below, 0.0) > 0.0)
@@ -416,10 +373,9 @@ def telescoping_rows(seq: np.ndarray, g: np.ndarray, rows: StageRows, tol: Toler
     first = rows.spread(rows.stage_of_rows() == 0)
     rhs = rows.accumulate(np.add, np.where(first | rows.previous(prod), steps, 0.0))
     rhs -= np.where(prod, seq, 0.0)
-    finite = np.isfinite(below) & np.isfinite(steps) & np.isfinite(rhs)
-    bad = np.logical_or.reduceat(~finite, rows.elements[:-1])
+    bad = nonfinite_segments(rows.elements, below, steps, rhs)
     lhs = np.where(prod, 0.0, g)
-    return (bad, _not_finite), [(_same_masks(prod, join, rows), _rows_leq(lhs, rhs, rows, tol, "bound"))]
+    return bad, [(_same_masks(prod, join, rows), _rows_leq(lhs, rhs, rows, tol, "bound"))]
 
 
 def _check_maximal(process: ProcessSequence, a_values, g: LatticeElement, tol) -> np.ndarray:
@@ -449,7 +405,7 @@ def maximal_rows(values, rates, g, t1: RaggedOps, rows: StageRows, tol: Toleranc
     each row's a_n, g each one's threshold over its atoms and t1 each row's
     first-stage operator.  Returns the (bad, error) pairs of the processes
     with a non-finite entry, for raise_first, and the parts for
-    record_stages."""
+    record_parts."""
     g = g[rows.atom_index()]
     a = rows.spread(rates)
     scaled = values / a
@@ -460,14 +416,13 @@ def maximal_rows(values, rates, g, t1: RaggedOps, rows: StageRows, tol: Toleranc
     steps = (pos - rows.previous(pos)) / a  # a first stage's term is Y_1+/a_1 itself
     first = rows.spread(rows.stage_of_rows() == 0)
     rhs = rows.accumulate(np.add, np.where(first, steps, t1.apply(steps)))
-    heads = rows.elements[:-1]
-    bad = [(np.logical_or.reduceat(~(np.isfinite(excess) & np.isfinite(rhs)), heads), _not_finite)]
+    bad = [nonfinite_segments(rows.elements, excess, rhs)]
     lhs = t1.apply(np.where(prod, 0.0, g))
     parts = [(_same_masks(prod, join, rows), _rows_leq(lhs, rhs, rows, tol, "bound"))]
     if doob:
         telescoped = t1.apply(pos)
-        bad.append((np.logical_or.reduceat(~np.isfinite(telescoped), heads), _not_finite))
-        agree, margin, _ = _rows_agree(rhs, telescoped, rows, tol)
+        bad.append(nonfinite_segments(rows.elements, telescoped))
+        agree, margin, _ = _rows_agree(rhs, telescoped, rows.row_starts(), tol)
         step = rows.stage_of_rows()
         agreement = (agree, margin, lambda r: f"n={step[r] + 1} telescoped-right-side agreement")
         bound = _rows_leq(t1.apply(np.where(join, 0.0, g)), telescoped, rows, tol, "telescoped bound")
@@ -482,9 +437,7 @@ def _maximal(process, a_values, g, tol, suite: str, doob: bool) -> VerificationR
     t1 = process.filtration[0].ragged  # applied row by row
     bad, parts = maximal_rows(process.values.ravel(), a, g.coords, t1, rows, tol, doob)
     raise_first(*bad)
-    report = VerificationReport(suite=suite, trials=1, tol=tol)
-    record_stages(report, parts, rows)
-    return report
+    return _one_trial(suite, tol, parts, len(process))
 
 
 def hrc_maximal(

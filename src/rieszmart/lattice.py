@@ -111,14 +111,14 @@ def raise_first(*checks) -> None:
         raise first[1](first[0])
 
 
-def require_finite_segments(starts: np.ndarray, *stacks, checks=()) -> None:
-    """Trials laid end to end, trial t on atoms starts[t]:starts[t + 1]:
-    raise_first over checks, then the ValueError of require_finite for a
-    trial with a non-finite entry in any stack (each 1-d over the atoms)."""
+def nonfinite_segments(starts: np.ndarray, *stacks) -> tuple:
+    """Trials laid end to end, trial t on entries starts[t]:starts[t + 1]
+    of each 1-d stack: the (bad, error) pair, for raise_first, of the trials
+    with a non-finite entry in some stack, the error that of require_finite."""
     bad = np.zeros(int(starts[-1]), dtype=bool)
     for stack in stacks:
         bad |= ~np.isfinite(stack)
-    raise_first(*checks, (np.logical_or.reduceat(bad, starts[:-1]), _not_finite))
+    return np.logical_or.reduceat(bad, starts[:-1]), _not_finite
 
 
 def _same_space(a: "LatticeElement", b: "LatticeElement") -> None:
@@ -207,26 +207,37 @@ class LatticeElement:
         }
 
 
-def sup_many(elements) -> LatticeElement:
-    """Finite join of a nonempty family."""
+def fold_family(items, combine, empty: str):
+    """combine(...combine(items[0], items[1])..., items[-1]) over a nonempty
+    family; ValueError(empty) for an empty one."""
+    items = list(items)
+    if not items:
+        raise ValueError(empty)
+    out = items[0]
+    for item in items[1:]:
+        out = combine(out, item)
+    return out
+
+
+def stack_family(elements, empty: str) -> np.ndarray:
+    """The coordinates of a nonempty family of elements on one space, one
+    row each; ValueError(empty) for an empty family."""
     elements = list(elements)
     if not elements:
-        raise ValueError("join of an empty family")
-    out = elements[0]
+        raise ValueError(empty)
     for f in elements[1:]:
-        out = out.sup(f)
-    return out
+        _same_space(elements[0], f)
+    return np.array([f.coords for f in elements])
+
+
+def sup_many(elements) -> LatticeElement:
+    """Finite join of a nonempty family."""
+    return fold_family(elements, LatticeElement.sup, "join of an empty family")
 
 
 def inf_many(elements) -> LatticeElement:
     """Finite meet of a nonempty family."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("meet of an empty family")
-    out = elements[0]
-    for f in elements[1:]:
-        out = out.inf(f)
-    return out
+    return fold_family(elements, LatticeElement.inf, "meet of an empty family")
 
 
 def multiply(f: LatticeElement, g: LatticeElement) -> LatticeElement:

@@ -37,7 +37,15 @@ from .errors import (
     NotSummable,
     ParameterViolation,
 )
-from .lattice import DEFAULT_TOL, Tolerance, compare, halving_fold, require_finite, row_blocks
+from .lattice import (
+    DEFAULT_TOL,
+    Tolerance,
+    compare,
+    halving_fold,
+    require_finite,
+    row_blocks,
+    stack_family,
+)
 from .processes import (
     MARTINGALE,
     SUBMARTINGALE,
@@ -238,17 +246,6 @@ def series_report(terms: np.ndarray) -> SeriesReport:
     )
 
 
-def _stack(elements) -> np.ndarray:
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one element")
-    space = elements[0].space
-    for f in elements:
-        if f.space != space:
-            raise ValueError("elements on different spaces")
-    return np.array([f.coords for f in elements])
-
-
 def cesaro_weighted_mean(
     s_elements, rates: WeightSequence, epsilon: float = DEFAULT_DECAY_EPSILON
 ) -> DecaySequenceReport:
@@ -257,7 +254,7 @@ def cesaro_weighted_mean(
     The s_i must be nonnegative and the rates positive, nondecreasing, and
     divergent; when the s_i themselves decay in order, so do the means.
     """
-    mat = _stack(s_elements)
+    mat = stack_family(s_elements, "need at least one element")
     if np.any(mat < 0.0):
         raise NegativeArgument("running means defined for nonnegative inputs")
     count = mat.shape[0]
@@ -278,7 +275,7 @@ def kronecker_transform(
     Summability is screened by the Cauchy-tail criterion on the plain partial
     sums; NotSummable is raised when the tail at the horizon is too large.
     """
-    mat = _stack(x_elements)
+    mat = stack_family(x_elements, "need at least one element")
     tail = series_report(mat)
     if not tail.converged:
         raise NotSummable(
@@ -330,6 +327,13 @@ def _check(summary: CheckSummary, lhs, rhs, slack, witness: str) -> None:
     fold.record(summary, witness)
 
 
+def _experiment(name: str, config: dict, decay, series, checks) -> ExperimentReport:
+    """An experiment's report: positive when its hypothesis series converges
+    and its sequence decays."""
+    verdict = bool(series.converged and decay.verdict)
+    return ExperimentReport(name, config, decay, series, checks, verdict)
+
+
 def submartingale_convergence_experiment(
     process: ProcessSequence,
     rates: WeightSequence,
@@ -371,14 +375,8 @@ def submartingale_convergence_experiment(
         checks["term-nonneg"].record(True, 0.0, "no terms")
         series = series_report(np.zeros((1, process.space.n)))
     decay = decay_report(process.values / a[:, None], epsilon)
-    return ExperimentReport(
-        experiment="submartingale",
-        config={"p": p, "rates": rates.label(), "epsilon": epsilon},
-        decay=decay,
-        hypothesis=series,
-        checks=checks,
-        verdict=bool(series.converged and decay.verdict),
-    )
+    config = {"p": p, "rates": rates.label(), "epsilon": epsilon}
+    return _experiment("submartingale", config, decay, series, checks)
 
 
 def slln_p_le_2(
@@ -441,14 +439,8 @@ def slln_p_le_2(
     else:
         for summary in checks.values():
             summary.record(True, 0.0, "single stage")
-    return ExperimentReport(
-        experiment="slln-p-le-2",
-        config={"p": p, "rates": rates.label(), "epsilon": epsilon},
-        decay=decay,
-        hypothesis=series,
-        checks=checks,
-        verdict=bool(series.converged and decay.verdict),
-    )
+    config = {"p": p, "rates": rates.label(), "epsilon": epsilon}
+    return _experiment("slln-p-le-2", config, decay, series, checks)
 
 
 def slln_p_gt_2(
@@ -527,21 +519,15 @@ def slln_p_gt_2(
     checks["holder-reduction"].record_many(
         misses, margin, lambda i: f"segment m={m[i]} n={n[i]} at ({at[i]},)"
     )
-    return ExperimentReport(
-        experiment="slln-p-gt-2",
-        config={
-            "p": p,
-            "gamma": gamma,
-            "k": k,
-            "delta": delta,
-            "rates": rates.label(),
-            "epsilon": epsilon,
-        },
-        decay=decay,
-        hypothesis=series,
-        checks=checks,
-        verdict=bool(series.converged and decay.verdict),
-    )
+    config = {
+        "p": p,
+        "gamma": gamma,
+        "k": k,
+        "delta": delta,
+        "rates": rates.label(),
+        "epsilon": epsilon,
+    }
+    return _experiment("slln-p-gt-2", config, decay, series, checks)
 
 
 def slln_an_equals_n(
@@ -626,11 +612,5 @@ def slln_an_equals_n(
     checks = {name: CheckSummary() for name in relations}
     for name, fold in folds.items():
         fold.record(checks[name], name)
-    return ExperimentReport(
-        experiment="slln-n",
-        config={"p": p, "rates": "power:1", "epsilon": epsilon},
-        decay=decay,
-        hypothesis=series,
-        checks=checks,
-        verdict=bool(series.converged and decay.verdict),
-    )
+    config = {"p": p, "rates": "power:1", "epsilon": epsilon}
+    return _experiment("slln-n", config, decay, series, checks)

@@ -135,8 +135,6 @@ def _max_abs(mat: np.ndarray) -> float:
     """max |mat| taken over row blocks, so no whole-size temporary is made;
     0.0 when there are no rows."""
     blocks = row_blocks(*mat.shape)
-    if len(blocks) == 1:
-        return float(np.max(np.abs(mat)))
     return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
 
 
@@ -255,9 +253,11 @@ def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
 
 def require_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> None:
     if not is_difference_sequence(process, tol):
-        raise NotDifferenceSequence(
-            "sequence is not a martingale difference sequence for its filtration"
-        )
+        raise difference_error()
+
+
+def difference_error(_process=None) -> NotDifferenceSequence:
+    return NotDifferenceSequence("sequence is not a martingale difference sequence for its filtration")
 
 
 def partial_sums(diffs: ProcessSequence) -> ProcessSequence:

@@ -1,8 +1,10 @@
 """Report containers shared by the verification suites and experiments.
 
-JSON serialization is deterministic: dicts are dumped with sorted keys and
-floats use Python's shortest round-trip repr, so two runs with the same seed
-produce byte-identical files once the elapsed fields are stripped.
+Checks reach a VerificationReport through record_parts, in one order: unit
+(trial or process) by unit, then part, row and check.  JSON serialization
+is deterministic: dicts are dumped with sorted keys and floats use Python's
+shortest round-trip repr, so two runs with the same seed produce
+byte-identical files once the elapsed fields are stripped.
 """
 
 from __future__ import annotations
@@ -80,19 +82,27 @@ class VerificationReport:
             trial = 0 if trials is None else int(trials[i])
             self.failures.append(Failure(trial, seed, float(margin[i]), witness_at(i)))
 
-    def record_trials(self, checks, trials, seed: int | None = None) -> None:
-        """Record several checks of several trials, trial by trial and each
-        trial's checks in list order: checks are (ok, margin, witness_at)
-        triples of arrays over the trials, witness_at(k) naming a miss of the
-        k-th trial, and trials holds each trial's number."""
-        width = len(checks)
-        self.record_many(
-            np.column_stack([check[0] for check in checks]).ravel(),
-            np.column_stack([check[1] for check in checks]).ravel(),
-            lambda i: checks[i % width][2](i // width),
-            np.repeat(trials, width),
-            seed,
-        )
+    def record_parts(self, parts, trials, seed: int | None = None) -> None:
+        """Record the checks of some rows unit by unit (a trial, or a process
+        of several stage rows), then part by part, row by row and check by
+        check.  parts are tuples of (ok, margin, witness(r)) triples of
+        arrays over the rows, witness(r) naming a miss at row r; trials[r]
+        numbers row r's unit, growing from unit to unit.  A row with ok True
+        and margin inf changes no record."""
+        widths = [len(part) for part in parts]
+        ok = np.concatenate([np.column_stack([c[0] for c in part]).ravel() for part in parts])
+        margin = np.concatenate([np.column_stack([c[1] for c in part]).ravel() for part in parts])
+        unit = np.concatenate([np.repeat(trials, width) for width in widths])
+        order = np.argsort(unit, kind="stable")
+        heads = np.cumsum([0] + widths[:-1]) * len(trials)  # each part's first entry
+
+        def witness_at(i):
+            entry = int(order[i])
+            p = int(heads.searchsorted(entry, side="right")) - 1
+            row, check = divmod(entry - int(heads[p]), widths[p])
+            return parts[p][check][2](row)
+
+        self.record_many(ok[order], margin[order], witness_at, unit[order], seed)
 
     def absorb(self, other: "VerificationReport", trial: int, seed: int | None) -> None:
         """Fold a single-instance report into this aggregate, reindexed by trial."""

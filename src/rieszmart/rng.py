@@ -5,8 +5,8 @@ masked Python integers, so identical seeds give bit-identical streams on every
 platform.  Uniform doubles use the top 53 bits of each output word divided by
 2**53.  Substreams (per trial, per step, per suite) are derived by hashing the
 parent seed together with string/integer labels, never by sharing state.
-mix64_array and substream_floats do the same over numpy uint64 arrays, which
-wrap mod 2**64; the scalar SplitMix64 class is the reference they match bit for bit.
+seeds_at, derive_seeds and substream_floats do the same over numpy uint64
+arrays (mod 2**64), bit for bit with the scalar SplitMix64 reference.
 substream_floats can skip a number of words per stream, and Streams reads
 such draws back, stream by stream, with the scalar methods' arithmetic.
 """
@@ -25,11 +25,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 of every word of a uint64 array, as a new array."""
-    return _mix64_in_place(np.array(z, dtype=np.uint64))
 
 
 def _mix64_in_place(z: np.ndarray) -> np.ndarray:

@@ -57,7 +57,6 @@ from .inequalities import (
     jensen_checks,
     label_check,
     maximal_rows,
-    record_stages,
     telescoping_rows,
 )
 from .lattice import (
@@ -104,7 +103,7 @@ class RunConfig:
     p_min: float | None = None  # suite-specific default when None
     p_max: float | None = None
     tol: Tolerance = DEFAULT_TOL
-    horizon: int = 10_000
+    horizon: int = 10_000  # echoed in reports only; no suite reads it
     output: str | None = None
     format: str = "json"
 
@@ -126,8 +125,11 @@ class RunConfig:
             )
 
     def p_range(self, lo: float, hi: float) -> tuple[float, float]:
-        return (lo if self.p_min is None else self.p_min,
-                hi if self.p_max is None else self.p_max)
+        lo = lo if self.p_min is None else self.p_min
+        hi = hi if self.p_max is None else self.p_max
+        if lo > hi:
+            raise RieszmartError(f"{self.suite} exponent range is empty: p_min {lo} > p_max {hi}")
+        return lo, hi
 
     def echo(self) -> dict:
         """Every field but where and how the report is written."""
@@ -301,7 +303,7 @@ def run_clarkson(cfg: RunConfig) -> VerificationReport:
         p = np.where(drawn, batch.draws.uniform(lo, hi, where=drawn), np.where(t % 10 == 0, lo, hi))
         x = batch.draws.uniforms(batch.n, -2.0, 2.0)
         y = batch.draws.uniforms(batch.n, -2.0, 2.0)
-        report.record_trials(clarkson_checks(x, y, p, batch.starts, cfg.tol), t, cfg.seed)
+        report.record_parts([clarkson_checks(x, y, p, batch.starts, cfg.tol)], t, cfg.seed)
     return report
 
 
@@ -317,7 +319,7 @@ def run_jensen(cfg: RunConfig) -> VerificationReport:
         drawn = batch.trials % 5 != 0
         p = np.where(drawn, batch.draws.uniform(lo, hi, where=drawn), lo)
         f = batch.draws.uniforms(batch.n, -2.0, 2.0)
-        report.record_trials(jensen_checks(f, p, ops, cfg.tol), batch.trials, cfg.seed)
+        report.record_parts([jensen_checks(f, p, ops, cfg.tol)], batch.trials, cfg.seed)
     return report
 
 
@@ -396,10 +398,9 @@ def run_burkholder(cfg: RunConfig, p: float = 2.0) -> VerificationReport:
         checks = [failed, (np.full(len(t), not 1.0 < p < math.inf), lambda k: exponent_error(p))]
         raise_first(*checks)  # before any power of p
         checks.append(difference_check(stages, diffs, cfg.tol))
-        bad, records, (low, high) = burkholder_rows(diffs, stages, _first_stage_rows(stages), p, cfg.tol)
+        bad, parts, (low, high) = burkholder_rows(diffs, stages, _first_stage_rows(stages), p, cfg.tol)
         raise_first(*checks, bad)
-        ok, margin, witness_at, process = records
-        report.record_many(ok, margin, witness_at, t[process], cfg.seed)
+        report.record_parts(parts, t, cfg.seed)
         lows += low[~np.isnan(low)].tolist()
         highs += high[~np.isnan(high)].tolist()
     ratio_min, ratio_max = min(lows), max(highs)
@@ -450,7 +451,7 @@ def run_telescoping(cfg: RunConfig) -> VerificationReport:
         g = np.where(draws.floats(n) < 0.6, coords, 0.0)
         bad, parts = telescoping_rows(seq, g, rows, cfg.tol)
         raise_first(_within(made, failed), bad)
-        record_stages(report, parts, rows, t, cfg.seed)
+        report.record_parts(parts, t.repeat(steps), cfg.seed)
     return report
 
 
@@ -504,7 +505,7 @@ def _run_maximal(cfg: RunConfig, suite: str) -> VerificationReport:
         t1 = stages.row_ops(np.repeat(stages.stage[stages.first_row], stages.steps))
         bad, parts = maximal_rows(values, rates, g, t1, stages, cfg.tol, suite == "doob")
         raise_first(failed, gates, *bad)
-        record_stages(report, parts, stages, t, cfg.seed)
+        report.record_parts(parts, t.repeat(stages.steps), cfg.seed)
     return report
 
 
@@ -538,7 +539,7 @@ def run_bands(cfg: RunConfig) -> VerificationReport:
         family = batch.family(2.0, 0.6)
         checks += sup_identity_checks(family, starts)[0] + inf_inequality_checks(family, starts)[0]
         checks += exclusion_checks(batch.family(2.0, 0.7, lo=-2.0), starts)
-        report.record_trials(checks, batch.trials, cfg.seed)
+        report.record_parts([checks], batch.trials, cfg.seed)
     return report
 
 
@@ -551,7 +552,7 @@ def run_ce_axioms(cfg: RunConfig) -> VerificationReport:
         inner = substream_seeds(len(batch.trials), cfg.seed, "ce-axioms-inner", first=first)
         seeds = derive_seeds(inner, "ce-axioms", 0)
         checks = axiom_checks(_ops(batch), seeds, np.zeros_like(batch.trials), cfg.tol)
-        report.record_trials(checks, batch.trials, cfg.seed)
+        report.record_parts([checks], batch.trials, cfg.seed)
     return report
 
 

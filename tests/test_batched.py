@@ -773,7 +773,7 @@ def test_the_failure_cap_and_count_match_the_per_trial_loops(monkeypatch):
         ("jensen", 2.0, 2.0),
         ("jensen", 0.5, 0.5),
         ("jensen", None, 1e6),  # powers overflow
-        ("jensen", 3.0, 0.5),  # p below 1 only in drawn trials
+        ("jensen", 3.0, 0.5),  # an empty range: the same usage error from both
     ],
 )
 def test_pinned_and_overflowing_exponents_match_the_per_trial_loops(

@@ -63,6 +63,25 @@ def test_verify_rejects_unknown_suite():
     assert main(["verify", "--suite", "nonsense", "--trials", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--suite", "holder", "--p-min", "1.5", "--p-max", "1.0"],
+        ["--suite", "holder", "--p-min", "12"],  # above holder's default maximum of 10
+        ["--suite", "jensen", "--p-max", "0.5"],  # below jensen's default minimum of 1
+        ["--suite", "all", "--p-min", "1.5", "--p-max", "1.0"],
+    ],
+)
+def test_verify_rejects_an_empty_exponent_range(flags, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", *flags, "--trials", "5", "--output", str(out)]) == 2
+    assert "exponent range is empty" in capsys.readouterr().err
+    assert not out.exists()
+    # One exponent is a range too.
+    assert main(["verify", "--suite", "clarkson", "--p-min", "1.5", "--p-max", "1.5", "--trials", "5",
+                 "--output", str(out)]) == 0
+
+
 def test_missing_command_is_usage_error():
     assert main([]) == 2
 
@@ -222,6 +241,14 @@ def test_simulate_constant_process_exact_decay(tmp_path, capsys):
     verdict = json.loads((tmp_path / "submartingale_verdict.json").read_text())
     assert verdict["verdict"] is True
     assert verdict["decay"]["max_abs"] == [1 / c for c in verdict["decay"]["checkpoints"]]
+
+
+@pytest.mark.parametrize("experiment", ["slln-n", "slln-p-le-2", "slln-p-gt-2"])
+def test_simulate_constant_outside_the_submartingale_is_usage_error(experiment, tmp_path, capsys):
+    argv = ["simulate", experiment, "--constant", "1", "--dim", "4", "--n", "16"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "--constant" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_bad_rate_spec_is_usage_error(tmp_path, capsys):

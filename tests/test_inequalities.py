@@ -302,6 +302,17 @@ def test_burkholder_zero_process_has_no_ratios():
     assert report.details["ratio_max"] is None
 
 
+def test_burkholder_without_a_positive_left_side_records_nothing_but_the_identity():
+    # A process whose T|X_n|^p is 0 everywhere has no ratio to check; its
+    # ratio row (ok, margin inf) must leave the report as it was.
+    space = SampleSpace.uniform(2)
+    filt = default_filtration(space, 3)
+    diffs = ProcessSequence(filt, np.zeros((3, 2)))
+    for p, margin in ((2.0, "-0.0"), (3.0, "inf")):
+        report = burkholder_ratio(diffs, filt[0], p).to_json_dict()
+        assert (report["failure_count"], str(report["min_margin"])) == (0, margin)
+
+
 def test_burkholder_validation():
     diffs = generate_mds(GeneratorConfig(seed=1, dim=4, steps=4))
     base = diffs.filtration[0]

@@ -23,6 +23,7 @@ from rieszmart import (
     ParameterViolation,
     ProcessSequence,
     SampleSpace,
+    SpaceMismatch,
     Tolerance,
     WeightSequence,
     cesaro_weighted_mean,
@@ -224,6 +225,15 @@ def test_kronecker_rejects_divergent_input():
     xs = [DIM1.element([1.0 / i]) for i in range(1, 2001)]
     with pytest.raises(NotSummable):
         kronecker_transform(xs, WeightSequence.power(1.0))
+
+
+@pytest.mark.parametrize("transform", [cesaro_weighted_mean, kronecker_transform])
+def test_averaging_transforms_reject_mixed_spaces_as_space_mismatch(transform):
+    xs = [DIM1.element([0.5]), SampleSpace.uniform(2).element([0.5, 0.5])]
+    with pytest.raises(SpaceMismatch, match="different spaces"):
+        transform(xs, WeightSequence.power(1.0))
+    with pytest.raises(ValueError, match="need at least one element"):
+        transform([], WeightSequence.power(1.0))
 
 
 def test_kronecker_alternating_series():

@@ -60,6 +60,155 @@ def test_absorb_reindexes_and_caps():
     assert outer.failures[0].witness == "bad atom"
 
 
+# --- record_parts against the three layouts it replaced -------------------------
+
+
+def old_record_trials(report, checks, trials, seed=None):
+    """VerificationReport.record_trials before record_parts: trial by trial,
+    each trial's checks in list order."""
+    width = len(checks)
+    report.record_many(
+        np.column_stack([check[0] for check in checks]).ravel(),
+        np.column_stack([check[1] for check in checks]).ravel(),
+        lambda i: checks[i % width][2](i // width),
+        np.repeat(trials, width),
+        seed,
+    )
+
+
+def old_record_stages(report, parts, steps, trials=None, seed=None):
+    """inequalities.record_stages before record_parts, for processes of
+    steps[k] stage rows: process by process, part by part, stage by stage,
+    each part's two checks in turn."""
+    ok = np.array([[check[0] for check in part] for part in parts]).transpose(0, 2, 1)
+    margin = np.array([[check[1] for check in part] for part in parts]).transpose(0, 2, 1)
+    process = np.repeat(np.arange(len(steps)), steps)
+    order = np.argsort(np.broadcast_to(process[:, None], ok.shape).ravel(), kind="stable")
+    count = ok.shape[1]
+
+    def witness_at(i):
+        part, rest = divmod(int(order[i]), 2 * count)
+        return parts[part][rest % 2][2](rest // 2)
+
+    owner = np.broadcast_to(process[:, None], ok.shape).ravel()[order]
+    report.record_many(
+        ok.ravel()[order],
+        margin.ravel()[order],
+        witness_at,
+        None if trials is None else np.asarray(trials)[owner],
+        seed,
+    )
+
+
+def old_burkholder_records(report, checks, trials, seed=None):
+    """burkholder_rows' packing before record_parts, recorded as
+    run_burkholder did: checks are (kept, ok, margin, witness) over the
+    processes, and only kept entries are recorded, process by process."""
+    kept = np.array([check[0] for check in checks]).T.ravel()
+    which = np.flatnonzero(kept)
+    width = len(checks)
+    report.record_many(
+        np.array([check[1] for check in checks]).T.ravel()[which],
+        np.array([check[2] for check in checks]).T.ravel()[which],
+        lambda i: checks[which[i] % width][3](which[i] // width),
+        np.asarray(trials)[which // max(width, 1)],
+        seed,
+    )
+
+
+def looped_records(report, parts, trials, seed=None):
+    """record_parts as a plain loop of record: unit, part, row, check."""
+    trials = np.asarray(trials)
+    for unit in dict.fromkeys(trials.tolist()):
+        for part in parts:
+            for r in np.flatnonzero(trials == unit).tolist():
+                for ok, margin, witness in part:
+                    report.record(bool(ok[r]), float(margin[r]), witness(r), unit, seed)
+
+
+MARGIN_POOL = np.array([-2.0, -1.0, -0.0, 0.0, 0.25, 3.0, -np.inf, np.inf, np.nan])
+
+
+def record_grid():
+    """Cases fixed by one seed: each is (earlier, steps, trials, widths,
+    parts), where earlier failures are recorded first, process k has
+    steps[k] rows and trial number trials[k], and parts holds one part of
+    each width over all the rows.  Half the cases have no NaN margin."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for case in range(120):
+        processes = int(rng.integers(0, 6))  # 0: empty input
+        steps = rng.integers(1, 6, size=processes)
+        trials = np.cumsum(rng.integers(1, 4, size=processes)) - 1
+        widths = rng.integers(1, 7, size=int(rng.integers(1, 4))).tolist()
+        pool = MARGIN_POOL if case % 2 else MARGIN_POOL[:-1]
+        if case % 5 == 0:
+            pool = pool[pool > 0.0]  # every margin positive
+        rows = int(steps.sum())
+        miss_rate = rng.choice([0.0, 0.3, 0.9])
+        earlier = int(rng.choice([0, 3, MAX_RECORDED_FAILURES - 1, MAX_RECORDED_FAILURES]))
+        drawn = []
+        for p, width in enumerate(widths):
+            checks = []
+            for c in range(width):
+                ok = rng.random(rows) >= miss_rate
+                margin = rng.choice(pool, size=rows)
+                checks.append((ok, margin, lambda r, p=p, c=c: f"part {p} check {c} row {r}"))
+            drawn.append(tuple(checks))
+        cases.append((earlier, steps, trials, widths, drawn))
+    return cases
+
+
+def fresh_report(earlier):
+    report = VerificationReport(suite="grid", trials=9, seed=4)
+    for k in range(earlier):
+        report.record(False, 5.0, f"earlier {k}", trial=k)
+    return report
+
+
+def recorded(record, earlier):
+    report = fresh_report(earlier)
+    record(report)
+    return dump_json(report.to_json_dict())
+
+
+@pytest.mark.parametrize("case", range(120))
+def test_record_parts_matches_the_layouts_it_replaced(case):
+    earlier, steps, trials, widths, parts = record_grid()[case]
+    units = np.repeat(trials, steps)
+    new = recorded(lambda r: r.record_parts(parts, units, 4), earlier)
+    if not any(np.isnan(check[1]).any() for part in parts for check in part):
+        assert new == recorded(lambda r: looped_records(r, parts, units, 4), earlier)
+    # record_stages: parts of two checks over the stage rows.
+    pairs = [(part[0], part[-1]) for part in parts]
+    old = recorded(lambda r: old_record_stages(r, pairs, steps, trials, 4), earlier)
+    assert recorded(lambda r: r.record_parts(pairs, units, 4), earlier) == old
+    # record_trials and Burkholder's packing: one row per trial, one part.
+    checks = [(ok[: len(trials)], margin[: len(trials)], witness) for ok, margin, witness in parts[0]]
+    old = recorded(lambda r: old_record_trials(r, checks, trials, 4), earlier)
+    assert recorded(lambda r: r.record_parts([tuple(checks)], trials, 4), earlier) == old
+    kept = [(margin > -1.0) | np.isnan(margin) for _, margin, _ in checks]
+    packed = [(k, ok, margin, witness) for k, (ok, margin, witness) in zip(kept, checks)]
+    old = recorded(lambda r: old_burkholder_records(r, packed, trials, 4), earlier)
+    unkept_rows = tuple(
+        (ok | ~k, np.where(k, margin, np.inf), witness) for k, (ok, margin, witness) in zip(kept, checks)
+    )
+    assert recorded(lambda r: r.record_parts([unkept_rows], trials, 4), earlier) == old
+
+
+def test_record_grid_reaches_the_cut_nan_and_empty_inputs():
+    cases = record_grid()
+    totals = [sum(len(part) for part in parts) * int(steps.sum()) for _, steps, _, _, parts in cases]
+    assert min(totals) == 0 and max(totals) > 2 * MAX_RECORDED_FAILURES
+    assert {len(widths) for *_, widths, _ in cases} == {1, 2, 3}
+    assert {w for *_, widths, _ in cases for w in widths} == {1, 2, 3, 4, 5, 6}
+    margins = np.concatenate([c[1] for *_, parts in cases for part in parts for c in part])
+    assert np.isnan(margins).any() and np.signbit(margins[margins == 0.0]).any()
+    cut = [recorded(lambda r: r.record_parts(parts, np.repeat(trials, steps)), earlier)
+           for earlier, steps, trials, _, parts in cases]
+    assert sum(json.loads(text)["failure_count"] > MAX_RECORDED_FAILURES for text in cut) >= 10
+
+
 def test_empty_report_serializes_infinite_margin_as_string():
     report = VerificationReport(suite="empty")
     d = report.to_json_dict()
