@@ -55,6 +55,7 @@ from .lattice import (
     power_array,
     ragged_power,
     raise_first,
+    require_rates,
 )
 from .processes import (
     MARTINGALE,
@@ -386,10 +387,7 @@ def _check_maximal(process: ProcessSequence, a_values, g: LatticeElement, tol) -
     a = np.asarray(a_values, dtype=np.float64)
     if a.shape != (len(process),):
         raise BadWeights(f"need {len(process)} rate values, got shape {a.shape}")
-    if not np.all(np.isfinite(a) & (a > 0.0)):
-        raise BadWeights("rates must be strictly positive")
-    if np.any(np.diff(a) < 0.0):
-        raise BadWeights("rates must be nondecreasing")
+    require_rates(a)
     if g.space != process.space:
         raise SpaceMismatch("threshold on a different space")
     if np.any(g.coords < 0.0):

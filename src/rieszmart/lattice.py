@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, NegativeBase, NonpositiveExponent, SpaceMismatch
+from .errors import BadExponent, BadWeights, NegativeBase, NonpositiveExponent, SpaceMismatch
 
 _WEIGHT_TOL = 1e-12
 
@@ -92,6 +92,15 @@ def require_finite(*stacks) -> None:
     for stack in stacks:
         if not np.isfinite(stack).all():
             raise _not_finite()
+
+
+def require_rates(rates: np.ndarray) -> np.ndarray:
+    """The rates, once checked finite, strictly positive and nondecreasing."""
+    if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        raise BadWeights("rates must be strictly positive")
+    if np.any(np.diff(rates) < 0.0):
+        raise BadWeights("rates must be nondecreasing")
+    return rates
 
 
 def _not_finite(_trial=None) -> ValueError:

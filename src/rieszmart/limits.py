@@ -16,15 +16,27 @@ Tall (N, n) stacks run at array speed with every output bit of the plain
 NumPy calls.  Running sums add two columns per complex add (_running_sum).
 Powers of |Y_i| skip zero bases, which past the singleton cut are almost all
 of them (_raise_nonzero).  slln-n checks its three relations in one pass over
-row blocks.  T_1's dense products keep whole operands: rows @ M.T may round a
-row differently with the number of rows that share the product, so splitting
-it into row blocks would move output bits.
+row blocks.  Decay summaries divide by the rates only at the checkpoint
+rows: dividing by a positive a_n is monotone, so the row maxima of the
+undivided stack, divided, are the divided stack's.
+
+T_1 images are kept in block coordinates.  Each dense product still takes
+the whole operand (rows @ M.T may round a row differently with the number of
+rows that share it).  When the product is constant bit for bit on every block
+of T_1, and finite and free of -0.0, it is kept as an (N, k) stack of block
+values (_image), and the running sums, powers, series summaries and checks
+run on k columns.  A miss counts its block's atoms, a witness names its
+block's lowest atom, which is where compare's first argmin over the atoms
+lands, and only checkpoint rows are widened back to atoms.  Any other product
+keeps its n columns as n blocks of one atom each, so every consumer has one
+code path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +55,7 @@ from .lattice import (
     compare,
     halving_fold,
     require_finite,
+    require_rates,
     row_blocks,
     stack_family,
 )
@@ -109,11 +122,7 @@ class WeightSequence:
             if vals.size < length:
                 raise BadWeights(f"explicit rates have {vals.size} entries, need {length}")
             vals = vals[:length]
-        if not np.all(np.isfinite(vals) & (vals > 0.0)):
-            raise BadWeights("rates must be strictly positive")
-        if np.any(np.diff(vals) < 0.0):
-            raise BadWeights("rates must be nondecreasing")
-        return vals
+        return require_rates(vals)
 
     def require_divergent(self) -> None:
         """Divergence is decidable for power laws; explicit lists can only
@@ -131,24 +140,33 @@ class WeightSequence:
 
 
 def decay_report(
-    values: np.ndarray, epsilon: float, verdict_index: int | None = None
+    values: np.ndarray,
+    epsilon: float,
+    verdict_index: int | None = None,
+    rates: np.ndarray | None = None,
 ) -> DecaySequenceReport:
-    """Suffix-sup summary of an (N, dim) trajectory; the row maxima are
-    taken one row block at a time, by halving folds."""
+    """Suffix-sup summary of an (N, dim) trajectory, values / rates[:, None]
+    when rates are given; the row maxima are taken one row block at a time,
+    by halving folds, and only they and the checkpoint rows are divided."""
     count = values.shape[0]
     points = checkpoint_schedule(count)
     max_abs = np.concatenate(
         [halving_fold(np.maximum, np.abs(values[rows]), 1) for rows in row_blocks(*values.shape)]
     )
+    index = np.array(points) - 1
+    rows = values[index]
+    if rates is not None:
+        max_abs /= rates
+        rows = rows / rates[index, None]
     suffix = np.maximum.accumulate(max_abs[::-1])[::-1]
     if verdict_index is None:
         verdict_index = len(points) - 1
-    tail = [float(suffix[c - 1]) for c in points]
+    tail = [float(suffix[i]) for i in index]
     return DecaySequenceReport(
         horizon=count,
         checkpoints=points,
-        values=[[float(v) for v in values[c - 1]] for c in points],
-        max_abs=[float(max_abs[c - 1]) for c in points],
+        values=[[float(v) for v in row] for row in rows],
+        max_abs=[float(max_abs[i]) for i in index],
         tail_sup=tail,
         epsilon=epsilon,
         verdict_index=verdict_index,
@@ -208,13 +226,67 @@ def _prefix_rows(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def series_report(terms: np.ndarray) -> SeriesReport:
-    """Cauchy-tail summary for the partial sums of an (N, dim) term matrix.
+class _Layout(NamedTuple):
+    """The atoms that the k columns of a stack stand for: column b holds the
+    value of block b on its size[b] atoms, the lowest first[b], and ids[j] is
+    atom j's column.  Blocks are numbered by their lowest atom."""
+
+    ids: np.ndarray
+    size: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def of(cls, block_id: np.ndarray) -> "_Layout":
+        _, first, size = np.unique(block_id, return_index=True, return_counts=True)
+        return cls(block_id, size, first)
+
+    @classmethod
+    def singletons(cls, n: int) -> "_Layout":
+        """n blocks of one atom: the atoms themselves."""
+        return cls.of(np.arange(n))
+
+    def widen(self, rows: np.ndarray) -> np.ndarray:
+        """rows widened back to one value per atom."""
+        return rows[..., self.ids]
+
+
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def _image(t1, operand: np.ndarray) -> tuple:
+    """(stack, layout) of T_1 applied to each row of operand by one dense
+    product: its k block values when it is constant bit for bit on every
+    block, finite and free of -0.0, else the product as n one-atom blocks.
+    Non-finite images keep the atoms' arithmetic, and a -0.0 must: a min over
+    the atoms and one over the blocks may keep different signs of a zero."""
+    image = t1.apply_rows(operand)
+    layout = _Layout.of(t1.partition.block_id)
+    if len(layout.size) < image.shape[1]:
+        values = image[:, layout.first]
+        bits = values.view(np.int64)
+        if (
+            np.isfinite(values).all()
+            and not (bits == _NEGATIVE_ZERO).any()
+            and all(
+                np.array_equal(image[rows].view(np.int64), bits[rows][:, layout.ids])
+                for rows in row_blocks(*image.shape)
+            )
+        ):
+            return values, layout
+    return image, _Layout.singletons(image.shape[1])
+
+
+def series_report(terms: np.ndarray, layout: _Layout | None = None) -> SeriesReport:
+    """Cauchy-tail summary for the partial sums of an (N, dim) term matrix,
+    or of the (N, k) block values of one in layout.
 
     The partial sums are formed one row block at a time.  The tail gap
     max |s_N - s_m| over m >= N/2 comes from the columnwise min and max of
     those s_m: rounded subtraction is monotone, so the extremes give it
-    exactly, and a zero extreme of either sign gives the same gap."""
+    exactly, and a zero extreme of either sign gives the same gap.  The
+    checkpoint rows and the extremes are widened back to the atoms."""
+    if layout is None:
+        layout = _Layout.singletons(terms.shape[1])
     count = terms.shape[0]
     points = checkpoint_schedule(count)
     half = (count + 1) // 2
@@ -228,6 +300,8 @@ def series_report(terms: np.ndarray) -> SeriesReport:
         if len(tail):
             low = np.minimum(low, halving_fold(np.minimum, tail, 0))
             high = np.maximum(high, halving_fold(np.maximum, tail, 0))
+    at = {c: layout.widen(row) for c, row in at.items()}
+    low, high = layout.widen(low), layout.widen(high)
     last = at[count]
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         tail_gap = float(np.max(np.abs(last - np.stack([low, high]))))
@@ -287,19 +361,34 @@ def kronecker_transform(
     return decay_report(z, epsilon)
 
 
+def _aligned(*images) -> tuple:
+    """(stacks, layout) of (stack, layout) pairs of T_1 images on one layout:
+    their own when they share it, else each widened back to the atoms."""
+    stacks, layouts = zip(*images)
+    if len({len(layout.size) for layout in layouts}) == 1:
+        return stacks, layouts[0]
+    singletons = _Layout.singletons(len(layouts[0].ids))
+    return [layout.widen(stack) for stack, layout in images], singletons
+
+
 class _Fold:
     """One check lhs <= rhs + slack fed finite stacks in consecutive row
-    blocks.  The misses add up, the margin is the least, and the witness is
-    the first worst component: what one compare over the ravelled stack
-    gives."""
+    blocks, their columns those of layout.  The misses add up, each counting
+    its block's atoms, the margin is the least, and the witness is the first
+    worst component, named by its block's lowest atom: what one compare over
+    the ravelled stack of atoms gives."""
 
-    def __init__(self):
+    def __init__(self, layout: _Layout):
+        self.layout = layout
         self.misses, self.margin, self.rows = 0, math.inf, 0
         self.worst = self.where = None
 
     def add(self, lhs, rhs, slack) -> None:
         shape = np.broadcast(lhs, rhs).shape
         misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
+        if misses:
+            missed = ~(np.subtract(rhs, lhs) + slack >= 0.0)  # compare's, by column
+            misses = np.count_nonzero(missed, axis=0) @ self.layout.size
         pos = np.unravel_index(at, shape)
         low, high, room = (np.broadcast_to(x, shape)[pos] for x in (lhs, rhs, slack))
         worst = high - low + room  # the compared value at the argmin
@@ -307,19 +396,20 @@ class _Fold:
         self.margin = np.minimum(self.margin, margin)
         # argmin semantics: the first NaN, else the first least value.
         if self.worst is None or worst < self.worst or np.isnan(worst) > np.isnan(self.worst):
-            self.worst, self.where = worst, (self.rows + int(pos[0]), int(pos[1]))
+            self.worst = worst
+            self.where = (self.rows + int(pos[0]), int(self.layout.first[pos[1]]))
         self.rows += shape[0]
 
     def record(self, summary: CheckSummary, witness: str) -> None:
         summary.record_many([self.misses], [self.margin], lambda _: f"{witness} at {self.where}")
 
 
-def _check(summary: CheckSummary, lhs, rhs, slack, witness: str) -> None:
-    """Record lhs <= rhs + slack over whole stacks as one comparison that
-    counts every missing component; a miss names the first worst one.  The
-    stacks are compared one row block at a time, with slack(lhs, rhs) formed
-    per block; a scalar side is broadcast."""
-    fold = _Fold()
+def _check(summary: CheckSummary, lhs, rhs, slack, witness: str, layout: _Layout) -> None:
+    """Record lhs <= rhs + slack over whole stacks on the columns of layout
+    as one comparison that counts every missing atom; a miss names the first
+    worst one.  The stacks are compared one row block at a time, with
+    slack(lhs, rhs) formed per block; a scalar side is broadcast."""
+    fold = _Fold(layout)
     for rows in row_blocks(*np.broadcast(lhs, rhs).shape):
         low, high = (x if np.ndim(x) == 0 else x[rows] for x in (lhs, rhs))
         require_finite(low, high)
@@ -367,14 +457,14 @@ def submartingale_convergence_experiment(
             terms = powers[1:] - powers[:-1]
             del powers
             terms /= (a[1:] ** p)[:, None]
-        terms = t1.apply_rows(terms)
-        _check(checks["term-nonneg"], 0.0, terms, tol.slack, "series term sign")
-        series = series_report(terms)
+        terms, layout = _image(t1, terms)
+        _check(checks["term-nonneg"], 0.0, terms, tol.slack, "series term sign", layout)
+        series = series_report(terms, layout)
         del terms
     else:
         checks["term-nonneg"].record(True, 0.0, "no terms")
         series = series_report(np.zeros((1, process.space.n)))
-    decay = decay_report(process.values / a[:, None], epsilon)
+    decay = decay_report(process.values, epsilon, rates=a)
     config = {"p": p, "rates": rates.label(), "epsilon": epsilon}
     return _experiment("submartingale", config, decay, series, checks)
 
@@ -405,9 +495,9 @@ def slln_p_le_2(
     absy_p = np.abs(diffs.values)
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         absy_p **= p
-        series = series_report(t1.apply_rows(absy_p / (a**p)[:, None]))
+        series = series_report(*_image(t1, absy_p / (a**p)[:, None]))
         absx_p = _running_sum(diffs.values)
-        decay = decay_report(absx_p / a[:, None], epsilon)
+        decay = decay_report(absx_p, epsilon, rates=a)
         np.abs(absx_p, out=absx_p)
         absx_p **= p
     checks = {
@@ -417,11 +507,12 @@ def slln_p_le_2(
     scale = float(np.max(absx_p)) if absx_p.size else 1.0
     if count > 1:
         slack = tol.abs + tol.rel * scale
+        atoms = _Layout.singletons(diffs.space.n)
         # A non-finite product is raised on, not warned about; the powers are
         # >= 0, so nxt - here is finite when both are.
         with np.errstate(over="ignore", invalid="ignore"):
             for op, idx in _stage_groups(diffs.filtration, count - 1):
-                lower, upper = _Fold(), _Fold()
+                lower, upper = _Fold(atoms), _Fold(atoms)
                 # The identity group, most stages of a long horizon, is gathered
                 # one row block at a time; a dense product keeps whole operands.
                 if op.is_identity:
@@ -494,25 +585,32 @@ def slln_p_gt_2(
         hyp_terms = np.abs(diffs.values)
         _raise_nonzero(hyp_terms, p)
         hyp_terms /= (a**gamma)[:, None]
-        hyp_terms = t1.apply_rows(hyp_terms)
-        series = series_report(hyp_terms)
-        pre_hyp = _prefix_rows(hyp_terms, ends)
+        hyp_terms, layout = _image(t1, hyp_terms)
+        series = series_report(hyp_terms, layout)
+        pre_hyp = layout.widen(_prefix_rows(hyp_terms, ends))
         del hyp_terms
         sums = _running_sum(diffs.values)
-        sums /= a[:, None]
-        decay = decay_report(sums, epsilon)
+        decay = decay_report(sums, epsilon, rates=a)
         del sums
         sq_terms = diffs.values**2
         sq_terms /= (a**2)[:, None]
-        pre_sq = _prefix_rows(t1.apply_rows(sq_terms), ends)
+        sq_terms, layout = _image(t1, sq_terms)
+        pre_sq = layout.widen(_prefix_rows(sq_terms, ends))
         del sq_terms
-        pre_delta = _prefix_rows((1.0 / a**delta)[:, None], ends)[:, 0]
         pairs = len(m)
         lhs = pre_sq[:pairs] - pre_sq[pairs:]
+        inv_delta = 1.0 / a**delta
+        pre_delta = _prefix_rows(inv_delta[:, None], ends)[:, 0]
+        delta_sums = pre_delta[:pairs] - pre_delta[pairs:]
         # One scalar power per pair for the delta factor: numpy's array power
         # may round it differently.
-        delta_factor = [d ** (1.0 - 2.0 / p) for d in pre_delta[:pairs] - pre_delta[pairs:]]
-        rhs = (pre_hyp[:pairs] - pre_hyp[pairs:]) ** (2.0 / p) * np.array(delta_factor)[:, None]
+        delta_factor = np.array([d ** (1.0 - 2.0 / p) for d in delta_sums])
+        # A segment's sum is at least its first term.  Below it, the prefix
+        # sums have cancelled it; a last term below the least normal double
+        # has underflowed, or its a_i^delta overflowed.
+        lost = (delta_sums < inv_delta[m - 1]) | (inv_delta[n - 1] < np.finfo(np.float64).tiny)
+        delta_factor[lost] = _scaled_holder_factors(a, delta, 1.0 - 2.0 / p, m[lost], n[lost])
+        rhs = (pre_hyp[:pairs] - pre_hyp[pairs:]) ** (2.0 / p) * delta_factor[:, None]
     require_finite(lhs, rhs)
     misses, margin, at = compare(lhs, rhs, tol.slack(lhs, rhs))
     checks = {"holder-reduction": CheckSummary()}
@@ -528,6 +626,20 @@ def slln_p_gt_2(
         "epsilon": epsilon,
     }
     return _experiment("slln-p-gt-2", config, decay, series, checks)
+
+
+def _scaled_holder_factors(a, delta: float, power: float, m, n) -> np.ndarray:
+    """(sum_{i=m}^n a_i^-delta)^power for each segment m..n, as
+    a_m^(-delta power) (sum_{i=m}^n (a_m / a_i)^delta)^power.  The scaled
+    terms lie in [0, 1] and the first is 1, so a term that underflows, or an
+    a_i^delta that overflows, costs no segment its sum, and no prefix sum
+    cancels a segment."""
+    factors = np.empty(len(m))
+    for start in np.unique(m):
+        scaled = np.cumsum((a[start - 1] / a[start - 1 :]) ** delta)
+        hit = m == start
+        factors[hit] = a[start - 1] ** (-delta * power) * scaled[n[hit] - start] ** power
+    return factors
 
 
 def slln_an_equals_n(
@@ -567,16 +679,15 @@ def slln_an_equals_n(
     t1 = diffs.filtration[0]
 
     # Each (N, n) stack is built once, in place where the ufunc allows, and
-    # dropped after its last use; T_1's dense products keep whole operands.
+    # dropped after its last use; T_1's images are (N, k) in block coordinates.
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         sums = _running_sum(diffs.values)
-        sums /= steps[:, None]
-        decay = decay_report(sums, epsilon)
+        decay = decay_report(sums, epsilon, rates=steps)
         del sums
         absy_p = np.abs(diffs.values)
         _raise_nonzero(absy_p, p)
-        series = series_report(t1.apply_rows(absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
-        bound_rhs = t1.apply_rows(absy_p)
+        series = series_report(*_image(t1, absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
+        bound_rhs, bound_layout = _image(t1, absy_p)
         del absy_p
         _running_sum(bound_rhs, out=bound_rhs)
         bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
@@ -585,9 +696,9 @@ def slln_an_equals_n(
         absy_sq **= 2
         running = _running_sum(absy_sq)
         running **= p / 2.0
-        exchange_lhs = t1.apply_rows(running)
+        exchange_lhs, lhs_layout = _image(t1, running)
         del running
-        exchange_rhs = t1.apply_rows(absy_sq)
+        exchange_rhs, rhs_layout = _image(t1, absy_sq)
         del absy_sq
         _running_sum(exchange_rhs, out=exchange_rhs)
         exchange_rhs **= p / 2.0
@@ -595,14 +706,17 @@ def slln_an_equals_n(
     # The three relations in one pass: each block of each stack is sliced,
     # checked for finiteness and made absolute once, and each relation keeps
     # its own fold, as three _check calls would.
-    stacks = (exchange_lhs, exchange_rhs, bound_rhs)
+    stacks, layout = _aligned(
+        (exchange_lhs, lhs_layout), (exchange_rhs, rhs_layout), (bound_rhs, bound_layout)
+    )
+    del exchange_lhs, exchange_rhs, bound_rhs
     relations = {
         "square-sum-exchange": (0, 1),
         "moment-power-step": (1, 2),
         "square-sum-power-bound": (0, 2),
     }
-    folds = {name: _Fold() for name in relations}
-    for rows in row_blocks(*exchange_lhs.shape):
+    folds = {name: _Fold(layout) for name in relations}
+    for rows in row_blocks(*stacks[0].shape):
         blocks = [x[rows] for x in stacks]
         require_finite(*blocks)
         sizes = [np.abs(x) for x in blocks]

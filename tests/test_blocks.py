@@ -2,20 +2,26 @@
 
 generate_mds, the experiments' componentwise checks, series_report,
 decay_report and the four limit experiments process (N, n) stacks one row
-block of lattice.BLOCK_ELEMENTS elements at a time.  The copies below are
-the whole-array bodies before that change.  On a grid fixed in advance, at
-the module block size and at block sizes small enough to put block edges
-everywhere, every report must come out with the same bytes and every
-overflow with the same error.  The memory tests bound the traced peak of
-the long-horizon paths at N = 10^5 stages as multiples of the values array.
+block of lattice.BLOCK_ELEMENTS elements at a time, and the experiments keep
+T_1's images as (N, k) stacks of block values.  The copies below are the
+whole-array bodies on n atoms before those changes.  On a grid fixed in
+advance, at the module block size and at block sizes small enough to put
+block edges everywhere, every report must come out with the same bytes and
+every overflow with the same error; so must a product that is not constant
+on T_1's blocks, which keeps its n columns.  The memory tests bound the
+traced peak of the long-horizon paths at N = 10^5 stages as multiples of the
+values array.
 """
 
 import math
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rieszmart import (
     DEFAULT_TOL,
@@ -24,7 +30,9 @@ from rieszmart import (
     WeightSequence,
     checkpoint_schedule,
     classify,
+    conditional,
     decay_report,
+    default_filtration,
     generate_mds,
     generate_submartingale,
     is_difference_sequence,
@@ -34,6 +42,7 @@ from rieszmart import (
     require_difference_sequence,
     series_report,
 )
+from rieszmart.errors import RieszmartError
 from rieszmart.lattice import compare, require_finite
 from rieszmart.limits import SERIES_TAIL_REL
 from rieszmart.processes import ProcessSequence, _stage_groups, make_space
@@ -323,6 +332,135 @@ def test_overflowing_experiments_raise_as_the_whole_array_bodies(amplitude, bloc
     assert errors > 0
 
 
+def record_layouts(monkeypatch) -> list:
+    """(k, T_1's blocks, n) of every image an experiment keeps."""
+    seen = []
+    image = limits._image
+
+    def recorded(t1, operand):
+        stack, layout = image(t1, operand)
+        seen.append((len(layout.size), t1.partition.num_blocks, len(layout.ids)))
+        return stack, layout
+
+    monkeypatch.setattr(limits, "_image", recorded)
+    return seen
+
+
+def test_the_grid_keeps_one_block_and_several_blocks(monkeypatch, lenient_gates):
+    seen = record_layouts(monkeypatch)
+    for cfg, filt in cases():
+        for blocked, _ in experiment_pairs(cfg, filt, DEFAULT_TOL):
+            outcome(blocked)
+    assert any(k == 1 < n for k, _, n in seen)  # the default filtration's T_1
+    assert any(1 < k < n for k, _, n in seen)  # random refining filtrations
+
+
+def nudge_products(monkeypatch, share: int) -> None:
+    """average_rows moving one row of a product that averages two or more
+    atoms by 1 ulp, at the last atom not first in its block: of every
+    product, or of one in share chosen by a checksum of the operand, so that
+    the blocked and whole-array bodies nudge the same products."""
+    average_rows = conditional.average_rows
+
+    def nudged(weights, block_id, rows, block_weight=None):
+        out = average_rows(weights, block_id, rows, block_weight)
+        later = np.setdiff1d(np.arange(len(block_id)), np.unique(block_id, return_index=True)[1])
+        if later.size and len(out) and zlib.crc32(np.ascontiguousarray(rows)) % share == 0:
+            out = out.copy()
+            at = (len(out) // 2, later[-1])
+            out[at] = np.nextafter(out[at], np.inf)
+        return out
+
+    monkeypatch.setattr(conditional, "average_rows", nudged)
+
+
+@pytest.mark.parametrize("share", [1, 2], ids=["every-product", "half-the-products"])
+@pytest.mark.parametrize("tol", TOLS, ids=["default", "negative-slack"])
+def test_products_off_the_blocks_keep_their_atoms(tol, share, monkeypatch, lenient_gates):
+    nudge_products(monkeypatch, share)
+    seen = record_layouts(monkeypatch)
+    mixed = []
+    align = limits._aligned
+
+    def aligned(*images):
+        mixed.append(len({len(layout.size) for _, layout in images}) > 1)
+        return align(*images)
+
+    monkeypatch.setattr(limits, "_aligned", aligned)
+    compared = 0
+    for cfg, filt in cases():
+        for blocked, whole in experiment_pairs(cfg, filt, tol):
+            assert outcome(blocked) == outcome(whole)
+            compared += 1
+    assert compared > 100
+    # The images of a T_1 with fewer blocks than atoms: every nudged one
+    # fell back to n columns, and slln-n widened its kept ones to match.
+    fell_back = [k == n for k, blocks, n in seen if blocks < n]
+    assert any(fell_back)
+    if share == 1:
+        assert all(fell_back)
+    else:
+        assert any(mixed) and not all(fell_back)
+
+
+def test_products_with_both_zeros_keep_their_atoms(monkeypatch):
+    """A min over k block values may keep the other sign of a tied zero than
+    one over the n atoms, so a T_1 image with a -0.0 keeps its atoms.  On
+    NumPy 2.4's reduce, the grid below holds rows where the two differ."""
+    average_rows = conditional.average_rows
+    zeros = {}  # row: signed zero, written over T_1's products
+
+    def signed(weights, block_id, rows, block_weight=None):
+        out = np.array(average_rows(weights, block_id, rows, block_weight))
+        for row, zero in zeros.items():
+            out[row] = zero
+        return out
+
+    monkeypatch.setattr(conditional, "average_rows", signed)
+    power1 = WeightSequence.power(1.0)
+    for steps in (17, 34, 101):
+        # X_i = i on every atom: a submartingale whose terms are all positive.
+        space = make_space(GeneratorConfig(seed=0, dim=8, steps=steps))
+        values = np.repeat(np.arange(1.0, steps + 1)[:, None], 8, axis=1)
+        proc = ProcessSequence(default_filtration(space, steps), values)
+        for negative in range(0, steps - 1, 4):
+            for positive in range(1, steps - 1, 5):
+                if positive == negative:
+                    continue
+                zeros.clear()
+                zeros.update({negative: -0.0, positive: 0.0})
+                new = outcome(lambda: limits.submartingale_convergence_experiment(proc, power1, 2.0))
+                assert new == outcome(lambda: old_submartingale(proc, power1, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    exponent=st.floats(-300.0, 300.0),
+    seed=st.integers(0, 1 << 16),
+    dim=st.sampled_from([1, 2, 3, 5, 8]),
+    steps=st.integers(1, 40),
+    refining=st.booleans(),
+)
+def test_amplitudes_from_1e_minus_300_to_1e300_match_the_whole_array_bodies(
+    exponent, seed, dim, steps, refining
+):
+    cfg = GeneratorConfig(
+        seed=seed, dim=dim, steps=steps, amplitude=10.0**exponent,
+        weight_mode=("uniform", "random")[seed % 2],
+    )
+    filt = refining_filtration(SplitMix64(seed), make_space(cfg), steps) if refining else None
+    for blocked, whole in experiment_pairs(cfg, filt, DEFAULT_TOL):
+        assert any_outcome(blocked) == any_outcome(whole)
+
+
+def any_outcome(run):
+    """outcome, also for the hypothesis errors that the gates raise."""
+    try:
+        return outcome(run)
+    except RieszmartError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def awkward_stack(rng, rows, width):
     """Normal draws with signed zeros and runs of tied rows."""
     x = rng.standard_normal((rows, width))
@@ -383,25 +521,26 @@ def test_checks_match_the_whole_array_body_on_ties(block_elements):
     tols = (DEFAULT_TOL, Tolerance(abs=-0.5), Tolerance(abs=-2.0))
     for rows in (1, 2, 5, 64, 129):
         for width in (1, 3, 8):
+            atoms = limits._Layout.singletons(width)
             # Few distinct values, so the worst loose value ties across blocks.
             lhs = rng.integers(0, 3, (rows, width)).astype(float)
             rhs = rng.integers(0, 3, (rows, width)).astype(float)
             for tol in tols:
                 for left in (lhs, 0.0):
                     new, old = CheckSummary(), CheckSummary()
-                    limits._check(new, left, rhs, tol.slack, "w")
+                    limits._check(new, left, rhs, tol.slack, "w", atoms)
                     old_check(old, left, rhs, tol.slack(left, rhs), "w")
                     assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
                     scalar_slack = tol.abs + tol.rel * 2.0
                     new, old = CheckSummary(), CheckSummary()
-                    limits._check(new, left, rhs, lambda *_: scalar_slack, "w")
+                    limits._check(new, left, rhs, lambda *_: scalar_slack, "w", atoms)
                     old_check(old, left, rhs, scalar_slack, "w")
                     assert dump_json(new.to_json_dict()) == dump_json(old.to_json_dict())
     # A NaN slack is a miss, and the first NaN is the worst component.
     new, old = CheckSummary(), CheckSummary()
     slack = np.zeros((40, 2))
     slack[17, 1] = slack[30, 0] = math.nan
-    fold = limits._Fold()
+    fold = limits._Fold(limits._Layout.singletons(2))
     for rows in lattice.row_blocks(40, 2):
         fold.add(np.zeros((40, 2))[rows], np.ones((40, 2))[rows], slack[rows])
     fold.record(new, "w")

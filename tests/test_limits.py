@@ -6,6 +6,8 @@ so the library output can be compared against an independent calculation
 rather than a copied constant.
 """
 
+import decimal
+import math
 import time
 import tracemalloc
 
@@ -413,6 +415,31 @@ def test_slln_p_gt_2_gate_on_rate_summability():
     # horizon, so the rate gate must refuse to proceed.
     with pytest.raises(BadWeights):
         slln_p_gt_2(diffs, WeightSequence.power(1.0), p=3.0, gamma=1.5, k=2.0)
+
+
+@pytest.mark.parametrize("gamma, k", [(0.01, 300.0), (1.71, 5.0)], ids=["delta400", "delta60"])
+def test_slln_p_gt_2_holder_factor_survives_underflow_and_cancellation(gamma, k):
+    # delta = (p - gamma) / (p/2 - 1) is 400 and 60.  At 400, i^delta overflows
+    # past i = 5; at 60 nothing overflows, but 1 + 2^-60 rounds to 1.  Either
+    # way the prefix sums of 1/a_i^delta lose segments such as m = 2, n = 4,
+    # whose factor came out 0, so the reduction missed 18 times.
+    diffs = generate_mds(GeneratorConfig(seed=1, dim=3, steps=100))
+    report = slln_p_gt_2(diffs, WeightSequence.power(1.0), p=2.01, gamma=gamma, k=k)
+    assert report.checks["holder-reduction"].failures == 0
+
+
+def test_scaled_holder_factors_match_sums_at_60_digits():
+    a = np.arange(1, 101, dtype=np.float64)
+    points = np.array(checkpoint_schedule(100))
+    m, n = (points[i] for i in np.triu_indices(len(points), 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for delta, power in ((400.0, 1 - 2 / 2.01), (60.0, 1 - 2 / 2.01), (3.0, 1 / 3)):
+            factors = limits._scaled_holder_factors(a, delta, power, m, n)
+            for factor, lo, hi in zip(factors, m, n):
+                segment = sum(decimal.Decimal(int(i)) ** -int(delta) for i in range(lo, hi + 1))
+                exact = float(segment.ln()) * power
+                assert math.log(factor) == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
 # --- strong law at rate n ---------------------------------------------------------------
