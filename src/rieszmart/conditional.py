@@ -7,9 +7,10 @@ that admit the averaging identity T(Tf * g) = Tf * Tg; their ranges are the
 block-constant elements.  verify_axioms exercises all of that on random
 draws, and Filtration/CompatibleTriple package refining families of them.
 
-Stages holds families of stages as block-id tables, laid end to end, and
-builds their per-row operators as one RaggedOps.  A Filtration is the
-one-process table; it builds an operator only for a stage that is indexed.
+Stages holds refining chains laid end to end, each as an atom order and a
+cut per position, fills the block ids of the rows asked for, and builds
+their per-row operators as one RaggedOps.  A Filtration is the one-process
+case; it builds an operator only for a stage that is indexed.
 """
 
 from __future__ import annotations
@@ -376,83 +377,90 @@ class StageRows:
 
 class Stages(StageRows):
     """Processes laid end to end as in StageRows, with their filtrations as
-    block-id tables rather than Partition and operator objects; a
-    Filtration is the one-process table, its stages.
+    refining chains rather than Partition and operator objects; a
+    Filtration is the one-process case, its stages.
 
-    Row r conditions on partition stage[r] of a table of distinct
-    partitions.  The partitions of a process are consecutive and first seen
-    first; partition g of process k holds the block ids
-    ids[id_starts[g]:id_starts[g] + n[k]], numbered by lowest atom, and the
-    weights of its num_blocks[g] blocks from block_weight[weight_starts[g]].
-    Atom weights are in weights, over the atoms of all processes."""
+    Row r conditions on partition stage[r]; a process's partitions are
+    consecutive and first seen first, partition g with num_blocks[g] blocks.
+    Nested blocks are runs of one atom order: process k's atoms are at
+    positions atoms[k]:atoms[k + 1] of order, and its partition l's blocks
+    start, lowest atom first, where cut <= l.  block_weight holds the
+    partitions' block weights laid end to end, or is None for RaggedOps'
+    sums of the atom weights.  block_ids alone reads the layout."""
 
-    __slots__ = ("weights", "ids", "id_starts", "num_blocks", "block_weight", "weight_starts", "stage")
+    __slots__ = ("weights", "order", "cut", "num_blocks", "stage", "block_weight", "in_order")
 
-    def __init__(self, n, steps, weights, ids, id_starts, num_blocks, block_weight, stage):
+    def __init__(self, n, steps, weights, order, cut, num_blocks, stage, block_weight=None):
         super().__init__(n, steps)
-        self.weights, self.ids, self.id_starts = weights, ids, id_starts
-        self.num_blocks, self.block_weight = num_blocks, block_weight
-        self.weight_starts = np.cumsum(num_blocks) - num_blocks
-        self.stage = stage
+        self.weights, self.order, self.cut = weights, order, cut
+        self.num_blocks, self.stage, self.block_weight = num_blocks, stage, block_weight
+        self.in_order = bool((order == np.arange(len(order))).all())
 
     @classmethod
     def split_chains(cls, n, steps, weights, first, num_blocks) -> "Stages":
-        """Each process on the split-largest chain of its first partition,
-        whose block ids are first[atoms[k]:atoms[k + 1]] with num_blocks[k]
-        blocks, for steps[k] stages: the chain stops changing at
-        singletons.  Stage i's blocks start where cut <= i (split_cuts),
-        numbered by the rank of their first atom."""
+        """Each process on the split-largest chain (split_cuts) of its first
+        partition, whose block ids are first[atoms[k]:atoms[k + 1]] with
+        num_blocks[k] blocks, for steps[k] stages: the chain stops changing
+        at singletons."""
         order, cut = split_cuts(n, first, num_blocks)
-        atoms = np.concatenate(([0], n.cumsum()))
         depth = np.minimum(steps, n - num_blocks + 1)  # distinct partitions
-        owner = np.arange(len(n)).repeat(depth)  # process of each partition
-        level = np.arange(len(owner)) - (depth.cumsum() - depth).repeat(depth)
-        width = n[owner]
-        id_starts = width.cumsum() - width
-        index = np.arange(int(width.sum()))
-        # Read in position order, entry e is position atom[e]: it holds atom
-        # order[atom[e]], whose id goes to entry slot[e].
-        atom = index + (atoms[owner] - id_starts).repeat(width)
-        opens = cut[atom] <= level.repeat(width)
-        slot = index + order[atom] - atom
-        marked = np.zeros(len(index), dtype=bool)
-        marked[slot] = opens
-        rank = marked.cumsum()
-        head = np.maximum.accumulate(np.where(opens, index, 0))
-        ids = np.empty(len(index), dtype=np.intp)
-        ids[slot] = rank[slot[head]] - rank[id_starts.repeat(width)]
-        blocks = num_blocks[owner] + level
-        ops = RaggedOps(np.append(id_starts, index.size), weights[atom], ids, blocks)
+        level = np.arange(int(depth.sum())) - (depth.cumsum() - depth).repeat(depth)
         step = np.arange(int(steps.sum())) - (steps.cumsum() - steps).repeat(steps)
-        first_group = (depth.cumsum() - depth).repeat(steps)
-        stage = first_group + np.minimum(step, (depth - 1).repeat(steps))
-        return cls(n, steps, weights, ids, id_starts, blocks, ops.block_weight, stage)
+        stage = (depth.cumsum() - depth).repeat(steps) + np.minimum(step, (depth - 1).repeat(steps))
+        return cls(n, steps, weights, order, cut, num_blocks.repeat(depth) + level, stage)
 
-    def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None) -> RaggedOps:
-        """RaggedOps over rows laid end to end with the table's block weights,
-        row j conditioned on partition stage[j]: every row of the table in
-        turn, or rows of processes process[j].  Array methods (x.repeat)
-        skip NumPy's wrappers, whose cost shows on small rows."""
+    def block_ids(self, stage: np.ndarray, process: np.ndarray) -> np.ndarray:
+        """The block ids of partition stage[j] of process process[j] for each
+        j, laid end to end as RaggedOps takes them: row j's blocks numbered
+        by lowest atom after those of the rows before it, that is by the
+        count of block starts before their lowest atom in atom order."""
+        width = self.n[process]
+        position = (self.atoms[process] - (width.cumsum() - width)).repeat(width)
+        element = np.arange(len(position))
+        position += element
+        opens = self.cut[position] <= (stage - self.stage[self.first_row[process]]).repeat(width)
+        if self.in_order:
+            return opens.cumsum() - 1
+        slot = element + self.order[position] - position  # where each position's atom goes
+        marked = np.zeros(len(element), dtype=bool)
+        marked[slot] = opens
+        rank = marked.cumsum() - 1
+        start = np.maximum.accumulate(np.where(opens, element, 0))  # of each position's block
+        ids = np.empty_like(rank)
+        ids[slot] = rank[slot[start]]
+        return ids
+
+    def row_ops(self, stage: np.ndarray, process: np.ndarray | None = None, ids=None) -> RaggedOps:
+        """RaggedOps over rows laid end to end, row j conditioned on partition
+        stage[j]: every row in turn, or rows of processes process[j], with
+        the block_ids of those rows, filled here unless given as ids.  Array
+        methods (x.repeat) skip NumPy's wrappers, whose cost shows on small
+        rows."""
         if process is None:
             process = np.repeat(np.arange(len(self.n)), self.steps)
+        if ids is None:
+            ids = self.block_ids(stage, process)
         width, sizes = self.n[process], self.num_blocks[stage]
-        starts, first = np.concatenate(([0], width.cumsum())), sizes.cumsum() - sizes
-        head, element = starts[:-1], np.arange(starts[-1])
-        bins = self.ids[(self.id_starts[stage] - head).repeat(width) + element] + first.repeat(width)
-        weights = self.weights[(self.atoms[process] - head).repeat(width) + element]
-        shift = (self.weight_starts[stage] - first).repeat(sizes)  # bin to block_weight index
-        block_weight = self.block_weight[shift + np.arange(len(shift))]
-        return RaggedOps(starts, weights, bins, len(shift), block_weight)
+        starts = np.concatenate(([0], width.cumsum()))
+        weights = self.weights[(self.atoms[process] - starts[:-1]).repeat(width) + np.arange(starts[-1])]
+        block_weight = None
+        if self.block_weight is not None:
+            first = (self.num_blocks.cumsum() - self.num_blocks)[stage]  # each row's first stored weight
+            shift = (first - sizes.cumsum() + sizes).repeat(sizes)
+            block_weight = self.block_weight[shift + np.arange(len(shift))]
+        return RaggedOps(starts, weights, ids, int(sizes.sum()), block_weight)
 
     def table(self, k: int) -> tuple:
-        """Process k's (weights, (D, n) block ids, stage index), the
-        arguments of the raw-array cores of processes.classify and its kin."""
+        """Process k's (weights, ids, stage index), the arguments of the
+        raw-array cores of processes.classify and its kin: ids(d) is
+        block_ids of its partitions d, an int or an array."""
         rows = slice(int(self.first_row[k]), int(self.first_row[k] + self.steps[k]))
         stage = self.stage[rows]
-        first, last = int(stage[0]), int(stage[-1])
-        n = int(self.n[k])
-        start = int(self.id_starts[first])
-        ids = self.ids[start : start + (last - first + 1) * n].reshape(-1, n)
+        first = int(stage[0])
+
+        def ids(d) -> np.ndarray:
+            return self.block_ids(first + np.atleast_1d(d), np.full(np.size(d), k))
+
         return self.weights[self.atoms[k] : self.atoms[k + 1]], ids, stage - first if first else stage
 
 
@@ -497,8 +505,8 @@ def lp_norm(op: ConditionalExpectationOp, f: LatticeElement, p: float) -> Lattic
 
 class Filtration:
     """A refining sequence of averaging operators on one space, stored as its
-    stage table: stages, the one-process Stages of its distinct partitions
-    (first seen first), their block weights and the stage index.
+    stages: the one-process Stages of its distinct partitions (first seen
+    first) and the stage index.
 
     Consecutive stages must refine (equal partitions are allowed).
     Refinement is tested exactly and gives T_i T_j = T_j T_i = T_i for
@@ -506,9 +514,9 @@ class Filtration:
     T_C, and T_C T_F = T_C by self-adjointness in L2(mu).  Transitivity
     extends this to all pairs.  Filtration(ops) checks the space once per
     run of one operator object, and Partition.refines at every change of
-    partition.  default_filtration's chain refines by construction.
-    filtration[i] builds stage i's operator on first use, its block weights
-    a view of the table's, and keeps it.
+    partition; it keeps each distinct partition's block weights from its
+    first operator.  default_filtration's chain refines by construction.
+    filtration[i] builds stage i's operator on first use and keeps it.
     """
 
     __slots__ = ("space", "stages", "stage", "_ops")
@@ -530,24 +538,30 @@ class Filtration:
             if not distinct[runs[c + 1]].partition.refines(distinct[runs[c]].partition):
                 k = int(starts[c + 1])
                 raise NotRefining(f"stage {k} does not refine stage {k - 1}")
-        ids = np.array([op.partition.block_id for op in distinct])
+        # Sorted by each partition's ids in turn, then the atom, every block
+        # is a run, lowest atom first; one of partition l opens where the ids
+        # of one up to l change, and ids equal at l are equal before it.
+        keys = [op.partition.block_id for op in reversed(distinct)]
+        order, cut = np.lexsort(keys), np.zeros(space.n, dtype=np.intp)
+        for key in keys:
+            cut[1:] += key[order[1:]] == key[order[:-1]]
         num_blocks = np.array([op.partition.num_blocks for op in distinct])
+        stage = runs.repeat(np.diff(starts, append=len(ops)))
         block_weight = np.concatenate([op.block_weight for op in distinct])
-        self._fill(space, ids, num_blocks, block_weight, runs.repeat(np.diff(starts, append=len(ops))))
+        self._take(space, Stages(np.array([space.n]), np.array([len(ops)]), space.weights, order, cut,
+                                 num_blocks, stage, block_weight))
 
     @classmethod
-    def _of_table(cls, space: SampleSpace, ids, num_blocks, block_weight, stage) -> "Filtration":
-        """The filtration with this table, (D, n) block ids, taken unchecked."""
+    def _of_stages(cls, space: SampleSpace, stages: Stages) -> "Filtration":
+        """The filtration of one-process stages, taken unchecked."""
         filtration = cls.__new__(cls)
-        filtration._fill(space, ids, num_blocks, block_weight, stage)
+        filtration._take(space, stages)
         return filtration
 
-    def _fill(self, space, ids, num_blocks, block_weight, stage) -> None:
-        count, n = ids.shape
-        stage.flags.writeable = False
-        self.space, self.stage, self._ops = space, stage, [None] * count
-        self.stages = Stages(np.array([n]), np.array([len(stage)]), space.weights, ids.ravel(),
-                             np.arange(0, count * n, n), num_blocks, block_weight, stage)
+    def _take(self, space: SampleSpace, stages: Stages) -> None:
+        stages.stage.flags.writeable = False
+        self.space, self.stages, self.stage = space, stages, stages.stage
+        self._ops = [None] * len(stages.num_blocks)
 
     @property
     def distinct(self) -> list:
@@ -555,12 +569,12 @@ class Filtration:
         return [self._op(d) for d in range(len(self._ops))]
 
     def _op(self, d: int) -> ConditionalExpectationOp:
-        """The operator of distinct partition d, built on first use."""
+        """The operator of distinct partition d, built on first use with its
+        block ids and weights from the stages (Stages.row_ops)."""
         if self._ops[d] is None:
-            s = self.stages
-            ids = s.ids[s.id_starts[d] :][: self.space.n]
-            op = ConditionalExpectationOp(Partition(self.space, block_id=ids))
-            op.ragged.block_weight = s.block_weight[s.weight_starts[d] :][: s.num_blocks[d]]
+            ragged = self.stages.row_ops(np.array([d]), np.zeros(1, dtype=np.intp))
+            op = ConditionalExpectationOp(Partition(self.space, block_id=ragged.bins))
+            op.ragged.block_weight = ragged.block_weight
             self._ops[d] = op
         return self._ops[d]
 

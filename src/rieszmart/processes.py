@@ -5,22 +5,21 @@ compares apply(T_i, f_j) against f_i over every ordered pair i < j, not just
 consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).  The
-groups come from the filtration's stage index: a filtration is its stage
-table (conditional.Stages), and classify, is_adapted and
-is_difference_sequence are shells over cores on the table's raw arrays:
-the values, the atom weights, the block ids of each distinct stage and the
-stage index.  decide_gates decides classify and the difference check for a
-whole batch of processes from block means, with these cores only as
-fallback.
+groups come from the filtration's stage index.  classify, is_adapted and
+is_difference_sequence are shells over cores on raw arrays (Stages.table):
+the values, the atom weights, the block ids of each distinct stage, filled
+a row block at a time, and the stage index.  decide_gates decides classify
+and the difference check for a whole batch of processes from block means,
+with these cores only as fallback.
 
-default_filtration fills its table from the split-largest cut array
-(split_cuts).  _mds_rows generates the rows of every process of a Stages
-with one draw and one RaggedOps (Stages.row_ops) per row block;
-generate_mds is its one-process case.  Generators draw the stages in row
-blocks from the per-step SplitMix64 substreams (seed, "mds-step", i), so
-a fixed GeneratorConfig reproduces the same process bit for bit.  Step i
-draws a block-constant Z_i for the stage-i partition in [-amplitude,
-amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
+default_filtration is the one-process split-largest chain of
+Stages.split_chains.  _mds_rows generates the rows of every process of a
+Stages with one draw, one fill of block ids and one RaggedOps per row
+block; generate_mds is its one-process case.  Generators draw the stages
+in row blocks from the per-step SplitMix64 substreams (seed, "mds-step",
+i), so a fixed GeneratorConfig reproduces the same process bit for bit.
+Step i draws a block-constant Z_i for the stage-i partition in
+[-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import Filtration, Stages, average_rows, split_cuts
+from .conditional import Filtration, Stages, average_rows
 from .errors import (
     GeneratorResidual,
     NotAdapted,
@@ -118,17 +117,26 @@ class ProcessSequence:
 
 def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
     """Stages [:stop] grouped by distinct operator, first seen first."""
-    return [(filtration[int(idx[0])], idx) for _, idx in _groups(filtration.stage, stop)]
+    return [(filtration[int(idx[0])], idx) for idx in _groups(filtration.stage, stop)]
 
 
 def _groups(stage: np.ndarray, stop: int | None = None) -> list:
-    """Stages [:stop] grouped by distinct partition: (index into the
-    distinct partitions, stages) pairs, first seen first.  A stage index
-    numbers partitions in first-seen order, so a prefix holds groups 0..max."""
+    """Stages [:stop] grouped by distinct partition, the stages of partition
+    d at [d].  A stage index numbers partitions in first-seen order, so a
+    prefix holds groups 0..max."""
     stage = stage[:stop]
     ends = np.cumsum(np.bincount(stage)).tolist()  # before the sort: bincount copies stage
     order = np.argsort(stage, kind="stable")
-    return [(d, order[lo:hi]) for d, (lo, hi) in enumerate(zip([0] + ends, ends))]
+    return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _filled(ids, groups: list, n: int):
+    """Each group of stages of _groups with its partition's block ids from
+    0, filled by ids (Stages.table) one row block of partitions at a time."""
+    for rows in row_blocks(len(groups), n):
+        block = ids(np.arange(rows.start, rows.stop)).reshape(-1, n)
+        block -= block[:, :1]
+        yield from zip(groups[rows], block)
 
 
 def _max_abs(mat: np.ndarray) -> float:
@@ -149,14 +157,14 @@ def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _adapted(mat, weights, ids, stage, tol: Tolerance) -> bool:
     """is_adapted of the (N, n) values mat, on the filtration given by its
-    atom weights, the (D, n) block ids of its distinct partitions and its
-    stage index."""
+    atom weights, ids(d), the block ids of its distinct partitions d laid
+    end to end, and its stage index (Stages.table)."""
     slack = _slack(mat, tol)
-    for d, idx in _groups(stage):
-        if ids[d, -1] == mat.shape[1] - 1:  # the identity fixes everything
+    for idx, block_id in _filled(ids, _groups(stage), mat.shape[1]):
+        if block_id[-1] == mat.shape[1] - 1:  # the identity fixes everything
             continue
         rows = mat[idx]
-        if np.max(np.abs(average_rows(weights, ids[d], rows) - rows)) > slack:
+        if np.max(np.abs(average_rows(weights, block_id, rows) - rows)) > slack:
             return False
     return True
 
@@ -191,11 +199,12 @@ def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
     if count < 2:
         return MARTINGALE
     slack = _slack(mat, tol)
-    cut = int(stage.searchsorted(len(ids) - 1)) if ids[-1, -1] == n - 1 else count
+    last = int(stage[-1])  # a refining chain never returns to a partition
+    cut = int(stage.searchsorted(last)) if ids(last)[-1] == n - 1 else count
     live = [True, True]  # the sub and the super side
-    for d, idx in _groups(stage, min(cut, count - 1)):
+    for idx, block_id in _filled(ids, _groups(stage, min(cut, count - 1)), n):
         # Only stages after the operator's first use are ever compared.
-        transformed = average_rows(weights, ids[d], mat[idx[0] + 1 :])
+        transformed = average_rows(weights, block_id, mat[idx[0] + 1 :])
         # Row r is stage idx[0] + 1 + r; the rows past the cut's enter as one extreme.
         m = min(cut - idx[0], len(transformed))
         at, here = m - 1 - (idx - idx[0]), mat[idx]
@@ -239,13 +248,13 @@ def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
     if mat.shape[0] < 2:
         return True
     slack = _slack(mat, tol)
-    for d, idx in _groups(stage, -1):
+    for idx, block_id in _filled(ids, _groups(stage, -1), mat.shape[1]):
         # Only singletons refine singletons, so the identity group's stages
         # are a suffix and their next rows one contiguous view, not a copy.
-        if ids[d, -1] == mat.shape[1] - 1:
+        if block_id[-1] == mat.shape[1] - 1:
             means = mat[idx[0] + 1 :]
         else:
-            means = average_rows(weights, ids[d], mat[idx + 1])
+            means = average_rows(weights, block_id, mat[idx + 1])
         if _max_abs(means) > slack:
             return False
     return True
@@ -334,27 +343,13 @@ def make_space(cfg: GeneratorConfig) -> SampleSpace:
 
 def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     """Single block first, then split the largest block per stage;
-    once singletons are reached the finest partition repeats.  Stage i's
-    block ids are cumsum(cut <= i) - 1 (split_cuts), filled in one row block
-    at a time with one bincount of block weights, and nothing is checked."""
+    once singletons are reached the finest partition repeats: the
+    one-process case of Stages.split_chains, and nothing is checked."""
     if steps < 1:
         raise ValueError("filtration needs at least one stage")
-    n = space.n
-    _, cut = split_cuts(np.array([n]), np.zeros(n, dtype=np.intp), np.ones(1, dtype=np.intp))
-    depth = min(steps, n)  # distinct partitions: stage i has i + 1 blocks
-    num_blocks = np.arange(1, depth + 1)
-    first = num_blocks.cumsum() - num_blocks
-    ids = np.empty((depth, n), dtype=np.intp)
-    block_weight = np.empty(int(first[-1] + depth))
-    for rows in row_blocks(depth, n):
-        block = ids[rows]
-        np.cumsum(cut <= np.arange(rows.start, rows.stop)[:, None], axis=1, out=block)
-        block -= 1
-        lo, hi = first[rows.start], first[rows.stop - 1] + rows.stop
-        bins = block + (first[rows] - lo)[:, None]
-        block_weight[lo:hi] = np.bincount(bins.ravel(), np.tile(space.weights, len(block)))
-    stage = np.minimum(np.arange(steps), depth - 1)
-    return Filtration._of_table(space, ids, num_blocks, block_weight, stage)
+    one, single = np.ones(1, dtype=np.intp), np.zeros(space.n, dtype=np.intp)
+    stages = Stages.split_chains(space.n * one, steps * one, space.weights, single, one)
+    return Filtration._of_stages(space, stages)
 
 
 # decide_gates leaves to the exact cores a process whose max|f| (but 0) or
@@ -510,8 +505,8 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
         # w and b tiled over a block, so no ufunc loops along the narrow axis,
         # and one work array for every block, so no block faults in fresh pages.
         reps = suffix[0].stop - cut if suffix else 0
-        last = stages.weight_starts[-1]
-        tiles = (np.tile(stages.weights, reps), np.tile(stages.block_weight[last:], reps))
+        identity = stages.row_ops(stages.stage[-1:], np.zeros(1, dtype=np.intp))
+        tiles = (np.tile(identity.weights, reps), np.tile(identity.block_weight, reps))
         work = np.empty(reps * width, dtype=np.uint64)
     for rows in blocks:
         if rows.start >= cut:
@@ -540,25 +535,37 @@ def _binned_rows(stages: Stages, rows: slice, prefix, amplitude: float, out: np.
     group = stages.stage[rows]
     starts = width.cumsum() - width
     counts = stages.num_blocks[group]
-    first = counts.cumsum() - counts  # first drawn value of each row
     # uniforms(count, -amplitude, amplitude) per stage, bit for bit.
     vals = stream_floats(seeds_at(prefix[process], step), counts)
     vals = -amplitude + 2 * amplitude * vals
     size = int(starts[-1] + width[-1])
     block = out[stages.elements[process[0]] + step[0] * width[0] :][:size]
-    drawn = stages.ids[(stages.id_starts[group] - starts).repeat(width) + np.arange(size)]
+    # One fill of block ids, from the row before the block when that conditions
+    # its first row: the draw layout, and row i's bins at row i - 1's ids.
+    back = int(step[0] > 0)
+    fill = slice(rows.start - back, rows.stop)
+    ids = stages.block_ids(stages.stage[fill], np.append(process[:back], process))
+    head = back * int(width[0])
     # mode="clip" writes straight into out (every index is in range).
-    np.take(vals, drawn + first.repeat(width), out=block, mode="clip")
+    np.take(vals, ids[head:] - ids[head], out=block, mode="clip")
     later = step > 0
     if not later.any():
         return np.zeros(0), process[later], step[later]
-    # Row i is conditioned on stage i - 1, read from the row before.
     process, step = process[later], step[later]
-    ops = stages.row_ops(stages.stage[np.flatnonzero(later) + (rows.start - 1)], process)
+    stage = stages.stage[np.flatnonzero(later) + (rows.start - 1)]  # row i's is stage i - 1
     # A batch interleaves first stages with later ones; the block of one
     # process holds at most one, its first row, so its later rows are a view.
     skip = int(later.argmax())
-    at = slice(int(starts[skip]), None) if later[skip:].all() else later.repeat(width)
+    if later[skip:].all():
+        at, w = slice(int(starts[skip]), None), int(width[skip])
+        bins = ids[head + at.start - w : len(ids) - w]
+        bins = bins - bins[0]
+    else:  # numbered past the blocks of the rows before first stages, too
+        at = later.repeat(width)
+        bins = ids[(np.arange(head, head + size) - width.repeat(width))[at]]
+        width, sizes = width[later], stages.num_blocks[stage]
+        bins -= (bins[width.cumsum() - width] - sizes.cumsum() + sizes).repeat(width)
+    ops = stages.row_ops(stage, process, bins)
     cond = block[at]
     cond -= ops.apply(cond)
     if not isinstance(at, slice):

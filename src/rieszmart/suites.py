@@ -17,16 +17,16 @@ offset per trial, and per-trial outcomes from segment reductions, recorded
 trial by trial.  A raising batch raises what its first failing trial raises.
 
 burkholder, telescoping, hrc and doob generate their processes together:
-every trial's split-largest chain is one cut array (conditional.split_cuts),
-read out with no loop over stages as a block-id table (conditional.Stages,
-not Partition and operator objects), one pass of processes._mds_rows draws
-every trial's rows and conditions them through Stages.row_ops, and the
-checkers run over the batch's (trial * stage, atoms) rows.  The label and difference-sequence
-gates are decided for the whole batch (processes.decide_gates), with the
-exact per-trial scan only as fallback; burkholder's two dense products of
-the base operator still run trial by trial.  holder draws its batch the
-same way but checks each trial with one holder_sums call, the checker span
-per trial that perfbench's tracer self-test counts.
+every trial's split-largest chain is an atom order and a cut array
+(conditional.Stages, not Partition and operator objects), one pass of
+processes._mds_rows draws every trial's rows and conditions them through
+Stages.row_ops, and the checkers run over the batch's (trial * stage,
+atoms) rows.  The label and difference-sequence gates are decided for the
+whole batch (processes.decide_gates), with the exact per-trial scan only as
+fallback; burkholder's two dense products of the base operator still run
+trial by trial, on first-stage block ids filled once for the batch.  holder
+draws its batch the same way but checks each trial with one holder_sums
+call, the checker span per trial that perfbench's tracer self-test counts.
 """
 
 from __future__ import annotations
@@ -410,11 +410,13 @@ def run_burkholder(cfg: RunConfig, p: float = 2.0) -> VerificationReport:
 
 
 def _first_stage_rows(stages: Stages):
-    """apply(k, rows): apply_rows of process k's first stage."""
+    """apply(k, rows): apply_rows of process k's first stage, whose block ids
+    are filled for every process at once."""
+    ids = stages.block_ids(stages.stage[stages.first_row], np.arange(len(stages.n)))
 
     def apply(k, rows):
-        weights, ids, _ = stages.table(k)
-        return average_rows(weights, ids[0], rows)
+        at = slice(stages.atoms[k], stages.atoms[k + 1])
+        return average_rows(stages.weights[at], ids[at] - ids[at][0], rows)
 
     return apply
 

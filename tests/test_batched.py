@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from chains import split_largest_chain
+from chains import split_largest_chain, storing, table_of
 
 from rieszmart import (
     DEFAULT_TOL,
@@ -40,7 +40,7 @@ from rieszmart import (
     lattice,
     verify_axioms,
 )
-from rieszmart.conditional import CompatibleTriple, lp_norm
+from rieszmart.conditional import CompatibleTriple, Filtration, lp_norm
 from rieszmart.errors import (
     BadExponent,
     BadWeights,
@@ -983,28 +983,31 @@ def tampered_filtrations(seed):
         steps = 1 + stream.below(12)
         filt = old_refining_filtration(stream, space, steps)
         if stream.next_float() < 0.4 and len(filt.distinct) > 1:
+            # Filtration(ops) takes each partition's block weights from its operator.
             op = filt.distinct[stream.below(len(filt.distinct))]
-            op.block_weight = op.block_weight * (1.0 + 1e-3 * (1 + stream.below(3)))
+            tampered = ConditionalExpectationOp(op.partition)
+            tampered.block_weight = op.block_weight * (1.0 + 1e-3 * (1 + stream.below(3)))
+            filt = Filtration([tampered if stage is op else stage for stage in filt])
         out.append((GeneratorConfig(seed + k, space.n, steps), filt))
     return out
 
 
 def stages_of(*filtrations):
-    """The stage tables of several filtrations laid end to end."""
+    """The stages of several filtrations of operators laid end to end."""
     from rieszmart.conditional import Stages
 
     one = [f.stages for f in filtrations]
     groups = np.array([len(s.num_blocks) for s in one])
-    width = np.repeat([s.n[0] for s in one], groups)
+    n = np.concatenate([s.n for s in one])
     return Stages(
-        np.concatenate([s.n for s in one]),
+        n,
         np.concatenate([s.steps for s in one]),
         np.concatenate([s.weights for s in one]),
-        np.concatenate([s.ids for s in one]),
-        np.cumsum(width) - width,
+        np.concatenate([s.order + a for s, a in zip(one, np.cumsum(n) - n)]),
+        np.concatenate([s.cut for s in one]),
         np.concatenate([s.num_blocks for s in one]),
-        np.concatenate([s.block_weight for s in one]),
         np.concatenate([s.stage + g for s, g in zip(one, np.cumsum(groups) - groups)]),
+        np.concatenate([s.block_weight for s in one]),
     )
 
 
@@ -1040,9 +1043,12 @@ def test_the_batched_generator_raises_what_the_per_trial_one_raises(block, monke
 def old_binned_rows(stages, rows, prefix, amplitude, out):
     """processes._binned_rows as it conditioned its rows with bincounts of
     its own, row i binned by the blocks of stage i - 1: per-row bin
-    offsets, the block weights read through a shifted index."""
+    offsets, the block weights read through a shifted index, both from the
+    (D, n) table of stages."""
     from rieszmart.rng import seeds_at, stream_floats
 
+    ids, id_starts, num_blocks, block_weight, _ = table_of(stages)
+    weight_starts = np.cumsum(num_blocks) - num_blocks
     process, step, width = stages.rows(rows)
     group = stages.stage[rows]
     starts = np.cumsum(width) - width
@@ -1052,8 +1058,8 @@ def old_binned_rows(stages, rows, prefix, amplitude, out):
     vals = stream_floats(seeds_at(prefix[process], step), counts)
     vals = -amplitude + 2 * amplitude * vals
     block = out[stages.elements[process[0]] + step[0] * width[0] :][: local.size]
-    ids = stages.ids[np.repeat(stages.id_starts[group], width) + local]
-    np.take(vals, ids + np.repeat(first, width), out=block, mode="clip")
+    drawn = ids[np.repeat(id_starts[group], width) + local]
+    np.take(vals, drawn + np.repeat(first, width), out=block, mode="clip")
     later = step > 0
     if not later.any():
         return np.zeros(0), process[later], step[later]
@@ -1063,10 +1069,10 @@ def old_binned_rows(stages, rows, prefix, amplitude, out):
     width = width[later]
     sizes = stages.num_blocks[prev]
     first = np.cumsum(sizes) - sizes
-    bins = stages.ids[np.repeat(stages.id_starts[prev], width) + local[at]]
+    bins = ids[np.repeat(id_starts[prev], width) + local[at]]
     bins += np.repeat(first, width)
-    shift = np.repeat(stages.weight_starts[prev] - first, sizes)
-    weight = stages.block_weight[shift + np.arange(shift.size)]
+    shift = np.repeat(weight_starts[prev] - first, sizes)
+    weight = block_weight[shift + np.arange(shift.size)]
     atom_weight = stages.weights[np.repeat(stages.atoms[process[later]], width) + local[at]]
     cond = block[at]
     scratch = cond * atom_weight
@@ -1085,9 +1091,8 @@ def maximal_batches():
     """The Stages and prefixes of hrc and doob batches (split-largest chains
     from single-block and random first partitions, uniform and random
     weights), as the suites generate them at the module block size, and
-    each with one partition's block weights tampered by x1.01."""
+    each with its block weights stored, one partition's tampered by x1.01."""
     from rieszmart import suites
-    from rieszmart.conditional import Stages
 
     batches, real = [], suites._mds_rows
 
@@ -1102,11 +1107,9 @@ def maximal_batches():
                 run_suite(RunConfig(suite=suite, trials=trials, seed=seed, dim_max=12, steps_max=15))
     stream = SplitMix64(2024)
     for s, prefix in list(batches):
-        weight = s.block_weight.copy()
-        g = stream.below(len(s.num_blocks))
-        weight[s.weight_starts[g] : s.weight_starts[g] + s.num_blocks[g]] *= 1.01
-        tampered = Stages(s.n, s.steps, s.weights, s.ids, s.id_starts, s.num_blocks, weight, s.stage)
-        batches.append((tampered, prefix))
+        scale = np.ones(len(s.num_blocks))
+        scale[stream.below(len(s.num_blocks))] = 1.01
+        batches.append((storing(s, scale), prefix))
     return batches
 
 

@@ -63,9 +63,9 @@ def old_classify(mat, weights, ids, stage, tol):
     slack = _slack(mat, tol)
     is_sub = True
     is_super = True
-    for d, idx in _groups(stage, count - 1):
+    for d, idx in enumerate(_groups(stage, count - 1)):
         # Only stages after the operator's first use are ever compared.
-        transformed = average_rows(weights, ids[d], mat[idx[0] + 1 :])
+        transformed = average_rows(weights, ids(d), mat[idx[0] + 1 :])
         # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
         # row r standing for stage idx[0] + 1 + r
         suff_min = np.minimum.accumulate(transformed[::-1], axis=0)[::-1]

@@ -6,7 +6,9 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from chains import storing
 
 from rieszmart import cli
 from rieszmart.cli import main
@@ -660,8 +662,7 @@ def test_ce_axioms_checks_at_the_configured_tolerance(capsys):
 
 def tamper_block_weights(stages):
     """A block weight 1% off its atoms' weights breaks T_{i-1} Y_i = 0."""
-    stages.block_weight = stages.block_weight * 1.01
-    return stages
+    return storing(stages, np.full(len(stages.num_blocks), 1.01))
 
 
 @pytest.mark.parametrize(
@@ -673,18 +674,11 @@ def tamper_block_weights(stages):
     ],
 )
 def test_a_failing_generator_guard_exits_2(argv, tmp_path, monkeypatch, capsys):
-    from rieszmart import processes
     from rieszmart.conditional import Stages
     from rieszmart.errors import GeneratorResidual
 
-    made, split_chains = processes.default_filtration, Stages.split_chains
-
-    def tampered_filtration(*args):
-        filtration = made(*args)
-        tamper_block_weights(filtration.stages)
-        return filtration
-
-    monkeypatch.setattr(processes, "default_filtration", tampered_filtration)
+    # default_filtration is the one-process case of Stages.split_chains.
+    split_chains = Stages.split_chains
     monkeypatch.setattr(Stages, "split_chains", lambda *a: tamper_block_weights(split_chains(*a)))
     out = ["--output-dir", str(tmp_path)] if argv[0] == "simulate" else ["--output", str(tmp_path / "r.json")]
     assert main(argv + out) == 2

@@ -13,13 +13,13 @@ and values scaled by 2^900 and 2^-900, which only the exact cores decide.
 
 import numpy as np
 import pytest
-from chains import refining_filtration
+from chains import refining_filtration, split_atom
 
 from rieszmart import DEFAULT_TOL, Tolerance, inequalities, suites
 from rieszmart.errors import NotAdapted, NotDifferenceSequence, NotSubmartingale
 from rieszmart.inequalities import difference_check, label_check
-from rieszmart.lattice import SampleSpace, raise_first
-from rieszmart.conditional import Filtration, Partition, Stages, make_filtration
+from rieszmart.lattice import raise_first
+from rieszmart.conditional import Filtration, Stages
 from rieszmart.processes import (
     MARTINGALE,
     SUBMARTINGALE,
@@ -95,16 +95,15 @@ def outcome(check):
 
 
 def tail(stages, values, k):
-    """Processes k, k + 1, ... of stages, and their values."""
-    g, row = int(stages.stage[stages.first_row[k]]), int(stages.first_row[k])
+    """Processes k, k + 1, ... of the split chains of stages, and their values."""
+    g, row, atom = int(stages.stage[stages.first_row[k]]), int(stages.first_row[k]), int(stages.atoms[k])
     part = Stages(
         stages.n[k:],
         stages.steps[k:],
-        stages.weights[stages.atoms[k] :],
-        stages.ids[stages.id_starts[g] :],
-        stages.id_starts[g:] - stages.id_starts[g],
+        stages.weights[atom:],
+        stages.order[atom:] - atom,
+        stages.cut[atom:],
         stages.num_blocks[g:],
-        stages.block_weight[stages.weight_starts[g] :],
         stages.stage[row:] - g,
     )
     return part, values[stages.elements[k] :]
@@ -218,7 +217,7 @@ def borderline(stages, values, kind):
             mat[mid] += SLACK + ulps
         else:
             weights, ids, stage = stages.table(k)
-            block, atom = ids[stage[mid]], k % n
+            block, atom = ids(stage[mid]), k % n
             same = block == block[atom]
             unit = (np.arange(n) == atom) - same * weights[atom] / weights[same].sum()
             if np.abs(unit).max() > 0:
@@ -398,18 +397,7 @@ def test_exact_power_of_two_scaling_moves_no_gate():
 # take one term more, can move.  So classify, is_adapted and
 # is_difference_sequence must give the unsplit verdicts wherever no margin lies
 # within rounding of the slack.  The lifted filtration is built from one
-# operator per stage (make_filtration), the operators-to-table path.
-
-
-def split_atom(filtration, atom):
-    """filtration with atom split in two, the copy right after it, both of
-    half its weight, and the atom map that carries the values over."""
-    lift = np.insert(np.arange(filtration.space.n), atom + 1, atom)
-    weights = filtration.space.weights[lift]
-    weights[atom : atom + 2] /= 2.0
-    space = SampleSpace(weights)
-    parts = [Partition(space, block_id=op.partition.block_id[lift]) for op in filtration]
-    return make_filtration(space, parts), lift
+# operator per stage (chains.split_atom), Filtration(ops)'s lexsort path.
 
 
 def verdicts(filtration, values, diffs):

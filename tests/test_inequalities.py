@@ -1,6 +1,7 @@
 """Hand-computed and randomized cases for the inequality checkers."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -48,7 +49,7 @@ from rieszmart.reports import (
     dump_json,
 )
 from rieszmart.rng import SplitMix64
-from chains import random_partition, refining_filtration
+from chains import random_partition, refining_filtration, split_atom
 
 
 def single_block_op(n):
@@ -712,6 +713,48 @@ def test_telescoping_array_pass_matches_the_loop_on_arbitrary_sequences(tol):
             x[tie] = g.coords[tie]
             xs.append(space.element(x))
         same_report(telescoping_bound(xs, g, tol), loop_telescoping(xs, g, tol))
+
+
+# --- splitting an atom moves no maximal check -------------------------------------
+#
+# Atom a split into two atoms of half its weight that carry its value, with
+# every partition lifted so that both halves share a's block
+# (chains.split_atom), keeps every block weight and block mean, so every T_1
+# image, mask and margin of hrc_maximal and doob_maximal, up to the rounding
+# of sums with one term more.  Their records count stages, so the failure
+# counts agree; margins and recorded failures agree within rounding, and a
+# witness's atom maps back through the split.  The lifted chains are built
+# from operators, not split-largest, so they take Filtration(ops)'s lexsort
+# path, in atom order and out of it.  The grid is generated_case's first 60
+# seeds, split at atom seed mod dim, at both slacks.
+
+
+def same_within_rounding(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, NEGATIVE_SLACK], ids=["default", "negative-slack"])
+def test_splitting_an_atom_moves_no_maximal_check(tol, lenient_gates):
+    orders, failures = set(), 0
+    for seed in range(60):
+        proc, rates, g = generated_case(seed)
+        lifted, lift = split_atom(proc.filtration, seed % proc.space.n)
+        orders.add(lifted.stages.in_order)
+        split = ProcessSequence(lifted, proc.values[:, lift])
+        split_g = lifted.space.element(g.coords[lift])
+        for old, new in (
+            (hrc_maximal(proc, rates, g, tol), hrc_maximal(split, rates, split_g, tol)),
+            (doob_maximal(proc, g, tol), doob_maximal(split, split_g, tol)),
+        ):
+            assert new.failure_count == old.failure_count, seed
+            assert same_within_rounding(new.min_margin, old.min_margin), seed
+            for a, b in zip(new.failures, old.failures, strict=True):
+                assert same_within_rounding(a.margin, b.margin), seed
+                witness = re.sub(r"atom=(\d+)", lambda m: f"atom={lift[int(m[1])]}", a.witness)
+                assert witness == b.witness, seed
+            failures += old.failure_count
+    assert orders == {True, False}
+    assert (failures > 0) == (tol is NEGATIVE_SLACK)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

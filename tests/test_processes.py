@@ -363,20 +363,29 @@ def test_generate_mds_random_first_stages_match_per_stage_loop():
     assert hit_random_first
 
 
+def tamper(filt, stage: int, factor: float, blocks=slice(None)) -> Filtration:
+    """filt with stage's operator, at every stage that shares it, replaced by
+    a copy whose block weights at blocks are times factor; a filtration keeps
+    the block weights of the operators it is built from."""
+    op = filt[stage]
+    copy = ConditionalExpectationOp(op.partition)
+    copy.block_weight[blocks] *= factor
+    return Filtration([copy if o is op else o for o in filt])
+
+
 @pytest.mark.parametrize("tampered", [2, -1])
 def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
     # A block weight that disagrees with the atom weights breaks
     # T_{i-1} Y_i = 0 at every stage conditioned on that operator.
     cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
-    filt = default_filtration(make_space(cfg), cfg.steps)
-    op = filt[tampered]
-    op.block_weight = op.block_weight * 1.01
+    built = default_filtration(make_space(cfg), cfg.steps)
+    filt = tamper(built, tampered, 1.01)
     with pytest.raises(AssertionError) as oracle:
         generate_mds_per_stage(cfg, filt)
     with pytest.raises(AssertionError) as stacked:
         generate_mds(cfg, filt)
     assert str(stacked.value) == str(oracle.value)
-    first = list(filt).index(op) + 1
+    first = list(built).index(built[tampered]) + 1
     assert str(stacked.value).endswith(f"at step {first}")
 
 
@@ -433,15 +442,14 @@ def test_generate_mds_at_the_module_block_size_matches_the_per_stage_loop(dim):
 def test_blocked_residual_guard_names_the_oracle_step(block_elements, tampered, monkeypatch):
     monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
     cfg = GeneratorConfig(seed=4, dim=8, steps=30, weight_mode="random")
-    filt = default_filtration(make_space(cfg), cfg.steps)
-    op = filt[tampered]
-    op.block_weight = op.block_weight * 1.01
+    built = default_filtration(make_space(cfg), cfg.steps)
+    filt = tamper(built, tampered, 1.01)
     with pytest.raises(AssertionError) as oracle:
         generate_mds_per_stage(cfg, filt)
     with pytest.raises(AssertionError) as blocked:
         generate_mds(cfg, filt)
     assert str(blocked.value) == str(oracle.value)
-    assert str(blocked.value).endswith(f"at step {list(filt).index(op) + 1}")
+    assert str(blocked.value).endswith(f"at step {list(built).index(built[tampered]) + 1}")
 
 
 # --- the singleton suffix -------------------------------------------------------
@@ -544,11 +552,9 @@ def test_tampered_singleton_weight_fails_at_the_oracle_step(
     steps = set()
     for seed, weight_mode in ((0, "uniform"), (1, "uniform"), (2, "random"), (3, "random")):
         cfg = GeneratorConfig(seed, dim, dim + min(max(3 * rows + 5, 40), 400), 1.0, weight_mode)
-        filt = default_filtration(make_space(cfg), cfg.steps)
-        op = filt[-1]
-        assert op.is_identity
-        op.block_weight = op.block_weight.copy()
-        op.block_weight[-1] *= factor
+        built = default_filtration(make_space(cfg), cfg.steps)
+        assert built[-1].is_identity
+        filt = tamper(built, -1, factor, -1)
         with pytest.raises(AssertionError) as oracle:
             generate_mds_per_stage(cfg, filt)
         with pytest.raises(AssertionError) as blocked:
@@ -573,11 +579,8 @@ def test_tampered_singleton_weight_fails_at_the_oracle_step(
 def test_a_nan_block_weight_fails_the_guard_at_its_first_step(cfg, stage, step):
     # A NaN residual compares False with the slack, so the guard must not
     # test residual > slack; it used to let the NaN through to ProcessSequence.
-    filt = default_filtration(make_space(cfg), cfg.steps)
+    filt = tamper(default_filtration(make_space(cfg), cfg.steps), stage, np.nan, 0)
     assert singleton_cut(filt) == 8
-    op = filt[stage]
-    op.block_weight = op.block_weight.copy()
-    op.block_weight[0] = np.nan
     with pytest.raises(GeneratorResidual, match=f"residual nan exceeds 1e-12 at step {step}$"):
         generate_mds(cfg, filt)
 
