@@ -92,6 +92,12 @@ SIMULATE_OPTIONS = {
 }
 
 
+# Peak RSS of simulate is about 38 bytes per value of its (N, dim) stacks (306
+# MB for slln-n, the largest, at 10^6 stages and dim 8); a larger run is refused.
+SIMULATE_BYTES_PER_VALUE = 40
+SIMULATE_MEMORY_BUDGET = 4 * 2**30
+
+
 def _options(args: argparse.Namespace, table: dict) -> dict:
     """Each option of the table from its flag, else the config file, else
     (for the seed) RIESZ_MART_SEED, else its default."""
@@ -188,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _constant_process(constant: float, dim: int, steps: int) -> ProcessSequence:
     space = SampleSpace.uniform(dim)
     filt = default_filtration(space, steps)
-    return ProcessSequence(filt, np.full((steps, dim), float(constant)))
+    return ProcessSequence._owning(filt, np.full((steps, dim), float(constant)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -203,6 +209,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     epsilon = opt["epsilon"]
     if horizon < 1 or dim < 1:
         raise RieszmartError("n and dim must be >= 1")
+    if (need := horizon * dim * SIMULATE_BYTES_PER_VALUE) > SIMULATE_MEMORY_BUDGET:
+        raise RieszmartError(f"--n {horizon} at --dim {dim} needs about {need / 2**30:.1f} GiB, "
+                             f"over simulate's memory budget of {SIMULATE_MEMORY_BUDGET / 2**30:g} GiB")
     if opt["constant"] is not None and experiment != "submartingale":
         raise RieszmartError(f"--constant applies to the submartingale experiment, not {experiment}")
 

@@ -158,12 +158,10 @@ class ConditionalExpectationOp:
 
     @property
     def block_weight(self) -> np.ndarray:
-        """Each block's weight, the sum of its atoms' weights; set in place."""
+        """Each block's weight, the sum of its atoms' weights, to change in
+        place; read-only on an operator that a filtration built, because
+        the generator and the gates read the filtration's stages."""
         return self.ragged.block_weight
-
-    @block_weight.setter
-    def block_weight(self, value: np.ndarray) -> None:
-        self.ragged.block_weight[...] = value
 
     def apply(self, f: LatticeElement) -> LatticeElement:
         if f.space != self.space:
@@ -570,11 +568,12 @@ class Filtration:
 
     def _op(self, d: int) -> ConditionalExpectationOp:
         """The operator of distinct partition d, built on first use with its
-        block ids and weights from the stages (Stages.row_ops)."""
+        block ids and weights from the stages (Stages.row_ops), read-only."""
         if self._ops[d] is None:
             ragged = self.stages.row_ops(np.array([d]), np.zeros(1, dtype=np.intp))
             op = ConditionalExpectationOp(Partition(self.space, block_id=ragged.bins))
             op.ragged.block_weight = ragged.block_weight
+            op.block_weight.flags.writeable = False
             self._ops[d] = op
         return self._ops[d]
 

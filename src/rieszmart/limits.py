@@ -24,12 +24,12 @@ T_1 images are kept in block coordinates.  Each dense product still takes
 the whole operand (rows @ M.T may round a row differently with the number of
 rows that share it).  When the product is constant bit for bit on every block
 of T_1, and finite and free of -0.0, it is kept as an (N, k) stack of block
-values (_image), and the running sums, powers, series summaries and checks
-run on k columns.  A miss counts its block's atoms, a witness names its
-block's lowest atom, which is where compare's first argmin over the atoms
-lands, and only checkpoint rows are widened back to atoms.  Any other product
-keeps its n columns as n blocks of one atom each, so every consumer has one
-code path.
+values, and the running sums, powers, series summaries and checks run on k
+columns.  _image compares neighbouring atoms' bits in flat row blocks, not a
+gathered copy.  A miss counts its block's atoms, a witness names its block's
+lowest atom, which is where compare's first argmin over the atoms lands, and
+only checkpoint rows are widened back to atoms.  Any other product keeps its
+n columns as n blocks of one atom each, so every consumer has one code path.
 """
 
 from __future__ import annotations
@@ -258,22 +258,33 @@ def _image(t1, operand: np.ndarray) -> tuple:
     product: its k block values when it is constant bit for bit on every
     block, finite and free of -0.0, else the product as n one-atom blocks.
     Non-finite images keep the atoms' arithmetic, and a -0.0 must: a min over
-    the atoms and one over the blocks may keep different signs of a zero."""
+    the atoms and one over the blocks may keep different signs of a zero.
+    One pass over row blocks compares neighbours in one run of atoms of one
+    block in the flat block, and a later run's first atom with its block's
+    value, gathering nothing but the k value columns."""
     image = t1.apply_rows(operand)
     layout = _Layout.of(t1.partition.block_id)
-    if len(layout.size) < image.shape[1]:
-        values = image[:, layout.first]
-        bits = values.view(np.int64)
-        if (
-            np.isfinite(values).all()
-            and not (bits == _NEGATIVE_ZERO).any()
-            and all(
-                np.array_equal(image[rows].view(np.int64), bits[rows][:, layout.ids])
-                for rows in row_blocks(*image.shape)
-            )
-        ):
-            return values, layout
-    return image, _Layout.singletons(image.shape[1])
+    count, n = image.shape
+    if len(layout.size) < n:
+        ends = np.flatnonzero(np.append(layout.ids[1:] != layout.ids[:-1], True)).tolist()  # of runs
+        heads = [j + 1 for j in ends[:-1] if layout.first[layout.ids[j + 1]] != j + 1]  # later runs
+        blocks = row_blocks(count, n)
+        same = np.empty(blocks[0].stop * n if blocks else 0, dtype=bool)
+        values = np.empty((count, len(layout.size)))
+        bits, value_bits = image.view(np.int64), values.view(np.int64)
+        for rows in blocks:
+            flat = bits[rows].ravel()
+            pairs = np.equal(flat[1:], flat[:-1], out=same[: len(flat) - 1])
+            for j in ends:  # pairs across runs are not compared
+                pairs[j::n] = True
+            values[rows] = image[rows, layout.first]
+            moved = any((bits[rows, h] != value_bits[rows, layout.ids[h]]).any() for h in heads)
+            if moved or not pairs.all():
+                break
+        else:
+            if np.isfinite(values).all() and not (value_bits == _NEGATIVE_ZERO).any():
+                return values, layout
+    return image, _Layout.singletons(n)
 
 
 def series_report(terms: np.ndarray, layout: _Layout | None = None) -> SeriesReport:
@@ -692,8 +703,7 @@ def slln_an_equals_n(
         _running_sum(bound_rhs, out=bound_rhs)
         bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
         del steps
-        absy_sq = np.abs(diffs.values)
-        absy_sq **= 2
+        absy_sq = np.square(diffs.values)
         running = _running_sum(absy_sq)
         running **= p / 2.0
         exchange_lhs, lhs_layout = _image(t1, running)

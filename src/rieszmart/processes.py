@@ -122,21 +122,11 @@ def _stage_groups(filtration: Filtration, stop: int | None = None) -> list:
 
 def _groups(stage: np.ndarray, stop: int | None = None) -> list:
     """Stages [:stop] grouped by distinct partition, the stages of partition
-    d at [d].  A stage index numbers partitions in first-seen order, so a
-    prefix holds groups 0..max."""
+    d at [d].  A refining chain never returns to a partition and numbers
+    them first seen first, so stage is sorted and each group is a run."""
     stage = stage[:stop]
-    ends = np.cumsum(np.bincount(stage)).tolist()  # before the sort: bincount copies stage
-    order = np.argsort(stage, kind="stable")
-    return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
-def _filled(ids, groups: list, n: int):
-    """Each group of stages of _groups with its partition's block ids from
-    0, filled by ids (Stages.table) one row block of partitions at a time."""
-    for rows in row_blocks(len(groups), n):
-        block = ids(np.arange(rows.start, rows.stop)).reshape(-1, n)
-        block -= block[:, :1]
-        yield from zip(groups[rows], block)
+    ends = stage.searchsorted(np.arange(1, int(stage[-1]) + 2)).tolist() if len(stage) else []
+    return [np.arange(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
 def _max_abs(mat: np.ndarray) -> float:
@@ -146,23 +136,35 @@ def _max_abs(mat: np.ndarray) -> float:
     return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
 
 
-def _slack(mat: np.ndarray, tol: Tolerance) -> float:
-    return tol.abs + tol.rel * _max_abs(mat)
+def _scan(mat, ids, stage, tol: Tolerance) -> tuple:
+    """What the cores read of the (N, n) values mat, in one pass over them:
+    (slack, groups, cut, tail).  Only singletons refine singletons, so the
+    identity's stages are a suffix cut..N-1 (cut = N if the last partition
+    is not the identity).  groups pairs the stages of each partition before
+    the cut with its block ids from 0, filled by ids one row block of
+    partitions at a time; tail is max |f| past stage cut, and the slack is
+    tol.abs + tol.rel * max |f|."""
+    count, n = mat.shape
+    last = int(stage[-1])  # a refining chain never returns to a partition
+    cut = int(stage.searchsorted(last)) if ids(last)[-1] == n - 1 else count
+    groups, filled = _groups(stage, cut), []
+    for rows in row_blocks(len(groups), n):
+        block = ids(np.arange(rows.start, rows.stop)).reshape(-1, n)
+        filled += zip(groups[rows], block - block[:, :1])
+    tail = _max_abs(mat[cut + 1 :])
+    return tol.abs + tol.rel * max(_max_abs(mat[: cut + 1]), tail), filled, cut, tail
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
-    return _adapted(process.values, *process.filtration.stages.table(0), tol)
+    mat, (weights, ids, stage) = process.values, process.filtration.stages.table(0)
+    return _adapted(mat, weights, _scan(mat, ids, stage, tol))
 
 
-def _adapted(mat, weights, ids, stage, tol: Tolerance) -> bool:
-    """is_adapted of the (N, n) values mat, on the filtration given by its
-    atom weights, ids(d), the block ids of its distinct partitions d laid
-    end to end, and its stage index (Stages.table)."""
-    slack = _slack(mat, tol)
-    for idx, block_id in _filled(ids, _groups(stage), mat.shape[1]):
-        if block_id[-1] == mat.shape[1] - 1:  # the identity fixes everything
-            continue
+def _adapted(mat, weights, scan: tuple) -> bool:
+    """is_adapted of the values mat, given the atom weights and _scan."""
+    slack, groups = scan[:2]
+    for idx, block_id in groups:  # the identity's stages fix everything
         rows = mat[idx]
         if np.max(np.abs(average_rows(weights, block_id, rows) - rows)) > slack:
             return False
@@ -184,25 +186,26 @@ def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
 
 
 def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
-    """classify on raw arrays, as _adapted takes them: stage i against the
+    """classify on the values, the atom weights, ids(d), the block ids of
+    partitions d, and the stage index (Stages.table): stage i against the
     per-atom min (sub side) and max (super side) of T_i f_j over j > i.
 
-    Only singletons refine singletons, so the identity stages are a suffix
-    cut..N-1 of the sorted stage index, where T_i f_j = f_j: the values' own
+    At the identity stages cut..N-1 of _scan, T_i f_j = f_j: the values' own
     extremes, carried back one row block at a time.  An earlier operator
     keeps its one product, whose rows past the cut's enter as one extreme.
     A min or max is exact in any order, NaN included, so each comparison
     sees the operands of a whole suffix envelope.  A refuted side stops."""
-    if not _adapted(mat, weights, ids, stage, tol):
+    scan = _scan(mat, ids, stage, tol)
+    if not _adapted(mat, weights, scan):
         raise NotAdapted(NOT_ADAPTED)
-    count, n = mat.shape
+    (slack, groups, cut, _), (count, n) = scan, mat.shape
     if count < 2:
         return MARTINGALE
-    slack = _slack(mat, tol)
-    last = int(stage[-1])  # a refining chain never returns to a partition
-    cut = int(stage.searchsorted(last)) if ids(last)[-1] == n - 1 else count
-    live = [True, True]  # the sub and the super side
-    for idx, block_id in _filled(ids, _groups(stage, min(cut, count - 1)), n):
+    live, stop = [True, True], min(cut, count - 1)  # the sub and the super side
+    for idx, block_id in groups:
+        if idx[0] >= stop:
+            break
+        idx = idx[: stop - idx[0]]
         # Only stages after the operator's first use are ever compared.
         transformed = average_rows(weights, block_id, mat[idx[0] + 1 :])
         # Row r is stage idx[0] + 1 + r; the rows past the cut's enter as one extreme.
@@ -242,22 +245,17 @@ def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TO
 
 
 def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
-    """is_difference_sequence on raw arrays, as _adapted takes them."""
-    if not _adapted(mat, weights, ids, stage, tol):
+    """is_difference_sequence on raw arrays, as _classify takes them."""
+    scan = _scan(mat, ids, stage, tol)
+    if not _adapted(mat, weights, scan):
         return False
-    if mat.shape[0] < 2:
-        return True
-    slack = _slack(mat, tol)
-    for idx, block_id in _filled(ids, _groups(stage, -1), mat.shape[1]):
-        # Only singletons refine singletons, so the identity group's stages
-        # are a suffix and their next rows one contiguous view, not a copy.
-        if block_id[-1] == mat.shape[1] - 1:
-            means = mat[idx[0] + 1 :]
-        else:
-            means = average_rows(weights, block_id, mat[idx + 1])
-        if _max_abs(means) > slack:
+    slack, groups, cut, tail = scan
+    for idx, block_id in groups:
+        idx = idx[: len(mat) - 1 - idx[0]]  # the stages with a next stage
+        if len(idx) and _max_abs(average_rows(weights, block_id, mat[idx + 1])) > slack:
             return False
-    return True
+    # The identity's stages are cut.., so their next rows are the scan's tail.
+    return not (cut < len(mat) - 1 and tail > slack)
 
 
 def require_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -377,7 +375,7 @@ def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: boo
     max for min decides the super side.  Adaptedness compares max|a_i| over
     the non-identity stages (the exact scan skips the identity), and the
     difference check max|T_i f_{i+1}|, with slack -+ G; the slack is
-    _slack's, bit for bit.
+    _scan's, bit for bit.
 
     G bounds the rounding.  With u = 2^-53, gamma_m = m u / (1 - m u), M =
     max|f| and n atoms, a block mean by bincount (n products, n - 1
@@ -451,7 +449,9 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     (an AssertionError) when the guard T_{i-1} Y_i = 0 fails, which a
     filtration whose block weights disagree with its atom weights can do.
     A given filtration fixes the space, so cfg.dim and cfg.weight_mode are
-    then unused; its length must be cfg.steps.
+    then unused; its length must be cfg.steps.  The process keeps the
+    generated array itself (ProcessSequence._owning checks it is finite),
+    so no second (N, n) array is made.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
@@ -466,8 +466,7 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     prefix = np.array([derive_seed(cfg.seed, "mds-step")], dtype=np.uint64)
     values, failed = _mds_rows(filtration.stages, prefix, cfg.amplitude)
     raise_first(failed)
-    # The blocks' temporaries are freed before ProcessSequence copies the rows.
-    return ProcessSequence(filtration, values.reshape(cfg.steps, -1))
+    return ProcessSequence._owning(filtration, values.reshape(cfg.steps, -1))
 
 
 def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):

@@ -986,7 +986,7 @@ def tampered_filtrations(seed):
             # Filtration(ops) takes each partition's block weights from its operator.
             op = filt.distinct[stream.below(len(filt.distinct))]
             tampered = ConditionalExpectationOp(op.partition)
-            tampered.block_weight = op.block_weight * (1.0 + 1e-3 * (1 + stream.below(3)))
+            tampered.block_weight[...] = op.block_weight * (1.0 + 1e-3 * (1 + stream.below(3)))
             filt = Filtration([tampered if stage is op else stage for stage in filt])
         out.append((GeneratorConfig(seed + k, space.n, steps), filt))
     return out

@@ -186,7 +186,7 @@ def refining_ops(seed: int, n: int, count: int) -> list:
     while len(ops) < count:
         part = Partition(space, [np.flatnonzero(labels == v) for v in np.unique(labels)])
         op = ConditionalExpectationOp(part)
-        op.block_weight = op.block_weight * rng.uniform(0.99, 1.01, part.num_blocks)
+        op.block_weight[...] *= rng.uniform(0.99, 1.01, part.num_blocks)
         ops += [op] * int(rng.integers(1, 3))
         labels = labels * 3 + rng.integers(0, 3, n) * (rng.random(n) < 0.5)
     return ops[:count]

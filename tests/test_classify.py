@@ -38,16 +38,14 @@ from rieszmart.processes import (
     GeneratorConfig,
     NotAdapted,
     ProcessSequence,
-    _adapted,
     _classify,
-    _groups,
-    _slack,
     default_filtration,
     generate_mds,
     make_space,
     partial_sums,
 )
 from rieszmart.rng import SplitMix64, derive_seed
+from oracles import old_adapted, old_groups, old_slack
 from test_processes import classify_full_matrix
 
 TOLS = [DEFAULT_TOL, Tolerance(abs=0.0, rel=0.0), Tolerance(abs=-1e-12, rel=1e-9)]
@@ -55,15 +53,15 @@ TOLS = [DEFAULT_TOL, Tolerance(abs=0.0, rel=0.0), Tolerance(abs=-1e-12, rel=1e-9
 
 def old_classify(mat, weights, ids, stage, tol):
     """The replaced _classify."""
-    if not _adapted(mat, weights, ids, stage, tol):
+    if not old_adapted(mat, weights, ids, stage, tol):
         raise NotAdapted(NOT_ADAPTED)
     count = mat.shape[0]
     if count < 2:
         return MARTINGALE
-    slack = _slack(mat, tol)
+    slack = old_slack(mat, tol)
     is_sub = True
     is_super = True
-    for d, idx in enumerate(_groups(stage, count - 1)):
+    for d, idx in enumerate(old_groups(stage, count - 1)):
         # Only stages after the operator's first use are ever compared.
         transformed = average_rows(weights, ids(d), mat[idx[0] + 1 :])
         # suffix envelopes of T_i-transformed values over j = i+1 .. N-1,
@@ -244,7 +242,7 @@ def test_violations_around_the_cut_and_the_row_block_edges(block_elements, monke
     # Borderline, on the martingale: each step stays within the slack, the
     # two together do not.  The dip's atom is the lighter of its pair, so
     # the unit's other atom moves by less than the slack too.
-    slack = _slack(kinds["martingale"], DEFAULT_TOL)
+    slack = old_slack(kinds["martingale"], DEFAULT_TOL)
     single = [a for a in range(dim) if a not in paired]
     light = min(paired, key=lambda a: filt.space.weights[a])
     share = filt.space.weights[light] / filt.space.weights[fine == fine[light]].sum()

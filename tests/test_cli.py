@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -317,6 +318,27 @@ def test_simulate_amplitude_whose_double_overflows_is_a_usage_error(tmp_path, ca
 def test_simulate_rejects_bad_sizes(tmp_path):
     assert main(["simulate", "slln-n", "--n", "0", "--output-dir", str(tmp_path)]) == 2
     assert main(["simulate", "slln-n", "--dim", "0", "--output-dir", str(tmp_path)]) == 2
+
+
+def test_a_run_over_the_memory_budget_exits_2_before_it_allocates(tmp_path, capsys):
+    argv = ["simulate", "slln-n", "--n", "1000000000", "--dim", "8", "--output-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    assert "over simulate's memory budget of 4 GiB" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_memory_budget_admits_a_run_at_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SIMULATE_MEMORY_BUDGET", 100 * 8 * cli.SIMULATE_BYTES_PER_VALUE)
+    for n, codes in (("100", (0, 1)), ("101", (2,))):
+        argv = ["simulate", "slln-n", "--n", n, "--dim", "8", "--output-dir", str(tmp_path)]
+        assert main(argv) in codes, n
+    assert "memory budget" in capsys.readouterr().err
 
 
 def test_simulate_determinism(tmp_path):

@@ -396,11 +396,29 @@ def test_a_filtration_takes_its_operators_block_weights():
     cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
     ops = list(default_filtration(make_space(cfg), cfg.steps))
     op = ConditionalExpectationOp(ops[2].partition)
-    op.block_weight = op.block_weight * 1.01
+    op.block_weight[...] *= 1.01
     filt = Filtration(ops[:2] + [op] + ops[3:])
     assert filt[2] is not op and filt[2].block_weight.tobytes() == op.block_weight.tobytes()
     with pytest.raises(GeneratorResidual, match="at step 3$"):
         generate_mds(cfg, filt)
+
+
+def test_a_filtrations_operator_refuses_new_block_weights():
+    # The generator and the gates read the filtration's stages, not the
+    # operator: a write that changed only the operator let generate_mds pass
+    # its residual guard here, where tampering the stages' weights fails it.
+    cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
+    filt = default_filtration(make_space(cfg), cfg.steps)
+    before, op = generate_mds(cfg, filt).values.tobytes(), filt[2]
+    weights = op.block_weight.copy()
+    with pytest.raises(AttributeError):
+        op.block_weight = weights * 1.01
+    with pytest.raises(ValueError, match="read-only"):
+        op.block_weight[...] *= 1.01
+    assert op.block_weight.tobytes() == weights.tobytes()
+    assert generate_mds(cfg, filt).values.tobytes() == before
+    with pytest.raises(GeneratorResidual, match="at step 3$"):
+        generate_mds(cfg, tamper(filt, 2, 1.01))
 
 
 BLOCK_DIMS = (1, 3, 8)
