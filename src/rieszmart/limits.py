@@ -268,13 +268,11 @@ def _image(t1, operand: np.ndarray) -> tuple:
     if len(layout.size) < n:
         ends = np.flatnonzero(np.append(layout.ids[1:] != layout.ids[:-1], True)).tolist()  # of runs
         heads = [j + 1 for j in ends[:-1] if layout.first[layout.ids[j + 1]] != j + 1]  # later runs
-        blocks = row_blocks(count, n)
-        same = np.empty(blocks[0].stop * n if blocks else 0, dtype=bool)
         values = np.empty((count, len(layout.size)))
         bits, value_bits = image.view(np.int64), values.view(np.int64)
-        for rows in blocks:
+        for rows in row_blocks(count, n):
             flat = bits[rows].ravel()
-            pairs = np.equal(flat[1:], flat[:-1], out=same[: len(flat) - 1])
+            pairs = np.equal(flat[1:], flat[:-1])
             for j in ends:  # pairs across runs are not compared
                 pairs[j::n] = True
             values[rows] = image[rows, layout.first]

@@ -6,11 +6,11 @@ consecutive stages; the scan below is exact but organized per distinct
 operator so the quadratic pair set costs linear work for the usual
 filtrations (a few distinct coarse stages, then singletons repeated).  The
 groups come from the filtration's stage index.  classify, is_adapted and
-is_difference_sequence are shells over cores on raw arrays (Stages.table):
-the values, the atom weights, the block ids of each distinct stage, filled
-a row block at a time, and the stage index.  decide_gates decides classify
-and the difference check for a whole batch of processes from block means,
-with these cores only as fallback.
+is_difference_sequence are shells over cores on raw arrays (Stages.table),
+which share one scan (_scan): the slack, the adaptedness check, and the
+stages grouped with their block ids.  decide_gates decides classify and
+the difference check for a whole batch of processes from block means, with
+these cores only as fallback.
 
 default_filtration is the one-process split-largest chain of
 Stages.split_chains.  _mds_rows generates the rows of every process of a
@@ -136,14 +136,17 @@ def _max_abs(mat: np.ndarray) -> float:
     return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
 
 
-def _scan(mat, ids, stage, tol: Tolerance) -> tuple:
-    """What the cores read of the (N, n) values mat, in one pass over them:
-    (slack, groups, cut, tail).  Only singletons refine singletons, so the
-    identity's stages are a suffix cut..N-1 (cut = N if the last partition
-    is not the identity).  groups pairs the stages of each partition before
-    the cut with its block ids from 0, filled by ids one row block of
-    partitions at a time; tail is max |f| past stage cut, and the slack is
-    tol.abs + tol.rel * max |f|."""
+def _scan(mat, weights, ids, stage, tol: Tolerance) -> tuple:
+    """What the cores read of the (N, n) values mat, given the atom weights,
+    ids(d), the block ids of partitions d, and the stage index
+    (Stages.table), with one max |f| pass over them: (adapted, slack,
+    groups, cut, tail).  Only singletons refine singletons, so the identity's stages
+    are a suffix cut..N-1 (cut = N if the last partition is not the
+    identity), and they fix every value.  groups pairs the stages of each
+    partition before the cut with its block ids from 0, filled one row block
+    of partitions at a time.  tail is max |f| past stage cut, the slack is
+    tol.abs + tol.rel * max |f|, and adapted tells whether every stage value
+    is fixed by its own operator within the slack."""
     count, n = mat.shape
     last = int(stage[-1])  # a refining chain never returns to a partition
     cut = int(stage.searchsorted(last)) if ids(last)[-1] == n - 1 else count
@@ -152,23 +155,19 @@ def _scan(mat, ids, stage, tol: Tolerance) -> tuple:
         block = ids(np.arange(rows.start, rows.stop)).reshape(-1, n)
         filled += zip(groups[rows], block - block[:, :1])
     tail = _max_abs(mat[cut + 1 :])
-    return tol.abs + tol.rel * max(_max_abs(mat[: cut + 1]), tail), filled, cut, tail
+    slack = tol.abs + tol.rel * max(_max_abs(mat[: cut + 1]), tail)
+    adapted = True
+    for idx, block_id in filled:
+        rows = mat[idx]
+        if np.max(np.abs(average_rows(weights, block_id, rows) - rows)) > slack:
+            adapted = False
+            break
+    return adapted, slack, filled, cut, tail
 
 
 def is_adapted(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every stage value must be fixed by its own averaging operator."""
-    mat, (weights, ids, stage) = process.values, process.filtration.stages.table(0)
-    return _adapted(mat, weights, _scan(mat, ids, stage, tol))
-
-
-def _adapted(mat, weights, scan: tuple) -> bool:
-    """is_adapted of the values mat, given the atom weights and _scan."""
-    slack, groups = scan[:2]
-    for idx, block_id in groups:  # the identity's stages fix everything
-        rows = mat[idx]
-        if np.max(np.abs(average_rows(weights, block_id, rows) - rows)) > slack:
-            return False
-    return True
+    return _scan(process.values, *process.filtration.stages.table(0), tol)[0]
 
 
 def classify(process: ProcessSequence, tol: Tolerance = DEFAULT_TOL) -> str:
@@ -195,10 +194,10 @@ def _classify(mat, weights, ids, stage, tol: Tolerance) -> str:
     keeps its one product, whose rows past the cut's enter as one extreme.
     A min or max is exact in any order, NaN included, so each comparison
     sees the operands of a whole suffix envelope.  A refuted side stops."""
-    scan = _scan(mat, ids, stage, tol)
-    if not _adapted(mat, weights, scan):
+    adapted, slack, groups, cut, _ = _scan(mat, weights, ids, stage, tol)
+    if not adapted:
         raise NotAdapted(NOT_ADAPTED)
-    (slack, groups, cut, _), (count, n) = scan, mat.shape
+    count, n = mat.shape
     if count < 2:
         return MARTINGALE
     live, stop = [True, True], min(cut, count - 1)  # the sub and the super side
@@ -246,10 +245,9 @@ def is_difference_sequence(process: ProcessSequence, tol: Tolerance = DEFAULT_TO
 
 def _difference_sequence(mat, weights, ids, stage, tol: Tolerance) -> bool:
     """is_difference_sequence on raw arrays, as _classify takes them."""
-    scan = _scan(mat, ids, stage, tol)
-    if not _adapted(mat, weights, scan):
+    adapted, slack, groups, cut, tail = _scan(mat, weights, ids, stage, tol)
+    if not adapted:
         return False
-    slack, groups, cut, tail = scan
     for idx, block_id in groups:
         idx = idx[: len(mat) - 1 - idx[0]]  # the stages with a next stage
         if len(idx) and _max_abs(average_rows(weights, block_id, mat[idx + 1])) > slack:

@@ -5,9 +5,10 @@ The cores below took the slack and grouped the stages once for the
 adaptedness check and again for their own comparisons, and the difference
 check took max|f| over the identity suffix in a third pass.  old_image
 compared each row block of the product with a gathered copy of its block
-values.  They are the bodies of processes._adapted, _classify and
-_difference_sequence and of limits._image as they were, with their helpers,
-and tests/test_one_pass.py holds the new code to them bit for bit.
+values.  They are the bodies of processes._adapted (now part of _scan),
+_classify and _difference_sequence and of limits._image as they were, with
+their helpers, and tests/test_one_pass.py holds the new code to them bit for
+bit.
 """
 
 import numpy as np

@@ -34,7 +34,7 @@ from test_gates import (
 )
 
 from rieszmart import DEFAULT_TOL, GeneratorConfig, generate_mds, generate_submartingale, lattice, limits
-from rieszmart.processes import NOT_ADAPTED, _adapted, _classify, _difference_sequence, _scan, partial_sums
+from rieszmart.processes import NOT_ADAPTED, _classify, _difference_sequence, _scan, partial_sums
 
 GATE_TOLS = list(dict.fromkeys(TOLS))  # the distinct tolerances of test_gates
 IMAGE = limits._image  # before any test wraps it
@@ -56,11 +56,11 @@ def gates(mat, weights, ids, stage, tol):
     """Every gate outcome of one process under the new cores: the slack's
     and the identity tail's bits, adaptedness, the label and the
     difference verdict."""
-    scan = _scan(mat, ids, stage, tol)
+    adapted, slack, _, _, tail = _scan(mat, weights, ids, stage, tol)
     return (
-        bits(scan[0]),
-        bits(scan[3]),
-        result(_adapted, mat, weights, scan),
+        bits(slack),
+        bits(tail),
+        adapted,
         result(_classify, mat, weights, ids, stage, tol),
         result(_difference_sequence, mat, weights, ids, stage, tol),
     )
@@ -196,8 +196,9 @@ def forced(block_id, image):
 
 def forced_images(block_id, rows, seed):
     """(name, image) pairs on one layout: block-constant values, then copies
-    with one atom moved by 1 ulp, a -0.0 in a block's first column or in a
-    later column of a zero block, and an inf or NaN at either kind of atom."""
+    with one atom moved by 1 ulp (in a run, or at the head of a later run of
+    its block), a block of -0.0 or one -0.0 in a zero block, and a block or
+    one later atom at inf or NaN."""
     rng = np.random.default_rng(seed)
     block_id = np.array(block_id)
     values = rng.uniform(-2.0, 2.0, (rows, block_id.max() + 1))
