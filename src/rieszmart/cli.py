@@ -92,8 +92,8 @@ SIMULATE_OPTIONS = {
 }
 
 
-# Peak RSS of simulate is about 38 bytes per value of its (N, dim) stacks (306
-# MB for slln-n, the largest, at 10^6 stages and dim 8); a larger run is refused.
+# Peak RSS of simulate measured 30-40 bytes per value of its (N, dim) stacks
+# (322 MB for slln-n, the largest, at 10^6 stages and dim 8); a larger run is refused.
 SIMULATE_BYTES_PER_VALUE = 40
 SIMULATE_MEMORY_BUDGET = 4 * 2**30
 
