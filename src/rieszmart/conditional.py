@@ -122,31 +122,26 @@ class Partition:
         return [list(b) for b in self.blocks]
 
 
-def averaging_matrix(
-    weights: np.ndarray, block_id: np.ndarray, block_weight: np.ndarray | None = None
-) -> np.ndarray:
+def averaging_matrix(weights: np.ndarray, block_id: np.ndarray) -> np.ndarray:
     """The dense n x n averaging operator along block_id: entry (i, j) is
-    w_j / w(B) when atoms i and j share block B, else 0.  block_weight holds
-    each block's weight, bincount(block_id, weights) when not given."""
-    if block_weight is None:
-        block_weight = np.bincount(block_id, weights=weights)
+    w_j / w(B) when atoms i and j share block B, else 0, where w(B) is
+    bincount(block_id, weights), the weight of B's atoms."""
+    block_weight = np.bincount(block_id, weights=weights)
     return (block_id[:, None] == block_id) * (weights / block_weight[block_id])
 
 
-def average_rows(
-    weights: np.ndarray, block_id: np.ndarray, rows: np.ndarray, block_weight: np.ndarray | None = None
-) -> np.ndarray:
+def average_rows(weights: np.ndarray, block_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The dense conditioning path: each row of a (k, n) array averaged
     along block_id by one product with averaging_matrix, or rows itself for
-    singletons (block ids 0..n-1).  block_weight as averaging_matrix takes it."""
+    singletons (block ids 0..n-1)."""
     if block_id[-1] == len(block_id) - 1:
         return rows
-    return rows @ averaging_matrix(weights, block_id, block_weight).T
+    return rows @ averaging_matrix(weights, block_id).T
 
 
 class ConditionalExpectationOp:
-    """Weighted block averaging along a partition: the one-trial case of
-    RaggedOps, which it holds as ragged."""
+    """Weighted block averaging along a partition, each block's weight the
+    sum of its atoms': the one-trial case of RaggedOps, held as ragged."""
 
     __slots__ = ("space", "partition", "ragged")
 
@@ -155,13 +150,6 @@ class ConditionalExpectationOp:
         self.partition = partition
         ends = np.array([0, self.space.n])
         self.ragged = RaggedOps(ends, self.space.weights, partition.block_id, partition.num_blocks)
-
-    @property
-    def block_weight(self) -> np.ndarray:
-        """Each block's weight, the sum of its atoms' weights, to change in
-        place; read-only on an operator that a filtration built, because
-        the generator and the gates read the filtration's stages."""
-        return self.ragged.block_weight
 
     def apply(self, f: LatticeElement) -> LatticeElement:
         if f.space != self.space:
@@ -176,7 +164,7 @@ class ConditionalExpectationOp:
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply to each row of a (k, n) array at once (average_rows); the
         identity returns rows itself."""
-        return average_rows(self.space.weights, self.partition.block_id, rows, self.block_weight)
+        return average_rows(self.space.weights, self.partition.block_id, rows)
 
     @property
     def is_identity(self) -> bool:
@@ -213,24 +201,21 @@ class RaggedOps:
     atoms starts[t]:starts[t + 1], with their weights and block ids, and its
     blocks are numbered after those of the trials before it, here from one
     num_blocks per trial, or already when num_blocks is one int for all.
-    block_weight defaults to the blocks' bincount.  The one bincount
+    block_weight is the atom weights' bincount.  The one bincount
     operator: every bin sums the terms of one block of one row in atom
     order, so no trial or row changes a bit of another.  Its one-trial case
     is ConditionalExpectationOp's, and Stages.row_ops builds it over rows."""
 
     __slots__ = ("starts", "weights", "bins", "block_weight")
 
-    def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks,
-                 block_weight: np.ndarray | None = None):
+    def __init__(self, starts: np.ndarray, weights: np.ndarray, block_id: np.ndarray, num_blocks):
         self.starts = starts
         self.weights = weights
         if not isinstance(num_blocks, int):
             block_id = block_id + np.repeat(np.cumsum(num_blocks) - num_blocks, np.diff(starts))
             num_blocks = int(np.sum(num_blocks))
         self.bins = block_id
-        if block_weight is None:
-            block_weight = np.bincount(block_id, weights=weights, minlength=num_blocks)
-        self.block_weight = block_weight
+        self.block_weight = np.bincount(block_id, weights=weights, minlength=num_blocks)
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """Each block's weighted mean of values over its atoms, in each row
@@ -382,16 +367,15 @@ class Stages(StageRows):
     consecutive and first seen first, partition g with num_blocks[g] blocks.
     Nested blocks are runs of one atom order: process k's atoms are at
     positions atoms[k]:atoms[k + 1] of order, and its partition l's blocks
-    start, lowest atom first, where cut <= l.  block_weight holds the
-    partitions' block weights laid end to end, or is None for RaggedOps'
-    sums of the atom weights.  block_ids alone reads the layout."""
+    start, lowest atom first, where cut <= l.  block_ids alone reads the
+    layout; no block weight is stored, row_ops sums the atom weights."""
 
-    __slots__ = ("weights", "order", "cut", "num_blocks", "stage", "block_weight", "in_order")
+    __slots__ = ("weights", "order", "cut", "num_blocks", "stage", "in_order")
 
-    def __init__(self, n, steps, weights, order, cut, num_blocks, stage, block_weight=None):
+    def __init__(self, n, steps, weights, order, cut, num_blocks, stage):
         super().__init__(n, steps)
         self.weights, self.order, self.cut = weights, order, cut
-        self.num_blocks, self.stage, self.block_weight = num_blocks, stage, block_weight
+        self.num_blocks, self.stage = num_blocks, stage
         self.in_order = bool((order == np.arange(len(order))).all())
 
     @classmethod
@@ -441,12 +425,7 @@ class Stages(StageRows):
         width, sizes = self.n[process], self.num_blocks[stage]
         starts = np.concatenate(([0], width.cumsum()))
         weights = self.weights[(self.atoms[process] - starts[:-1]).repeat(width) + np.arange(starts[-1])]
-        block_weight = None
-        if self.block_weight is not None:
-            first = (self.num_blocks.cumsum() - self.num_blocks)[stage]  # each row's first stored weight
-            shift = (first - sizes.cumsum() + sizes).repeat(sizes)
-            block_weight = self.block_weight[shift + np.arange(len(shift))]
-        return RaggedOps(starts, weights, ids, int(sizes.sum()), block_weight)
+        return RaggedOps(starts, weights, ids, int(sizes.sum()))
 
     def table(self, k: int) -> tuple:
         """Process k's (weights, ids, stage index), the arguments of the
@@ -512,9 +491,9 @@ class Filtration:
     T_C, and T_C T_F = T_C by self-adjointness in L2(mu).  Transitivity
     extends this to all pairs.  Filtration(ops) checks the space once per
     run of one operator object, and Partition.refines at every change of
-    partition; it keeps each distinct partition's block weights from its
-    first operator.  default_filtration's chain refines by construction.
-    filtration[i] builds stage i's operator on first use and keeps it.
+    partition; it takes only the partitions: block weights are always the
+    atoms' weights summed per block.  default_filtration's chain refines by
+    construction.  filtration[i] builds stage i's operator on first use.
     """
 
     __slots__ = ("space", "stages", "stage", "_ops")
@@ -545,9 +524,8 @@ class Filtration:
             cut[1:] += key[order[1:]] == key[order[:-1]]
         num_blocks = np.array([op.partition.num_blocks for op in distinct])
         stage = runs.repeat(np.diff(starts, append=len(ops)))
-        block_weight = np.concatenate([op.block_weight for op in distinct])
         self._take(space, Stages(np.array([space.n]), np.array([len(ops)]), space.weights, order, cut,
-                                 num_blocks, stage, block_weight))
+                                 num_blocks, stage))
 
     @classmethod
     def _of_stages(cls, space: SampleSpace, stages: Stages) -> "Filtration":
@@ -567,13 +545,12 @@ class Filtration:
         return [self._op(d) for d in range(len(self._ops))]
 
     def _op(self, d: int) -> ConditionalExpectationOp:
-        """The operator of distinct partition d, built on first use with its
-        block ids and weights from the stages (Stages.row_ops), read-only."""
+        """The operator of distinct partition d, built on first use over the
+        stages' RaggedOps of it (Stages.row_ops), which it holds as ragged."""
         if self._ops[d] is None:
             ragged = self.stages.row_ops(np.array([d]), np.zeros(1, dtype=np.intp))
             op = ConditionalExpectationOp(Partition(self.space, block_id=ragged.bins))
-            op.ragged.block_weight = ragged.block_weight
-            op.block_weight.flags.writeable = False
+            op.ragged = ragged
             self._ops[d] = op
         return self._ops[d]
 

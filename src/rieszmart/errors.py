@@ -79,6 +79,6 @@ class ParameterViolation(RieszmartError):
 
 
 class GeneratorResidual(RieszmartError, AssertionError):
-    """A generated increment fails the guard T_{i-1} Y_i = 0: the filtration's
-    block weights disagree with its atom weights.  Also an AssertionError,
+    """A generated increment fails the guard T_{i-1} Y_i = 0: only block
+    weights off their atoms' sums can do that.  Also an AssertionError,
     the type the guard raised before it had an exit code."""

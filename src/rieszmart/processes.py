@@ -130,10 +130,9 @@ def _groups(stage: np.ndarray, stop: int | None = None) -> list:
 
 
 def _max_abs(mat: np.ndarray) -> float:
-    """max |mat| taken over row blocks, so no whole-size temporary is made;
-    0.0 when there are no rows."""
-    blocks = row_blocks(*mat.shape)
-    return max((float(np.max(np.abs(mat[rows]))) for rows in blocks), default=0.0)
+    """np.max(np.abs(mat)) taken over row blocks, so no whole-size temporary
+    is made: NaN when any value is NaN, 0.0 when there are no rows."""
+    return float(np.max([np.max(np.abs(mat[rows])) for rows in row_blocks(*mat.shape)], initial=0.0))
 
 
 def _scan(mat, weights, ids, stage, tol: Tolerance) -> tuple:
@@ -155,7 +154,7 @@ def _scan(mat, weights, ids, stage, tol: Tolerance) -> tuple:
         block = ids(np.arange(rows.start, rows.stop)).reshape(-1, n)
         filled += zip(groups[rows], block - block[:, :1])
     tail = _max_abs(mat[cut + 1 :])
-    slack = tol.abs + tol.rel * max(_max_abs(mat[: cut + 1]), tail)
+    slack = tol.abs + tol.rel * float(np.maximum(_max_abs(mat[: cut + 1]), tail))  # NaN from either
     adapted = True
     for idx, block_id in filled:
         rows = mat[idx]
@@ -444,8 +443,8 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     Stages are generated in consecutive row blocks of lattice.BLOCK_ELEMENTS
     values by _mds_rows, of which this is the one-process case.  Stage i
     draws its own substream (seed, "mds-step", i).  Raises GeneratorResidual
-    (an AssertionError) when the guard T_{i-1} Y_i = 0 fails, which a
-    filtration whose block weights disagree with its atom weights can do.
+    (an AssertionError) when the guard T_{i-1} Y_i = 0 fails, which only
+    block weights other than the atoms' sums (Stages.row_ops) can do.
     A given filtration fixes the space, so cfg.dim and cfg.weight_mode are
     then unused; its length must be cfg.steps.  The process keeps the
     generated array itself (ProcessSequence._owning checks it is finite),

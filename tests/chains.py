@@ -1,12 +1,14 @@
-"""Test inputs and oracles: random first partitions, split-largest chains
-and the (D, n) block-id tables.
+"""Test inputs and oracles: random first partitions, split-largest chains,
+the (D, n) block-id tables and block weights off their atoms' sums.
 
 split_largest splits one partition's largest block, and split_largest_chain
 repeats it one stage at a time, so they share no code with
 conditional.split_cuts, which builds every chain whole; they are the
 reference the chain tests compare against.  table_of_split_chains and
 table_of_default_filtration are the (D, n) fills that Stages' cut arrays
-replaced, and table_of reads a Stages back into their form.
+replaced, and table_of reads a Stages back into their form.  ScaledStages
+and tamper divide by block weights that the library never builds, the one
+fault that fails the generator's guard.
 """
 
 import numpy as np
@@ -158,11 +160,45 @@ def table_of(stages: Stages):
     return ids, ops.starts[:-1], stages.num_blocks, ops.block_weight, stages.stage
 
 
-def storing(stages: Stages, scale=None) -> Stages:
-    """stages with every partition's block weights stored: its own, read
-    through Stages.row_ops, times scale[g] for partition g when given."""
-    weight = stages.row_ops(np.arange(len(stages.num_blocks)), partition_owners(stages)).block_weight
-    if scale is not None:
-        weight = weight * np.repeat(scale, stages.num_blocks)
-    s = stages
-    return Stages(s.n, s.steps, s.weights, s.order, s.cut, s.num_blocks, s.stage, weight)
+# --- block weights off their atoms' sums ----------------------------------------
+#
+# The library sums every block weight from the atom weights, so no filtration
+# it builds can fail the generator's guard T_{i-1} Y_i = 0.  The fake below
+# injects that fault in Stages.row_ops, where the generator, the gates'
+# certificate, the T_1 images and a filtration's operators take their
+# RaggedOps; the exact gate cores sum their own block weights.
+
+
+class ScaledStages(Stages):
+    """stages whose row_ops scale the block weights: block b of partition g
+    by scale[first[g] + b], every partition's blocks laid end to end."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, stages: Stages, scale: np.ndarray):
+        s = stages
+        super().__init__(s.n, s.steps, s.weights, s.order, s.cut, s.num_blocks, s.stage)
+        self.scale = scale
+
+    def row_ops(self, stage, process=None, ids=None) -> RaggedOps:
+        ops = super().row_ops(stage, process, ids)
+        sizes = self.num_blocks[stage]
+        first = (self.num_blocks.cumsum() - self.num_blocks)[stage]  # each row's first scale
+        shift = (first - sizes.cumsum() + sizes).repeat(sizes)
+        ops.block_weight = ops.block_weight * self.scale[shift + np.arange(len(shift))]
+        return ops
+
+
+def scale_of(stages: Stages) -> np.ndarray:
+    """The per-block scale of stages, ones for plain Stages."""
+    return getattr(stages, "scale", np.ones(int(stages.num_blocks.sum())))
+
+
+def tamper(filt: Filtration, stage: int, factor: float, blocks=slice(None)) -> Filtration:
+    """filt with the block weights of stage's partition, at every stage that
+    shares it, times factor at blocks (ScaledStages)."""
+    s, d = filt.stages, int(filt.stage[stage])
+    scale = scale_of(s).copy()
+    first = int(s.num_blocks[:d].sum())
+    scale[first : first + s.num_blocks[d]][blocks] *= factor
+    return Filtration._of_stages(filt.space, ScaledStages(s, scale))

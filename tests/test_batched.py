@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from chains import split_largest_chain, storing, table_of
+from chains import ScaledStages, scale_of, split_largest_chain, table_of, tamper
 
 from rieszmart import (
     DEFAULT_TOL,
@@ -40,7 +40,7 @@ from rieszmart import (
     lattice,
     verify_axioms,
 )
-from rieszmart.conditional import CompatibleTriple, Filtration, lp_norm
+from rieszmart.conditional import CompatibleTriple, lp_norm
 from rieszmart.errors import (
     BadExponent,
     BadWeights,
@@ -394,7 +394,7 @@ def old_mds_rows(cfg, filtration) -> np.ndarray:
     space, distinct, stage = filtration.space, filtration.distinct, filtration.stage
     group_blocks = np.array([op.partition.num_blocks for op in distinct])
     group_first = np.cumsum(group_blocks) - group_blocks
-    block_weight = np.concatenate([op.block_weight for op in distinct])
+    block_weight = np.concatenate([op.ragged.block_weight for op in distinct])
     block_id = np.stack([op.partition.block_id for op in distinct])
     check_slack = 1e-12 * max(1.0, cfg.amplitude)
     out = np.empty((len(stage), space.n))
@@ -413,7 +413,7 @@ def old_mds_rows(cfg, filtration) -> np.ndarray:
         # w and b tiled over a block, so no ufunc loops along the narrow axis,
         # and one work array for every block, so no block faults in fresh pages.
         reps = suffix[0].stop - cut if suffix else 0
-        tiles = (np.tile(space.weights, reps), np.tile(distinct[-1].block_weight, reps))
+        tiles = (np.tile(space.weights, reps), np.tile(distinct[-1].ragged.block_weight, reps))
         work = np.empty(reps * space.n, dtype=np.uint64)
     for rows in blocks:
         if rows.start >= cut:
@@ -983,23 +983,21 @@ def tampered_filtrations(seed):
         steps = 1 + stream.below(12)
         filt = old_refining_filtration(stream, space, steps)
         if stream.next_float() < 0.4 and len(filt.distinct) > 1:
-            # Filtration(ops) takes each partition's block weights from its operator.
-            op = filt.distinct[stream.below(len(filt.distinct))]
-            tampered = ConditionalExpectationOp(op.partition)
-            tampered.block_weight[...] = op.block_weight * (1.0 + 1e-3 * (1 + stream.below(3)))
-            filt = Filtration([tampered if stage is op else stage for stage in filt])
+            d = stream.below(len(filt.distinct))
+            filt = tamper(filt, int(filt.stage.searchsorted(d)), 1.0 + 1e-3 * (1 + stream.below(3)))
         out.append((GeneratorConfig(seed + k, space.n, steps), filt))
     return out
 
 
 def stages_of(*filtrations):
-    """The stages of several filtrations of operators laid end to end."""
+    """The stages of several filtrations of operators laid end to end, with
+    the block-weight scales of any ScaledStages among them."""
     from rieszmart.conditional import Stages
 
     one = [f.stages for f in filtrations]
     groups = np.array([len(s.num_blocks) for s in one])
     n = np.concatenate([s.n for s in one])
-    return Stages(
+    stages = Stages(
         n,
         np.concatenate([s.steps for s in one]),
         np.concatenate([s.weights for s in one]),
@@ -1007,8 +1005,8 @@ def stages_of(*filtrations):
         np.concatenate([s.cut for s in one]),
         np.concatenate([s.num_blocks for s in one]),
         np.concatenate([s.stage + g for s, g in zip(one, np.cumsum(groups) - groups)]),
-        np.concatenate([s.block_weight for s in one]),
     )
+    return ScaledStages(stages, np.concatenate([scale_of(s) for s in one]))
 
 
 @pytest.mark.parametrize("block", [65536, 64, 7, 1])
@@ -1091,7 +1089,8 @@ def maximal_batches():
     """The Stages and prefixes of hrc and doob batches (split-largest chains
     from single-block and random first partitions, uniform and random
     weights), as the suites generate them at the module block size, and
-    each with its block weights stored, one partition's tampered by x1.01."""
+    each again with one partition's block weights scaled by 1.01
+    (ScaledStages)."""
     from rieszmart import suites
 
     batches, real = [], suites._mds_rows
@@ -1109,7 +1108,7 @@ def maximal_batches():
     for s, prefix in list(batches):
         scale = np.ones(len(s.num_blocks))
         scale[stream.below(len(s.num_blocks))] = 1.01
-        batches.append((storing(s, scale), prefix))
+        batches.append((ScaledStages(s, np.repeat(scale, s.num_blocks)), prefix))
     return batches
 
 

@@ -362,8 +362,8 @@ def nudge_products(monkeypatch, share: int) -> None:
     the blocked and whole-array bodies nudge the same products."""
     average_rows = conditional.average_rows
 
-    def nudged(weights, block_id, rows, block_weight=None):
-        out = average_rows(weights, block_id, rows, block_weight)
+    def nudged(weights, block_id, rows):
+        out = average_rows(weights, block_id, rows)
         later = np.setdiff1d(np.arange(len(block_id)), np.unique(block_id, return_index=True)[1])
         if later.size and len(out) and zlib.crc32(np.ascontiguousarray(rows)) % share == 0:
             out = out.copy()
@@ -410,8 +410,8 @@ def test_products_with_both_zeros_keep_their_atoms(monkeypatch):
     average_rows = conditional.average_rows
     zeros = {}  # row: signed zero, written over T_1's products
 
-    def signed(weights, block_id, rows, block_weight=None):
-        out = np.array(average_rows(weights, block_id, rows, block_weight))
+    def signed(weights, block_id, rows):
+        out = np.array(average_rows(weights, block_id, rows))
         for row, zero in zeros.items():
             out[row] = zero
         return out

@@ -31,7 +31,14 @@ from chains import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition, Stages, split_cuts
+from rieszmart.conditional import (
+    ConditionalExpectationOp,
+    Filtration,
+    Partition,
+    Stages,
+    averaging_matrix,
+    split_cuts,
+)
 from rieszmart.lattice import SampleSpace
 from rieszmart.processes import default_filtration
 from rieszmart.rng import SplitMix64
@@ -82,7 +89,7 @@ def assert_same_stages(stages: Stages, table, k: int, filtration) -> None:
         assert np.array_equal(ids[id_starts[g] :][:n], op.partition.block_id)
         assert num_blocks[g] == op.partition.num_blocks
         weight = block_weight[weight_starts[g] :][: op.partition.num_blocks]
-        assert weight.tobytes() == op.block_weight.tobytes()
+        assert weight.tobytes() == op.ragged.block_weight.tobytes()
 
 
 def assert_same_table(got, expected) -> None:
@@ -127,7 +134,7 @@ def test_default_filtration_matches_repeated_split_largest():
         for op, want in zip(filtration.distinct, expected.distinct):
             assert np.array_equal(op.partition.block_id, want.partition.block_id)
             assert op.partition.num_blocks == want.partition.num_blocks
-            assert op.block_weight.tobytes() == want.block_weight.tobytes()
+            assert op.ragged.block_weight.tobytes() == want.ragged.block_weight.tobytes()
         assert filtration.to_json_dict() == expected.to_json_dict()
 
 
@@ -178,7 +185,7 @@ def refining_ops(seed: int, n: int, count: int) -> list:
     """Operators of a refining chain on n atoms with random weights: a random
     first partition, then per stage each block split into up to 3 random
     parts or kept, some stages repeated by reference, and every operator's
-    block weights scaled by its own factor near 1."""
+    ragged block weights scaled by its own factors near 1."""
     rng = np.random.default_rng(seed)
     space = SampleSpace(rng.uniform(0.05, 1.0, n))
     labels = rng.integers(0, 1 + rng.integers(0, n), n)
@@ -186,7 +193,7 @@ def refining_ops(seed: int, n: int, count: int) -> list:
     while len(ops) < count:
         part = Partition(space, [np.flatnonzero(labels == v) for v in np.unique(labels)])
         op = ConditionalExpectationOp(part)
-        op.block_weight[...] *= rng.uniform(0.99, 1.01, part.num_blocks)
+        op.ragged.block_weight = op.ragged.block_weight * rng.uniform(0.99, 1.01, part.num_blocks)
         ops += [op] * int(rng.integers(1, 3))
         labels = labels * 3 + rng.integers(0, 3, n) * (rng.random(n) < 0.5)
     return ops[:count]
@@ -198,6 +205,9 @@ def refining_ops(seed: int, n: int, count: int) -> list:
     st.integers(min_value=1, max_value=12),
 )
 def test_filtrations_of_operators_keep_their_ids_and_weights(seed, n, count):
+    """A filtration keeps its operators' block ids and derives their block
+    weights: the atom weights summed per block, whatever the operators'
+    ragged weights say."""
     ops = refining_ops(seed, n, count)
     filtration = Filtration(ops)
     distinct = list(dict.fromkeys(ops))  # refining: equal partitions are one operator here
@@ -206,10 +216,17 @@ def test_filtrations_of_operators_keep_their_ids_and_weights(seed, n, count):
     assert stage.tolist() == [distinct.index(op) for op in ops]
     assert np.array_equal(ids, np.concatenate([op.partition.block_id for op in distinct]))
     assert num_blocks.tolist() == [op.partition.num_blocks for op in distinct]
-    expected = np.concatenate([op.block_weight for op in distinct])
-    assert block_weight.tobytes() == expected.tobytes()
-    for got, op in zip(filtration.distinct, distinct):
-        assert got.partition == op.partition and got.block_weight.tobytes() == op.block_weight.tobytes()
+    weights = filtration.space.weights
+    sums = [np.bincount(op.partition.block_id, weights) for op in distinct]
+    assert block_weight.tobytes() == np.concatenate(sums).tobytes()
+    for got, op, expected in zip(filtration.distinct, distinct, sums):
+        block_id = got.partition.block_id
+        assert got.partition == op.partition
+        assert got.ragged.block_weight.tobytes() == expected.tobytes()
+        matrix = (block_id[:, None] == block_id) * (weights / expected[block_id])
+        assert averaging_matrix(weights, block_id).tobytes() == matrix.tobytes()
+    for i, op in enumerate(ops):
+        assert filtration[i].ragged.block_weight.tobytes() == sums[distinct.index(op)].tobytes()
 
 
 def test_a_default_filtration_on_8192_atoms_holds_no_stage_table():
@@ -224,3 +241,18 @@ def test_a_default_filtration_on_8192_atoms_holds_no_stage_table():
         tracemalloc.stop()
     assert peak < 10**7, f"{peak / 1e6:.1f} MB"
     assert filtration[4096].partition.num_blocks == 4097
+
+
+def test_a_filtration_of_4096_operators_on_4096_atoms_stores_no_block_weights():
+    """Filtration(ops) of a 4096-stage default chain on 4096 atoms under
+    20 MiB: the block weights it concatenated from its operators, 4096 * 4097
+    / 2 floats, peaked at 64.7 MiB."""
+    ops = list(default_filtration(SampleSpace.uniform(4096), 4096))
+    tracemalloc.start()
+    try:
+        filtration = Filtration(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert filtration[4095].is_identity

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from chains import storing
+from chains import ScaledStages
 
 from rieszmart import cli
 from rieszmart.cli import main
@@ -684,7 +684,7 @@ def test_ce_axioms_checks_at_the_configured_tolerance(capsys):
 
 def tamper_block_weights(stages):
     """A block weight 1% off its atoms' weights breaks T_{i-1} Y_i = 0."""
-    return storing(stages, np.full(len(stages.num_blocks), 1.01))
+    return ScaledStages(stages, np.full(int(stages.num_blocks.sum()), 1.01))
 
 
 @pytest.mark.parametrize(

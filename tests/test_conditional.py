@@ -168,7 +168,7 @@ def old_apply_array(op, values):
     bins = part.block_id + np.arange(0, size, part.num_blocks)[:, None]
     weighted = (rows * op.space.weights).ravel()
     sums = np.bincount(bins.ravel(), weights=weighted, minlength=size)
-    means = sums.reshape(len(rows), part.num_blocks) / op.block_weight
+    means = sums.reshape(len(rows), part.num_blocks) / op.ragged.block_weight
     return means[:, part.block_id].reshape(np.shape(values))
 
 

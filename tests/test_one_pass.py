@@ -12,6 +12,7 @@ block's first column or elsewhere, inf and NaN, several blocks in and out
 of atom order), must give the old (stack, layout) at every row-block size.
 """
 
+import math
 import types
 from itertools import chain
 
@@ -33,8 +34,17 @@ from test_gates import (
     suite_processes,
 )
 
-from rieszmart import DEFAULT_TOL, GeneratorConfig, generate_mds, generate_submartingale, lattice, limits
-from rieszmart.processes import NOT_ADAPTED, _classify, _difference_sequence, _scan, partial_sums
+from rieszmart import (
+    DEFAULT_TOL,
+    GeneratorConfig,
+    SampleSpace,
+    default_filtration,
+    generate_mds,
+    generate_submartingale,
+    lattice,
+    limits,
+)
+from rieszmart.processes import NOT_ADAPTED, _classify, _difference_sequence, _max_abs, _scan, partial_sums
 
 GATE_TOLS = list(dict.fromkeys(TOLS))  # the distinct tolerances of test_gates
 IMAGE = limits._image  # before any test wraps it
@@ -248,3 +258,41 @@ def test_a_long_default_t1_image_keeps_one_block_as_before(dim):
     t1 = diffs.filtration[0]
     assert same_image(t1, np.abs(diffs.values) ** 3)
     assert same_image(t1, partial_sums(diffs).values)
+
+
+# --- NaN in the one max |f| pass -------------------------------------------------
+#
+# Python's max keeps its first argument when a later one is NaN, so the old
+# body dropped a NaN outside the first row block, and _scan's max(head, tail)
+# a NaN past the identity cut.
+
+
+def test_max_abs_keeps_a_nan_outside_the_first_row_block():
+    mat = np.ones((20_000, 8))
+    mat[15_000, 3], mat[16_000, 5] = np.nan, 5.0  # one row block, its max NaN
+    assert len(lattice.row_blocks(*mat.shape)) == 3
+    assert old_max_abs(mat) == 1.0
+    assert math.isnan(_max_abs(mat))
+
+
+@pytest.mark.parametrize("block_elements", [1, 8, 4096, lattice.BLOCK_ELEMENTS])
+def test_max_abs_is_the_whole_arrays_max_at_every_row_block_size(block_elements, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    base = np.arange(-300.0, 300.0).reshape(75, 8)
+    for at in (None, (0, 0), (37, 4), (74, 7)):
+        for value in (np.nan, -np.inf, 1e300):
+            mat = base.copy()
+            if at is not None:
+                mat[at] = value
+            got, want = _max_abs(mat), float(np.max(np.abs(mat)))
+            assert got == want or (math.isnan(got) and math.isnan(want)), (at, value)
+    assert _max_abs(base[:0]) == 0.0
+
+
+def test_scan_slack_keeps_a_nan_past_the_identity_cut():
+    filt = default_filtration(SampleSpace.uniform(8), 20)
+    mat = np.ones((20, 8))
+    mat[15, 2] = np.nan
+    _, slack, _, cut, tail = _scan(mat, *filt.stages.table(0), DEFAULT_TOL)
+    assert cut < 14 and math.isnan(tail)
+    assert math.isnan(slack)

@@ -36,7 +36,7 @@ from rieszmart.processes import (
 from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
 from rieszmart.errors import GeneratorResidual
 from rieszmart.rng import SplitMix64, derive_seed
-from chains import refining_filtration
+from chains import refining_filtration, tamper
 
 
 def constant_process(space, steps, value):
@@ -363,16 +363,6 @@ def test_generate_mds_random_first_stages_match_per_stage_loop():
     assert hit_random_first
 
 
-def tamper(filt, stage: int, factor: float, blocks=slice(None)) -> Filtration:
-    """filt with stage's operator, at every stage that shares it, replaced by
-    a copy whose block weights at blocks are times factor; a filtration keeps
-    the block weights of the operators it is built from."""
-    op = filt[stage]
-    copy = ConditionalExpectationOp(op.partition)
-    copy.block_weight[blocks] *= factor
-    return Filtration([copy if o is op else o for o in filt])
-
-
 @pytest.mark.parametrize("tampered", [2, -1])
 def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
     # A block weight that disagrees with the atom weights breaks
@@ -390,35 +380,28 @@ def test_generate_mds_residual_guard_names_the_oracle_step(tampered):
 
 
 
-def test_a_filtration_takes_its_operators_block_weights():
-    # Filtration(ops) copies each distinct partition's block weights from its
-    # first operator, so one tampered before the build still trips the guard.
+def test_a_filtration_takes_only_its_operators_partitions():
+    # An operator's ragged block weights, off their atoms' sums, do not reach
+    # a filtration built from it: its stages sum the atom weights again.
     cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
-    ops = list(default_filtration(make_space(cfg), cfg.steps))
+    built = default_filtration(make_space(cfg), cfg.steps)
+    ops = list(built)
     op = ConditionalExpectationOp(ops[2].partition)
-    op.block_weight[...] *= 1.01
+    op.ragged.block_weight = op.ragged.block_weight * 1.01
     filt = Filtration(ops[:2] + [op] + ops[3:])
-    assert filt[2] is not op and filt[2].block_weight.tobytes() == op.block_weight.tobytes()
-    with pytest.raises(GeneratorResidual, match="at step 3$"):
-        generate_mds(cfg, filt)
+    assert filt[2] is not op and filt[2].ragged.block_weight.tobytes() == ops[2].ragged.block_weight.tobytes()
+    assert generate_mds(cfg, filt).values.tobytes() == generate_mds(cfg, built).values.tobytes()
 
 
-def test_a_filtrations_operator_refuses_new_block_weights():
-    # The generator and the gates read the filtration's stages, not the
-    # operator: a write that changed only the operator let generate_mds pass
-    # its residual guard here, where tampering the stages' weights fails it.
+def test_block_weights_off_their_atoms_sums_fail_the_guard_at_their_first_step():
+    # The library never builds such weights; the generator guard still
+    # names the first step they condition, through ScaledStages.
     cfg = GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random")
     filt = default_filtration(make_space(cfg), cfg.steps)
-    before, op = generate_mds(cfg, filt).values.tobytes(), filt[2]
-    weights = op.block_weight.copy()
-    with pytest.raises(AttributeError):
-        op.block_weight = weights * 1.01
-    with pytest.raises(ValueError, match="read-only"):
-        op.block_weight[...] *= 1.01
-    assert op.block_weight.tobytes() == weights.tobytes()
-    assert generate_mds(cfg, filt).values.tobytes() == before
+    before = generate_mds(cfg, filt).values.tobytes()
     with pytest.raises(GeneratorResidual, match="at step 3$"):
         generate_mds(cfg, tamper(filt, 2, 1.01))
+    assert generate_mds(cfg, filt).values.tobytes() == before
 
 
 BLOCK_DIMS = (1, 3, 8)
@@ -653,7 +636,7 @@ def test_stored_stage_index_matches_per_stage_rescan():
             assert len(filt.distinct) == len(distinct)
             assert all(a == b for a, b in zip(filt.distinct, distinct))
             assert all(
-                a.block_weight.tobytes() == b.block_weight.tobytes()
+                a.ragged.block_weight.tobytes() == b.ragged.block_weight.tobytes()
                 for a, b in zip(filt.distinct, distinct)
             )
             assert filt.stage.dtype == np.intp and not filt.stage.flags.writeable
