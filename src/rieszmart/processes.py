@@ -451,10 +451,10 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
     so no second (N, n) array is made.
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
-    rounding noise of (w Z)/w: exactly 0 when dim is a power of two with
-    uniform weights, otherwise up to about 1.1e-16 * amplitude.  Stages
-    past the first singleton stage add draws but no signal, so horizons
-    beyond dim stages carry none.
+    rounding noise of (w Z)/w, up to about 1.1e-16 * amplitude, so horizons
+    beyond dim stages carry no signal.  It is exactly +0.0, and not drawn,
+    when every atom weight w is a power of two (uniform weights on 2^k
+    atoms), amplitude * min(w) >= 2^-968 and amplitude * max(w) is finite.
     """
     if filtration is None:
         filtration = default_filtration(make_space(cfg), cfg.steps)
@@ -485,24 +485,32 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
     where that suffix begins, and its blocks skip the bins: their draws are
     one (rows, n) word grid and Y = Z - (w Z)/b, the same bits at a fraction
     of the cost.  A horizon of one block stays on the bincount path, so
-    short horizons pay nothing extra.
+    short horizons pay nothing extra.  When b is w bit for bit, every w is
+    a power of two, amplitude * min(w) >= 2^-968 and amplitude * max(w) is
+    finite, a nonzero draw has |Z| >= amplitude * 2^-54, so w Z is normal,
+    (w Z)/b is Z and every suffix row is +0.0: out's zeros, neither drawn
+    nor written.
     """
     check_slack = 1e-12 * max(1.0, amplitude)
     failed_at = np.full(len(prefix), -1)
     residual = np.zeros(len(prefix))
-    out = np.empty(stages.size)
+    out = np.zeros(stages.size)  # an exact-zero suffix leaves its fresh pages unwritten
     total, width = len(stages.stage), int(stages.n.max())
     blocks, cut = row_blocks(total, width), total
     if len(prefix) == 1 and len(blocks) > 1 and stages.num_blocks[-1] == width:
         # A refining chain never returns to a partition, so stage is sorted.
         cut = min(int(stages.stage.searchsorted(len(stages.num_blocks) - 1)) + 1, total)
+        identity = stages.row_ops(stages.stage[-1:], np.zeros(1, dtype=np.intp))
+        w = identity.weights
         suffix = row_blocks(total, width, start=cut)
+        if (np.array_equal(identity.block_weight, w) and (np.frexp(w)[0] == 0.5).all()
+                and amplitude * w.min() >= 2.0**-968 and math.isfinite(amplitude * w.max())):
+            suffix = []  # (w Z)/w is Z exactly, so Y is +0.0, as out holds
         blocks = row_blocks(cut, width) + suffix
         # w and b tiled over a block, so no ufunc loops along the narrow axis,
         # and one work array for every block, so no block faults in fresh pages.
         reps = suffix[0].stop - cut if suffix else 0
-        identity = stages.row_ops(stages.stage[-1:], np.zeros(1, dtype=np.intp))
-        tiles = (np.tile(identity.weights, reps), np.tile(identity.block_weight, reps))
+        tiles = (np.tile(w, reps), np.tile(identity.block_weight, reps))
         work = np.empty(reps * width, dtype=np.uint64)
     for rows in blocks:
         if rows.start >= cut:

@@ -1,5 +1,8 @@
 """Adapted processes, classification, square functions, seeded generators."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from rieszmart import (
     require_difference_sequence,
     square_function,
 )
-from rieszmart import lattice
+from rieszmart import lattice, processes
 from rieszmart.lattice import DEFAULT_TOL
 from rieszmart.processes import (
     MARTINGALE,
@@ -35,7 +38,7 @@ from rieszmart.processes import (
 )
 from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
 from rieszmart.errors import GeneratorResidual
-from rieszmart.rng import SplitMix64, derive_seed
+from rieszmart.rng import SplitMix64, derive_seed, seeds_at, substream_grid
 from chains import refining_filtration, tamper
 
 
@@ -584,6 +587,142 @@ def test_a_nan_block_weight_fails_the_guard_at_its_first_step(cfg, stage, step):
     assert singleton_cut(filt) == 8
     with pytest.raises(GeneratorResidual, match=f"residual nan exceeds 1e-12 at step {step}$"):
         generate_mds(cfg, filt)
+
+
+# --- the exact-zero suffix ------------------------------------------------------
+#
+# When every atom weight w is a power of two, the identity divides by the
+# atom weights themselves, and the amplitude a has a min(w) >= 2^-968 and
+# a max(w) finite, each suffix row is Y = Z - (w Z)/w = +0.0 exactly, and no
+# word is drawn for it.  Every other space draws and conditions the suffix.
+# The grid is fixed before any comparison.
+
+
+def weights_as_given(weights):
+    """A space with these atom weights, not normalized: SampleSpace never
+    builds an atom weight above 1, such as 2.0 here."""
+    space = object.__new__(SampleSpace)
+    space.n, space.weights = len(weights), np.asarray(weights, dtype=np.float64)
+    return space
+
+
+ZERO_PATH_SPACES = (
+    # dyadic uniform
+    [SampleSpace.uniform(d) for d in (1, 2, 4, 8, 16, 32)]
+    # dyadic, not uniform: the first sums to 4 and is normalized exactly
+    + [SampleSpace([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125])]
+    + [weights_as_given([2.0, 0.5, 0.25, 0.25])]
+    # not dyadic
+    + [SampleSpace.uniform(d) for d in (3, 5, 7)]
+    + [make_space(GeneratorConfig(seed, dim, 1, weight_mode="random")) for seed, dim in ((1, 4), (2, 8))]
+)
+
+
+def is_dyadic(space):
+    return bool((np.frexp(space.weights)[0] == 0.5).all())
+
+
+def zero_path_amplitudes(space):
+    """The exactness bound 2^-968 / min(w), its two neighbours, and the
+    extremes and middle of the amplitude range."""
+    bound = 2.0**-968 / space.weights.min()
+    return (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 5e-324, 1e-310, 1.0, 8.9e307)
+
+
+def zero_path_grid(module):
+    """(cfg, filtration) pairs: horizons up to the cut, and past it by three
+    row blocks and five rows.  At the module block size the per-stage loop
+    takes about 50 us a stage, so there the horizon passes the cut by one
+    block and one row, spaces of fewer than 8 atoms (8,192 rows a block or
+    more) are left out, and the amplitudes are the bound, the one below it
+    and 1."""
+    for space in ZERO_PATH_SPACES:
+        if module and space.n < 8:
+            continue
+        rows = max(1, lattice.BLOCK_ELEMENTS // space.n)
+        past = rows + 1 if module else 3 * rows + 5
+        amplitudes = zero_path_amplitudes(space)
+        for amplitude in (amplitudes[:2] + amplitudes[5:6]) if module else amplitudes:
+            for steps in sorted({max(1, space.n - 1), space.n, space.n + 1, space.n + past}):
+                cfg = GeneratorConfig(space.n + steps, space.n, steps, amplitude)
+                yield cfg, default_filtration(space, steps)
+            if not module:  # a random refining first stage: its cut is at most n
+                stream = SplitMix64(derive_seed(cfg.seed, "first-stage"))
+                yield cfg, refining_filtration(stream, space, cfg.steps)
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 64, lattice.BLOCK_ELEMENTS])
+def test_exact_zero_suffix_matches_the_per_stage_loop(block_elements, monkeypatch):
+    module = block_elements == lattice.BLOCK_ELEMENTS
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    zero, failed = set(), []
+    for cfg, filt in zero_path_grid(module):
+        try:
+            oracle = generate_mds_per_stage(cfg, filt)
+        except AssertionError as err:  # w Z sums overflow at 8.9e307 where a weight is 2.0
+            with pytest.raises(GeneratorResidual, match=f"^{re.escape(str(err))}$"):
+                generate_mds(cfg, filt)
+            failed.append(cfg)
+            continue
+        got = generate_mds(cfg, filt).values
+        assert got.tobytes() == oracle.tobytes(), cfg
+        space, cut = filt.space, singleton_cut(filt)
+        if is_dyadic(space) and cfg.amplitude * space.weights.min() >= 2.0**-968:
+            suffix = got[cut:]
+            assert not suffix.any() and not np.signbit(suffix).any(), cfg
+            zero.add(cut < cfg.steps)
+    assert zero == {True, False}
+    assert all(cfg.amplitude == 8.9e307 for cfg in failed), failed
+
+
+def spy_on_draws(monkeypatch):
+    """The steps whose words _mds_rows draws, on the binned path (seeds_at)
+    and past the cut (substream_grid)."""
+    steps = []
+
+    def grid(out, seed, *labels, first=0, work=None):
+        steps.extend(range(first, first + len(out)))
+        return substream_grid(out, seed, *labels, first=first, work=work)
+
+    def seeds(prefix, step):
+        steps.extend(np.asarray(step).tolist())
+        return seeds_at(prefix, step)
+
+    monkeypatch.setattr(processes, "substream_grid", grid)
+    monkeypatch.setattr(processes, "seeds_at", seeds)
+    return steps
+
+
+@pytest.mark.parametrize("block_elements", [64, lattice.BLOCK_ELEMENTS])
+def test_no_word_is_drawn_past_the_cut_on_a_dyadic_space(block_elements, monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    steps = spy_on_draws(monkeypatch)
+    for dim, weight_mode, dyadic in ((8, "uniform", True), (4, "uniform", True),
+                                     (7, "uniform", False), (8, "random", False)):
+        cfg = GeneratorConfig(3, dim, 3 * block_elements // dim + 5, 1.0, weight_mode)
+        filt = default_filtration(make_space(cfg), cfg.steps)
+        steps.clear()
+        values = generate_mds(cfg, filt).values
+        cut = singleton_cut(filt)
+        assert cut == dim and sorted(steps) == list(range(cut if dyadic else cfg.steps)), cfg
+        if block_elements == 64:
+            assert values.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), cfg
+
+
+@pytest.mark.parametrize("block_elements", [64, lattice.BLOCK_ELEMENTS])
+def test_scaling_the_amplitude_by_a_power_of_two_scales_every_value(block_elements, monkeypatch):
+    # Z, T Z and Z - T Z are sums, products and quotients of the draws and
+    # the weights, so each scales with a exactly while nothing goes
+    # subnormal or overflows; dyadic uniform spaces take the zero suffix.
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block_elements)
+    for dim, weight_mode in ((8, "uniform"), (4, "uniform"), (7, "uniform"), (8, "random")):
+        for seed in range(3):
+            cfg = GeneratorConfig(seed, dim, 3 * block_elements // dim + 5, 0.75, weight_mode)
+            base = generate_mds(cfg).values
+            for k in (-800, -30, -1, 1, 30, 1000):
+                scaled = generate_mds(replace(cfg, amplitude=np.ldexp(0.75, k))).values
+                assert scaled.tobytes() == np.ldexp(base, k).tobytes(), (cfg, k)
+                assert np.abs(scaled[scaled != 0.0]).min() >= np.finfo(np.float64).tiny
 
 
 def stage_index_by_rescan(ops):
