@@ -223,7 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if horizon > dim:
             sys.stderr.write(
                 f"note: --n {horizon} exceeds --dim {dim}: stages past {dim} condition on "
-                "the singleton partition and add only rounding residue\n"
+                "the singleton partition and add 0 up to rounding\n"
             )
         sequence = (generate_submartingale if experiment == "submartingale" else generate_mds)(gen)
     if experiment == "submartingale":

@@ -546,11 +546,13 @@ class Filtration:
 
     def _op(self, d: int) -> ConditionalExpectationOp:
         """The operator of distinct partition d, built on first use over the
-        stages' RaggedOps of it (Stages.row_ops), which it holds as ragged."""
+        stages' RaggedOps of it (Stages.row_ops), which it holds as ragged
+        in place of the one its constructor would build."""
         if self._ops[d] is None:
             ragged = self.stages.row_ops(np.array([d]), np.zeros(1, dtype=np.intp))
-            op = ConditionalExpectationOp(Partition(self.space, block_id=ragged.bins))
-            op.ragged = ragged
+            op = ConditionalExpectationOp.__new__(ConditionalExpectationOp)
+            op.space, op.ragged = self.space, ragged
+            op.partition = Partition(self.space, block_id=ragged.bins)
             self._ops[d] = op
         return self._ops[d]
 

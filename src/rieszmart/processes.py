@@ -8,9 +8,8 @@ filtrations (a few distinct coarse stages, then singletons repeated).  The
 groups come from the filtration's stage index.  classify, is_adapted and
 is_difference_sequence are shells over cores on raw arrays (Stages.table),
 which share one scan (_scan): the slack, the adaptedness check, and the
-stages grouped with their block ids.  decide_gates decides classify and
-the difference check for a whole batch of processes from block means, with
-these cores only as fallback.
+stages grouped with their block ids.  decide_gates passes most processes
+of a batch at once from block means, and only these cores refuse one.
 
 default_filtration is the one-process split-largest chain of
 Stages.split_chains.  _mds_rows generates the rows of every process of a
@@ -20,6 +19,8 @@ in row blocks from the per-step SplitMix64 substreams (seed, "mds-step",
 i), so a fixed GeneratorConfig reproduces the same process bit for bit.
 Step i draws a block-constant Z_i for the stage-i partition in
 [-amplitude, amplitude] and takes Y_i = Z_i - T_{i-1} Z_i, with Y_1 = Z_1.
+Every row is drawn and conditioned so but for a dyadic space's suffix
+past the singleton cut, which is exactly +0.0 and not drawn.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .lattice import (
     raise_first,
     row_blocks,
 )
-from .rng import SplitMix64, derive_seed, seeds_at, stream_floats, substream_grid
+from .rng import SplitMix64, derive_seed, seeds_at, stream_floats
 
 MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
@@ -347,32 +348,33 @@ def default_filtration(space: SampleSpace, steps: int) -> Filtration:
     return Filtration._of_stages(space, stages)
 
 
-# decide_gates leaves to the exact cores a process whose max|f| (but 0) or
-# some atom weight lies outside this range, where its rounding bound may fail.
+# decide_gates passes no process whose max|f| (but 0) or some atom weight
+# lies outside this range, where its rounding bound may fail.
 _SAFE = (2.0**-400, 2.0**400)
 
 
 def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: bool = True):
     """classify (labels) or is_difference_sequence of every process of
-    stages, values its rows laid end to end, decided from block means for
-    the whole batch, with the exact cores _classify and _difference_sequence
-    as fallback.  Returns (bad, label, exact): bad marks the first process
-    that fails (classify raises NotAdapted or finds neither a martingale nor
-    a submartingale, or the difference check fails; later processes are not
-    decided), label is its label (None when not adapted), and exact marks
-    the processes sent to an exact core.
+    stages, values its rows laid end to end.  A certificate in block means
+    passes most processes of the batch at once, and the exact cores
+    _classify and _difference_sequence decide every other one, in process
+    order up to the first that fails.  Returns (bad, label, exact): bad
+    marks that process (classify raises NotAdapted or finds neither a
+    martingale nor a submartingale, or the difference check fails; later
+    processes are not decided), label is its label from _classify (None
+    when not adapted, and for the difference check), and exact marks the
+    processes sent to an exact core.
 
     One bincount pass gives, on row i of a process (N rows, stage operator
     T_i), a_i = T_i f_i - f_i and, but on row N, d_i = T_i f_{i+1} - f_i.  By
     the tower rule T_i T_k = T_i (k >= i), T_i f_j - f_i = d_i +
     sum_{k=i+1}^{j-1} T_i d_k for i < j, and T_i d_k >= min d_k as T_i is
     positive with T_i e = e.  So no pair misses the sub-comparison when
-    sum_k max(0, -min d_k) + (N + 2) G <= slack, and the pair (k, k + 1),
-    which the exact scan compares too, misses it when min d_k < -(slack + G);
-    max for min decides the super side.  Adaptedness compares max|a_i| over
-    the non-identity stages (the exact scan skips the identity), and the
-    difference check max|T_i f_{i+1}|, with slack -+ G; the slack is
-    _scan's, bit for bit.
+    sum_k max(0, -min d_k) + (N + 2) G <= slack.  Adaptedness needs max|a_i|
+    over the non-identity stages (the exact scan skips the identity), and
+    the difference check max|T_i f_{i+1}|, within slack - G; the slack is
+    _scan's, bit for bit.  The certificate only passes: a process it does
+    not pass goes to the exact core, whose answer alone refuses.
 
     G bounds the rounding.  With u = 2^-53, gamma_m = m u / (1 - m u), M =
     max|f| and n atoms, a block mean by bincount (n products, n - 1
@@ -384,8 +386,7 @@ def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: boo
     gamma_{N+4} |slack| covers both sides, its |slack| term also the N + 3
     float operations of the certificate; gamma_m <= 1.02 m u at any size
     that fits in memory.  A process with a non-finite slack, or M or a
-    weight outside _SAFE, goes to the exact core, as does every undecided
-    one, in process order up to the first that fails."""
+    weight outside _SAFE, is not passed."""
     ops, width = stages.row_ops(stages.stage), np.repeat(stages.n, stages.steps)  # atoms of each row
     heads, steps, rows = ops.starts[:-1], stages.steps, stages.first_row
     last = np.zeros(len(width), dtype=bool)
@@ -399,41 +400,30 @@ def decide_gates(stages: Stages, values: np.ndarray, tol: Tolerance, labels: boo
         big = np.maximum.reduceat(np.abs(values), stages.elements[:-1])
         slack = tol.abs + tol.rel * big
         guard = 1.02 * 2.0**-53 * ((4 * stages.n + 8) * big + (steps + 4) * np.abs(slack))
-        lo, hi = slack - guard, slack + guard
-        adapted, unadapted = worst <= lo, worst > hi
-        safe = np.isfinite(slack) & (np.minimum.reduceat(stages.weights, stages.atoms[:-1]) >= _SAFE[0])
-        safe &= (big == 0.0) | ((big >= _SAFE[0]) & (big <= _SAFE[1]))
+        good = worst <= slack - guard
+        good &= np.isfinite(slack) & (np.minimum.reduceat(stages.weights, stages.atoms[:-1]) >= _SAFE[0])
+        good &= (big == 0.0) | ((big >= _SAFE[0]) & (big <= _SAFE[1]))
         if labels:
-            d, sides = following - values, []
-            for ext, sign in ((np.minimum, -1.0), (np.maximum, 1.0)):
-                step = np.where(last, -sign * np.inf, ext.reduceat(d, heads))
-                spread = np.add.reduceat(np.maximum(sign * step, 0.0), rows)
-                sides.append(((steps < 2) | (spread + (steps + 2) * guard <= slack),
-                              sign * ext.reduceat(step, rows) > hi))
-            (sub, not_sub), (sup, not_sup) = sides
-            good = adapted & sub
-            failed = unadapted | (adapted & not_sub & (sup | not_sup))
-            label = np.where(unadapted, None, np.where(sup, SUPERMARTINGALE, NONE))
+            step = np.where(last, np.inf, np.minimum.reduceat(following - values, heads))
+            spread = np.add.reduceat(np.maximum(-step, 0.0), rows)
+            good &= (steps < 2) | (spread + (steps + 2) * guard <= slack)
         else:
             means = np.where(last, -np.inf, np.maximum.reduceat(np.abs(following), heads))
-            peak = np.maximum.reduceat(means, rows)
-            good, failed = adapted & (peak <= lo), unadapted | (adapted & (peak > hi))
-            label = np.full(len(steps), None)
+            good &= np.maximum.reduceat(means, rows) <= slack - guard
     exact = np.zeros(len(steps), dtype=bool)
-    for k in np.flatnonzero(~(good & safe)).tolist():
-        if not (failed[k] and safe[k]):
-            exact[k] = True
-            table = (stages.values(values, k), *stages.table(k), tol)
-            if labels:
-                try:
-                    label[k] = _classify(*table)
-                except NotAdapted:
-                    label[k] = None
-                if label[k] in (MARTINGALE, SUBMARTINGALE):
-                    continue
-            elif _difference_sequence(*table):
+    for k in np.flatnonzero(~good).tolist():
+        exact[k] = True
+        table, label = (stages.values(values, k), *stages.table(k), tol), None
+        if labels:
+            try:
+                label = _classify(*table)
+            except NotAdapted:
+                pass
+            if label in (MARTINGALE, SUBMARTINGALE):
                 continue
-        return np.arange(len(steps)) == k, label[k], exact
+        elif _difference_sequence(*table):
+            continue
+        return np.arange(len(steps)) == k, label, exact
     return np.zeros(len(steps), dtype=bool), None, exact
 
 
@@ -452,9 +442,11 @@ def generate_mds(cfg: GeneratorConfig, filtration: Filtration | None = None) -> 
 
     Once T_{i-1} is the singleton partition, Y_i = Z_i - T_{i-1} Z_i is
     rounding noise of (w Z)/w, up to about 1.1e-16 * amplitude, so horizons
-    beyond dim stages carry no signal.  It is exactly +0.0, and not drawn,
-    when every atom weight w is a power of two (uniform weights on 2^k
-    atoms), amplitude * min(w) >= 2^-968 and amplitude * max(w) is finite.
+    beyond dim stages carry no signal; those rows are drawn and conditioned
+    like every other.  They are exactly +0.0 when every atom weight w is a
+    power of two (uniform weights on 2^k atoms), amplitude * min(w) >=
+    2^-968 and amplitude * max(w) is finite, and then not drawn when the
+    horizon spans more than one row block.
     """
     if filtration is None:
         filtration = default_filtration(make_space(cfg), cfg.steps)
@@ -481,44 +473,29 @@ def _mds_rows(stages: Stages, prefix: np.ndarray, amplitude: float):
 
     Only singletons refine singletons, so the rows of one process whose
     stage and previous stage both condition on the identity form a suffix.
-    When a single process spans more than one row block, the blocks restart
-    where that suffix begins, and its blocks skip the bins: their draws are
-    one (rows, n) word grid and Y = Z - (w Z)/b, the same bits at a fraction
-    of the cost.  A horizon of one block stays on the bincount path, so
-    short horizons pay nothing extra.  When b is w bit for bit, every w is
-    a power of two, amplitude * min(w) >= 2^-968 and amplitude * max(w) is
-    finite, a nonzero draw has |Z| >= amplitude * 2^-54, so w Z is normal,
-    (w Z)/b is Z and every suffix row is +0.0: out's zeros, neither drawn
-    nor written.
+    When a single process spans more than one row block, b is w bit for
+    bit, every w is a power of two, amplitude * min(w) >= 2^-968 and
+    amplitude * max(w) is finite, a nonzero draw has |Z| >= amplitude *
+    2^-54, so w Z is normal, (w Z)/b is Z and every suffix row is +0.0:
+    out's zeros, neither drawn nor written.  Any other suffix is drawn and
+    conditioned like the rows before it, to rounding residue.
     """
     check_slack = 1e-12 * max(1.0, amplitude)
     failed_at = np.full(len(prefix), -1)
     residual = np.zeros(len(prefix))
     out = np.zeros(stages.size)  # an exact-zero suffix leaves its fresh pages unwritten
     total, width = len(stages.stage), int(stages.n.max())
-    blocks, cut = row_blocks(total, width), total
+    blocks = row_blocks(total, width)
     if len(prefix) == 1 and len(blocks) > 1 and stages.num_blocks[-1] == width:
-        # A refining chain never returns to a partition, so stage is sorted.
-        cut = min(int(stages.stage.searchsorted(len(stages.num_blocks) - 1)) + 1, total)
         identity = stages.row_ops(stages.stage[-1:], np.zeros(1, dtype=np.intp))
         w = identity.weights
-        suffix = row_blocks(total, width, start=cut)
         if (np.array_equal(identity.block_weight, w) and (np.frexp(w)[0] == 0.5).all()
                 and amplitude * w.min() >= 2.0**-968 and math.isfinite(amplitude * w.max())):
-            suffix = []  # (w Z)/w is Z exactly, so Y is +0.0, as out holds
-        blocks = row_blocks(cut, width) + suffix
-        # w and b tiled over a block, so no ufunc loops along the narrow axis,
-        # and one work array for every block, so no block faults in fresh pages.
-        reps = suffix[0].stop - cut if suffix else 0
-        tiles = (np.tile(w, reps), np.tile(identity.block_weight, reps))
-        work = np.empty(reps * width, dtype=np.uint64)
+            # A refining chain never returns to a partition, so stage is sorted.
+            cut = int(stages.stage.searchsorted(len(stages.num_blocks) - 1)) + 1
+            blocks = row_blocks(min(cut, total), width)  # (w Z)/w is Z exactly: Y is out's +0.0
     for rows in blocks:
-        if rows.start >= cut:
-            block = out[rows.start * width : rows.stop * width].reshape(-1, width)
-            residuals = _singleton_rows(amplitude, int(prefix[0]), tiles, work, block, rows.start)
-            process, step = np.zeros(len(block), dtype=np.intp), np.arange(rows.start, rows.stop)
-        else:
-            residuals, process, step = _binned_rows(stages, rows, prefix, amplitude, out)
+        residuals, process, step = _binned_rows(stages, rows, prefix, amplitude, out)
         for r in np.flatnonzero(~(residuals <= check_slack)).tolist():  # rows in order, NaN too
             if failed_at[process[r]] < 0:
                 failed_at[process[r]], residual[process[r]] = step[r], residuals[r]
@@ -575,31 +552,6 @@ def _binned_rows(stages: Stages, rows: slice, prefix, amplitude: float, out: np.
     if not isinstance(at, slice):
         block[at] = cond
     return np.maximum.reduceat(np.abs(ops.means(cond)), ops.bins[ops.starts[:-1]]), process, step
-
-
-def _singleton_rows(amplitude, prefix, tiles, work, block, first):
-    """Steps first, first + 1, ... past the cut, written into block: Z drawn
-    as one word grid, then Y = Z - (w Z)/b with b the identity's block
-    weights, w and b tiled over a whole block.  That is the bincount path
-    bit for bit: its 0.0 + w Z differs only where w Z is -0.0, and
-    z - 0.0 == z - -0.0.  work holds the grid, then the products.  Returns
-    each row's residual max |T_{i-1} Y_i|, or zeros when the block's
-    largest is within the slack."""
-    substream_grid(block, prefix, first=first, work=work)
-    block *= 2 * amplitude
-    block += -amplitude
-    flat = block.reshape(-1)  # a view: out's row blocks are contiguous
-    weights, block_weight = (tile[: flat.size] for tile in tiles)
-    scratch = work[: flat.size].view(np.float64)
-    np.multiply(flat, weights, out=scratch)
-    scratch /= block_weight
-    flat -= scratch
-    np.multiply(flat, weights, out=scratch)
-    scratch /= block_weight
-    np.abs(scratch, out=scratch)
-    if not np.max(scratch) <= 1e-12 * max(1.0, amplitude):  # a NaN max is searched as well
-        return halving_fold(np.maximum, scratch.reshape(block.shape), 1)
-    return np.zeros(len(block))
 
 
 def generate_submartingale(

@@ -6,9 +6,11 @@ platform.  Uniform doubles use the top 53 bits of each output word divided by
 2**53.  Substreams (per trial, per step, per suite) are derived by hashing the
 parent seed together with string/integer labels, never by sharing state.
 seeds_at, derive_seeds and substream_floats do the same over numpy uint64
-arrays (mod 2**64), bit for bit with the scalar SplitMix64 reference.
-substream_floats can skip a number of words per stream, and Streams reads
-such draws back, stream by stream, with the scalar methods' arithmetic.
+arrays (mod 2**64), bit for bit with the scalar SplitMix64 reference, and
+stream_floats draws from such seeds: the generator's rows, one row block at
+a time.  substream_floats can skip a number of words per stream, and
+Streams reads such draws back, stream by stream, with the scalar methods'
+arithmetic.
 """
 
 from __future__ import annotations
@@ -79,28 +81,6 @@ def stream_floats(seeds: np.ndarray, counts: np.ndarray, offsets=0) -> np.ndarra
     words = np.arange(1, int(counts.sum()) + 1, dtype=np.uint64) * golden
     words += (seeds + shift * golden).repeat(counts)
     return (_mix64_in_place(words) >> np.uint64(11)) * 2.0**-53
-
-
-def substream_grid(
-    out: np.ndarray, seed: int, *labels: int | str, first: int = 0, work: np.ndarray | None = None
-) -> None:
-    """Row i of the (rows, width) float64 array out becomes
-    substream(seed, *labels, first + i).floats(width): word k of the stream
-    seeded s is mix64(s + (k + 1) * golden), so the words form one grid.
-    work, a uint64 array of at least out.size words, holds the grid; a
-    caller drawing many grids passes one, as a fresh one costs page faults."""
-    rows, width = out.shape
-    prefix = np.uint64(derive_seed(seed, *labels))
-    seeds = _mix64_in_place(np.arange(first, first + rows, dtype=np.uint64) ^ prefix)
-    if work is None:
-        work = np.empty(out.size, dtype=np.uint64)
-    # Laid out (width, rows), so every ufunc runs along the long axis.
-    words = work[: out.size].reshape(width, rows)
-    np.multiply(np.arange(1, width + 1, dtype=np.uint64)[:, None], np.uint64(_GOLDEN), out=words)
-    words += seeds
-    _mix64_in_place(words)
-    words >>= np.uint64(11)
-    np.multiply(words.T, 2.0**-53, out=out)
 
 
 def derive_seed(seed: int, *labels: int | str) -> int:

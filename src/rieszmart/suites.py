@@ -21,10 +21,11 @@ every trial's split-largest chain is an atom order and a cut array
 (conditional.Stages, not Partition and operator objects), one pass of
 processes._mds_rows draws every trial's rows and conditions them through
 Stages.row_ops, and the checkers run over the batch's (trial * stage,
-atoms) rows.  The label and difference-sequence gates are decided for the
-whole batch (processes.decide_gates), with the exact per-trial scan only as
-fallback; burkholder's two dense products of the base operator still run
-trial by trial, on first-stage block ids filled once for the batch.  holder
+atoms) rows.  The label and difference-sequence gates pass the whole
+batch at once where they can (processes.decide_gates), and the exact
+per-trial scan decides the rest; burkholder's two dense products of the
+base operator still run trial by trial, on first-stage block ids filled
+once for the batch.  holder
 draws its batch the same way but checks each trial with one holder_sums
 call, the checker span per trial that perfbench's tracer self-test counts.
 """

@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from chains import ScaledStages, scale_of, split_largest_chain, table_of, tamper
+from oracles import substream_grid
 
 from rieszmart import (
     DEFAULT_TOL,
@@ -45,6 +46,7 @@ from rieszmart.errors import (
     BadExponent,
     BadWeights,
     ExponentMismatch,
+    GeneratorResidual,
     GNotInRange,
     NotSubmartingale,
     SpaceMismatch,
@@ -67,13 +69,14 @@ from rieszmart.processes import (
     ProcessSequence,
     classify,
     default_filtration,
+    generate_mds,
     make_space,
     partial_sums,
     require_difference_sequence,
     square_function,
 )
 from rieszmart.reports import MAX_RECORDED_FAILURES, VerificationReport, dump_json
-from rieszmart.rng import SplitMix64, derive_seed, substream_floats, substream_grid
+from rieszmart.rng import SplitMix64, derive_seed, substream_floats
 from rieszmart.suites import SUITES, RunConfig, _fresh, run_burkholder, run_suite
 
 FAILING = Tolerance(abs=-1e-3, rel=0.0)
@@ -971,6 +974,46 @@ def test_generators_at_the_long_horizon_shapes_match_the_per_trial_generator():
         for mode in ("positive-part", "drift"):
             new = generate_submartingale(cfg, mode, filt).values
             assert new.tobytes() == old_generate_submartingale(cfg, mode, filt).values.tobytes()
+
+
+def non_dyadic_suffix_cases():
+    """Generators whose suffix past the singleton cut is drawn: dims 3, 5
+    and 7, uniform and random weights, amplitudes at both ends of the range
+    and 1, and horizons that pass the cut by two row blocks and five rows.
+    Each on the default filtration, a random refining first stage, and the
+    default one with one identity block weight off by 1.5e-12, which fails
+    the guard past the cut."""
+    for dim in (3, 5, 7):
+        rows = max(1, lattice.BLOCK_ELEMENTS // dim)
+        for weight_mode in ("uniform", "random"):
+            for amplitude in (5e-324, 1.0, 8.9e307):
+                cfg = GeneratorConfig(dim, dim, dim + 2 * rows + 5, amplitude, weight_mode)
+                built = default_filtration(make_space(cfg), cfg.steps)
+                stream = SplitMix64(derive_seed(cfg.seed, "first-stage"))
+                yield cfg, built
+                yield cfg, old_refining_filtration(stream, make_space(cfg), cfg.steps)
+                yield cfg, tamper(built, -1, 1.0 + 1.5e-12, -1)
+
+
+@pytest.mark.parametrize("block", [lattice.BLOCK_ELEMENTS, 64])
+def test_the_generator_past_the_cut_matches_the_elementwise_one_it_replaced(block, monkeypatch):
+    # old_generate_mds draws and conditions every suffix row elementwise
+    # (old_singleton_rows); generate_mds conditions them in its bins.
+    monkeypatch.setattr(lattice, "BLOCK_ELEMENTS", block)
+    outcomes = set()
+    for cfg, filt in non_dyadic_suffix_cases():
+        assert filt.distinct[-1].is_identity and filt.stage.searchsorted(len(filt.distinct) - 1) < cfg.dim
+        try:
+            expected = old_generate_mds(cfg, filt).values.tobytes()
+        except AssertionError as exc:
+            with pytest.raises(GeneratorResidual) as raised:
+                generate_mds(cfg, filt)
+            assert str(raised.value) == str(exc), cfg
+            outcomes.add("raised")
+            continue
+        assert generate_mds(cfg, filt).values.tobytes() == expected, cfg
+        outcomes.add("same bytes")
+    assert outcomes == {"raised", "same bytes"}
 
 
 def tampered_filtrations(seed):

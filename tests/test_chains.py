@@ -229,6 +229,25 @@ def test_filtrations_of_operators_keep_their_ids_and_weights(seed, n, count):
         assert filtration[i].ragged.block_weight.tobytes() == sums[distinct.index(op)].tobytes()
 
 
+def test_a_filtrations_operators_build_no_ragged_ops_of_their_own(monkeypatch):
+    """Filtration._op holds the RaggedOps of Stages.row_ops without running
+    ConditionalExpectationOp's constructor, and the operator it builds
+    conditions as a constructed one does, bit for bit."""
+    space = SampleSpace(np.random.default_rng(5).uniform(0.05, 1.0, 9))
+    filtration = default_filtration(space, 12)
+    constructed = [ConditionalExpectationOp(op.partition) for op in default_filtration(space, 12).distinct]
+
+    def refuse(self, partition):
+        raise AssertionError("constructor called")
+
+    monkeypatch.setattr(ConditionalExpectationOp, "__init__", refuse)
+    values = np.random.default_rng(6).normal(size=(4, space.n))
+    for op, want in zip(filtration.distinct, constructed):
+        assert op.space is space and op.partition == want.partition
+        assert op.ragged.block_weight.tobytes() == want.ragged.block_weight.tobytes()
+        assert op.apply_array(values).tobytes() == want.apply_array(values).tobytes()
+
+
 def test_a_default_filtration_on_8192_atoms_holds_no_stage_table():
     """8192 stages of 8192 atoms under 10 MB: the (D, n) table peaked at
     807 MB."""

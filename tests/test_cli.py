@@ -289,7 +289,7 @@ def test_simulate_negative_verdict_exits_one(tmp_path, capsys):
 def test_simulate_notes_stages_past_dim_on_stderr(tmp_path, capsys):
     note = (
         "note: --n 12 exceeds --dim 4: stages past 4 condition on the singleton "
-        "partition and add only rounding residue\n"
+        "partition and add 0 up to rounding\n"
     )
     for experiment in ("slln-n", "slln-p-le-2", "slln-p-gt-2", "submartingale"):
         argv = ["simulate", experiment, "--dim", "4", "--output-dir", str(tmp_path)]

@@ -38,7 +38,7 @@ from rieszmart.processes import (
 )
 from rieszmart.conditional import ConditionalExpectationOp, Filtration, Partition
 from rieszmart.errors import GeneratorResidual
-from rieszmart.rng import SplitMix64, derive_seed, seeds_at, substream_grid
+from rieszmart.rng import SplitMix64, derive_seed, seeds_at
 from chains import refining_filtration, tamper
 
 
@@ -459,9 +459,9 @@ def test_blocked_residual_guard_names_the_oracle_step(block_elements, tampered, 
 # --- the singleton suffix -------------------------------------------------------
 #
 # Rows whose stage and previous stage both condition on the identity form a
-# suffix.  A horizon of more than one row block restarts its blocks there and
-# draws them as one word grid, conditioned elementwise.  The grid below is
-# fixed before any comparison.
+# suffix.  Off dyadic spaces it is drawn and conditioned in the bins like the
+# rows before it, in one row block or many.  The grid below is fixed before
+# any comparison.
 
 SINGLETON_AMPLITUDES = (5e-324, 1e-310, 1e-3, 1.0, 1e6, 8.9e307)
 
@@ -504,8 +504,7 @@ def test_singleton_rows_match_the_per_stage_loop(block_elements, monkeypatch):
         got = generate_mds(cfg, filt).values
         assert got.tobytes() == generate_mds_per_stage(cfg, filt).tobytes(), cfg
         if singleton_cut(filt) < cfg.steps:
-            # One block holds the cut and stays on the bincount path; more
-            # blocks restart at the cut and take the elementwise path.
+            # One block holds the whole suffix, or it spans several.
             kinds.add(cfg.steps > max(1, block_elements // cfg.dim))
     assert kinds == {True, False} or block_elements == 1
 
@@ -574,8 +573,8 @@ def test_tampered_singleton_weight_fails_at_the_oracle_step(
     [
         # the binned path: stage 2 conditions row 3
         (GeneratorConfig(seed=4, dim=8, steps=14, weight_mode="random"), 2, 3),
-        # the singleton path: a horizon of many row blocks, whose rows from
-        # the cut (row 8 on dim 8) skip the bins
+        # past the singleton cut: a horizon of many row blocks, whose rows
+        # from the cut (row 8 on dim 8) condition on the identity
         (GeneratorConfig(seed=4, dim=8, steps=20_000, weight_mode="random"), -1, 8),
         (GeneratorConfig(seed=5, dim=8, steps=20_000), -1, 8),
     ],
@@ -676,19 +675,13 @@ def test_exact_zero_suffix_matches_the_per_stage_loop(block_elements, monkeypatc
 
 
 def spy_on_draws(monkeypatch):
-    """The steps whose words _mds_rows draws, on the binned path (seeds_at)
-    and past the cut (substream_grid)."""
+    """The steps whose words _mds_rows draws (seeds_at)."""
     steps = []
-
-    def grid(out, seed, *labels, first=0, work=None):
-        steps.extend(range(first, first + len(out)))
-        return substream_grid(out, seed, *labels, first=first, work=work)
 
     def seeds(prefix, step):
         steps.extend(np.asarray(step).tolist())
         return seeds_at(prefix, step)
 
-    monkeypatch.setattr(processes, "substream_grid", grid)
     monkeypatch.setattr(processes, "seeds_at", seeds)
     return steps
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import substream_grid
 
 from rieszmart.rng import (
     SplitMix64,
@@ -16,7 +17,6 @@ from rieszmart.rng import (
     stream_floats,
     substream,
     substream_floats,
-    substream_grid,
     substream_seeds,
 )
 
