@@ -13,23 +13,31 @@ Order convergence is replaced by two desk-scale surrogates:
     magnitude (the harmonic tail over the same window is ln 2).
 
 Tall (N, n) stacks run at array speed with every output bit of the plain
-NumPy calls.  Running sums add two columns per complex add (_running_sum).
-Powers of |Y_i| skip zero bases, which past the singleton cut are almost all
-of them (_raise_nonzero).  slln-n checks its three relations in one pass over
-row blocks.  Decay summaries divide by the rates only at the checkpoint
-rows: dividing by a positive a_n is monotone, so the row maxima of the
-undivided stack, divided, are the divided stack's.
+NumPy calls.  An n-atom space has at most n - 1 informative stages (T is
+positive and linear with Te = e), and past them the generator's rows are
++0.0.  So a stack is carried as its head rows and its height N (_Tall):
+every row from the head's last on repeats it bit for bit.  Running sums of
+a stack whose repeated row is zero settle, powers keep a repeated row, and
+the summaries, the image checks and the checks run on the head and one
+repeated row, which counts its misses for every row it stands for.  A
+stack that does not settle has H = N, so every consumer has one code path.
+Running sums add two columns per complex add (_running_sum).  Powers of
+|Y_i| skip zero bases (_raise_nonzero).  Decay summaries divide by the
+rates only at the checkpoint rows: dividing by a positive a_n is monotone,
+so the row maxima of the undivided stack, divided, are the divided stack's.
 
 T_1 images are kept in block coordinates.  Each dense product still takes
-the whole operand (rows @ M.T may round a row differently with the number of
-rows that share it).  When the product is constant bit for bit on every block
-of T_1, and finite and free of -0.0, it is kept as an (N, k) stack of block
-values, and the running sums, powers, series summaries and checks run on k
-columns.  _image compares neighbouring atoms' bits in flat row blocks, not a
-gathered copy.  A miss counts its block's atoms, a witness names its block's
-lowest atom, which is where compare's first argmin over the atoms lands, and
-only checkpoint rows are widened back to atoms.  Any other product keeps its
-n columns as n blocks of one atom each, so every consumer has one code path.
+its operand at whole height (rows @ M.T may round a row differently with
+the number of rows that share it), and its settled rows are split off by
+the same backward scan, which for a zero tail checks the product's tail to
+be +0.0 bit for bit.  When the product's head is constant bit for bit on
+every block of T_1, and finite and free of -0.0, it is kept as an (H, k)
+head of block values, and the running sums, powers, series summaries and
+checks run on k columns.  _image compares neighbouring atoms' bits in flat
+row blocks, not a gathered copy.  A miss counts its block's atoms, a
+witness names its block's lowest atom, which is where compare's first
+argmin over the atoms lands, and only checkpoint rows are widened back to
+atoms.  Any other product keeps its n columns as n blocks of one atom each.
 """
 
 from __future__ import annotations
@@ -124,13 +132,14 @@ class WeightSequence:
             vals = vals[:length]
         return require_rates(vals)
 
-    def require_divergent(self) -> None:
+    def require_divergent(self, count: int | None = None) -> None:
         """Divergence is decidable for power laws; explicit lists can only
-        be screened for being nonconstant."""
+        be screened for being nonconstant, over the count rates that a
+        horizon of count stages uses (all of them when count is None)."""
         if self.kind == "power":
             if self.exponent <= 0.0:
                 raise BadWeights("divergent rates needed: power exponent must be > 0")
-        elif self.explicit[-1] <= self.explicit[0]:
+        elif (used := self.explicit[:count])[-1] <= used[0]:
             raise BadWeights("divergent rates needed: sequence never grows")
 
     def label(self) -> str:
@@ -139,34 +148,135 @@ class WeightSequence:
         return f"explicit[{len(self.explicit)}]"
 
 
+@dataclass(frozen=True)
+class _Tall:
+    """An (N, n) stack as its first H rows and N: row i is head[min(i, H - 1)],
+    so every row from the head's last on repeats it bit for bit.  Any stack
+    is one with H = N."""
+
+    head: np.ndarray
+    count: int
+
+    @classmethod
+    def of(cls, stack: np.ndarray) -> "_Tall":
+        """stack with its settled rows split off, the head a view of it, by
+        one backward scan over row blocks, which stops at the first block
+        holding a row unlike the last, so a stack that does not settle costs
+        one block.  Rows are compared bit for bit, a flat block against the
+        last row tiled.  Only a settled run of at least half the rows is
+        split off: the whole-height operands built from a longer head would
+        cost more memory than its tail saves."""
+        count, width = stack.shape
+        bits = stack.view(np.int64)
+        blocks = row_blocks(count - 1, width)  # the rows before the last
+        start = count - 1  # rows start.. repeat the last
+        if blocks:
+            pattern = np.tile(bits[-1], blocks[0].stop)  # as long as the longest block
+            for rows in reversed(blocks):
+                block = bits[rows].ravel()
+                differ = np.flatnonzero(block != pattern[: block.size])
+                if differ.size:
+                    start = rows.start + int(differ[-1]) // width + 1
+                    break
+                start = rows.start
+        return cls(stack[: start + 1] if 2 * (start + 1) <= count else stack, count)
+
+    def full(self) -> np.ndarray:
+        """The whole stack: the head itself when H = N, else a new array
+        whose rows past the head keep np.zeros' pages when the repeated row
+        is +0.0 bit for bit."""
+        height = len(self.head)
+        if height == self.count:
+            return self.head
+        out = np.zeros((self.count, self.head.shape[1]))
+        if self.head[-1].view(np.int64).any():
+            out[height:] = self.head[-1]
+        out[:height] = self.head
+        return out
+
+    def rows(self, index) -> np.ndarray:
+        """Rows index (a slice or an index array) of the stack; rows that
+        all repeat the last are a read-only broadcast of it."""
+        height = len(self.head)
+        if isinstance(index, slice):
+            if index.stop <= height:
+                return self.head[index]
+            if index.start >= height - 1:
+                shape = (index.stop - index.start, self.head.shape[1])
+                return np.broadcast_to(self.head[-1], shape)
+            index = np.arange(index.start, index.stop)
+        return self.head[np.minimum(index, height - 1)]
+
+    def settling(self) -> "_Tall":
+        """The stack, at whole height unless its repeated row is zero: only
+        then do its running sums settle, from that row on, since s + 0 is
+        s for an s that is not -0.0 and s + (-0.0) is s for every s."""
+        if len(self.head) == self.count or not self.head[-1].any():
+            return self
+        return _tall(self.full())
+
+    def divided(self, divisors: np.ndarray, in_place: bool = False) -> "_Tall":
+        """Row i divided by divisors[i] (over the head's own array when
+        in_place): a zero repeated row stays one where every divisor from
+        the head's last row on is positive."""
+        height = len(self.head)
+        if height < self.count and not self.head[-1].any() and (divisors[height - 1 :] > 0.0).all():
+            out = self.head if in_place else None
+            return _Tall(np.divide(self.head, divisors[:height, None], out=out), self.count)
+        full = self.full()
+        out = full if in_place or height < self.count else None
+        return _tall(np.divide(full, divisors[:, None], out=out))
+
+
+def _tall(stack) -> _Tall:
+    """stack as a _Tall: an array at its whole height."""
+    return stack if isinstance(stack, _Tall) else _Tall(stack, len(stack))
+
+
+def _blocks(count: int, height: int, width: int):
+    """(rows, times) over rows 0..count-1 of stacks whose rows from height - 1
+    on repeat: the first height rows in row blocks, once each, then row
+    height - 1 standing for the count - height rows past it."""
+    for rows in row_blocks(height, width):
+        yield rows, 1
+    if height < count:
+        yield slice(height - 1, height), count - height
+
+
 def decay_report(
-    values: np.ndarray,
+    values,
     epsilon: float,
     verdict_index: int | None = None,
     rates: np.ndarray | None = None,
 ) -> DecaySequenceReport:
-    """Suffix-sup summary of an (N, dim) trajectory, values / rates[:, None]
-    when rates are given; the row maxima are taken one row block at a time,
-    by halving folds, and only they and the checkpoint rows are divided."""
-    count = values.shape[0]
+    """Suffix-sup summary of an (N, dim) trajectory, an array or a _Tall,
+    values / rates[:, None] when rates are given; the row maxima of its head
+    are taken one row block at a time, by halving folds, and only they and
+    the checkpoint rows are divided.  Past the head every row's maximum is
+    the repeated row's, which divided by nondecreasing rates does not grow:
+    each is its own suffix sup."""
+    values = _tall(values)
+    head, count = values.head, values.count
     points = checkpoint_schedule(count)
     max_abs = np.concatenate(
-        [halving_fold(np.maximum, np.abs(values[rows]), 1) for rows in row_blocks(*values.shape)]
+        [halving_fold(np.maximum, np.abs(head[rows]), 1) for rows in row_blocks(*head.shape)]
     )
     index = np.array(points) - 1
-    rows = values[index]
+    at = np.minimum(index, len(head) - 1)
+    peak, rows = max_abs[at], head[at]
     if rates is not None:
-        max_abs /= rates
+        max_abs /= rates[: len(head)]
+        peak = peak / rates[index]
         rows = rows / rates[index, None]
     suffix = np.maximum.accumulate(max_abs[::-1])[::-1]
     if verdict_index is None:
         verdict_index = len(points) - 1
-    tail = [float(suffix[i]) for i in index]
+    tail = [float(v) for v in np.where(index < len(head), suffix[at], peak)]
     return DecaySequenceReport(
         horizon=count,
         checkpoints=points,
         values=[[float(v) for v in row] for row in rows],
-        max_abs=[float(max_abs[i]) for i in index],
+        max_abs=[float(v) for v in peak],
         tail_sup=tail,
         epsilon=epsilon,
         verdict_index=verdict_index,
@@ -190,6 +300,14 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.cumsum(x, axis=0, out=out)
     pairs = None if out is None else out.view(np.complex128)
     return np.cumsum(x.view(np.complex128), axis=0, out=pairs).view(np.float64)
+
+
+def _summed(x: _Tall, in_place: bool = False) -> _Tall:
+    """Running sums down a _Tall (over its head's own array when in_place,
+    or when it is a new whole height); past a zero repeated row they settle."""
+    settled = x.settling()
+    out = settled.head if in_place or settled is not x else None
+    return _Tall(_running_sum(settled.head, out=out), x.count)
 
 
 def _raise_nonzero(x: np.ndarray, p: float) -> None:
@@ -216,11 +334,15 @@ def _cumsum_blocks(terms: np.ndarray, start: np.ndarray | None = None):
         yield rows, block
 
 
-def _prefix_rows(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows index of the prefix sums of terms from a zero row (row j sums
-    terms[:j]), with the adds of one cumsum over the zero-topped stack."""
-    out = np.zeros((len(index), terms.shape[1]))
-    for rows, partial in _cumsum_blocks(terms, start=np.zeros(terms.shape[1])):
+def _prefix_rows(terms, index: np.ndarray) -> np.ndarray:
+    """Rows index of the prefix sums of terms, an array or a _Tall, from a
+    zero row (row j sums terms[:j]), with the adds of one cumsum over the
+    zero-topped stack.  Past a zero repeated row they settle, so a row past
+    the head is the head's last."""
+    head = _tall(terms).settling().head
+    index = np.minimum(index, len(head))
+    out = np.zeros((len(index), head.shape[1]))
+    for rows, partial in _cumsum_blocks(head, start=np.zeros(head.shape[1])):
         hit = (index > rows.start) & (index <= rows.stop)
         out[hit] = partial[index[hit] - 1 - rows.start]
     return out
@@ -253,55 +375,78 @@ class _Layout(NamedTuple):
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _image(t1, operand: np.ndarray) -> tuple:
-    """(stack, layout) of T_1 applied to each row of operand by one dense
-    product: its k block values when it is constant bit for bit on every
-    block, finite and free of -0.0, else the product as n one-atom blocks.
-    Non-finite images keep the atoms' arithmetic, and a -0.0 must: a min over
-    the atoms and one over the blocks may keep different signs of a zero.
-    One pass over row blocks compares neighbours in one run of atoms of one
+def _image(t1, operand, zeros: np.ndarray | None = None) -> tuple:
+    """(stack, layout) of T_1 applied to each row of operand, an array or a
+    _Tall, by one dense product of its whole height, with the product's
+    settled rows split off: its k block values when its head is constant
+    bit for bit on every block, finite and free of -0.0, else the product
+    as n one-atom blocks.  Non-finite images keep the atoms' arithmetic, and
+    a -0.0 must: a min over the atoms and one over the blocks may keep
+    different signs of a zero.  For the same reason a head that holds a
+    -0.0 keeps the whole height, as a min over more rows may.  One pass over
+    the head's row blocks compares neighbours in one run of atoms of one
     block in the flat block, and a later run's first atom with its block's
-    value, gathering nothing but the k value columns."""
-    image = t1.apply_rows(operand)
+    value, gathering nothing but the k value columns.
+
+    zeros, an (N, n) array of +0.0, if given, holds the operand when its
+    repeated row is +0.0 and is restored after the product, so the images
+    of one experiment share its pages rather than fault in new ones."""
+    operand = _tall(operand)
+    height = len(operand.head)
+    if zeros is not None and height < operand.count and not operand.head[-1].view(np.int64).any():
+        zeros[:height] = operand.head
+        product = t1.apply_rows(zeros)
+        product = product.copy() if product is zeros else product  # the identity's is its operand
+        zeros[:height] = 0.0
+    else:
+        product = t1.apply_rows(operand.full())
+    image = _Tall.of(product)
+    if len(image.head) < image.count and (image.head.view(np.int64) == _NEGATIVE_ZERO).any():
+        image = _tall(product)
+    del product
+    head = image.head
     layout = _Layout.of(t1.partition.block_id)
-    count, n = image.shape
+    count, n = head.shape
     if len(layout.size) < n:
         ends = np.flatnonzero(np.append(layout.ids[1:] != layout.ids[:-1], True)).tolist()  # of runs
         heads = [j + 1 for j in ends[:-1] if layout.first[layout.ids[j + 1]] != j + 1]  # later runs
         values = np.empty((count, len(layout.size)))
-        bits, value_bits = image.view(np.int64), values.view(np.int64)
+        bits, value_bits = head.view(np.int64), values.view(np.int64)
         for rows in row_blocks(count, n):
             flat = bits[rows].ravel()
             pairs = np.equal(flat[1:], flat[:-1])
             for j in ends:  # pairs across runs are not compared
                 pairs[j::n] = True
-            values[rows] = image[rows, layout.first]
+            values[rows] = head[rows, layout.first]
             moved = any((bits[rows, h] != value_bits[rows, layout.ids[h]]).any() for h in heads)
             if moved or not pairs.all():
                 break
         else:
             if np.isfinite(values).all() and not (value_bits == _NEGATIVE_ZERO).any():
-                return values, layout
+                return _Tall(values, image.count), layout
     return image, _Layout.singletons(n)
 
 
-def series_report(terms: np.ndarray, layout: _Layout | None = None) -> SeriesReport:
+def series_report(terms, layout: _Layout | None = None) -> SeriesReport:
     """Cauchy-tail summary for the partial sums of an (N, dim) term matrix,
-    or of the (N, k) block values of one in layout.
+    an array or a _Tall, or of the (N, k) block values of one in layout.
 
-    The partial sums are formed one row block at a time.  The tail gap
-    max |s_N - s_m| over m >= N/2 comes from the columnwise min and max of
-    those s_m: rounded subtraction is monotone, so the extremes give it
-    exactly, and a zero extreme of either sign gives the same gap.  The
-    checkpoint rows and the extremes are widened back to the atoms."""
+    The partial sums are formed one row block at a time, over the head: past
+    a zero repeated row they settle, so a checkpoint or a tail row past the
+    head takes the head's last.  The tail gap max |s_N - s_m| over
+    m >= N/2 comes from the columnwise min and max of those s_m: rounded
+    subtraction is monotone, so the extremes give it exactly, and a zero
+    extreme of either sign gives the same gap.  The checkpoint rows and the
+    extremes are widened back to the atoms."""
+    terms = _tall(terms).settling()
+    head, count = terms.head, terms.count
     if layout is None:
-        layout = _Layout.singletons(terms.shape[1])
-    count = terms.shape[0]
+        layout = _Layout.singletons(head.shape[1])
     points = checkpoint_schedule(count)
     half = (count + 1) // 2
     at = {}
-    low, high = np.full(terms.shape[1], np.inf), np.full(terms.shape[1], -np.inf)
-    for rows, partial in _cumsum_blocks(terms):
+    low, high = np.full(head.shape[1], np.inf), np.full(head.shape[1], -np.inf)
+    for rows, partial in _cumsum_blocks(head):
         for c in points:
             if rows.start < c <= rows.stop:
                 at[c] = partial[c - 1 - rows.start].copy()
@@ -309,7 +454,10 @@ def series_report(terms: np.ndarray, layout: _Layout | None = None) -> SeriesRep
         if len(tail):
             low = np.minimum(low, halving_fold(np.minimum, tail, 0))
             high = np.maximum(high, halving_fold(np.maximum, tail, 0))
-    at = {c: layout.widen(row) for c, row in at.items()}
+    settled = partial[-1]
+    at = {c: layout.widen(at.get(c, settled)) for c in points}
+    if half > len(head):  # the tail rows all repeat the head's last
+        low = high = settled
     low, high = layout.widen(low), layout.widen(high)
     last = at[count]
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
@@ -325,7 +473,7 @@ def series_report(terms: np.ndarray, layout: _Layout | None = None) -> SeriesRep
         epsilon=epsilon,
         scale=scale,
         converged=bool(tail_gap <= epsilon),
-        term_min=float(terms.min()) if terms.size else 0.0,
+        term_min=float(head.min()) if head.size else 0.0,
     )
 
 
@@ -341,7 +489,7 @@ def cesaro_weighted_mean(
     if np.any(mat < 0.0):
         raise NegativeArgument("running means defined for nonnegative inputs")
     count = mat.shape[0]
-    rates.require_divergent()
+    rates.require_divergent(count)
     b = rates.values(count)
     z = np.zeros_like(mat)
     if count > 1:
@@ -364,20 +512,21 @@ def kronecker_transform(
         raise NotSummable(
             f"partial sums fail the tail criterion: gap {tail.tail_gap:.3e} > {tail.epsilon:.3e}"
         )
-    rates.require_divergent()
+    rates.require_divergent(mat.shape[0])
     b = rates.values(mat.shape[0])
     z = _running_sum(b[:, None] * mat) / b[:, None]
     return decay_report(z, epsilon)
 
 
 def _aligned(*images) -> tuple:
-    """(stacks, layout) of (stack, layout) pairs of T_1 images on one layout:
-    their own when they share it, else each widened back to the atoms."""
+    """(stacks, layout) of (stack, layout) pairs of T_1 images, _Talls, on
+    one layout: their own when they share it, else each widened back to the
+    atoms."""
     stacks, layouts = zip(*images)
     if len({len(layout.size) for layout in layouts}) == 1:
         return stacks, layouts[0]
     singletons = _Layout.singletons(len(layouts[0].ids))
-    return [layout.widen(stack) for stack, layout in images], singletons
+    return [_Tall(layout.widen(stack.head), stack.count) for stack, layout in images], singletons
 
 
 class _Fold:
@@ -392,7 +541,10 @@ class _Fold:
         self.misses, self.margin, self.rows = 0, math.inf, 0
         self.worst = self.where = None
 
-    def add(self, lhs, rhs, slack) -> None:
+    def add(self, lhs, rhs, slack, times: int = 1) -> None:
+        """Fold in the next rows; a block of one row may stand for times
+        equal rows, which count its misses times times and put its witness
+        at the first of them."""
         shape = np.broadcast(lhs, rhs).shape
         misses, margin, at = compare(np.ravel(lhs), np.ravel(rhs), np.ravel(slack))
         if misses:
@@ -401,28 +553,32 @@ class _Fold:
         pos = np.unravel_index(at, shape)
         low, high, room = (np.broadcast_to(x, shape)[pos] for x in (lhs, rhs, slack))
         worst = high - low + room  # the compared value at the argmin
-        self.misses += int(misses)
+        self.misses += int(misses) * times
         self.margin = np.minimum(self.margin, margin)
         # argmin semantics: the first NaN, else the first least value.
         if self.worst is None or worst < self.worst or np.isnan(worst) > np.isnan(self.worst):
             self.worst = worst
             self.where = (self.rows + int(pos[0]), int(self.layout.first[pos[1]]))
-        self.rows += shape[0]
+        self.rows += shape[0] * times
 
     def record(self, summary: CheckSummary, witness: str) -> None:
         summary.record_many([self.misses], [self.margin], lambda _: f"{witness} at {self.where}")
 
 
 def _check(summary: CheckSummary, lhs, rhs, slack, witness: str, layout: _Layout) -> None:
-    """Record lhs <= rhs + slack over whole stacks on the columns of layout
-    as one comparison that counts every missing atom; a miss names the first
-    worst one.  The stacks are compared one row block at a time, with
-    slack(lhs, rhs) formed per block; a scalar side is broadcast."""
+    """Record lhs <= rhs + slack over whole stacks (arrays or _Talls) on the
+    columns of layout as one comparison that counts every missing atom; a
+    miss names the first worst one.  The stacks are compared one row block
+    at a time, with slack(lhs, rhs) formed per block, and past their heads
+    as one repeated row; a scalar side is broadcast."""
+    sides = [_tall(x) if isinstance(x, (np.ndarray, _Tall)) else x for x in (lhs, rhs)]
+    stacks = [x for x in sides if isinstance(x, _Tall)]
+    height = max(len(x.head) for x in stacks)
     fold = _Fold(layout)
-    for rows in row_blocks(*np.broadcast(lhs, rhs).shape):
-        low, high = (x if np.ndim(x) == 0 else x[rows] for x in (lhs, rhs))
+    for rows, times in _blocks(stacks[0].count, height, stacks[0].head.shape[1]):
+        low, high = (x.rows(rows) if isinstance(x, _Tall) else x for x in sides)
         require_finite(low, high)
-        fold.add(low, high, slack(low, high))
+        fold.add(low, high, slack(low, high), times)
     fold.record(summary, witness)
 
 
@@ -453,19 +609,23 @@ def submartingale_convergence_experiment(
     label = classify(process, tol)
     if label not in (MARTINGALE, SUBMARTINGALE):
         raise NotSubmartingale(f"experiment needs a (sub)martingale, got {label}")
-    if np.any(process.values < 0.0):
+    values = _Tall.of(process.values)
+    if np.any(values.head < 0.0):
         raise NegativeProcess("experiment defined for nonnegative processes")
     count = len(process)
-    rates.require_divergent()
+    rates.require_divergent(count)
     a = rates.values(count)
     t1 = process.filtration[0]
     checks = {"term-nonneg": CheckSummary()}
     if count > 1:
         with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-            powers = process.values**p
-            terms = powers[1:] - powers[:-1]
+            powers = values.head**p
+            # Past the head, a term is the repeated row's difference with itself.
+            terms = np.empty((min(len(powers), count - 1), powers.shape[1]))
+            np.subtract(powers[1:], powers[:-1], out=terms[: len(powers) - 1])
+            terms[len(powers) - 1 :] = powers[-1] - powers[-1]
             del powers
-            terms /= (a[1:] ** p)[:, None]
+            terms = _Tall(terms, count - 1).divided(a[1:] ** p, in_place=True)
         terms, layout = _image(t1, terms)
         _check(checks["term-nonneg"], 0.0, terms, tol.slack, "series term sign", layout)
         series = series_report(terms, layout)
@@ -473,7 +633,7 @@ def submartingale_convergence_experiment(
     else:
         checks["term-nonneg"].record(True, 0.0, "no terms")
         series = series_report(np.zeros((1, process.space.n)))
-    decay = decay_report(process.values, epsilon, rates=a)
+    decay = decay_report(values, epsilon, rates=a)
     config = {"p": p, "rates": rates.label(), "epsilon": epsilon}
     return _experiment("submartingale", config, decay, series, checks)
 
@@ -497,43 +657,53 @@ def slln_p_le_2(
         raise BadExponent(f"this strong law needs 1 <= p <= 2, got {p}")
     require_difference_sequence(diffs, tol)
     count = len(diffs)
-    rates.require_divergent()
+    rates.require_divergent(count)
     a = rates.values(count)
     t1 = diffs.filtration[0]
-    # Each (N, n) stack is built once, in place where the ufunc allows.
-    absy_p = np.abs(diffs.values)
+    values = _Tall.of(diffs.values)
+    # Each stack's head is built once, in place where the ufunc allows.
+    absy_p = np.abs(values.head)
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         absy_p **= p
-        series = series_report(*_image(t1, absy_p / (a**p)[:, None]))
-        absx_p = _running_sum(diffs.values)
+        absy_p = _Tall(absy_p, count)
+        series = series_report(*_image(t1, absy_p.divided(a**p)))
+        absx_p = _summed(values)
         decay = decay_report(absx_p, epsilon, rates=a)
+        absx_p = absx_p.head
         np.abs(absx_p, out=absx_p)
         absx_p **= p
+        absx_p = _Tall(absx_p, count)
     checks = {
         "power-diff-nonneg": CheckSummary(),
         "power-diff-dominated": CheckSummary(),
     }
-    scale = float(np.max(absx_p)) if absx_p.size else 1.0
+    scale = float(np.max(absx_p.head)) if absx_p.head.size else 1.0
     if count > 1:
         slack = tol.abs + tol.rel * scale
-        atoms = _Layout.singletons(diffs.space.n)
+        n = diffs.space.n
+        atoms = _Layout.singletons(n)
+        # Stage i reads rows i and i + 1, which repeat from row height - 1 on.
+        height = max(len(absx_p.head), len(absy_p.head))
         # A non-finite product is raised on, not warned about; the powers are
         # >= 0, so nxt - here is finite when both are.
         with np.errstate(over="ignore", invalid="ignore"):
             for op, idx in _stage_groups(diffs.filtration, count - 1):
                 lower, upper = _Fold(atoms), _Fold(atoms)
-                # The identity group, most stages of a long horizon, is gathered
-                # one row block at a time; a dense product keeps whole operands.
+                # The identity group, a suffix and most stages of a long
+                # horizon, is gathered one row block at a time up to its first
+                # repeated stage, which stands for the rest; a dense product
+                # keeps whole operands.
                 if op.is_identity:
-                    parts = [idx[rows] for rows in row_blocks(len(idx), absx_p.shape[1])]
+                    first = min(max(height - int(idx[0]), 1), len(idx))
+                    parts = [(idx[rows], times) for rows, times in _blocks(len(idx), first, n)]
                 else:
-                    parts = [idx]
-                for rows in parts:
-                    nxt, here = op.apply_rows(absx_p[rows + 1]), op.apply_rows(absx_p[rows])
-                    dom = op.apply_rows(2.0 * absy_p[rows + 1])
+                    parts = [(idx, 1)]
+                for rows, times in parts:
+                    here, nxt = (op.apply_rows(absx_p.rows(r)) for r in (rows, rows + 1))
+                    dom = op.apply_rows(2.0 * absy_p.rows(rows + 1))
                     require_finite(here, nxt, dom)
-                    lower.add(here, nxt, slack)
-                    upper.add(nxt - here, dom, slack)
+                    lower.add(here, nxt, slack, times)
+                    upper.add(nxt - here, dom, slack, times)
                 lower.record(checks["power-diff-nonneg"], "lower bound")
                 upper.record(checks["power-diff-dominated"], "upper bound")
     else:
@@ -574,7 +744,7 @@ def slln_p_gt_2(
         )
     require_difference_sequence(diffs, tol)
     count = len(diffs)
-    rates.require_divergent()
+    rates.require_divergent(count)
     a = rates.values(count)
     with np.errstate(over="ignore"):  # an overflowing a_i^k stands for a zero term
         inv_k = (1.0 / a**k)[:, None]
@@ -585,25 +755,21 @@ def slln_p_gt_2(
         )
     delta = (p - gamma) / (p / 2.0 - 1.0)
     t1 = diffs.filtration[0]
+    values = _Tall.of(diffs.values)
     points = np.array(checkpoint_schedule(count))
     m, n = (points[i] for i in np.triu_indices(len(points), 1))
     # Prefix sums from a zero row, so segment m..n is prefix[n] - prefix[m - 1];
     # only the rows at n (first) and m - 1 (second) are kept.
     ends = np.concatenate((n, m - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-        hyp_terms = np.abs(diffs.values)
-        _raise_nonzero(hyp_terms, p)
-        hyp_terms /= (a**gamma)[:, None]
-        hyp_terms, layout = _image(t1, hyp_terms)
+        hyp_terms = _Tall(np.abs(values.head), count)
+        _raise_nonzero(hyp_terms.head, p)
+        hyp_terms, layout = _image(t1, hyp_terms.divided(a**gamma, in_place=True))
         series = series_report(hyp_terms, layout)
         pre_hyp = layout.widen(_prefix_rows(hyp_terms, ends))
         del hyp_terms
-        sums = _running_sum(diffs.values)
-        decay = decay_report(sums, epsilon, rates=a)
-        del sums
-        sq_terms = diffs.values**2
-        sq_terms /= (a**2)[:, None]
-        sq_terms, layout = _image(t1, sq_terms)
+        decay = decay_report(_summed(values), epsilon, rates=a)
+        sq_terms, layout = _image(t1, _Tall(values.head**2, count).divided(a**2, in_place=True))
         pre_sq = layout.widen(_prefix_rows(sq_terms, ends))
         del sq_terms
         pairs = len(m)
@@ -686,34 +852,34 @@ def slln_an_equals_n(
     count = len(diffs)
     steps = np.arange(1, count + 1, dtype=np.float64)
     t1 = diffs.filtration[0]
+    values = _Tall.of(diffs.values)
 
-    # Each (N, n) stack is built once, in place where the ufunc allows, and
-    # dropped after its last use; T_1's images are (N, k) in block coordinates.
+    # Each stack's head is built once, in place where the ufunc allows, and
+    # dropped after its last use; T_1's images are (H, k) in block coordinates.
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-        sums = _running_sum(diffs.values)
-        decay = decay_report(sums, epsilon, rates=steps)
-        del sums
-        absy_p = np.abs(diffs.values)
-        _raise_nonzero(absy_p, p)
-        series = series_report(*_image(t1, absy_p / (steps ** (1.0 + p / 2.0))[:, None]))
-        bound_rhs, bound_layout = _image(t1, absy_p)
+        decay = decay_report(_summed(values), epsilon, rates=steps)
+        absy_p = _Tall(np.abs(values.head), count)
+        _raise_nonzero(absy_p.head, p)
+        zeros = np.zeros(diffs.values.shape)
+        series = series_report(*_image(t1, absy_p.divided(steps ** (1.0 + p / 2.0)), zeros))
+        bound_rhs, bound_layout = _image(t1, absy_p, zeros)
         del absy_p
-        _running_sum(bound_rhs, out=bound_rhs)
-        bound_rhs *= (steps ** (p / 2.0 - 1.0))[:, None]
-        del steps
-        absy_sq = np.square(diffs.values)
-        running = _running_sum(absy_sq)
+        # Settled sums times the growing n^(p/2-1) do not repeat: whole height.
+        bound = _summed(bound_rhs, in_place=True).full()
+        bound *= (steps ** (p / 2.0 - 1.0))[:, None]
+        bound_rhs = _tall(bound)
+        del steps, bound
+        absy_sq = _Tall(np.square(values.head), count)
+        running = _summed(absy_sq).head
         running **= p / 2.0
-        exchange_lhs, lhs_layout = _image(t1, running)
-        del running
-        exchange_rhs, rhs_layout = _image(t1, absy_sq)
-        del absy_sq
-        _running_sum(exchange_rhs, out=exchange_rhs)
+        exchange_rhs, rhs_layout = _image(t1, absy_sq, zeros)
+        del absy_sq, zeros
+        exchange_rhs = _summed(exchange_rhs, in_place=True).head
         exchange_rhs **= p / 2.0
+        exchange_rhs = _Tall(exchange_rhs, count)
+        exchange_lhs, lhs_layout = _image(t1, _Tall(running, count))
+        del running
 
-    # The three relations in one pass: each block of each stack is sliced,
-    # checked for finiteness and made absolute once, and each relation keeps
-    # its own fold, as three _check calls would.
     stacks, layout = _aligned(
         (exchange_lhs, lhs_layout), (exchange_rhs, rhs_layout), (bound_rhs, bound_layout)
     )
@@ -723,16 +889,8 @@ def slln_an_equals_n(
         "moment-power-step": (1, 2),
         "square-sum-power-bound": (0, 2),
     }
-    folds = {name: _Fold(layout) for name in relations}
-    for rows in row_blocks(*stacks[0].shape):
-        blocks = [x[rows] for x in stacks]
-        require_finite(*blocks)
-        sizes = [np.abs(x) for x in blocks]
-        for name, (i, j) in relations.items():
-            slack = tol.abs + tol.rel * np.maximum(sizes[i], sizes[j])  # tol.slack
-            folds[name].add(blocks[i], blocks[j], slack)
     checks = {name: CheckSummary() for name in relations}
-    for name, fold in folds.items():
-        fold.record(checks[name], name)
+    for name, (i, j) in relations.items():
+        _check(checks[name], stacks[i], stacks[j], tol.slack, name, layout)
     config = {"p": p, "rates": "power:1", "epsilon": epsilon}
     return _experiment("slln-n", config, decay, series, checks)

@@ -337,8 +337,8 @@ def record_layouts(monkeypatch) -> list:
     seen = []
     image = limits._image
 
-    def recorded(t1, operand):
-        stack, layout = image(t1, operand)
+    def recorded(t1, operand, *zeros):
+        stack, layout = image(t1, operand, *zeros)
         seen.append((len(layout.size), t1.partition.num_blocks, len(layout.ids)))
         return stack, layout
 
@@ -712,6 +712,13 @@ def test_generate_mds_peak_memory_is_at_most_three_values_arrays(long_diffs):
 def test_slln_n_peak_memory_is_at_most_four_and_a_half_values_arrays(long_diffs):
     peak = traced_peak(lambda: limits.slln_an_equals_n(long_diffs, 3.0))
     assert peak <= 4.5 * long_diffs.values.nbytes
+
+
+def test_slln_n_peak_memory_is_at_most_two_and_a_half_values_arrays(long_diffs):
+    # Past the singleton cut every stack repeats one row, so only the dense
+    # T_1 products and their operands are whole height: 3.27 before.
+    peak = traced_peak(lambda: limits.slln_an_equals_n(long_diffs, 3.0))
+    assert peak <= 2.5 * long_diffs.values.nbytes
 
 
 def test_slln_p_le_2_peak_memory_is_at_most_six_values_arrays(long_diffs):

@@ -132,6 +132,32 @@ def test_weight_sequence_divergence_screen():
         WeightSequence.from_values([2.0, 2.0]).require_divergent()
 
 
+def test_explicit_rates_are_screened_over_the_horizon_they_use():
+    """At horizon 5, [1.0]*5 + [2.0] uses five equal rates, as [1.0]*6 does:
+    both must be refused, and the first passes at horizon 6."""
+    grows_late, never = WeightSequence.from_values([1.0] * 5 + [2.0]), WeightSequence.from_values([1.0] * 6)
+    cfg = GeneratorConfig(seed=1, dim=2, steps=5)
+    diffs, proc = generate_mds(cfg), generate_submartingale(cfg)
+    runs = (
+        lambda rates: submartingale_convergence_experiment(proc, rates, 2.0),
+        lambda rates: slln_p_le_2(diffs, rates, 2.0),
+        lambda rates: slln_p_gt_2(diffs, rates, 4.0, 1.5, 2.0),
+        lambda rates: cesaro_weighted_mean([DIM1.element([1.0])] * 5, rates),
+        lambda rates: kronecker_transform([DIM1.element([0.0])] * 5, rates),
+    )
+    for run in runs:
+        for rates in (grows_late, never):
+            with pytest.raises(BadWeights, match="never grows"):
+                run(rates)
+    grows_late.require_divergent(6)
+    with pytest.raises(BadWeights, match="never grows"):
+        never.require_divergent(6)
+    # Past the list, the whole list is screened and values() refuses the horizon.
+    with pytest.raises(BadWeights, match="need 7"):
+        submartingale_convergence_experiment(generate_submartingale(
+            GeneratorConfig(seed=1, dim=2, steps=7)), grows_late, 2.0)
+
+
 # --- checkpoints and report builders --------------------------------------------
 
 

@@ -157,10 +157,13 @@ def test_gate_cores_match_the_old_bodies_on_the_block_grid(block_elements):
     assert {difference for _, _, difference in seen} == {True, False}
 
 
-def same_image(t1, operand) -> bool:
-    """limits._image against old_image: the same stack bytes and layout;
-    returns whether the block values were kept."""
-    (stack, layout), (old_stack, old_layout) = IMAGE(t1, operand), old_image(t1, operand)
+def same_image(t1, operand, *zeros) -> bool:
+    """limits._image against old_image: the same stack bytes, at whole
+    height, and layout; returns whether the block values were kept.  The
+    experiments pass _Talls, and a zeros buffer, old_image the whole height."""
+    whole = limits._tall(operand).full()
+    (tall, layout), (old_stack, old_layout) = IMAGE(t1, operand, *zeros), old_image(t1, whole)
+    stack = tall.full()
     assert stack.shape == old_stack.shape and stack.dtype == old_stack.dtype
     assert stack.tobytes() == old_stack.tobytes()
     assert all(np.array_equal(a, b) for a, b in zip(layout, old_layout))
@@ -176,9 +179,9 @@ def block_elements(request, monkeypatch):
 def test_experiment_images_match_the_old_check(block_elements, monkeypatch):
     kept = []
 
-    def compared(t1, operand):
-        kept.append(same_image(t1, operand))
-        return IMAGE(t1, operand)
+    def compared(t1, operand, *zeros):
+        kept.append(same_image(t1, operand, *zeros))
+        return IMAGE(t1, operand, *zeros)
 
     monkeypatch.setattr(limits, "_image", compared)
     for cfg, filt in cases():
